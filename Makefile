@@ -9,15 +9,17 @@ all: build test
 vet:
 	$(GO) vet ./...
 
-# What CI runs: vet + build + full test suite, then the race detector on
-# the concurrency-sensitive packages (engine interrupt hook, solver
-# cancellation, portfolio racing + clause sharing, fault injection, the
-# incremental Reducer's watcher protocol, the warm-start LP state, the
-# live metrics registry, the bsolvd serving envelope), the daemon's
+# What CI runs: vet + build + full test suite, the tests of the tablebench
+# module (its own go.mod, so the root suite never reaches them), then the
+# race detector on the concurrency-sensitive packages (engine interrupt
+# hook, solver cancellation, portfolio racing + clause sharing, fault
+# injection, the incremental Reducer's watcher protocol, the warm-start LP
+# state, the live metrics registry, the bsolvd serving envelope), the daemon's
 # chaos/load smoke, the bench-regression gate against the committed
 # baseline, then a single-iteration smoke pass over the bound-pipeline
 # and portfolio-sharing benchmarks and a small bench snapshot.
 ci: vet build test
+	cd tablebench && $(GO) test ./...
 	$(GO) test -race ./internal/engine ./internal/core ./internal/portfolio ./internal/share ./internal/ls ./internal/fault ./internal/bounds ./internal/lp ./internal/cuts ./internal/fuzz ./internal/obs ./internal/preprocess ./internal/serve ./internal/wbo ./internal/wcnf
 	$(MAKE) escape-check
 	$(MAKE) load-smoke
@@ -88,7 +90,10 @@ bench-engine:
 # lookup, heap re-insert on backtrack) must stay inlinable, and the batched
 # delta flush must stay allocation-free. The obs alloc-regression tests pin
 # the complementary runtime guarantee (0 allocs/op across a full wave); this
-# catches the same regressions at compile time with a file:line pointer.
+# catches the same regressions at compile time with a file:line pointer. The
+# lp pivot helpers (pivot-row scaling and the sparse elimination every simplex
+# pivot runs) must stay inlinable into the pivot loops; the lp and bounds
+# allocation pins check that a warm re-solve allocates only its result.
 escape-check:
 	@out=$$($(GO) build -gcflags='-m' ./internal/engine 2>&1); \
 	for fn in '(*Engine).csr' '(*Engine).noteTransition' '(*Engine).LitValue' '(*varHeap).pushIfAbsent'; do \
@@ -110,7 +115,11 @@ escape-check:
 	for fn in 'violation' 'objViolation' '(*solver).removeUnsat' '(*solver).bumpWeights'; do \
 		echo "$$lsout" | grep -qF "can inline $$fn" || { echo "escape-check: ls $$fn is no longer inlinable"; exit 1; }; \
 	done; \
-	echo "escape-check: hot-path inlining + alloc-free delta flush + cut-probe + ls flip-loop helpers OK"
+	lpout=$$($(GO) build -gcflags='-m' ./internal/lp 2>&1); \
+	for fn in '(*simplex).scalePivotRow' '(*simplex).eliminate' '(*simplex).activeCols'; do \
+		echo "$$lpout" | grep -qF "can inline $$fn" || { echo "escape-check: lp $$fn is no longer inlinable"; exit 1; }; \
+	done; \
+	echo "escape-check: hot-path inlining + alloc-free delta flush + cut-probe + ls flip-loop + lp pivot helpers OK"
 
 # Cooperative-portfolio benchmarks: every member proving the optimum with and
 # without the sharing board (total conflicts/decisions across members), the

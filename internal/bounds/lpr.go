@@ -82,8 +82,10 @@ func (l LPR) Estimate(e *engine.Engine, red *Reduced, cost []int64, target int64
 	// fault point "lpr.solve": tests inject panics/delays here to exercise
 	// the search's panic recovery, MIS fallback and circuit breaker.
 	fault.Fire("lpr.solve")
-	xp := toXSpace(red, cost)
-	inst := installCuts(e, xp, l.Cuts, cost)
+	sc := l.State.scratchFor()
+	xp := &sc.xp
+	xp.build(red, cost)
+	inst := installCuts(&sc.inst, e, xp, l.Cuts, cost)
 	if inst.infeasible {
 		// A residualized pooled cut is unsatisfiable even with every
 		// unassigned literal true: the node is hopeless, and the cut's false
@@ -147,6 +149,9 @@ func (l LPR) Estimate(e *engine.Engine, red *Reduced, cost []int64, target int64
 		res.Bound = capToCompletion(res.Bound, xp, red, cost, alpha)
 		for _, i := range s {
 			if i < inst.m0 {
+				if res.Responsible == nil {
+					res.Responsible = make([]int, 0, len(s))
+				}
 				res.Responsible = append(res.Responsible, xp.rows[i].engIdx)
 				continue
 			}
@@ -207,34 +212,52 @@ func (l LPR) Estimate(e *engine.Engine, red *Reduced, cost []int64, target int64
 // use two tag bits so the three key spaces stay disjoint: y rows by engine
 // index (tag 0), w columns and LP rows by variable (tag 1), cut y columns by
 // pool id (tag 2) — pool ids are never reused, so a basis never misbinds to
-// a different cut after eviction.
+// a different cut after eviction. The problem and keys are built into the
+// state's buffers; only the returned solution's slices are fresh.
 func (l LPR) solveDual(xp *xProblem, inst *cutInstall, bud *Budget) (lp.Solution, error) {
 	m, n := len(xp.rows), len(xp.vars)
 	maxIter := l.MaxIter
 	if maxIter == 0 {
 		maxIter = 4*(m+n) + 200
 	}
-	prob := &lp.Problem{
+	sc := l.State.scratchFor()
+	prob := &sc.prob
+	*prob = lp.Problem{
 		NumVars:  m + n,
-		Cost:     make([]float64, m+n),
-		Rows:     make([]lp.Row, n),
-		Lo:       make([]float64, m+n),
-		Hi:       make([]float64, m+n),
+		Cost:     resize(prob.Cost, m+n),
+		Rows:     resize(prob.Rows, n),
+		Lo:       resize(prob.Lo, m+n),
+		Hi:       resize(prob.Hi, m+n),
 		MaxIter:  maxIter,
 		Deadline: bud.Deadline, // per-node bound budget reaches the simplex
 	}
+	clear(prob.Lo)
 	for i := range prob.Hi {
 		prob.Hi[i] = math.Inf(1)
 	}
 	for i, xr := range xp.rows {
 		prob.Cost[i] = -xr.rhs // minimize −d·y
 	}
+	// Row j holds w_j's unit entry, then −G_ij for every x-space row i
+	// mentioning x_j, in row order: counted first, so each row is a window
+	// of one entry buffer filled without reallocation.
+	sc.cnt = resize(sc.cnt, n)
+	clear(sc.cnt)
+	total := n
+	for _, xr := range xp.rows {
+		for _, en := range xr.entries {
+			sc.cnt[en.local]++
+		}
+		total += len(xr.entries)
+	}
+	sc.ents = resize(sc.ents, total)
+	off := 0
 	for j := 0; j < n; j++ {
 		prob.Cost[m+j] = 1 // + Σ w_j
-		prob.Rows[j] = lp.Row{
-			RHS:     -xp.cost[j],
-			Entries: []lp.Entry{{Var: m + j, Coef: 1}},
-		}
+		end := off + 1 + sc.cnt[j]
+		sc.ents[off] = lp.Entry{Var: m + j, Coef: 1}
+		prob.Rows[j] = lp.Row{RHS: -xp.cost[j], Entries: sc.ents[off : off+1 : end]}
+		off = end
 	}
 	for i, xr := range xp.rows {
 		for _, en := range xr.entries {
@@ -249,7 +272,7 @@ func (l LPR) solveDual(xp *xProblem, inst *cutInstall, bud *Budget) (lp.Solution
 	}
 	// Warm path: identify LP columns and rows by search-stable keys so the
 	// previous solve's basis maps onto this (re-numbered) problem.
-	varKeys := make([]int64, m+n)
+	varKeys := resize(sc.varKeys, m+n)
 	for i, xr := range xp.rows {
 		if xr.engIdx >= 0 {
 			varKeys[i] = int64(xr.engIdx) << 2
@@ -260,13 +283,13 @@ func (l LPR) solveDual(xp *xProblem, inst *cutInstall, bud *Budget) (lp.Solution
 	for j, v := range xp.vars {
 		varKeys[m+j] = int64(v)<<2 | 1
 	}
-	rowKeys := make([]int64, n)
+	rowKeys := resize(sc.rowKeys, n)
 	for j, v := range xp.vars {
 		rowKeys[j] = int64(v)
 	}
-	hadBasis := st.basis != nil
-	sol, next, err := lp.SolveWarm(prob, varKeys, rowKeys, st.basis)
-	st.basis = next
+	sc.varKeys, sc.rowKeys = varKeys, rowKeys
+	hadBasis := st.ws.HasBasis()
+	sol, err := st.ws.SolveWarm(prob, varKeys, rowKeys)
 	if err == nil {
 		if sol.Warm {
 			st.warmSolves.Add(1)
@@ -283,6 +306,15 @@ func (l LPR) solveDual(xp *xProblem, inst *cutInstall, bud *Budget) (lp.Solution
 		st.Invalidate()
 	}
 	return sol, err
+}
+
+// resize returns buf with length n, reallocating only when its capacity is
+// short; the contents are left for the caller to overwrite.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // separationRounds runs up to rounds separate→install→re-solve cycles from

@@ -40,9 +40,24 @@ type cutInstall struct {
 	infeasibleLits []pb.Lit
 }
 
-// installCuts residualizes every pooled cut into xp. Nil-safe on the pool.
-func installCuts(e *engine.Engine, xp *xProblem, pool *cuts.Pool, cost []int64) *cutInstall {
-	inst := &cutInstall{m0: len(xp.rows)}
+// installCuts residualizes every pooled cut into xp, recording them in inst
+// (whose buffers are reused; its previous contents are dropped). Nil-safe on
+// the pool.
+func installCuts(inst *cutInstall, e *engine.Engine, xp *xProblem, pool *cuts.Pool, cost []int64) *cutInstall {
+	// Drop the previous estimation's references (cuts the pool may since
+	// have evicted, explanation literals).
+	clear(inst.full)
+	clear(inst.falseLits)
+	clear(inst.resid)
+	*inst = cutInstall{
+		m0:        len(xp.rows),
+		ids:       inst.ids[:0],
+		full:      inst.full[:0],
+		falseLits: inst.falseLits[:0],
+		resid:     inst.resid[:0],
+		done:      inst.done,
+	}
+	clear(inst.done)
 	if pool.Len() > 0 {
 		inst.installNew(e, xp, pool, cost)
 	}
@@ -106,7 +121,7 @@ func (inst *cutInstall) installOne(e *engine.Engine, xp *xProblem, id int64, ter
 		inst.infeasibleLits = falseLits
 		return false
 	}
-	xr := xRow{engIdx: -1, rhs: float64(residDegree)}
+	xr := xp.addRow(-1, float64(residDegree))
 	for _, t := range residTerms {
 		j := xp.local(t.Lit.Var(), cost)
 		a := float64(t.Coef)
@@ -117,7 +132,6 @@ func (inst *cutInstall) installOne(e *engine.Engine, xp *xProblem, id int64, ter
 			xr.entries = append(xr.entries, xEntry{j, a})
 		}
 	}
-	xp.rows = append(xp.rows, xr)
 	inst.ids = append(inst.ids, id)
 	inst.full = append(inst.full, terms)
 	inst.falseLits = append(inst.falseLits, falseLits)
@@ -150,11 +164,7 @@ func (inst *cutInstall) snapshot(xp *xProblem) cutSnapshot {
 // rollback truncates xp and the install record back to snap. Ids rolled back
 // stay in done: the round is being abandoned, not retried.
 func (inst *cutInstall) rollback(xp *xProblem, snap cutSnapshot) {
-	for _, v := range xp.vars[snap.vars:] {
-		delete(xp.varIdx, v)
-	}
-	xp.vars = xp.vars[:snap.vars]
-	xp.cost = xp.cost[:snap.vars]
+	xp.forget(snap.vars)
 	xp.rows = xp.rows[:snap.rows]
 	inst.ids = inst.ids[:snap.cuts]
 	inst.full = inst.full[:snap.cuts]
@@ -198,7 +208,7 @@ func fracPoint(e *engine.Engine, xp *xProblem, dual []float64) func(pb.Lit) floa
 			return 0
 		}
 		x := 0.0
-		if j, ok := xp.varIdx[l.Var()]; ok && j < len(dual) {
+		if j := xp.index(l.Var()); j >= 0 && j < len(dual) {
 			x = dual[j]
 			if x < 0 {
 				x = 0

@@ -277,16 +277,19 @@ func completionCap(red *Reduced, cost []int64, xTrue map[pb.Var]bool) (int64, bo
 
 // capToCompletion clamps a rounded bound to the Lagrangian minimizer's cost
 // when that minimizer is a feasible completion (see completionCap). alpha is
-// indexed like xp.vars.
+// indexed like xp.vars; the candidate is built in xp's scratch map.
 func capToCompletion(bound int64, xp *xProblem, red *Reduced, cost []int64, alpha []float64) int64 {
 	if bound <= 0 || bound >= InfBound || alpha == nil {
 		return bound
 	}
-	xTrue := make(map[pb.Var]bool, len(xp.vars))
-	for j, v := range xp.vars {
-		xTrue[v] = alpha[j] < 0
+	if xp.xTrue == nil {
+		xp.xTrue = make(map[pb.Var]bool, len(xp.vars))
 	}
-	if c, ok := completionCap(red, cost, xTrue); ok && bound > c {
+	clear(xp.xTrue)
+	for j, v := range xp.vars {
+		xp.xTrue[v] = alpha[j] < 0
+	}
+	if c, ok := completionCap(red, cost, xp.xTrue); ok && bound > c {
 		return c
 	}
 	return bound

@@ -8,13 +8,19 @@ import (
 
 // LPRState is the persistent warm-start state threaded through consecutive
 // LPR estimations. It carries the previous node's LP basis, snapshotted by
-// lp.SolveWarm under search-stable keys (engine constraint indices for y
-// variables, pb.Var for w variables and rows), so the next node's LP —
+// lp.Workspace.SolveWarm under search-stable keys (engine constraint indices
+// for y variables, pb.Var for w variables and rows), so the next node's LP —
 // usually differing in a handful of columns and rows — starts from a
 // near-optimal basis instead of the slack crash.
 //
+// It also owns every buffer an estimation builds into: the lp.Workspace
+// (tableau rows and simplex scratch) and the x-space problem, cut record,
+// dual LP and warm keys (lprScratch). A steady-state estimation therefore
+// allocates only what its Result returns, and nothing in a Result aliases
+// these buffers.
+//
 // Soundness is independent of this state: LPR recomputes its bound from the
-// returned multipliers via weak duality, and lp.SolveWarm falls back to a
+// returned multipliers via weak duality, and the warm solve falls back to a
 // cold solve whenever the mapped basis is poor or numerically suspect. The
 // state is therefore a pure accelerator; invalidating it at any point (the
 // search does so on restarts, database reductions and estimator demotions)
@@ -24,7 +30,8 @@ import (
 // single-threaded search loop; the counters are read with atomics only so
 // harness goroutines may sample them mid-run.
 type LPRState struct {
-	basis *lp.Basis
+	ws      lp.Workspace
+	scratch lprScratch
 
 	// Counters (sampled by Stats): warm solves, cold solves (first node,
 	// invalidations, and fallbacks), and the subset of cold solves where a
@@ -34,17 +41,38 @@ type LPRState struct {
 	warmFallbacks atomic.Int64
 }
 
+// lprScratch holds the buffers one LPR estimation builds its x-space
+// problem, cut record and dual LP into.
+type lprScratch struct {
+	xp               xProblem
+	inst             cutInstall
+	prob             lp.Problem
+	ents             []lp.Entry
+	cnt              []int
+	varKeys, rowKeys []int64
+}
+
+// scratchFor returns the state's buffers, or fresh ones when there is no
+// state (the cold per-node configuration).
+func (st *LPRState) scratchFor() *lprScratch {
+	if st == nil {
+		return &lprScratch{}
+	}
+	return &st.scratch
+}
+
 // Invalidate drops the stored basis: the next LPR call solves cold. Called
 // by the search when the node-to-node continuity the basis assumes is broken
-// (restart, ReduceDB, estimator demotion) or after a hard LPR failure.
+// (restart, ReduceDB, estimator demotion) or after a hard LPR failure. The
+// buffers are kept.
 func (st *LPRState) Invalidate() {
 	if st != nil {
-		st.basis = nil
+		st.ws.Invalidate()
 	}
 }
 
 // HasBasis reports whether a basis is currently stored (diagnostics only).
-func (st *LPRState) HasBasis() bool { return st != nil && st.basis != nil }
+func (st *LPRState) HasBasis() bool { return st != nil && st.ws.HasBasis() }
 
 // WarmSolves returns the number of LP solves that reused a previous basis.
 func (st *LPRState) WarmSolves() int64 { return st.warmSolves.Load() }

@@ -19,34 +19,83 @@ type xRow struct {
 }
 
 // xProblem is the x-space view of a reduced problem, shared by the LPR and
-// LGR estimators.
+// LGR estimators. Its slices double as buffers: build and addRow reuse
+// their capacity, so an xProblem kept across estimations (LPRState keeps
+// one) stops allocating once it has grown to the largest node seen.
 type xProblem struct {
-	vars   []pb.Var // unassigned variables appearing in the rows
-	varIdx map[pb.Var]int
-	rows   []xRow
-	cost   []float64 // per local variable
+	vars []pb.Var // unassigned variables appearing in the rows
+	rows []xRow
+	cost []float64 // per local variable
+	// slot[v] is 1 + the local index of variable v, 0 while v has none.
+	slot []int
+
+	// Scratch of lagrangianValue and capToCompletion.
+	alpha []float64
+	resp  []int
+	xTrue map[pb.Var]bool
+}
+
+// index returns the local index of v, or −1 when v is not in the problem.
+func (xp *xProblem) index(v pb.Var) int {
+	if int(v) < len(xp.slot) {
+		return xp.slot[v] - 1
+	}
+	return -1
 }
 
 // local returns the compact index of v, registering it (with its cost) on
-// first sight. Cut installation extends the variable set after toXSpace when
+// first sight. Cut installation extends the variable set after build when
 // a pooled cut mentions a variable no reduced row does.
 func (xp *xProblem) local(v pb.Var, cost []int64) int {
-	if i, ok := xp.varIdx[v]; ok {
+	if i := xp.index(v); i >= 0 {
 		return i
 	}
+	if int(v) >= len(xp.slot) {
+		xp.slot = append(xp.slot, make([]int, len(cost)-len(xp.slot))...)
+	}
 	i := len(xp.vars)
-	xp.varIdx[v] = i
+	xp.slot[v] = i + 1
 	xp.vars = append(xp.vars, v)
 	xp.cost = append(xp.cost, float64(cost[v]))
 	return i
 }
 
-// toXSpace converts the reduced rows to x-space over a compact local
-// variable indexing.
+// forget unregisters the variables from local index k on (cut rollback).
+func (xp *xProblem) forget(k int) {
+	for _, v := range xp.vars[k:] {
+		xp.slot[v] = 0
+	}
+	xp.vars = xp.vars[:k]
+	xp.cost = xp.cost[:k]
+}
+
+// addRow appends an empty row, reusing the entry buffer a previous
+// estimation left at that position.
+func (xp *xProblem) addRow(engIdx int, rhs float64) *xRow {
+	k := len(xp.rows)
+	if k < cap(xp.rows) {
+		xp.rows = xp.rows[:k+1]
+		xp.rows[k] = xRow{engIdx: engIdx, entries: xp.rows[k].entries[:0], rhs: rhs}
+	} else {
+		xp.rows = append(xp.rows, xRow{engIdx: engIdx, rhs: rhs})
+	}
+	return &xp.rows[k]
+}
+
+// toXSpace converts the reduced rows to x-space in a fresh xProblem.
 func toXSpace(red *Reduced, cost []int64) *xProblem {
-	xp := &xProblem{varIdx: make(map[pb.Var]int)}
+	xp := &xProblem{}
+	xp.build(red, cost)
+	return xp
+}
+
+// build converts the reduced rows to x-space over a compact local variable
+// indexing, replacing whatever xp held.
+func (xp *xProblem) build(red *Reduced, cost []int64) {
+	xp.forget(0)
+	xp.rows = xp.rows[:0]
 	for _, row := range red.Rows {
-		xr := xRow{engIdx: row.EngIdx, rhs: float64(row.Degree)}
+		xr := xp.addRow(row.EngIdx, float64(row.Degree))
 		for _, t := range row.Terms {
 			j := xp.local(t.Lit.Var(), cost)
 			a := float64(t.Coef)
@@ -58,9 +107,7 @@ func toXSpace(red *Reduced, cost []int64) *xProblem {
 				xr.entries = append(xr.entries, xEntry{j, a})
 			}
 		}
-		xp.rows = append(xp.rows, xr)
 	}
-	return xp
 }
 
 // lagrangianValue computes the weak-duality bound
@@ -70,10 +117,11 @@ func toXSpace(red *Reduced, cost []int64) *xProblem {
 // for the multipliers y (indexed like xp.rows; entries ≤ eps are treated as
 // zero and excluded from S). It returns the bound value, the set S of row
 // indices with positive multipliers, and the α vector (for the §4.3 filter
-// and the free minimizer x_j = 1 iff α_j < 0).
+// and the free minimizer x_j = 1 iff α_j < 0). S and α live in xp's scratch
+// and stay valid until the next call.
 func (xp *xProblem) lagrangianValue(y []float64, eps float64) (val float64, s []int, alpha []float64) {
-	alpha = make([]float64, len(xp.vars))
-	copy(alpha, xp.cost)
+	alpha = append(xp.alpha[:0], xp.cost...)
+	s = xp.resp[:0]
 	for i, yi := range y {
 		if yi <= eps {
 			continue
@@ -89,6 +137,7 @@ func (xp *xProblem) lagrangianValue(y []float64, eps float64) (val float64, s []
 			val += a
 		}
 	}
+	xp.alpha, xp.resp = alpha, s
 	return val, s, alpha
 }
 

@@ -111,21 +111,22 @@ func BenchmarkLPRNodeLoopCold(b *testing.B) {
 	b.ReportMetric(float64(iters)/float64(b.N), "simplex-iters/walk")
 }
 
-// BenchmarkLPRNodeLoopWarm chains SolveWarm across the identical sequence,
-// reusing each solve's basis for the next. The speedup over the cold loop is
-// the per-node win the persistent LPRState buys inside the search.
+// BenchmarkLPRNodeLoopWarm chains warm solves across the identical sequence
+// through one Workspace, as the persistent LPRState does inside the search,
+// each solve starting from the previous one's basis. The speedup over the
+// cold loop is the per-node win the warm start and the reused buffers buy.
 func BenchmarkLPRNodeLoopWarm(b *testing.B) {
 	probs, varKeys, rowKeys := lprNodeSequence(21, 40, 60, 30)
 	var iters, warm int
+	var w Workspace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var bas *Basis
+		w.Invalidate()
 		for k, p := range probs {
-			sol, next, err := SolveWarm(p, varKeys[k], rowKeys[k], bas)
+			sol, err := w.SolveWarm(p, varKeys[k], rowKeys[k])
 			if err != nil || sol.Status != Optimal {
 				b.Fatalf("status=%v err=%v", sol.Status, err)
 			}
-			bas = next
 			iters += sol.Iterations
 			if sol.Warm {
 				warm++

@@ -119,131 +119,169 @@ const (
 	atUpper
 )
 
+// simplex is the working state of one solve. Every slice is a buffer owned
+// by the enclosing Workspace: reset resizes and zeroes them for the next
+// problem without reallocating once they have grown to its size.
 type simplex struct {
-	n, m    int // structural vars, rows
-	nTot    int // n + m surplus + m artificial
-	cost    []float64
-	lo, hi  []float64
-	tab     [][]float64 // m × nTot
-	rhsB    []float64   // B^{-1} b (working rhs under the same row ops)
-	beta    []float64   // current value of basic variable per row
-	basis   []int
-	inBasis []bool
-	status  []nbStatus // nonbasic status per variable
-	xval     []float64 // value of nonbasic variables (at a bound)
+	n, m     int // structural vars, rows
+	nTot     int // n + m surplus + m artificial
+	cost     []float64
+	lo, hi   []float64
+	tab      [][]float64 // m rows, each nTot wide; row buffers are reused
+	rhsB     []float64   // B^{-1} b (working rhs under the same row ops)
+	beta     []float64   // current value of basic variable per row
+	basis    []int
+	inBasis  []bool
+	status   []nbStatus // nonbasic status per variable
+	xval     []float64  // value of nonbasic variables (at a bound)
 	iters    int
 	maxIter  int
 	deadline time.Time // zero = no wall-clock cap
+
+	// Scratch of run, runDual, refreshBeta and extractSolution.
+	cols     []int     // active columns of the current phase
+	d        []float64 // reduced costs
+	cB       []float64 // basic costs
+	wcost    []float64 // phase-1 or shifted working costs
+	nz       []int     // nonzero pattern of the current pivot row
+	nb       []int     // nonbasic columns with a nonzero value
+	dense    []float64 // one structural row (cold crash)
+	lo0      []float64 // default bounds for a Problem without Lo
+	hi1      []float64 // default bounds for a Problem without Hi
+	costRows []int     // rows with a nonzero basic cost (dual extraction)
+}
+
+// zeroed returns buf resized to n zero elements, reallocating only when its
+// capacity is short.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // validate checks the problem for malformed input and materializes the
-// variable bounds. A nil early result means "proceed"; a non-nil one is a
-// terminal verdict (Infeasible on crossed bounds).
-func validate(p *Problem) (lo, hi []float64, early *Solution, err error) {
+// variable bounds. infeasible reports crossed bounds (lo > hi), a terminal
+// verdict.
+func (s *simplex) validate(p *Problem) (lo, hi []float64, infeasible bool, err error) {
 	n := p.NumVars
 	if len(p.Cost) != n {
-		return nil, nil, nil, fmt.Errorf("lp: len(Cost)=%d != NumVars=%d", len(p.Cost), n)
+		return nil, nil, false, fmt.Errorf("lp: len(Cost)=%d != NumVars=%d", len(p.Cost), n)
 	}
 	lo = p.Lo
 	hi = p.Hi
 	if lo == nil {
-		lo = make([]float64, n)
+		s.lo0 = zeroed(s.lo0, n)
+		lo = s.lo0
 	}
 	if hi == nil {
-		hi = make([]float64, n)
-		for i := range hi {
-			hi[i] = 1
+		s.hi1 = zeroed(s.hi1, n)
+		for i := range s.hi1 {
+			s.hi1[i] = 1
 		}
+		hi = s.hi1
 	}
 	if len(lo) != n || len(hi) != n {
-		return nil, nil, nil, fmt.Errorf("lp: bounds length mismatch")
+		return nil, nil, false, fmt.Errorf("lp: bounds length mismatch")
 	}
 	for j := 0; j < n; j++ {
 		if lo[j] > hi[j]+epsBound {
-			return nil, nil, &Solution{Status: Infeasible}, nil
+			return nil, nil, true, nil
 		}
 		if math.IsNaN(lo[j]) || math.IsNaN(hi[j]) || math.IsNaN(p.Cost[j]) {
-			return nil, nil, nil, fmt.Errorf("lp: NaN in input")
+			return nil, nil, false, fmt.Errorf("lp: NaN in input")
 		}
 	}
 	for i, r := range p.Rows {
 		if math.IsNaN(r.RHS) {
-			return nil, nil, nil, fmt.Errorf("lp: NaN rhs in row %d", i)
+			return nil, nil, false, fmt.Errorf("lp: NaN rhs in row %d", i)
 		}
 		for _, e := range r.Entries {
 			if e.Var < 0 || e.Var >= n {
-				return nil, nil, nil, fmt.Errorf("lp: row %d references var %d out of range", i, e.Var)
+				return nil, nil, false, fmt.Errorf("lp: row %d references var %d out of range", i, e.Var)
 			}
 			if math.IsNaN(e.Coef) {
-				return nil, nil, nil, fmt.Errorf("lp: NaN coefficient in row %d", i)
+				return nil, nil, false, fmt.Errorf("lp: NaN coefficient in row %d", i)
 			}
 		}
 	}
-	return lo, hi, nil, nil
+	return lo, hi, false, nil
 }
 
 // Solve solves the LP from scratch. It never panics on valid input;
 // malformed input (entries out of range, NaN coefficients, lo > hi) yields
-// an error. For re-solving a sequence of related LPs, see SolveWarm.
+// an error. For re-solving a sequence of related LPs, see SolveWarm; for a
+// sequence of solves that should not allocate, see Workspace.
 func Solve(p *Problem) (Solution, error) {
-	lo, hi, early, err := validate(p)
-	if err != nil {
-		return Solution{}, err
-	}
-	if early != nil {
-		return *early, nil
-	}
-	sol, _ := solveCold(p, lo, hi)
-	return sol, nil
+	var w Workspace
+	return w.Solve(p)
 }
 
-// solveCold runs the classical two-phase solve and returns the final simplex
-// state alongside the solution (nil when the solve ended before phase 2
-// produced a usable basis — infeasible, iteration-capped phase 1, or
-// numerical corruption).
-func solveCold(p *Problem, lo, hi []float64) (Solution, *simplex) {
+// reset sizes the working state for p — every buffer zeroed, as freshly
+// allocated — with the structural bounds lo/hi, surplus and artificial
+// columns in [0, +inf) and every structural variable nonbasic at its lower
+// bound.
+func (s *simplex) reset(p *Problem, lo, hi []float64) {
 	n, m := p.NumVars, len(p.Rows)
-	s := &simplex{n: n, m: m, nTot: n + 2*m, deadline: p.Deadline}
+	s.n, s.m, s.nTot = n, m, n+2*m
+	s.iters = 0
+	s.deadline = p.Deadline
 	s.maxIter = p.MaxIter
 	if s.maxIter == 0 {
 		s.maxIter = 100*(n+m) + 5000
 	}
-	s.lo = make([]float64, s.nTot)
-	s.hi = make([]float64, s.nTot)
+	s.lo = zeroed(s.lo, s.nTot)
+	s.hi = zeroed(s.hi, s.nTot)
 	copy(s.lo, lo)
 	copy(s.hi, hi)
-	for j := n; j < n+m; j++ { // surplus: [0, +inf)
+	for j := n; j < s.nTot; j++ {
 		s.hi[j] = math.Inf(1)
 	}
-	for j := n + m; j < s.nTot; j++ { // artificial: [0, +inf) during phase 1
-		s.hi[j] = math.Inf(1)
+	// Row buffers rather than one m × nTot block: a large contiguous block
+	// cannot reuse the freed holes of a fragmented heap, and on a run of
+	// many solves of different sizes that raised peak RSS by a fifth.
+	if cap(s.tab) < m {
+		s.tab = append(s.tab[:cap(s.tab)], make([][]float64, m-cap(s.tab))...)
 	}
+	s.tab = s.tab[:m]
+	for i := range s.tab {
+		s.tab[i] = zeroed(s.tab[i], s.nTot)
+	}
+	s.rhsB = zeroed(s.rhsB, m)
+	s.beta = zeroed(s.beta, m)
+	s.basis = zeroed(s.basis, m)
+	s.inBasis = zeroed(s.inBasis, s.nTot)
+	s.status = zeroed(s.status, s.nTot)
+	s.xval = zeroed(s.xval, s.nTot)
+	for j := 0; j < n; j++ {
+		s.xval[j] = lo[j]
+	}
+	s.cost = zeroed(s.cost, s.nTot)
+}
+
+// solveCold runs the classical two-phase solve. ok reports that phase 2
+// ended on a usable basis (false when the solve stopped before — infeasible,
+// iteration-capped phase 1, or numerical corruption).
+func (s *simplex) solveCold(p *Problem, lo, hi []float64) (sol Solution, ok bool) {
+	s.reset(p, lo, hi)
+	n, m := s.n, s.m
 
 	// Working rows: A_i x − s_i = b_i, possibly negated so the initial
 	// artificial value is non-negative with every structural nonbasic at its
 	// lower bound and surplus at 0.
-	s.tab = make([][]float64, m)
-	s.rhsB = make([]float64, m)
-	s.beta = make([]float64, m)
-	s.basis = make([]int, m)
-	s.inBasis = make([]bool, s.nTot)
-	s.status = make([]nbStatus, s.nTot)
-	s.xval = make([]float64, s.nTot)
-	for j := 0; j < n; j++ {
-		s.xval[j] = lo[j]
-	}
-
+	//
 	// Slack-basis crash: a row whose residual (with every structural
 	// variable at its bound) is non-positive starts with its surplus
 	// variable basic and needs no artificial; only rows with positive
 	// residual get a basic artificial. Dual-style LPs (c ≥ 0, rhs ≤ 0)
 	// therefore skip phase 1 entirely.
-	dense := make([]float64, n)
+	s.dense = zeroed(s.dense, n)
+	dense := s.dense
 	needPhase1 := false
 	for i, r := range p.Rows {
-		for k := range dense {
-			dense[k] = 0
-		}
+		clear(dense)
 		for _, e := range r.Entries {
 			dense[e.Var] += e.Coef
 		}
@@ -252,16 +290,13 @@ func solveCold(p *Problem, lo, hi []float64) (Solution, *simplex) {
 		for j := 0; j < n; j++ {
 			resid -= dense[j] * s.xval[j]
 		}
-		row := make([]float64, s.nTot)
+		row := s.tab[i]
 		if resid > 0 {
 			// Artificial basic (coefficient +1 keeps the unit-column
 			// invariant); phase 1 must drive it out.
-			for j := 0; j < n; j++ {
-				row[j] = dense[j]
-			}
+			copy(row, dense)
 			row[n+i] = -1.0  // surplus
 			row[n+m+i] = 1.0 // artificial
-			s.tab[i] = row
 			s.rhsB[i] = r.RHS
 			s.basis[i] = n + m + i
 			s.inBasis[n+m+i] = true
@@ -277,7 +312,6 @@ func solveCold(p *Problem, lo, hi []float64) (Solution, *simplex) {
 			}
 			row[n+i] = 1.0    // surplus (negated from −1)
 			row[n+m+i] = -1.0 // artificial (negated, permanently locked)
-			s.tab[i] = row
 			s.rhsB[i] = -r.RHS
 			s.basis[i] = n + i
 			s.inBasis[n+i] = true
@@ -289,13 +323,13 @@ func solveCold(p *Problem, lo, hi []float64) (Solution, *simplex) {
 	// Phase 1: minimize the artificial sum (skipped when the slack basis is
 	// already feasible).
 	if needPhase1 {
-		cost1 := make([]float64, s.nTot)
+		s.wcost = zeroed(s.wcost, s.nTot)
 		for j := n + m; j < s.nTot; j++ {
-			cost1[j] = 1
+			s.wcost[j] = 1
 		}
-		st := s.run(cost1)
+		st := s.run(s.wcost)
 		if st == IterLimit || st == Numerical {
-			return Solution{Status: st, Iterations: s.iters}, nil
+			return Solution{Status: st, Iterations: s.iters}, false
 		}
 		var art float64
 		for i := 0; i < m; i++ {
@@ -309,7 +343,7 @@ func solveCold(p *Problem, lo, hi []float64) (Solution, *simplex) {
 			}
 		}
 		if art > epsPhase1 {
-			return Solution{Status: Infeasible, Iterations: s.iters}, nil
+			return Solution{Status: Infeasible, Iterations: s.iters}, false
 		}
 	}
 	// Lock artificials at zero for phase 2.
@@ -322,19 +356,19 @@ func solveCold(p *Problem, lo, hi []float64) (Solution, *simplex) {
 	}
 
 	// Phase 2.
-	s.cost = make([]float64, s.nTot)
 	copy(s.cost, p.Cost)
 	st := s.run(s.cost)
 	if st == Unbounded || st == Numerical {
-		return Solution{Status: st, Iterations: s.iters}, nil
+		return Solution{Status: st, Iterations: s.iters}, false
 	}
-	return s.extractSolution(p, lo, hi, st), s
+	return s.extractSolution(p, lo, hi, st), true
 }
 
 // extractSolution reads the primal point, objective, slacks and duals out of
 // the final simplex state. st is the phase-2 outcome (Optimal or IterLimit —
 // in the latter case the basis is still primal-feasible, so the extracted
-// point and duals remain usable: the anytime behaviour).
+// point and duals remain usable: the anytime behaviour). X, Slack and Dual
+// are carved from one fresh allocation: they are the caller's to keep.
 func (s *simplex) extractSolution(p *Problem, lo, hi []float64, st Status) Solution {
 	n, m := s.n, s.m
 	sol := Solution{Status: Optimal, Iterations: s.iters}
@@ -345,8 +379,9 @@ func (s *simplex) extractSolution(p *Problem, lo, hi []float64, st Status) Solut
 		// valid Lagrangian bound).
 		sol.Status = IterLimit
 	}
+	out := make([]float64, n+2*m)
 	// Extract primal values.
-	x := make([]float64, n)
+	x := out[:n:n]
 	for j := 0; j < n; j++ {
 		if !s.inBasis[j] {
 			x[j] = s.xval[j]
@@ -378,7 +413,7 @@ func (s *simplex) extractSolution(p *Problem, lo, hi []float64, st Status) Solut
 	}
 	sol.Objective = obj
 	// Slacks from the original rows.
-	sol.Slack = make([]float64, m)
+	sol.Slack = out[n : n+m : n+m]
 	for i, r := range p.Rows {
 		lhs := 0.0
 		for _, e := range r.Entries {
@@ -387,19 +422,22 @@ func (s *simplex) extractSolution(p *Problem, lo, hi []float64, st Status) Solut
 		sol.Slack[i] = lhs - r.RHS
 	}
 	// Duals: the reduced cost of surplus variable i equals the dual of
-	// original row i (sign conventions cancel; see package tests).
-	sol.Dual = make([]float64, m)
-	cB := make([]float64, m)
-	for i := 0; i < m; i++ {
-		cB[i] = s.cost[s.basis[i]]
+	// original row i (sign conventions cancel; see package tests). Only
+	// rows with a nonzero basic cost contribute.
+	sol.Dual = out[n+m:]
+	s.cB = zeroed(s.cB, m)
+	costRows := s.costRows[:0]
+	for k := 0; k < m; k++ {
+		if s.cB[k] = s.cost[s.basis[k]]; s.cB[k] != 0 {
+			costRows = append(costRows, k)
+		}
 	}
+	s.costRows = costRows
 	for i := 0; i < m; i++ {
 		d := 0.0 // cost of surplus var is 0
 		col := n + i
-		for k := 0; k < m; k++ {
-			if cB[k] != 0 {
-				d -= cB[k] * s.tab[k][col]
-			}
+		for _, k := range costRows {
+			d -= s.cB[k] * s.tab[k][col]
 		}
 		if d < 0 && d > -epsCost {
 			d = 0
@@ -407,6 +445,83 @@ func (s *simplex) extractSolution(p *Problem, lo, hi []float64, st Status) Solut
 		sol.Dual[i] = d
 	}
 	return sol
+}
+
+// activeCols collects the columns a phase works on into s.cols: a column
+// must stay active when its variable is basic, can move, or sits nonbasic
+// at a nonzero value (refreshBeta reads its tableau entries).
+func (s *simplex) activeCols() []int {
+	cols := s.cols[:0]
+	for j := 0; j < s.nTot; j++ {
+		if s.inBasis[j] || s.hi[j]-s.lo[j] >= epsBound || s.xval[j] != 0 {
+			cols = append(cols, j)
+		}
+	}
+	s.cols = cols
+	return cols
+}
+
+// reducedCosts recomputes d[j] = cost[j] − cB·B⁻¹A_j over cols from the
+// current tableau.
+func (s *simplex) reducedCosts(cost, d []float64, cols []int) {
+	cB := s.cB
+	for i := 0; i < s.m; i++ {
+		cB[i] = cost[s.basis[i]]
+	}
+	for _, j := range cols {
+		d[j] = cost[j]
+	}
+	for i := 0; i < s.m; i++ {
+		if cB[i] == 0 {
+			continue
+		}
+		row := s.tab[i]
+		c := cB[i]
+		for _, j := range cols {
+			d[j] -= c * row[j]
+		}
+	}
+}
+
+// scalePivotRow divides row r by its pivot over cols (through the multiplier
+// inv = 1/piv) and records the row's nonzero pattern among cols in s.nz.
+// Zero entries are left alone: scaling them changes at most the sign of a
+// zero.
+func (s *simplex) scalePivotRow(r int, inv float64, cols []int) {
+	rowR := s.tab[r]
+	nz := s.nz[:0]
+	for _, j := range cols {
+		if v := rowR[j]; v != 0 {
+			rowR[j] = v * inv
+			nz = append(nz, j)
+		}
+	}
+	s.nz = nz
+	s.rhsB[r] *= inv
+}
+
+// eliminate clears column col from every row but the (already scaled) pivot
+// row r, walking only the pivot row's nonzero pattern s.nz. The updates it
+// skips are those whose factor rowR[j] is zero, which leave an entry as it
+// was up to the sign of a zero, so every nonzero entry comes out bitwise as
+// a dense row operation would leave it.
+func (s *simplex) eliminate(r, col int) {
+	rowR := s.tab[r]
+	br := s.rhsB[r]
+	nz := s.nz
+	for i, rowI := range s.tab {
+		if i == r {
+			continue
+		}
+		f := rowI[col]
+		if f == 0 {
+			continue
+		}
+		for _, j := range nz {
+			rowI[j] -= f * rowR[j]
+		}
+		s.rhsB[i] -= f * br
+	}
 }
 
 // run optimizes the given cost vector from the current basis. Returns
@@ -417,36 +532,11 @@ func (s *simplex) extractSolution(p *Problem, lo, hi []float64, st Status) Solut
 // active columns: variables whose bounds allow movement or that sit in the
 // basis. Locked artificials disappear from phase 2 entirely.
 func (s *simplex) run(cost []float64) Status {
-	// Active columns for this phase. A column must stay active when its
-	// variable is basic, can move, or sits nonbasic at a nonzero value
-	// (refreshBeta reads its tableau entries).
-	cols := make([]int, 0, s.nTot)
-	for j := 0; j < s.nTot; j++ {
-		if s.inBasis[j] || s.hi[j]-s.lo[j] >= epsBound || s.xval[j] != 0 {
-			cols = append(cols, j)
-		}
-	}
-	d := make([]float64, s.nTot)
-	cB := make([]float64, s.m)
-	recomputeD := func() {
-		for i := 0; i < s.m; i++ {
-			cB[i] = cost[s.basis[i]]
-		}
-		for _, j := range cols {
-			d[j] = cost[j]
-		}
-		for i := 0; i < s.m; i++ {
-			if cB[i] == 0 {
-				continue
-			}
-			row := s.tab[i]
-			c := cB[i]
-			for _, j := range cols {
-				d[j] -= c * row[j]
-			}
-		}
-	}
-	recomputeD()
+	cols := s.activeCols()
+	s.d = zeroed(s.d, s.nTot)
+	s.cB = zeroed(s.cB, s.m)
+	d := s.d
+	s.reducedCosts(cost, d, cols)
 
 	price := func(bland bool) int {
 		enter := -1
@@ -481,7 +571,7 @@ func (s *simplex) run(cost []float64) Status {
 		}
 		if s.iters%256 == 255 {
 			s.refreshBeta()
-			recomputeD()
+			s.reducedCosts(cost, d, cols)
 			if s.corrupted() {
 				return Numerical
 			}
@@ -491,7 +581,7 @@ func (s *simplex) run(cost []float64) Status {
 		if enter == -1 {
 			// Verify against exact reduced costs before declaring optimality
 			// (d is maintained incrementally and may have drifted).
-			recomputeD()
+			s.reducedCosts(cost, d, cols)
 			if enter = price(bland); enter == -1 {
 				return Optimal
 			}
@@ -571,35 +661,17 @@ func (s *simplex) run(cost []float64) Status {
 		if math.Abs(piv) < epsPivot {
 			// Numerically unusable pivot: refresh and retry next iteration.
 			s.refreshBeta()
-			recomputeD()
+			s.reducedCosts(cost, d, cols)
 			continue
 		}
-		inv := 1.0 / piv
-		rowR := s.tab[r]
-		for _, j := range cols {
-			rowR[j] *= inv
-		}
-		s.rhsB[r] *= inv
-		for i := 0; i < s.m; i++ {
-			if i == r {
-				continue
-			}
-			f := s.tab[i][enter]
-			if f == 0 {
-				continue
-			}
-			rowI := s.tab[i]
-			for _, j := range cols {
-				rowI[j] -= f * rowR[j]
-			}
-			s.rhsB[i] -= f * s.rhsB[r]
-		}
+		s.scalePivotRow(r, 1.0/piv, cols)
+		s.eliminate(r, enter)
 		// Incremental reduced-cost update: d' = d − d[enter]·rowR (rowR is
 		// already the updated pivot row), using the true cost of the leaving
 		// variable to restore its entry.
-		dEnter := d[enter]
-		if dEnter != 0 {
-			for _, j := range cols {
+		if dEnter := d[enter]; dEnter != 0 {
+			rowR := s.tab[r]
+			for _, j := range s.nz {
 				d[j] -= dEnter * rowR[j]
 			}
 		}
@@ -622,15 +694,22 @@ func (s *simplex) corrupted() bool {
 }
 
 // refreshBeta recomputes the basic variable values from rhsB and the
-// nonbasic bound values, limiting incremental floating-point drift.
+// nonbasic bound values, limiting incremental floating-point drift. Only
+// nonbasic columns with a nonzero value contribute, so they are listed once
+// (in column order) rather than tested on every row; in the LPR dual, where
+// every nonbasic variable sits at 0, the list is empty.
 func (s *simplex) refreshBeta() {
+	nb := s.nb[:0]
+	for j := 0; j < s.nTot; j++ {
+		if !s.inBasis[j] && s.xval[j] != 0 {
+			nb = append(nb, j)
+		}
+	}
+	s.nb = nb
 	for i := 0; i < s.m; i++ {
 		v := s.rhsB[i]
 		row := s.tab[i]
-		for j := 0; j < s.nTot; j++ {
-			if s.inBasis[j] || s.xval[j] == 0 {
-				continue
-			}
+		for _, j := range nb {
 			v -= row[j] * s.xval[j]
 		}
 		s.beta[i] = v

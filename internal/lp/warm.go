@@ -39,11 +39,13 @@ type basicID struct {
 // stable identities. It is produced by SolveWarm and fed back into the next
 // SolveWarm call; callers never inspect it.
 type Basis struct {
-	// rows maps a row's key to the identity of its basic variable.
-	rows map[int64]basicID
-	// upper is the set of structural variable keys nonbasic at their upper
+	// rowKeys[k] is a row's key and ids[k] the identity of its basic
+	// variable.
+	rowKeys []int64
+	ids     []basicID
+	// upper lists the structural variable keys nonbasic at their upper
 	// bound (empty when all upper bounds are infinite, as in the LPR dual).
-	upper map[int64]bool
+	upper []int64
 }
 
 // Len returns the number of snapshotted basis rows (diagnostic only).
@@ -51,7 +53,57 @@ func (b *Basis) Len() int {
 	if b == nil {
 		return 0
 	}
-	return len(b.rows)
+	return len(b.rowKeys)
+}
+
+// Workspace holds every buffer a solve needs — the tableau rows, the basic
+// solution and its bookkeeping, the per-phase scratch, the key maps of the
+// warm crash and the basis snapshots — so that a sequence of solves through
+// one Workspace allocates, once its buffers have grown to the largest
+// problem seen, only the slices of each returned Solution. Reusing a
+// Workspace never changes a result: every solve starts from buffers reset
+// to exactly the state fresh ones would have.
+//
+// A Workspace also carries the warm-start basis from one SolveWarm call to
+// the next. The zero value is ready to use. Not safe for concurrent use.
+type Workspace struct {
+	s simplex
+
+	// basis is what the next SolveWarm starts from (nil: solve cold). It
+	// points at one of snaps — or, through the package-level SolveWarm, at
+	// a caller's Basis — and the next snapshot goes to the other buffer so
+	// the one being read is never overwritten mid-crash.
+	basis *Basis
+	snaps [2]Basis
+
+	// Scratch of crashBasis.
+	varCol  map[int64]int // structural key → column
+	rowAt   map[int64]int // row key → row
+	slot    []int         // row → index into the previous basis, or −1
+	want    []int         // mapped basic columns, in row order
+	pivoted []bool
+}
+
+// Invalidate drops the stored basis: the next SolveWarm solves cold. The
+// buffers are kept.
+func (w *Workspace) Invalidate() { w.basis = nil }
+
+// HasBasis reports whether a basis is stored for the next SolveWarm (it may
+// snapshot zero rows, in which case that call still solves cold).
+func (w *Workspace) HasBasis() bool { return w.basis != nil }
+
+// Solve solves p from scratch in w's buffers; see the package-level Solve.
+// The stored warm-start basis is left as it was.
+func (w *Workspace) Solve(p *Problem) (Solution, error) {
+	lo, hi, infeasible, err := w.s.validate(p)
+	if err != nil {
+		return Solution{}, err
+	}
+	if infeasible {
+		return Solution{Status: Infeasible}, nil
+	}
+	sol, _ := w.s.solveCold(p, lo, hi)
+	return sol, nil
 }
 
 // SolveWarm solves p, reusing prev (a Basis returned by an earlier SolveWarm
@@ -64,49 +116,73 @@ func (b *Basis) Len() int {
 // without a usable basis). Solution.Warm reports whether the previous basis
 // was actually reused; a caller that passed prev != nil and observes
 // Warm == false has witnessed a cold fallback.
+//
+// Each call runs in a fresh Workspace; a caller re-solving many problems
+// keeps one Workspace and calls its SolveWarm instead.
 func SolveWarm(p *Problem, varKeys, rowKeys []int64, prev *Basis) (Solution, *Basis, error) {
+	w := Workspace{basis: prev}
+	sol, err := w.SolveWarm(p, varKeys, rowKeys)
+	return sol, w.basis, err
+}
+
+// SolveWarm solves p starting from the basis stored by w's previous
+// SolveWarm call (see the package-level SolveWarm for the key contract and
+// the fallback ladder) and stores the final basis for the next call, or
+// drops it when the solve ended without a usable basis.
+func (w *Workspace) SolveWarm(p *Problem, varKeys, rowKeys []int64) (Solution, error) {
+	prev := w.basis
+	w.basis = nil
 	if len(varKeys) != p.NumVars {
-		return Solution{}, nil, fmt.Errorf("lp: len(varKeys)=%d != NumVars=%d", len(varKeys), p.NumVars)
+		return Solution{}, fmt.Errorf("lp: len(varKeys)=%d != NumVars=%d", len(varKeys), p.NumVars)
 	}
 	if len(rowKeys) != len(p.Rows) {
-		return Solution{}, nil, fmt.Errorf("lp: len(rowKeys)=%d != len(Rows)=%d", len(rowKeys), len(p.Rows))
+		return Solution{}, fmt.Errorf("lp: len(rowKeys)=%d != len(Rows)=%d", len(rowKeys), len(p.Rows))
 	}
-	lo, hi, early, err := validate(p)
+	s := &w.s
+	lo, hi, infeasible, err := s.validate(p)
 	if err != nil {
-		return Solution{}, nil, err
+		return Solution{}, err
 	}
-	if early != nil {
-		return *early, nil, nil
+	if infeasible {
+		return Solution{Status: Infeasible}, nil
 	}
-
-	cold := func() (Solution, *Basis, error) {
-		sol, s := solveCold(p, lo, hi)
-		var bas *Basis
-		if s != nil && (sol.Status == Optimal || sol.Status == IterLimit) {
-			bas = s.snapshot(varKeys, rowKeys)
+	next := &w.snaps[0]
+	if next == prev {
+		next = &w.snaps[1]
+	}
+	if prev.Len() > 0 && len(p.Rows) > 0 {
+		if sol, ok := w.warm(p, lo, hi, varKeys, rowKeys, prev); ok {
+			s.snapshot(next, varKeys, rowKeys)
+			w.basis = next
+			return sol, nil
 		}
-		return sol, bas, nil
 	}
-
-	if prev.Len() == 0 || len(p.Rows) == 0 {
-		return cold()
+	sol, ok := s.solveCold(p, lo, hi)
+	if ok && (sol.Status == Optimal || sol.Status == IterLimit) {
+		s.snapshot(next, varKeys, rowKeys)
+		w.basis = next
 	}
+	return sol, nil
+}
 
-	s := buildWarm(p, lo, hi)
-	if !s.crashBasis(varKeys, rowKeys, prev) {
-		return cold()
+// warm runs the warm-start ladder — build, crash, dual repair, primal polish
+// — and reports false whenever a step fails, sending the caller cold.
+func (w *Workspace) warm(p *Problem, lo, hi []float64, varKeys, rowKeys []int64, prev *Basis) (Solution, bool) {
+	s := &w.s
+	s.buildWarm(p, lo, hi)
+	if !w.crashBasis(varKeys, rowKeys, prev) {
+		return Solution{}, false
 	}
 	s.refreshBeta()
 	if s.corrupted() {
-		return cold()
+		return Solution{}, false
 	}
-	s.cost = make([]float64, s.nTot)
 	copy(s.cost, p.Cost)
 	// Dual pass: restore primal feasibility while (approximately) preserving
 	// dual feasibility. Anything but Optimal means the mapped basis was not
 	// worth keeping.
 	if st := s.runDual(s.cost); st != Optimal {
-		return cold()
+		return Solution{}, false
 	}
 	// Polish with the true costs: the dual pass may have shifted costs to
 	// stay well-defined, and the crash may have left mild dual
@@ -114,61 +190,41 @@ func SolveWarm(p *Problem, varKeys, rowKeys []int64, prev *Basis) (Solution, *Ba
 	// basis that is typically a handful of pivots from optimal.
 	st := s.run(s.cost)
 	if st == Unbounded || st == Numerical {
-		return cold()
+		return Solution{}, false
 	}
 	sol := s.extractSolution(p, lo, hi, st)
 	if sol.Status == Numerical {
-		return cold()
+		return Solution{}, false
 	}
 	sol.Warm = true
-	return sol, s.snapshot(varKeys, rowKeys), nil
+	return sol, true
 }
 
-// buildWarm constructs the simplex working state with rows in their natural
+// buildWarm resets the working state for p with rows in their natural
 // (non-negated) orientation — A_i·x − s_i = b_i with the surplus column −1 —
 // and artificials locked at zero from the start. Unlike the cold slack-basis
 // crash, no row is negated: the basis comes from the previous solve, not
 // from the sign of the initial residual. The dual-extraction identity
 // d_surplus_i = y_i holds in this orientation too (the stored surplus column
 // is B⁻¹·(−e_i), so −cB·B⁻¹·(−e_i) = y_i).
-func buildWarm(p *Problem, lo, hi []float64) *simplex {
-	n, m := p.NumVars, len(p.Rows)
-	s := &simplex{n: n, m: m, nTot: n + 2*m, deadline: p.Deadline}
-	s.maxIter = p.MaxIter
-	if s.maxIter == 0 {
-		s.maxIter = 100*(n+m) + 5000
-	}
-	s.lo = make([]float64, s.nTot)
-	s.hi = make([]float64, s.nTot)
-	copy(s.lo, lo)
-	copy(s.hi, hi)
-	for j := n; j < n+m; j++ { // surplus: [0, +inf)
-		s.hi[j] = math.Inf(1)
-	}
+func (s *simplex) buildWarm(p *Problem, lo, hi []float64) {
+	s.reset(p, lo, hi)
+	n, m := s.n, s.m
 	// Artificials stay locked at zero: the crash never needs them feasible,
 	// only pivotable (their +1 entry is guaranteed intact when their row
 	// comes up, see crashBasis).
-	s.tab = make([][]float64, m)
-	s.rhsB = make([]float64, m)
-	s.beta = make([]float64, m)
-	s.basis = make([]int, m)
-	s.inBasis = make([]bool, s.nTot)
-	s.status = make([]nbStatus, s.nTot)
-	s.xval = make([]float64, s.nTot)
-	for j := 0; j < n; j++ {
-		s.xval[j] = lo[j]
+	for j := n + m; j < s.nTot; j++ {
+		s.hi[j] = 0
 	}
 	for i, r := range p.Rows {
-		row := make([]float64, s.nTot)
+		row := s.tab[i]
 		for _, e := range r.Entries {
 			row[e.Var] += e.Coef
 		}
 		row[n+i] = -1.0  // surplus
 		row[n+m+i] = 1.0 // artificial (locked)
-		s.tab[i] = row
 		s.rhsB[i] = r.RHS
 	}
-	return s
 }
 
 // crashBasis maps prev onto the current problem and installs it by
@@ -195,87 +251,74 @@ func buildWarm(p *Problem, lo, hi []float64) *simplex {
 //
 // fault point "lp.warmcrash": tests corrupt mapped pivot values to force the
 // per-column fallback and, en masse, the cold fallback.
-func (s *simplex) crashBasis(varKeys, rowKeys []int64, prev *Basis) bool {
+func (w *Workspace) crashBasis(varKeys, rowKeys []int64, prev *Basis) bool {
+	s := &w.s
 	n, m := s.n, s.m
-	varCol := make(map[int64]int, n)
+	if w.varCol == nil {
+		w.varCol = make(map[int64]int, n)
+		w.rowAt = make(map[int64]int, m)
+	}
+	clear(w.varCol)
+	clear(w.rowAt)
 	for j, k := range varKeys {
-		varCol[k] = j
+		w.varCol[k] = j
 	}
-	rowAt := make(map[int64]int, m)
 	for i, k := range rowKeys {
-		rowAt[k] = i
+		w.rowAt[k] = i
 	}
-	// The desired basic column set, deduplicated via inBasis as a scratch
-	// "seen" marker (reset below before the pivots mark real basis members).
-	cols := make([]int, 0, m)
+	// Attach each previous basis row to the current row with its key.
+	w.slot = zeroed(w.slot, m)
+	for i := range w.slot {
+		w.slot[i] = -1
+	}
+	for k, key := range prev.rowKeys {
+		if i, ok := w.rowAt[key]; ok {
+			w.slot[i] = k
+		}
+	}
+	// The desired basic column set in row order, deduplicated via inBasis as
+	// a scratch "seen" marker (reset below before the pivots mark real basis
+	// members).
+	want := w.want[:0]
 	for i := 0; i < m; i++ {
-		id, ok := prev.rows[rowKeys[i]]
-		if !ok {
+		k := w.slot[i]
+		if k < 0 {
 			continue
 		}
+		id := prev.ids[k]
 		c := -1
 		if id.surplus {
-			if k, ok := rowAt[id.key]; ok {
-				c = n + k
+			if r, ok := w.rowAt[id.key]; ok {
+				c = n + r
 			}
-		} else if j, ok := varCol[id.key]; ok {
+		} else if j, ok := w.varCol[id.key]; ok {
 			c = j
 		}
 		if c >= 0 && !s.inBasis[c] {
 			s.inBasis[c] = true
-			cols = append(cols, c)
+			want = append(want, c)
 		}
 	}
-	for _, c := range cols {
+	w.want = want
+	for _, c := range want {
 		s.inBasis[c] = false
 	}
-	if 2*len(cols) < m {
+	if 2*len(want) < m {
 		return false // mapping too poor: the crash would mostly build a slack basis anyway
 	}
 	// Restore nonbasic-at-upper statuses (no-op when upper bounds are
 	// infinite, as in the LPR dual LP).
-	if len(prev.upper) > 0 {
-		for j := 0; j < n; j++ {
-			if prev.upper[varKeys[j]] && !math.IsInf(s.hi[j], 1) {
-				s.status[j] = atUpper
-				s.xval[j] = s.hi[j]
-			}
+	for _, key := range prev.upper {
+		if j, ok := w.varCol[key]; ok && !math.IsInf(s.hi[j], 1) {
+			s.status[j] = atUpper
+			s.xval[j] = s.hi[j]
 		}
 	}
-	// Gauss-Jordan pivot on (r, col); unit-magnitude pivots and unit columns
-	// (the common case for the LPR dual, whose w columns are unit vectors)
-	// skip nearly all the work.
-	pivot := func(r, col int, piv float64) {
-		if inv := 1.0 / piv; inv != 1.0 {
-			row := s.tab[r]
-			for j := 0; j < s.nTot; j++ {
-				row[j] *= inv
-			}
-			s.rhsB[r] *= inv
-		}
-		rowR := s.tab[r]
-		for i := 0; i < m; i++ {
-			if i == r {
-				continue
-			}
-			f := s.tab[i][col]
-			if f == 0 {
-				continue
-			}
-			rowI := s.tab[i]
-			for j := 0; j < s.nTot; j++ {
-				rowI[j] -= f * rowR[j]
-			}
-			s.rhsB[i] -= f * s.rhsB[r]
-		}
-		s.basis[r] = col
-		s.inBasis[col] = true
-	}
-	pivoted := make([]bool, m)
-	for _, col := range cols {
+	w.pivoted = zeroed(w.pivoted, m)
+	for _, col := range want {
 		best, bestAbs := -1, epsPivot
 		for i := 0; i < m; i++ {
-			if pivoted[i] {
+			if w.pivoted[i] {
 				continue
 			}
 			if a := math.Abs(s.tab[i][col]); a > bestAbs {
@@ -289,20 +332,53 @@ func (s *simplex) crashBasis(varKeys, rowKeys []int64, prev *Basis) bool {
 		if math.IsNaN(piv) || math.IsInf(piv, 0) || math.Abs(piv) < epsPivot {
 			continue
 		}
-		pivot(best, col, piv)
-		pivoted[best] = true
+		s.crashPivot(best, col, piv)
+		w.pivoted[best] = true
 	}
 	for r := 0; r < m; r++ {
-		if pivoted[r] {
+		if w.pivoted[r] {
 			continue
 		}
 		if !s.inBasis[n+r] {
-			pivot(r, n+r, s.tab[r][n+r]) // exactly −1 (see above)
+			s.crashPivot(r, n+r, s.tab[r][n+r]) // exactly −1 (see above)
 		} else {
-			pivot(r, n+m+r, s.tab[r][n+m+r]) // exactly +1
+			s.crashPivot(r, n+m+r, s.tab[r][n+m+r]) // exactly +1
 		}
 	}
 	return true
+}
+
+// crashPivot makes col basic in row r. Unit-magnitude pivots skip the
+// scaling and unit columns (the common case for the LPR dual, whose w
+// columns are unit vectors) the elimination, so most crash pivots cost one
+// column scan.
+func (s *simplex) crashPivot(r, col int, piv float64) {
+	rowR := s.tab[r]
+	if inv := 1.0 / piv; inv != 1.0 {
+		for j, v := range rowR {
+			if v != 0 {
+				rowR[j] = v * inv
+			}
+		}
+		s.rhsB[r] *= inv
+	}
+	for i, rowI := range s.tab {
+		if i != r && rowI[col] != 0 {
+			// Some other row needs the elimination: collect the pivot row's
+			// nonzero pattern once.
+			nz := s.nz[:0]
+			for j, v := range rowR {
+				if v != 0 {
+					nz = append(nz, j)
+				}
+			}
+			s.nz = nz
+			s.eliminate(r, col)
+			break
+		}
+	}
+	s.basis[r] = col
+	s.inBasis[col] = true
 }
 
 // runDual restores primal feasibility from a dual-reasonable basis by dual
@@ -318,34 +394,13 @@ func (s *simplex) crashBasis(varKeys, rowKeys []int64, prev *Basis) bool {
 // budget exhaustion or corruption — everything but Optimal sends the caller
 // to the cold path.
 func (s *simplex) runDual(cost []float64) Status {
-	cols := make([]int, 0, s.nTot)
-	for j := 0; j < s.nTot; j++ {
-		if s.inBasis[j] || s.hi[j]-s.lo[j] >= epsBound || s.xval[j] != 0 {
-			cols = append(cols, j)
-		}
-	}
-	wcost := make([]float64, s.nTot)
-	copy(wcost, cost)
-	d := make([]float64, s.nTot)
-	cB := make([]float64, s.m)
-	recompute := func() {
-		for i := 0; i < s.m; i++ {
-			cB[i] = wcost[s.basis[i]]
-		}
-		for _, j := range cols {
-			d[j] = wcost[j]
-		}
-		for i := 0; i < s.m; i++ {
-			if cB[i] == 0 {
-				continue
-			}
-			row := s.tab[i]
-			c := cB[i]
-			for _, j := range cols {
-				d[j] -= c * row[j]
-			}
-		}
-	}
+	cols := s.activeCols()
+	s.wcost = zeroed(s.wcost, s.nTot)
+	copy(s.wcost, cost)
+	wcost := s.wcost
+	s.d = zeroed(s.d, s.nTot)
+	s.cB = zeroed(s.cB, s.m)
+	d := s.d
 	shift := func() {
 		for _, j := range cols {
 			if s.inBasis[j] {
@@ -360,7 +415,7 @@ func (s *simplex) runDual(cost []float64) Status {
 			}
 		}
 	}
-	recompute()
+	s.reducedCosts(wcost, d, cols)
 	shift()
 
 	for ; s.iters < s.maxIter; s.iters++ {
@@ -469,58 +524,38 @@ func (s *simplex) runDual(cost []float64) Status {
 		s.inBasis[enter] = true
 		s.basis[r] = enter
 		s.beta[r] = enterVal
-		inv := 1.0 / piv
-		rowR := s.tab[r]
-		for _, j := range cols {
-			rowR[j] *= inv
-		}
-		s.rhsB[r] *= inv
-		for i := 0; i < s.m; i++ {
-			if i == r {
-				continue
-			}
-			f := s.tab[i][enter]
-			if f == 0 {
-				continue
-			}
-			rowI := s.tab[i]
-			for _, j := range cols {
-				rowI[j] -= f * rowR[j]
-			}
-			s.rhsB[i] -= f * s.rhsB[r]
-		}
+		s.scalePivotRow(r, 1.0/piv, cols)
+		s.eliminate(r, enter)
 		// Full recompute per iteration: dual repair runs for a handful of
 		// steps at a typical node transition, so simplicity beats the
 		// incremental update here; shift keeps the next ratio test
 		// well-defined against drift.
-		recompute()
+		s.reducedCosts(wcost, d, cols)
 		shift()
 	}
 	return IterLimit
 }
 
-// snapshot records the final basis under the caller's stable keys for reuse
-// by the next SolveWarm call. Rows whose basic variable is an artificial
-// (possible only on degenerate cold solves) are simply omitted — the crash
-// treats them as unmapped and installs their surplus.
-func (s *simplex) snapshot(varKeys, rowKeys []int64) *Basis {
-	b := &Basis{rows: make(map[int64]basicID, s.m)}
+// snapshot records the final basis into b under the caller's stable keys
+// for reuse by the next SolveWarm call. Rows whose basic variable is an
+// artificial (possible only on degenerate cold solves) are simply omitted —
+// the crash treats them as unmapped and installs their surplus.
+func (s *simplex) snapshot(b *Basis, varKeys, rowKeys []int64) {
+	b.rowKeys, b.ids, b.upper = b.rowKeys[:0], b.ids[:0], b.upper[:0]
 	for i := 0; i < s.m; i++ {
 		bi := s.basis[i]
 		switch {
 		case bi < s.n:
-			b.rows[rowKeys[i]] = basicID{key: varKeys[bi]}
+			b.rowKeys = append(b.rowKeys, rowKeys[i])
+			b.ids = append(b.ids, basicID{key: varKeys[bi]})
 		case bi < s.n+s.m:
-			b.rows[rowKeys[i]] = basicID{surplus: true, key: rowKeys[bi-s.n]}
+			b.rowKeys = append(b.rowKeys, rowKeys[i])
+			b.ids = append(b.ids, basicID{surplus: true, key: rowKeys[bi-s.n]})
 		}
 	}
 	for j := 0; j < s.n; j++ {
 		if !s.inBasis[j] && s.status[j] == atUpper {
-			if b.upper == nil {
-				b.upper = make(map[int64]bool)
-			}
-			b.upper[varKeys[j]] = true
+			b.upper = append(b.upper, varKeys[j])
 		}
 	}
-	return b
 }

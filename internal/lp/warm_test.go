@@ -198,9 +198,10 @@ func TestWarmFallbackOnAlienBasis(t *testing.T) {
 	vk, rk := keysFor(p)
 	// A basis snapshotted under keys that do not exist in this problem: the
 	// mapping gate must reject it and fall back cold.
-	alien := &Basis{rows: map[int64]basicID{
-		rk[0]: {key: 999}, // row maps, but its basic variable's key does not
-	}}
+	alien := &Basis{
+		rowKeys: []int64{rk[0]},
+		ids:     []basicID{{key: 999}}, // row maps, but its basic variable's key does not
+	}
 	sol, _, err := SolveWarm(p, vk, rk, alien)
 	if err != nil {
 		t.Fatal(err)

@@ -117,6 +117,9 @@ func Solve(p *pb.Problem, opt Options) Result {
 
 	lo := make([]float64, n)
 	hi := make([]float64, n)
+	// One LP workspace serves every node and strong-branching probe: the
+	// tableau and simplex buffers are reused instead of reallocated per LP.
+	ws := &lp.Workspace{}
 	q := &nodeQueue{}
 	heap.Push(q, &node{bound: math.Inf(-1)})
 
@@ -136,7 +139,7 @@ func Solve(p *pb.Problem, opt Options) Result {
 
 		materialize(nd, lo, hi, n)
 		base.Lo, base.Hi = lo, hi
-		sol, err := lp.Solve(base)
+		sol, err := ws.Solve(base)
 		if err != nil || sol.Status == lp.Infeasible {
 			continue
 		}
@@ -184,7 +187,7 @@ func Solve(p *pb.Problem, opt Options) Result {
 			}
 		}
 		if opt.StrongBranching && len(fracVars) > 1 {
-			if v := strongBranch(base, lo, hi, fracVars, sol.X, opt); v >= 0 {
+			if v := strongBranch(ws, base, lo, hi, fracVars, sol.X, opt); v >= 0 {
 				branchVar = v
 			}
 		}
@@ -220,7 +223,7 @@ func Solve(p *pb.Problem, opt Options) Result {
 // child LPs and score by the worse child's objective (the bound improvement
 // a branch guarantees). Returns the best candidate, or -1 to fall back to
 // most-fractional.
-func strongBranch(base *lp.Problem, lo, hi []float64, fracVars []int, x []float64, opt Options) int {
+func strongBranch(ws *lp.Workspace, base *lp.Problem, lo, hi []float64, fracVars []int, x []float64, opt Options) int {
 	cands := opt.StrongCandidates
 	if cands <= 0 {
 		cands = 4
@@ -236,7 +239,7 @@ func strongBranch(base *lp.Problem, lo, hi []float64, fracVars []int, x []float6
 		for _, fix := range []float64{0, 1} {
 			saveLo, saveHi := lo[j], hi[j]
 			lo[j], hi[j] = fix, fix
-			sol, err := lp.Solve(base)
+			sol, err := ws.Solve(base)
 			lo[j], hi[j] = saveLo, saveHi
 			if err != nil {
 				return -1

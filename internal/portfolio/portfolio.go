@@ -321,6 +321,14 @@ func SolveOpts(p *pb.Problem, configs []Config, opts Options) Result {
 		queue <- i
 	}
 	close(queue)
+	// In the sequential mode the worker waits until each outcome has been
+	// consumed before starting the next member, so a member never starts
+	// while a conclusive predecessor's cancellation is still in flight: it
+	// either runs to its own end or sees the cancel from its first check.
+	var consumed chan struct{}
+	if maxConc == 1 {
+		consumed = make(chan struct{})
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < maxConc; w++ {
 		wg.Add(1)
@@ -346,6 +354,9 @@ func SolveOpts(p *pb.Problem, configs []Config, opts Options) Result {
 					results <- outcome{i, cfg.name(), runMember(p, cfg, cancel, m, opts.Audit,
 						opts.Trace.Named(cfg.name()), live)}
 				}
+				if consumed != nil {
+					<-consumed
+				}
 			}
 		}()
 	}
@@ -359,6 +370,9 @@ func SolveOpts(p *pb.Problem, configs []Config, opts Options) Result {
 	var errs map[string]error
 	members := make([]MemberResult, len(configs))
 	for i := 0; i < len(configs); i++ {
+		if consumed != nil && i > 0 {
+			consumed <- struct{}{} // outcome i−1 is handled: start the next member
+		}
 		oc := <-results
 		if configs[oc.idx].UBOnly() {
 			oc.res = sanitizeUBOnly(p, oc.res)
@@ -382,6 +396,9 @@ func SolveOpts(p *pb.Problem, configs []Config, opts Options) Result {
 			best = Result{Result: oc.res, Winner: oc.name}
 			gotBest = true
 		}
+	}
+	if consumed != nil {
+		consumed <- struct{}{}
 	}
 	wg.Wait()
 	closeCancel()
