@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -151,4 +152,64 @@ func itobench(v int) string {
 		v /= 10
 	}
 	return string(buf)
+}
+
+// lprGrowingSequence builds the LP chain cut installation produces: a
+// dual-shaped base problem followed by steps that each append one y column
+// (a new cut row of the x-space problem) in front of the w columns, so every
+// step widens the tableau by one column and renumbers the w columns while
+// their keys stay put. A new column's reward never exceeds its column sum,
+// so every problem stays bounded.
+func lprGrowingSequence(seed int64, m, n, steps int) (probs []*Problem, varKeys, rowKeys [][]int64) {
+	rng := rand.New(rand.NewSource(seed))
+	p := dualLPLike(rng, m, n)
+	vk := make([]int64, m+n)
+	for j := range vk {
+		if j < m {
+			vk[j] = int64(j)
+		} else {
+			vk[j] = 1<<33 + int64(j-m)
+		}
+	}
+	_, rk := keysFor(p)
+	probs = append(probs, p)
+	varKeys = append(varKeys, vk)
+	rowKeys = append(rowKeys, rk)
+	ny := m
+	for s := 0; s < steps; s++ {
+		nv := p.NumVars + 1
+		q := &Problem{NumVars: nv, Cost: make([]float64, nv), Lo: make([]float64, nv), Hi: make([]float64, nv)}
+		for j := range q.Hi {
+			q.Hi[j] = math.Inf(1)
+		}
+		copy(q.Cost, p.Cost[:ny])
+		copy(q.Cost[ny+1:], p.Cost[ny:])
+		qvk := make([]int64, nv)
+		copy(qvk, vk[:ny])
+		qvk[ny] = 1<<32 + int64(s)
+		copy(qvk[ny+1:], vk[ny:])
+		colSum := 0
+		for i, r := range p.Rows {
+			row := Row{RHS: r.RHS, Entries: make([]Entry, 0, len(r.Entries)+1)}
+			for _, e := range r.Entries {
+				if e.Var >= ny {
+					e.Var++
+				}
+				row.Entries = append(row.Entries, e)
+			}
+			if rng.Intn(4) == 0 || (i == len(p.Rows)-1 && colSum == 0) {
+				c := 1 + rng.Intn(3)
+				row.Entries = append(row.Entries, Entry{Var: ny, Coef: -float64(c)})
+				colSum += c
+			}
+			q.Rows = append(q.Rows, row)
+		}
+		q.Cost[ny] = -float64(1 + rng.Intn(colSum))
+		probs = append(probs, q)
+		varKeys = append(varKeys, qvk)
+		rowKeys = append(rowKeys, rk)
+		p, vk = q, qvk
+		ny++
+	}
+	return
 }
