@@ -138,6 +138,27 @@ func BenchmarkLPRNodeLoopWarm(b *testing.B) {
 	b.ReportMetric(float64(warm)/float64(b.N*len(probs)), "warm-fraction")
 }
 
+// BenchmarkLPRNodeLoopWarmGrowing chains warm solves across a chain that
+// widens the problem by one column per call, as cut installation does, each
+// walk through a fresh Workspace: its allocations are the buffers' growth
+// plus one block per returned Solution.
+func BenchmarkLPRNodeLoopWarmGrowing(b *testing.B) {
+	probs, varKeys, rowKeys := lprGrowingSequence(11, 20, 30, 100)
+	var iters int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var w Workspace
+		for k, p := range probs {
+			sol, err := w.SolveWarm(p, varKeys[k], rowKeys[k])
+			if err != nil || sol.Status != Optimal {
+				b.Fatalf("status=%v err=%v", sol.Status, err)
+			}
+			iters += sol.Iterations
+		}
+	}
+	b.ReportMetric(float64(iters)/float64(b.N), "simplex-iters/walk")
+}
+
 func benchName(n, m int) string {
 	return "n" + itobench(n) + "m" + itobench(m)
 }
