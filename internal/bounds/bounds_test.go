@@ -302,9 +302,9 @@ func TestLPRFractionalExample(t *testing.T) {
 	if len(res.FracX) != 2 {
 		t.Fatalf("FracX=%v", res.FracX)
 	}
-	for v, x := range res.FracX {
-		if math.Abs(x-2.0/3.0) > 1e-5 {
-			t.Fatalf("x%d=%v want 2/3", v, x)
+	for _, f := range res.FracX {
+		if math.Abs(f.X-2.0/3.0) > 1e-5 {
+			t.Fatalf("x%d=%v want 2/3", f.Var, f.X)
 		}
 	}
 }

@@ -187,7 +187,7 @@ func (l LPR) Estimate(e *engine.Engine, red *Reduced, cost []int64, target int64
 		}
 		if sol.Status == lp.Optimal {
 			// Primal x values are the duals of the dual rows.
-			res.FracX = make(map[pb.Var]float64, n)
+			res.FracX = make([]FracVar, n)
 			for j, v := range xp.vars {
 				x := sol.Dual[j]
 				if x < 0 {
@@ -195,7 +195,7 @@ func (l LPR) Estimate(e *engine.Engine, red *Reduced, cost []int64, target int64
 				} else if x > 1 {
 					x = 1
 				}
-				res.FracX[v] = x
+				res.FracX[j] = FracVar{Var: v, X: x}
 			}
 		}
 		if l.AlphaFilter {
@@ -309,9 +309,14 @@ func (l LPR) solveDual(xp *xProblem, inst *cutInstall, bud *Budget) (lp.Solution
 }
 
 // resize returns buf with length n, reallocating only when its capacity is
-// short; the contents are left for the caller to overwrite.
+// short; the contents are left for the caller to overwrite. An outgrown
+// buffer is reallocated with headroom, so a problem that widens by a cut at
+// a time does not reallocate on every estimation.
 func resize[T any](buf []T, n int) []T {
-	if cap(buf) < n {
+	if c := cap(buf); c < n {
+		if c > 0 {
+			return make([]T, n, n+n/2)
+		}
 		return make([]T, n)
 	}
 	return buf[:n]

@@ -1,7 +1,6 @@
 package bounds
 
 import (
-	"maps"
 	"slices"
 	"testing"
 
@@ -27,13 +26,10 @@ func lprNode(t *testing.T) (*engine.Engine, *pb.Problem) {
 	return e, p
 }
 
-// fracSink makes the reference FracX map escape as the real one does.
-var fracSink map[pb.Var]float64
-
 // TestLPREstimateSteadyStateAllocs pins the buffer ownership of LPRState: a
 // warm estimation at an unchanged node allocates only what its Result
 // returns — the LP solution block it reads the bound from, the Responsible
-// slice and the FracX map — and nothing for the x-space problem, the dual
+// slice and the FracX slice — and nothing for the x-space problem, the dual
 // LP, the warm keys or the simplex.
 func TestLPREstimateSteadyStateAllocs(t *testing.T) {
 	e, p := lprNode(t)
@@ -47,20 +43,13 @@ func TestLPREstimateSteadyStateAllocs(t *testing.T) {
 	if l.State.WarmSolves() == 0 {
 		t.Fatal("re-estimation at the same node did not solve warm")
 	}
-	n := len(first.FracX)
-	fracAllocs := testing.AllocsPerRun(10, func() {
-		fracSink = make(map[pb.Var]float64, n)
-		for v := range first.FracX {
-			fracSink[v] = 0
-		}
-	})
-	const lpBlock, responsible = 1, 1
+	const lpBlock, responsible, frac = 1, 1, 1
 	got := testing.AllocsPerRun(10, func() {
 		l.Estimate(e, red, p.Cost, InfBound, Budget{})
 	})
-	if want := lpBlock + responsible + fracAllocs; got > want {
-		t.Fatalf("steady-state LPR estimate allocates %.0f times, want at most %.0f (LP solution %d + Responsible %d + FracX map %.0f)",
-			got, want, lpBlock, responsible, fracAllocs)
+	if want := float64(lpBlock + responsible + frac); got > want {
+		t.Fatalf("steady-state LPR estimate allocates %.0f times, want at most %.0f (LP solution %d + Responsible %d + FracX %d)",
+			got, want, lpBlock, responsible, frac)
 	}
 }
 
@@ -72,7 +61,7 @@ func TestLPRResultOutlivesNextEstimate(t *testing.T) {
 	l := LPR{State: &LPRState{}}
 	res := l.Estimate(e, Extract(e), p.Cost, InfBound, Budget{})
 	resp := slices.Clone(res.Responsible)
-	frac := maps.Clone(res.FracX)
+	frac := slices.Clone(res.FracX)
 
 	e.BacktrackTo(1)
 	e.Decide(pb.MkLit(29, true))
@@ -83,7 +72,7 @@ func TestLPRResultOutlivesNextEstimate(t *testing.T) {
 	if other.Failed {
 		t.Fatal("second estimate failed")
 	}
-	if !slices.Equal(res.Responsible, resp) || !maps.Equal(res.FracX, frac) {
+	if !slices.Equal(res.Responsible, resp) || !slices.Equal(res.FracX, frac) {
 		t.Fatal("a Result changed when the state served the next estimate")
 	}
 }

@@ -178,10 +178,10 @@ type Result struct {
 	// α-filter proves irrelevant: their false literals may be dropped from
 	// ω_pl even though they appear in responsible constraints.
 	ExcludedVars map[pb.Var]bool
-	// FracX, when non-nil, maps unassigned variables to their LP-relaxation
-	// values; the §5 LP-guided branching heuristic selects the variable
-	// closest to 0.5.
-	FracX map[pb.Var]float64
+	// FracX, when non-nil, lists the unassigned variables with their
+	// LP-relaxation values, in x-space order; the §5 LP-guided branching
+	// heuristic selects the variable closest to 0.5.
+	FracX []FracVar
 	// Failed reports that the procedure failed outright (numerical
 	// corruption, solver error): Bound is zero and Responsible is empty.
 	// The search's fallback ladder reacts by re-estimating with a cheaper
@@ -191,6 +191,12 @@ type Result struct {
 	// Incomplete reports that the procedure hit its iteration or wall-clock
 	// budget: Bound is still sound, merely weaker than the converged value.
 	Incomplete bool
+}
+
+// FracVar is one unassigned variable's value in the LP relaxation.
+type FracVar struct {
+	Var pb.Var
+	X   float64
 }
 
 // Estimator is a lower-bound procedure (§3.1–§3.2, or the MIS of [5,9]).

@@ -957,7 +957,7 @@ func (s *solver) search() Result {
 		return Result{Status: StatusUnsat}
 	}
 	hasObjective := s.prob.HasObjective()
-	var fracX map[pb.Var]float64
+	var fracX []bounds.FracVar
 
 	for {
 		s.nodeCounter++
@@ -1326,48 +1326,10 @@ func dominatedByClause(terms []pb.Term, degree int64, clause []pb.Lit) bool {
 
 // pickBranch selects the next decision literal: the §5 LP-guided heuristic
 // when fractional values are available, otherwise VSIDS with saved phases.
-func (s *solver) pickBranch(fracX map[pb.Var]float64) pb.Lit {
+func (s *solver) pickBranch(fracX []bounds.FracVar) pb.Lit {
 	if fracX != nil && !s.opt.NoLPBranching && s.opt.LowerBound == LBLPR {
-		// Two passes over the (unordered) map, so the selection is
-		// independent of Go's randomized map iteration order: pass 1 finds
-		// the exact minimum distance to 0.5, pass 2 picks the winner among
-		// everything within numerical noise of it by (activity, then
-		// smallest variable index) — both order-free criteria. Portfolio
-		// members must replay identically across processes for the
-		// deterministic mode to mean anything.
-		const intEps = 1e-6
-		bestDist := math.Inf(1)
-		for v, x := range fracX {
-			if s.eng.Value(v) != engine.Unassigned {
-				continue
-			}
-			if x < intEps || x > 1-intEps {
-				continue // integral in the LP: not a §5 candidate
-			}
-			if d := math.Abs(x - 0.5); d < bestDist {
-				bestDist = d
-			}
-		}
-		if !math.IsInf(bestDist, 1) {
-			best := pb.Var(-1)
-			for v, x := range fracX {
-				if s.eng.Value(v) != engine.Unassigned {
-					continue
-				}
-				if x < intEps || x > 1-intEps {
-					continue
-				}
-				if math.Abs(x-0.5) > bestDist+1e-9 {
-					continue
-				}
-				// Ties broken by the VSIDS heuristic of Chaff (§5), then by
-				// variable index.
-				if best < 0 || s.eng.Activity(v) > s.eng.Activity(best) ||
-					(s.eng.Activity(v) == s.eng.Activity(best) && v < best) {
-					best = v
-				}
-			}
-			return pb.MkLit(best, fracX[best] < 0.5)
+		if f, ok := lpBranchVar(fracX, s.eng); ok {
+			return pb.MkLit(f.Var, f.X < 0.5)
 		}
 	}
 	v := s.eng.PickBranchVar()
@@ -1375,6 +1337,55 @@ func (s *solver) pickBranch(fracX map[pb.Var]float64) pb.Lit {
 		return pb.NoLit
 	}
 	return pb.MkLit(v, s.eng.PreferredPhase(v) == engine.False)
+}
+
+// branchEngine is what lpBranchVar reads of the engine.
+type branchEngine interface {
+	Value(pb.Var) engine.Value
+	Activity(pb.Var) float64
+}
+
+// lpBranchVar is the §5 selection: among the unassigned variables with a
+// fractional LP value, the one closest to 0.5, ties within numerical noise
+// broken by the VSIDS activity of Chaff, then by the smaller variable index.
+// Two passes, so the selection is independent of the order of fracX: pass 1
+// finds the exact minimum distance to 0.5, pass 2 picks the winner among
+// everything within noise of it by order-free criteria. Portfolio members
+// must replay identically across processes for the deterministic mode to
+// mean anything. ok is false when no candidate is fractional.
+func lpBranchVar(fracX []bounds.FracVar, e branchEngine) (best bounds.FracVar, ok bool) {
+	const intEps = 1e-6
+	bestDist := math.Inf(1)
+	for _, f := range fracX {
+		if e.Value(f.Var) != engine.Unassigned {
+			continue
+		}
+		if f.X < intEps || f.X > 1-intEps {
+			continue // integral in the LP: not a §5 candidate
+		}
+		if d := math.Abs(f.X - 0.5); d < bestDist {
+			bestDist = d
+		}
+	}
+	if math.IsInf(bestDist, 1) {
+		return bounds.FracVar{}, false
+	}
+	for _, f := range fracX {
+		if e.Value(f.Var) != engine.Unassigned {
+			continue
+		}
+		if f.X < intEps || f.X > 1-intEps {
+			continue
+		}
+		if math.Abs(f.X-0.5) > bestDist+1e-9 {
+			continue
+		}
+		if !ok || e.Activity(f.Var) > e.Activity(best.Var) ||
+			(e.Activity(f.Var) == e.Activity(best.Var) && f.Var < best.Var) {
+			best, ok = f, true
+		}
+	}
+	return best, ok
 }
 
 // addIncumbentCuts installs the eq. 10 knapsack constraint and, when

@@ -1,5 +1,5 @@
-// Package lp implements a dense bounded-variable two-phase primal simplex
-// solver for linear programs of the form
+// Package lp implements a bounded-variable two-phase primal simplex solver,
+// on a row-sparse tableau, for linear programs of the form
 //
 //	minimize   c·x
 //	subject to Σ_j A_ij·x_j ≥ b_i    for every row i
@@ -11,11 +11,20 @@
 // classical tableau simplex with upper-bounded variables, Dantzig pricing
 // with a Bland's-rule fallback against cycling, and periodic recomputation of
 // the basic solution to limit numerical drift.
+//
+// The tableau is stored as full-width rows, each with its nonzero pattern: a
+// duplicate-free list of the columns that may be nonzero (every column the
+// row was built with, plus the fill-in elimination records). Row operations —
+// scaling, elimination, reduced costs, dual extraction and the reset between
+// solves — walk the patterns instead of the full width, and skip only
+// products with a zero factor, so every nonzero value comes out bitwise as
+// the dense computation leaves it: sparsity never changes an LP result.
 package lp
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"repro/internal/fault"
@@ -122,14 +131,29 @@ const (
 // simplex is the working state of one solve. Every slice is a buffer owned
 // by the enclosing Workspace: reset resizes and zeroes them for the next
 // problem without reallocating once they have grown to its size.
+//
+// Row i of the tableau is tab[i] with pattern pat[i]. The pattern invariant:
+// over the whole capacity of its buffer, a row is zero outside its pattern
+// and its leading pre[i] columns (the negated structural part of a cold
+// surplus-basic row, which holds −0 where the row has no entry). A row buffer
+// keeps its pattern and prefix while it sits unused beyond m, so reset can
+// clear exactly the entries a solve wrote.
 type simplex struct {
 	n, m     int // structural vars, rows
 	nTot     int // n + m surplus + m artificial
+	widest   int // largest nTot this simplex has been reset for
 	cost     []float64
 	lo, hi   []float64
 	tab      [][]float64 // m rows, each nTot wide; row buffers are reused
-	rhsB     []float64   // B^{-1} b (working rhs under the same row ops)
-	beta     []float64   // current value of basic variable per row
+	pat      [][]int32   // nonzero pattern of each row buffer
+	pre      []int       // densely written leading columns of each row buffer
+	marks    []uint64    // pattern membership, words bits per row
+	words    int
+	colMarks []uint64 // the transpose of marks, colWords bits per column
+	colWords int
+	nzBits   []uint64  // s.nz as a bitset (recordFill)
+	rhsB     []float64 // B^{-1} b (working rhs under the same row ops)
+	beta     []float64 // current value of basic variable per row
 	basis    []int
 	inBasis  []bool
 	status   []nbStatus // nonbasic status per variable
@@ -139,27 +163,38 @@ type simplex struct {
 	deadline time.Time // zero = no wall-clock cap
 
 	// Scratch of run, runDual, refreshBeta and extractSolution.
-	cols     []int     // active columns of the current phase
-	d        []float64 // reduced costs
-	cB       []float64 // basic costs
-	wcost    []float64 // phase-1 or shifted working costs
-	nz       []int     // nonzero pattern of the current pivot row
-	nb       []int     // nonbasic columns with a nonzero value
-	dense    []float64 // one structural row (cold crash)
-	lo0      []float64 // default bounds for a Problem without Lo
-	hi1      []float64 // default bounds for a Problem without Hi
-	costRows []int     // rows with a nonzero basic cost (dual extraction)
+	cols    []int     // active columns of the current phase
+	act     []bool    // column is in cols
+	d       []float64 // reduced costs
+	wcost   []float64 // phase-1 or shifted working costs
+	nz      []int     // nonzero pattern of the current pivot row
+	colRows []int     // rows with a nonzero in the current pivot column
+	nb      []int     // nonbasic columns with a nonzero value
+	dense   []float64 // one structural row (cold crash)
+	lo0     []float64 // default bounds for a Problem without Lo
+	hi1     []float64 // default bounds for a Problem without Hi
 }
 
 // zeroed returns buf resized to n zero elements, reallocating only when its
 // capacity is short.
 func zeroed[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]T, n)
+		return make([]T, n, grownCap(cap(buf), n))
 	}
 	buf = buf[:n]
 	clear(buf)
 	return buf
+}
+
+// grownCap is the capacity of a buffer reallocated to hold n elements: exact
+// on first allocation, with headroom when a buffer is outgrown, so a chain of
+// problems that widen by a column at a time (cut installation) reallocates
+// O(log) times rather than on every solve.
+func grownCap(old, n int) int {
+	if old == 0 {
+		return n
+	}
+	return n + n/2
 }
 
 // validate checks the problem for malformed input and materializes the
@@ -226,6 +261,7 @@ func Solve(p *Problem) (Solution, error) {
 func (s *simplex) reset(p *Problem, lo, hi []float64) {
 	n, m := p.NumVars, len(p.Rows)
 	s.n, s.m, s.nTot = n, m, n+2*m
+	s.widest = max(s.widest, s.nTot)
 	s.iters = 0
 	s.deadline = p.Deadline
 	s.maxIter = p.MaxIter
@@ -242,13 +278,22 @@ func (s *simplex) reset(p *Problem, lo, hi []float64) {
 	// Row buffers rather than one m × nTot block: a large contiguous block
 	// cannot reuse the freed holes of a fragmented heap, and on a run of
 	// many solves of different sizes that raised peak RSS by a fifth.
-	if cap(s.tab) < m {
-		s.tab = append(s.tab[:cap(s.tab)], make([][]float64, m-cap(s.tab))...)
+	if c := cap(s.tab); c < m {
+		// One capacity for the three, so the row buffers beyond m keep
+		// their patterns and prefixes.
+		nc := grownCap(c, m)
+		s.tab = append(make([][]float64, 0, nc), s.tab[:c]...)
+		s.pat = append(make([][]int32, 0, nc), s.pat[:c]...)
+		s.pre = append(make([]int, 0, nc), s.pre[:c]...)
 	}
-	s.tab = s.tab[:m]
+	s.tab, s.pat, s.pre = s.tab[:m], s.pat[:m], s.pre[:m]
 	for i := range s.tab {
-		s.tab[i] = zeroed(s.tab[i], s.nTot)
+		s.clearRow(i)
 	}
+	s.words = (s.nTot + 63) >> 6
+	s.marks = zeroed(s.marks, m*s.words)
+	s.colWords = (m + 63) >> 6
+	s.colMarks = zeroed(s.colMarks, s.nTot*s.colWords)
 	s.rhsB = zeroed(s.rhsB, m)
 	s.beta = zeroed(s.beta, m)
 	s.basis = zeroed(s.basis, m)
@@ -259,6 +304,33 @@ func (s *simplex) reset(p *Problem, lo, hi []float64) {
 		s.xval[j] = lo[j]
 	}
 	s.cost = zeroed(s.cost, s.nTot)
+}
+
+// clearRow zeroes row buffer i through its pattern and prefix (the pattern
+// invariant makes that the whole buffer) and sizes it to nTot columns. A
+// new buffer is as wide as the widest problem seen, so rows first used by a
+// small problem do not regrow when the next one is wider.
+func (s *simplex) clearRow(i int) {
+	row := s.tab[i]
+	for _, j := range s.pat[i] {
+		row[j] = 0
+	}
+	clear(row[:s.pre[i]])
+	s.pat[i], s.pre[i] = s.pat[i][:0], 0
+	if cap(row) < s.nTot {
+		row = make([]float64, s.nTot, max(s.widest, grownCap(cap(row), s.nTot)))
+	}
+	s.tab[i] = row[:s.nTot]
+}
+
+// note records column j in row i's pattern unless it is already there.
+func (s *simplex) note(i, j int) {
+	w := &s.marks[i*s.words+j>>6]
+	if bit := uint64(1) << (j & 63); *w&bit == 0 {
+		*w |= bit
+		s.colMarks[j*s.colWords+i>>6] |= 1 << (i & 63)
+		s.pat[i] = append(s.pat[i], int32(j))
+	}
 }
 
 // solveCold runs the classical two-phase solve. ok reports that phase 2
@@ -281,7 +353,6 @@ func (s *simplex) solveCold(p *Problem, lo, hi []float64) (sol Solution, ok bool
 	dense := s.dense
 	needPhase1 := false
 	for i, r := range p.Rows {
-		clear(dense)
 		for _, e := range r.Entries {
 			dense[e.Var] += e.Coef
 		}
@@ -294,7 +365,12 @@ func (s *simplex) solveCold(p *Problem, lo, hi []float64) (sol Solution, ok bool
 		if resid > 0 {
 			// Artificial basic (coefficient +1 keeps the unit-column
 			// invariant); phase 1 must drive it out.
-			copy(row, dense)
+			for _, e := range r.Entries {
+				if v := dense[e.Var]; v != 0 {
+					row[e.Var] = v
+					s.note(i, e.Var)
+				}
+			}
 			row[n+i] = -1.0  // surplus
 			row[n+m+i] = 1.0 // artificial
 			s.rhsB[i] = r.RHS
@@ -306,9 +382,17 @@ func (s *simplex) solveCold(p *Problem, lo, hi []float64) (sol Solution, ok bool
 			// Surplus basic: negate the row so its column is +1 (the
 			// Gauss-Jordan invariant requires basic columns to be unit
 			// vectors). The surplus value −resid is non-negative, so the
-			// basis is feasible and no artificial is ever needed.
+			// basis is feasible and no artificial is ever needed. The
+			// negation writes −0 where the row has no entry, so the whole
+			// structural part is the row's dense prefix.
 			for j := 0; j < n; j++ {
 				row[j] = -dense[j]
+			}
+			s.pre[i] = n
+			for _, e := range r.Entries {
+				if dense[e.Var] != 0 {
+					s.note(i, e.Var)
+				}
 			}
 			row[n+i] = 1.0    // surplus (negated from −1)
 			row[n+m+i] = -1.0 // artificial (negated, permanently locked)
@@ -317,6 +401,11 @@ func (s *simplex) solveCold(p *Problem, lo, hi []float64) (sol Solution, ok bool
 			s.inBasis[n+i] = true
 			s.beta[i] = -resid
 			s.hi[n+m+i] = 0
+		}
+		s.note(i, n+i)
+		s.note(i, n+m+i)
+		for _, e := range r.Entries {
+			dense[e.Var] = 0
 		}
 	}
 
@@ -423,26 +512,27 @@ func (s *simplex) extractSolution(p *Problem, lo, hi []float64, st Status) Solut
 	}
 	// Duals: the reduced cost of surplus variable i equals the dual of
 	// original row i (sign conventions cancel; see package tests). Only
-	// rows with a nonzero basic cost contribute.
+	// rows with a nonzero basic cost contribute, each through the surplus
+	// columns of its pattern; every Dual[i] (cost of a surplus var is 0)
+	// still subtracts its terms in row order, starting from +0, which the
+	// zero terms a dense sum would add leave unchanged.
 	sol.Dual = out[n+m:]
-	s.cB = zeroed(s.cB, m)
-	costRows := s.costRows[:0]
 	for k := 0; k < m; k++ {
-		if s.cB[k] = s.cost[s.basis[k]]; s.cB[k] != 0 {
-			costRows = append(costRows, k)
+		c := s.cost[s.basis[k]]
+		if c == 0 {
+			continue
+		}
+		row := s.tab[k]
+		for _, j := range s.pat[k] {
+			if i := int(j) - n; i >= 0 && i < m {
+				sol.Dual[i] -= c * row[j]
+			}
 		}
 	}
-	s.costRows = costRows
-	for i := 0; i < m; i++ {
-		d := 0.0 // cost of surplus var is 0
-		col := n + i
-		for _, k := range costRows {
-			d -= s.cB[k] * s.tab[k][col]
-		}
+	for i, d := range sol.Dual {
 		if d < 0 && d > -epsCost {
-			d = 0
+			sol.Dual[i] = 0
 		}
-		sol.Dual[i] = d
 	}
 	return sol
 }
@@ -461,62 +551,103 @@ func (s *simplex) activeCols() []int {
 	return cols
 }
 
-// reducedCosts recomputes d[j] = cost[j] − cB·B⁻¹A_j over cols from the
-// current tableau.
-func (s *simplex) reducedCosts(cost, d []float64, cols []int) {
-	cB := s.cB
-	for i := 0; i < s.m; i++ {
-		cB[i] = cost[s.basis[i]]
+// markActive flags the columns of cols in s.act for scalePivotRow, which
+// walks a row's pattern rather than cols.
+func (s *simplex) markActive(cols []int) {
+	s.act = zeroed(s.act, s.nTot)
+	for _, j := range cols {
+		s.act[j] = true
 	}
+}
+
+// reducedCosts recomputes d[j] = cost[j] − cB·B⁻¹A_j over cols from the
+// current tableau, walking each row's pattern. A zero entry of a pattern
+// changes at most the sign of a zero d[j], which only comparisons read.
+// Entries of d outside cols are never read; the pattern may update them with
+// stale values of inactive columns, which is harmless.
+func (s *simplex) reducedCosts(cost, d []float64, cols []int) {
 	for _, j := range cols {
 		d[j] = cost[j]
 	}
 	for i := 0; i < s.m; i++ {
-		if cB[i] == 0 {
+		c := cost[s.basis[i]]
+		if c == 0 {
 			continue
 		}
 		row := s.tab[i]
-		c := cB[i]
-		for _, j := range cols {
+		for _, j := range s.pat[i] {
 			d[j] -= c * row[j]
 		}
 	}
 }
 
-// scalePivotRow divides row r by its pivot over cols (through the multiplier
-// inv = 1/piv) and records the row's nonzero pattern among cols in s.nz.
-// Zero entries are left alone: scaling them changes at most the sign of a
-// zero.
-func (s *simplex) scalePivotRow(r int, inv float64, cols []int) {
+// scalePivotRow divides row r by its pivot over the active columns (through
+// the multiplier inv = 1/piv) and records the row's nonzero pattern among
+// them in s.nz. Inactive columns stay unscaled: no phase reads them. Zero
+// entries are left alone: scaling them changes at most the sign of a zero.
+func (s *simplex) scalePivotRow(r int, inv float64) {
 	rowR := s.tab[r]
+	act := s.act
 	nz := s.nz[:0]
-	for _, j := range cols {
-		if v := rowR[j]; v != 0 {
+	for _, j := range s.pat[r] {
+		if v := rowR[j]; v != 0 && act[j] {
 			rowR[j] = v * inv
-			nz = append(nz, j)
+			nz = append(nz, int(j))
 		}
 	}
 	s.nz = nz
 	s.rhsB[r] *= inv
 }
 
+// recordFill extends the pattern of every row eliminate is about to update
+// (s.colRows but the pivot row r) with the pivot row's columns s.nz it
+// lacks — the fill-in. The pivot row's columns are set as a bitset, so a row
+// that already covers them costs a few word operations. Kept apart from
+// eliminate so the elimination stays a tight, inlinable loop.
+func (s *simplex) recordFill(r int) {
+	words := s.words
+	nzBits := zeroed(s.nzBits, words)
+	s.nzBits = nzBits
+	for _, j := range s.nz {
+		nzBits[j>>6] |= 1 << (j & 63)
+	}
+	for _, i := range s.colRows {
+		if i == r {
+			continue
+		}
+		marks := s.marks[i*words : (i+1)*words]
+		for w, b := range nzBits {
+			add := b &^ marks[w]
+			if add == 0 {
+				continue
+			}
+			marks[w] |= add
+			for ; add != 0; add &= add - 1 {
+				j := w<<6 + bits.TrailingZeros64(add)
+				s.colMarks[j*s.colWords+i>>6] |= 1 << (i & 63)
+				s.pat[i] = append(s.pat[i], int32(j))
+			}
+		}
+	}
+}
+
 // eliminate clears column col from every row but the (already scaled) pivot
-// row r, walking only the pivot row's nonzero pattern s.nz. The updates it
-// skips are those whose factor rowR[j] is zero, which leave an entry as it
-// was up to the sign of a zero, so every nonzero entry comes out bitwise as
-// a dense row operation would leave it.
+// row r: the rows s.colRows, those with a nonzero in col, collected by the
+// column scan that chose the pivot. It walks only the pivot row's nonzero
+// pattern s.nz; recordFill must have run first. The updates it skips are
+// those whose factor is zero, which leave an entry as it was up to the sign
+// of a zero, so every nonzero entry comes out bitwise as a dense row
+// operation would leave it.
 func (s *simplex) eliminate(r, col int) {
 	rowR := s.tab[r]
 	br := s.rhsB[r]
 	nz := s.nz
-	for i, rowI := range s.tab {
+	for _, i := range s.colRows {
 		if i == r {
 			continue
 		}
+		rowI := s.tab[i]
 		f := rowI[col]
-		if f == 0 {
-			continue
-		}
 		for _, j := range nz {
 			rowI[j] -= f * rowR[j]
 		}
@@ -533,8 +664,8 @@ func (s *simplex) eliminate(r, col int) {
 // basis. Locked artificials disappear from phase 2 entirely.
 func (s *simplex) run(cost []float64) Status {
 	cols := s.activeCols()
+	s.markActive(cols)
 	s.d = zeroed(s.d, s.nTot)
-	s.cB = zeroed(s.cB, s.m)
 	d := s.d
 	s.reducedCosts(cost, d, cols)
 
@@ -590,11 +721,16 @@ func (s *simplex) run(cost []float64) Status {
 		if s.status[enter] == atUpper {
 			dir = -1.0
 		}
-		// Ratio test.
+		// Ratio test, noting the rows a pivot on enter must eliminate.
 		t := s.hi[enter] - s.lo[enter] // bound-to-bound move
 		blocking := -1
+		colRows := s.colRows[:0]
 		for i := 0; i < s.m; i++ {
-			delta := -dir * s.tab[i][enter]
+			a := s.tab[i][enter]
+			if a != 0 {
+				colRows = append(colRows, i)
+			}
+			delta := -dir * a
 			bi := s.basis[i]
 			var limit float64
 			switch {
@@ -616,6 +752,7 @@ func (s *simplex) run(cost []float64) Status {
 				blocking = i
 			}
 		}
+		s.colRows = colRows
 		if math.IsInf(t, 1) {
 			return Unbounded
 		}
@@ -664,7 +801,8 @@ func (s *simplex) run(cost []float64) Status {
 			s.reducedCosts(cost, d, cols)
 			continue
 		}
-		s.scalePivotRow(r, 1.0/piv, cols)
+		s.scalePivotRow(r, 1.0/piv)
+		s.recordFill(r)
 		s.eliminate(r, enter)
 		// Incremental reduced-cost update: d' = d − d[enter]·rowR (rowR is
 		// already the updated pivot row), using the true cost of the leaving

@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"repro/internal/fault"
@@ -77,11 +78,73 @@ type Workspace struct {
 	snaps [2]Basis
 
 	// Scratch of crashBasis.
-	varCol  map[int64]int // structural key → column
-	rowAt   map[int64]int // row key → row
-	slot    []int         // row → index into the previous basis, or −1
-	want    []int         // mapped basic columns, in row order
-	pivoted []bool
+	rowAt    keyIndex // row key → current row
+	prevVar  keyIndex // previous structural basic (k ≥ 0) or upper (−1−u) key
+	colOf    []int    // previous basis index → current column, or −1
+	upperCol []int    // previous upper index → current column, or −1
+	slot     []int    // row → index into the previous basis, or −1
+	want     []int    // mapped basic columns, in row order
+	pivoted  []bool
+}
+
+// keyIndex is an open-addressing hash table from int64 keys to int32
+// values, reused across solves: reset empties it in O(1) by advancing a
+// generation stamp. It replaces Go maps on the crash path, whose inserts
+// cost more than the rest of a typical key mapping.
+type keyIndex struct {
+	keys  []int64
+	vals  []int32
+	gen   []uint32
+	cur   uint32
+	shift uint
+}
+
+// reset empties t and sizes it for n keys at load factor at most 1/2.
+func (t *keyIndex) reset(n int) {
+	lg := uint(3)
+	for 1<<lg < 2*n {
+		lg++
+	}
+	if len(t.keys) < 1<<lg {
+		t.keys = make([]int64, 1<<lg)
+		t.vals = make([]int32, 1<<lg)
+		t.gen = make([]uint32, 1<<lg)
+		t.cur = 0
+	}
+	for 1<<lg < len(t.keys) {
+		lg++
+	}
+	t.shift = 64 - lg
+	if t.cur++; t.cur == 0 {
+		clear(t.gen)
+		t.cur = 1
+	}
+}
+
+// slot returns the probe start of key k (Fibonacci hashing).
+func (t *keyIndex) slot(k int64) int {
+	return int(uint64(k) * 0x9e3779b97f4a7c15 >> t.shift)
+}
+
+// put maps k to v; keys are unique by the SolveWarm contract.
+func (t *keyIndex) put(k int64, v int32) {
+	mask := len(t.keys) - 1
+	i := t.slot(k)
+	for t.gen[i] == t.cur && t.keys[i] != k {
+		i = (i + 1) & mask
+	}
+	t.gen[i], t.keys[i], t.vals[i] = t.cur, k, v
+}
+
+// get returns the value mapped to k.
+func (t *keyIndex) get(k int64) (int32, bool) {
+	mask := len(t.keys) - 1
+	for i := t.slot(k); t.gen[i] == t.cur; i = (i + 1) & mask {
+		if t.keys[i] == k {
+			return t.vals[i], true
+		}
+	}
+	return 0, false
 }
 
 // Invalidate drops the stored basis: the next SolveWarm solves cold. The
@@ -220,9 +283,12 @@ func (s *simplex) buildWarm(p *Problem, lo, hi []float64) {
 		row := s.tab[i]
 		for _, e := range r.Entries {
 			row[e.Var] += e.Coef
+			s.note(i, e.Var)
 		}
 		row[n+i] = -1.0  // surplus
 		row[n+m+i] = 1.0 // artificial (locked)
+		s.note(i, n+i)
+		s.note(i, n+m+i)
 		s.rhsB[i] = r.RHS
 	}
 }
@@ -249,30 +315,45 @@ func (s *simplex) buildWarm(p *Problem, lo, hi []float64) {
 // The crash declines (cold fallback) when fewer than half the rows map, in
 // which case installing the remnant would cost more pivoting than it saves.
 //
+// Keys are mapped through two small tables: the current row keys, and the
+// previous basis's structural and nonbasic-at-upper keys, which the current
+// variable keys are looked up in — so only O(m) keys are inserted per crash,
+// not one per column.
+//
 // fault point "lp.warmcrash": tests corrupt mapped pivot values to force the
 // per-column fallback and, en masse, the cold fallback.
 func (w *Workspace) crashBasis(varKeys, rowKeys []int64, prev *Basis) bool {
 	s := &w.s
 	n, m := s.n, s.m
-	if w.varCol == nil {
-		w.varCol = make(map[int64]int, n)
-		w.rowAt = make(map[int64]int, m)
-	}
-	clear(w.varCol)
-	clear(w.rowAt)
-	for j, k := range varKeys {
-		w.varCol[k] = j
-	}
+	w.rowAt.reset(m)
 	for i, k := range rowKeys {
-		w.rowAt[k] = i
+		w.rowAt.put(k, int32(i))
+	}
+	// Current column of each previous structural basic and upper variable.
+	w.prevVar.reset(len(prev.ids) + len(prev.upper))
+	for k, id := range prev.ids {
+		if !id.surplus {
+			w.prevVar.put(id.key, int32(k))
+		}
+	}
+	for u, key := range prev.upper {
+		w.prevVar.put(key, int32(-1-u))
+	}
+	w.colOf = filled(w.colOf, len(prev.ids), -1)
+	w.upperCol = filled(w.upperCol, len(prev.upper), -1)
+	for j, key := range varKeys {
+		if v, ok := w.prevVar.get(key); ok {
+			if v >= 0 {
+				w.colOf[v] = j
+			} else {
+				w.upperCol[-1-v] = j
+			}
+		}
 	}
 	// Attach each previous basis row to the current row with its key.
-	w.slot = zeroed(w.slot, m)
-	for i := range w.slot {
-		w.slot[i] = -1
-	}
+	w.slot = filled(w.slot, m, -1)
 	for k, key := range prev.rowKeys {
-		if i, ok := w.rowAt[key]; ok {
+		if i, ok := w.rowAt.get(key); ok {
 			w.slot[i] = k
 		}
 	}
@@ -285,14 +366,11 @@ func (w *Workspace) crashBasis(varKeys, rowKeys []int64, prev *Basis) bool {
 		if k < 0 {
 			continue
 		}
-		id := prev.ids[k]
-		c := -1
-		if id.surplus {
-			if r, ok := w.rowAt[id.key]; ok {
-				c = n + r
+		c := w.colOf[k]
+		if id := prev.ids[k]; id.surplus {
+			if r, ok := w.rowAt.get(id.key); ok {
+				c = n + int(r)
 			}
-		} else if j, ok := w.varCol[id.key]; ok {
-			c = j
 		}
 		if c >= 0 && !s.inBasis[c] {
 			s.inBasis[c] = true
@@ -308,23 +386,33 @@ func (w *Workspace) crashBasis(varKeys, rowKeys []int64, prev *Basis) bool {
 	}
 	// Restore nonbasic-at-upper statuses (no-op when upper bounds are
 	// infinite, as in the LPR dual LP).
-	for _, key := range prev.upper {
-		if j, ok := w.varCol[key]; ok && !math.IsInf(s.hi[j], 1) {
+	for _, j := range w.upperCol {
+		if j >= 0 && !math.IsInf(s.hi[j], 1) {
 			s.status[j] = atUpper
 			s.xval[j] = s.hi[j]
 		}
 	}
 	w.pivoted = zeroed(w.pivoted, m)
 	for _, col := range want {
+		// One column scan finds the pivot row and the rows (pivoted or
+		// not) the elimination must update. It visits, in row order, only
+		// the rows whose pattern holds col: every other row is zero there.
 		best, bestAbs := -1, epsPivot
-		for i := 0; i < m; i++ {
-			if w.pivoted[i] {
-				continue
-			}
-			if a := math.Abs(s.tab[i][col]); a > bestAbs {
-				best, bestAbs = i, a
+		colRows := s.colRows[:0]
+		for k, b := range s.colMarks[col*s.colWords : (col+1)*s.colWords] {
+			for ; b != 0; b &= b - 1 {
+				i := k<<6 + bits.TrailingZeros64(b)
+				v := s.tab[i][col]
+				if v == 0 {
+					continue
+				}
+				colRows = append(colRows, i)
+				if a := math.Abs(v); a > bestAbs && !w.pivoted[i] {
+					best, bestAbs = i, a
+				}
 			}
 		}
+		s.colRows = colRows
 		if best < 0 {
 			continue // dependent or vanished column: its row falls back below
 		}
@@ -332,50 +420,58 @@ func (w *Workspace) crashBasis(varKeys, rowKeys []int64, prev *Basis) bool {
 		if math.IsNaN(piv) || math.IsInf(piv, 0) || math.Abs(piv) < epsPivot {
 			continue
 		}
-		s.crashPivot(best, col, piv)
+		s.crashPivot(best, col, piv, len(colRows) > 1)
 		w.pivoted[best] = true
 	}
+	// The fallback columns are nonzero in their own row only (see above):
+	// no elimination.
 	for r := 0; r < m; r++ {
 		if w.pivoted[r] {
 			continue
 		}
 		if !s.inBasis[n+r] {
-			s.crashPivot(r, n+r, s.tab[r][n+r]) // exactly −1 (see above)
+			s.crashPivot(r, n+r, s.tab[r][n+r], false) // exactly −1 (see above)
 		} else {
-			s.crashPivot(r, n+m+r, s.tab[r][n+m+r]) // exactly +1
+			s.crashPivot(r, n+m+r, s.tab[r][n+m+r], false) // exactly +1
 		}
 	}
 	return true
 }
 
-// crashPivot makes col basic in row r. Unit-magnitude pivots skip the
-// scaling and unit columns (the common case for the LPR dual, whose w
-// columns are unit vectors) the elimination, so most crash pivots cost one
-// column scan.
-func (s *simplex) crashPivot(r, col int, piv float64) {
+// filled returns buf resized to n elements, all v.
+func filled(buf []int, n, v int) []int {
+	buf = zeroed(buf, n)
+	for i := range buf {
+		buf[i] = v
+	}
+	return buf
+}
+
+// crashPivot makes col basic in row r, walking the row's pattern; others
+// reports that some other row has a nonzero in col and needs the
+// elimination (those rows are in s.colRows). Unit-magnitude pivots skip the scaling and unit columns (the
+// common case for the LPR dual, whose w columns are unit vectors) the
+// elimination.
+func (s *simplex) crashPivot(r, col int, piv float64, others bool) {
 	rowR := s.tab[r]
 	if inv := 1.0 / piv; inv != 1.0 {
-		for j, v := range rowR {
-			if v != 0 {
+		for _, j := range s.pat[r] {
+			if v := rowR[j]; v != 0 {
 				rowR[j] = v * inv
 			}
 		}
 		s.rhsB[r] *= inv
 	}
-	for i, rowI := range s.tab {
-		if i != r && rowI[col] != 0 {
-			// Some other row needs the elimination: collect the pivot row's
-			// nonzero pattern once.
-			nz := s.nz[:0]
-			for j, v := range rowR {
-				if v != 0 {
-					nz = append(nz, j)
-				}
+	if others {
+		nz := s.nz[:0]
+		for _, j := range s.pat[r] {
+			if rowR[j] != 0 {
+				nz = append(nz, int(j))
 			}
-			s.nz = nz
-			s.eliminate(r, col)
-			break
 		}
+		s.nz = nz
+		s.recordFill(r)
+		s.eliminate(r, col)
 	}
 	s.basis[r] = col
 	s.inBasis[col] = true
@@ -395,11 +491,11 @@ func (s *simplex) crashPivot(r, col int, piv float64) {
 // to the cold path.
 func (s *simplex) runDual(cost []float64) Status {
 	cols := s.activeCols()
+	s.markActive(cols)
 	s.wcost = zeroed(s.wcost, s.nTot)
 	copy(s.wcost, cost)
 	wcost := s.wcost
 	s.d = zeroed(s.d, s.nTot)
-	s.cB = zeroed(s.cB, s.m)
 	d := s.d
 	shift := func() {
 		for _, j := range cols {
@@ -509,9 +605,15 @@ func (s *simplex) runDual(cost []float64) Status {
 		if t < 0 {
 			t = 0 // numerical noise; pivot is still the right basis change
 		}
+		colRows := s.colRows[:0]
 		for i := 0; i < s.m; i++ {
-			s.beta[i] -= s.tab[i][enter] * dir * t
+			a := s.tab[i][enter]
+			if a != 0 {
+				colRows = append(colRows, i)
+			}
+			s.beta[i] -= a * dir * t
 		}
+		s.colRows = colRows
 		if below {
 			s.status[leave] = atLower
 			s.xval[leave] = s.lo[leave]
@@ -524,7 +626,8 @@ func (s *simplex) runDual(cost []float64) Status {
 		s.inBasis[enter] = true
 		s.basis[r] = enter
 		s.beta[r] = enterVal
-		s.scalePivotRow(r, 1.0/piv, cols)
+		s.scalePivotRow(r, 1.0/piv)
+		s.recordFill(r)
 		s.eliminate(r, enter)
 		// Full recompute per iteration: dual repair runs for a handful of
 		// steps at a typical node transition, so simplicity beats the

@@ -2,6 +2,8 @@ package lp
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/fault"
@@ -153,5 +155,60 @@ func TestWorkspaceWarmResolveAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, walk)
 	if allocs > float64(len(probs)) {
 		t.Fatalf("warm re-solve walk allocated %.0f times for %d solves; want at most one per solve", allocs, len(probs))
+	}
+
+	// The widening chain: 100 calls that each add a column, as cut
+	// installation does. Buffers regrow with headroom, so past the first
+	// solve the walk allocates one block per solve plus O(log) regrowths
+	// per buffer — not a new tableau on every call.
+	gp, gvk, grk := lprGrowingSequence(11, 20, 30, 100)
+	var g Workspace
+	if _, err := g.SolveWarm(gp[0], gvk[0], grk[0]); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 1; k < len(gp); k++ {
+		sol, err := g.SolveWarm(gp[k], gvk[k], grk[k])
+		if err != nil || sol.Status != Optimal {
+			t.Fatalf("widening step %d: status=%v err=%v", k, sol.Status, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	calls := len(gp) - 1
+	regrowths := int(after.Mallocs-before.Mallocs) - calls
+	// Each tableau row and its pattern, plus a generous count of the other
+	// per-solve buffers, may regrow once per factor 1.5 of width.
+	first := gp[0].NumVars + 2*len(gp[0].Rows)
+	last := gp[calls].NumVars + 2*len(gp[calls].Rows)
+	perBuffer := int(math.Ceil(math.Log(float64(last)/float64(first))/math.Log(1.5))) + 1
+	if limit := (2*len(gp[0].Rows) + 32) * perBuffer; regrowths > limit {
+		t.Fatalf("widening chain: %d allocations beyond one per solve over %d calls; want at most %d (O(log) regrowths per buffer)",
+			regrowths, calls, limit)
+	}
+}
+
+// TestWorkspaceRowCountChanges walks one Workspace through problems whose
+// row and column counts rise and fall — the tableau's row buffers are
+// regrown, parked beyond the current row count and reused — and requires
+// every result to be bitwise what a fresh Workspace returns.
+func TestWorkspaceRowCountChanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var w Workspace
+	for k, m := range []int{3, 9, 2, 30, 31, 64, 5, 70, 12, 141, 1, 90} {
+		p := coveringLP(rng, 10+m%17, m)
+		got, err := w.Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Status != want.Status || got.Iterations != want.Iterations ||
+			math.Float64bits(got.Objective) != math.Float64bits(want.Objective) ||
+			!sameBits(got.X, want.X) || !sameBits(got.Dual, want.Dual) || !sameBits(got.Slack, want.Slack) {
+			t.Fatalf("problem %d (%d rows): reused workspace %+v, fresh %+v", k, m, got, want)
+		}
 	}
 }
