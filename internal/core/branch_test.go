@@ -19,8 +19,9 @@ type fakeBranchEngine struct {
 func (f *fakeBranchEngine) Value(v pb.Var) engine.Value { return f.value[v] }
 func (f *fakeBranchEngine) Activity(v pb.Var) float64   { return f.activity[v] }
 
-// lpBranchVarMap is the §5 selection over the map form FracX had before it
-// became a slice, kept as the reference the slice form must agree with.
+// lpBranchVarMap is the §5 selection over a map from variable to LP value,
+// iterated in Go's randomized map order: the reference the slice form must
+// agree with.
 func lpBranchVarMap(fracX map[pb.Var]float64, e branchEngine) (pb.Var, float64, bool) {
 	const intEps = 1e-6
 	bestDist := math.Inf(1)

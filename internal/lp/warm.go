@@ -89,8 +89,7 @@ type Workspace struct {
 
 // keyIndex is an open-addressing hash table from int64 keys to int32
 // values, reused across solves: reset empties it in O(1) by advancing a
-// generation stamp. It replaces Go maps on the crash path, whose inserts
-// cost more than the rest of a typical key mapping.
+// generation stamp, and put and get inline into the crash's key loops.
 type keyIndex struct {
 	keys  []int64
 	vals  []int32
