@@ -2,42 +2,44 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz bench bench-bounds bench-engine bench-portfolio bench-cuts bench-ls bench-wbo bench-snapshot bench-baseline bench-compare escape-check load-smoke table examples clean ci vet
+.PHONY: all build test race fuzz bench bench-bounds bench-engine bench-portfolio bench-cuts bench-ls bench-wbo bench-snapshot bench-baseline bench-compare escape-check race-pkgs table examples clean ci vet
 
 all: build test
 
 vet:
 	$(GO) vet ./...
 
-# What CI runs: vet + build + full test suite, the tests of the tablebench
-# module (its own go.mod, so the root suite never reaches them), then the
-# race detector on the concurrency-sensitive packages (engine interrupt
-# hook, solver cancellation, portfolio racing + clause sharing, fault
-# injection, the incremental Reducer's watcher protocol, the warm-start LP
-# state, the live metrics registry, the bsolvd serving envelope), the daemon's
-# chaos/load smoke, the bench-regression gate against the committed
-# baseline, then a single-iteration smoke pass over the bound-pipeline
-# and portfolio-sharing benchmarks and a small bench snapshot.
+# What CI runs (.github/workflows/ci.yml runs the same steps, fuzzing
+# longer): vet + build + full test suite, the tests of the tablebench module
+# (its own go.mod, so the root suite never reaches them), the race detector
+# on the concurrency-sensitive packages (race-pkgs), the escape-analysis
+# guard, the bench-regression gate against the committed baseline, then a
+# single-iteration smoke pass over the bound-pipeline, engine, portfolio-
+# sharing and cut-separation benchmarks, small bench snapshots and the
+# differential fuzzing matrix.
 ci: vet build test
 	cd tablebench && $(GO) test ./...
-	$(GO) test -race ./internal/engine ./internal/core ./internal/portfolio ./internal/share ./internal/ls ./internal/fault ./internal/bounds ./internal/lp ./internal/cuts ./internal/fuzz ./internal/obs ./internal/preprocess ./internal/serve ./internal/wbo ./internal/wcnf
+	$(MAKE) race-pkgs
 	$(MAKE) escape-check
-	$(MAKE) load-smoke
 	$(MAKE) bench-compare
 	$(MAKE) bench-bounds BENCHTIME=1x
 	$(MAKE) bench-engine BENCHTIME=1x
 	$(MAKE) bench-portfolio BENCHTIME=1x
+	$(MAKE) bench-cuts BENCHTIME=1x
 	$(MAKE) bench-snapshot BENCH_FAMILY=synth BENCH_N=2 BENCH_TIME=3s
 	$(MAKE) bench-ls BENCH_LS_N=2 BENCH_LS_TIME=2s BENCH_LS_NODES=20 BENCH_LS_OUT=/tmp/bench_ls_smoke.json
 	$(MAKE) bench-wbo BENCH_WBO_N=2 BENCH_WBO_TIME=2s BENCH_WBO_VARS=12 BENCH_WBO_OUT=/tmp/bench_wbo_smoke.json
 	$(MAKE) fuzz FUZZTIME=10s PBFUZZ_N=500
 
-# bsolvd load/chaos smoke under the race detector: 50 concurrent solves with
-# injected panics and a mid-run SIGTERM (zero lost jobs, clean drain), plus
-# the full chaos acceptance test (saturated-queue shedding, watchdog rescue,
-# audited-correct answers only).
-load-smoke:
-	$(GO) test -race -count=1 -run 'TestServeLoadSmoke|TestChaosAcceptance' ./internal/serve
+# The race detector on the concurrency-sensitive packages: the engine
+# interrupt hook, solver cancellation, portfolio racing + clause sharing,
+# local search, fault injection, the incremental Reducer's watcher protocol,
+# the warm-start LP state, cut pools, the fuzz harness, the live metrics
+# registry, presolve, and the core-guided and wcnf paths. The one list both
+# `make ci` and CI use.
+RACE_PKGS := ./internal/engine ./internal/core ./internal/portfolio ./internal/share ./internal/ls ./internal/fault ./internal/bounds ./internal/lp ./internal/cuts ./internal/fuzz ./internal/obs ./internal/preprocess ./internal/wbo ./internal/wcnf
+race-pkgs:
+	$(GO) test -race $(RACE_PKGS)
 
 build:
 	$(GO) build ./...

@@ -284,6 +284,8 @@ func main() {
 			configs[i].Options.MaxConflicts = opt.MaxConflicts
 			configs[i].Options.BoundBudget = opt.BoundBudget
 			configs[i].Options.FallbackAfter = opt.FallbackAfter
+			configs[i].Options.NoIncrementalReduce = opt.NoIncrementalReduce
+			configs[i].Options.NoWarmLP = opt.NoWarmLP
 			configs[i].Options.NoCuts = opt.NoCuts
 			configs[i].Options.CutRounds = opt.CutRounds
 			configs[i].Options.CutMaxPool = opt.CutMaxPool
@@ -350,6 +352,14 @@ func main() {
 			}
 		}
 	} else {
+		// Each improving incumbent is printed as an o line the moment it is
+		// found (the PB competition convention), so a run stopped by a
+		// signal has already reported its progress.
+		var offset int64
+		if wi != nil {
+			offset = wi.Offset
+		}
+		opt.OnIncumbent = func(best int64) { fmt.Printf("o %d\n", best+offset) }
 		opt.Trace = tracer.Named(strings.ToLower(*lbFlag))
 		if registry != nil {
 			live := &obs.Live{}

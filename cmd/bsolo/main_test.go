@@ -1,11 +1,21 @@
 package main
 
 import (
+	"bufio"
+	"encoding/json"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"strconv"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
+	"repro/internal/gen"
+	"repro/internal/obs"
+	"repro/internal/opb"
+	"repro/internal/verify"
 	"repro/internal/wbo"
 )
 
@@ -144,5 +154,139 @@ func TestWeightedValueLineNames(t *testing.T) {
 	got := weightedValueLine(wi, []bool{true, false, true})
 	if got != "v a -x2 x3" {
 		t.Fatalf("got %q", got)
+	}
+}
+
+// mcncOPB renders a generated MCNC covering instance as OPB text.
+func mcncOPB(t *testing.T, inputs int) string {
+	t.Helper()
+	p, err := gen.MinCover(gen.MinCoverConfig{Inputs: inputs, OnDensity: 0.3, DcDensity: 0.1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return opb.WriteString(p)
+}
+
+// TestPortfolioHonoursAblationFlags checks that -warm-lp=false and
+// -incremental=false reach every portfolio member, not only single solves.
+// No member proves this instance within the conflict cap, so every member,
+// lpr included, runs to its own limit whatever the scheduling.
+func TestPortfolioHonoursAblationFlags(t *testing.T) {
+	metrics := filepath.Join(t.TempDir(), "m.json")
+	out, code := runBsolo(t, mcncOPB(t, 9), "-portfolio", "-share=false", "-conflicts", "50",
+		"-warm-lp=false", "-incremental=false", "-metrics", metrics)
+	if code != 0 {
+		t.Fatalf("exit %d, want 0:\n%s", code, out)
+	}
+	raw, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	sawLPR := false
+	for _, m := range snap.Solvers {
+		if m.Bounds.Incremental {
+			t.Errorf("member %s ran the incremental reducer under -incremental=false", m.Name)
+		}
+		if m.Name == "lpr" {
+			sawLPR = true
+			if m.BoundCalls == 0 {
+				t.Errorf("lpr member made no bound calls; the check is vacuous")
+			}
+			if m.Bounds.WarmSolves != 0 {
+				t.Errorf("lpr member made %d warm LP solves under -warm-lp=false", m.Bounds.WarmSolves)
+			}
+		}
+	}
+	if !sawLPR {
+		t.Fatalf("no lpr member in the metrics snapshot: %s", raw)
+	}
+}
+
+// TestSIGTERMReportsVerifiedIncumbent stops a long plain search with SIGTERM
+// once it has printed an incumbent, and checks that bsolo says so, exits
+// promptly, and prints a value line that satisfies the problem at the
+// printed objective.
+func TestSIGTERMReportsVerifiedIncumbent(t *testing.T) {
+	text := mcncOPB(t, 10)
+	prob, err := opb.ParseString(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-lb", "plain")
+	cmd.Env = append(os.Environ(), "BSOLO_RUN_MAIN=1")
+	cmd.Stdin = strings.NewReader(text)
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	// Read up to the first o line, then signal; each phase has a kill
+	// switch so a hung process fails the test instead of stalling it.
+	sc := bufio.NewScanner(stdout)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	var out []string
+	sawO := false
+	kill := time.AfterFunc(60*time.Second, func() { cmd.Process.Kill() })
+	for !sawO && sc.Scan() {
+		out = append(out, sc.Text())
+		sawO = strings.HasPrefix(sc.Text(), "o ")
+	}
+	kill.Stop()
+	if !sawO {
+		t.Fatalf("no o line before exit or 60s:\n%s", strings.Join(out, "\n"))
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	signalled := time.Now()
+	kill = time.AfterFunc(10*time.Second, func() { cmd.Process.Kill() })
+	defer kill.Stop()
+	for sc.Scan() {
+		out = append(out, sc.Text())
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("bsolo exit after SIGTERM: %v\n%s", err, strings.Join(out, "\n"))
+	}
+	if waited := time.Since(signalled); waited > 5*time.Second {
+		t.Fatalf("bsolo took %v to exit after SIGTERM", waited)
+	}
+
+	all := strings.Join(out, "\n")
+	if !strings.Contains(all, "c caught terminated") {
+		t.Fatalf("no 'c caught' line:\n%s", all)
+	}
+	if !strings.Contains(all, "s UNKNOWN") {
+		t.Fatalf("an interrupted plain search must report s UNKNOWN:\n%s", all)
+	}
+	var best int64
+	haveBest := false
+	for _, l := range out {
+		if strings.HasPrefix(l, "o ") {
+			if best, err = strconv.ParseInt(strings.TrimPrefix(l, "o "), 10, 64); err != nil {
+				t.Fatal(err)
+			}
+			haveBest = true
+		}
+	}
+	if !haveBest {
+		t.Fatalf("no o line:\n%s", all)
+	}
+	asg, err := verify.ScanValueLine(prob, strings.NewReader(all))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := verify.Check(prob, asg.Values)
+	if !rep.Feasible {
+		t.Fatalf("printed assignment violates constraint %d", rep.ViolatedIdx)
+	}
+	if rep.Objective != best {
+		t.Fatalf("printed assignment costs %d, last o line says %d", rep.Objective, best)
 	}
 }

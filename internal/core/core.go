@@ -182,18 +182,6 @@ type Options struct {
 	// default).
 	CutMaxPool int
 
-	// LPRState, when non-nil, supplies a persistent LP warm-start state that
-	// outlives this solve: the serving layer's solve-session cache hands the
-	// previous submission's state back in, so an incremental re-solve of the
-	// same (or a near-identical) problem starts from the cached basis instead
-	// of the slack crash. Purely an accelerator — lp.SolveWarm maps the basis
-	// under search-stable keys and falls back to a cold solve whenever the
-	// mapping is poor or numerically suspect, so a stale or corrupted cached
-	// basis costs one cold solve, never a wrong bound. Ignored unless
-	// LowerBound is LBLPR and NoWarmLP is false. Not safe for concurrent use:
-	// the caller must hand one state to at most one running solve at a time.
-	LPRState *bounds.LPRState
-
 	// Share, when non-nil, connects this solve to a cooperative-portfolio
 	// board (see Sharer): incumbents are published and adopted, learned
 	// clauses exchanged, and bound estimations interrupted by foreign upper
@@ -396,14 +384,9 @@ type solver struct {
 	// with Options.NoIncrementalReduce or LBNone: Extract per node instead).
 	reducer *bounds.Reducer
 	// lprState carries the LP warm-start basis between LPR calls (nil
-	// unless LowerBound is LBLPR and warm starts are enabled). The lpr*0
-	// baselines subtract counter history carried in by an injected
-	// persistent state (Options.LPRState), so Stats reports this solve's
-	// own warm/cold/fallback counts.
+	// unless LowerBound is LBLPR and warm starts are enabled). Each solve
+	// owns a fresh one, so its counters are this solve's own.
 	lprState *bounds.LPRState
-	lprWarm0 int64
-	lprCold0 int64
-	lprFB0   int64
 	// cutPool is the managed cut store threaded into LPR (nil unless
 	// LowerBound is LBLPR and cuts are enabled). One pool per solve: pooled
 	// cuts are derived from THIS problem's rows and must not leak across
@@ -473,7 +456,7 @@ type cardSet struct {
 // problem is not modified.
 //
 // Solve does not recover panics; callers that must survive a crashing
-// configuration (the portfolio, the harness, services) should use SafeSolve.
+// configuration (the portfolio, the harness, cmd/bsolo) should use SafeSolve.
 func Solve(p *pb.Problem, opt Options) Result {
 	// fault point "core.solve", keyed by the lower-bound method: lets tests
 	// crash one portfolio member while the others race on.
@@ -509,16 +492,7 @@ func Solve(p *pb.Problem, opt Options) Result {
 		s.fallback = bounds.MIS{}
 	case LBLPR:
 		if !opt.NoWarmLP {
-			if opt.LPRState != nil {
-				s.lprState = opt.LPRState
-			} else {
-				s.lprState = &bounds.LPRState{}
-			}
-		}
-		if s.lprState != nil {
-			s.lprWarm0 = s.lprState.WarmSolves()
-			s.lprCold0 = s.lprState.ColdSolves()
-			s.lprFB0 = s.lprState.WarmFallbacks()
+			s.lprState = &bounds.LPRState{}
 		}
 		if !opt.NoCuts {
 			s.cutPool = cuts.NewPool(cuts.Config{
@@ -596,9 +570,9 @@ func (s *solver) snapshotStats() Stats {
 	st := s.stats
 	bs := s.bstats.Clone()
 	if s.lprState != nil {
-		bs.WarmSolves = s.lprState.WarmSolves() - s.lprWarm0
-		bs.ColdSolves = s.lprState.ColdSolves() - s.lprCold0
-		bs.WarmFallbacks = s.lprState.WarmFallbacks() - s.lprFB0
+		bs.WarmSolves = s.lprState.WarmSolves()
+		bs.ColdSolves = s.lprState.ColdSolves()
+		bs.WarmFallbacks = s.lprState.WarmFallbacks()
 	}
 	if s.cutPool != nil {
 		bs.Cuts = s.cutPool.Counters()
@@ -894,9 +868,9 @@ func (s *solver) estimateInner(red *bounds.Reduced, target int64) bounds.Result 
 		s.stats.BoundDemotions++
 		if s.lprState != nil {
 			s.lprState.Invalidate()
-			s.bstats.WarmSolves = s.lprState.WarmSolves() - s.lprWarm0
-			s.bstats.ColdSolves = s.lprState.ColdSolves() - s.lprCold0
-			s.bstats.WarmFallbacks = s.lprState.WarmFallbacks() - s.lprFB0
+			s.bstats.WarmSolves = s.lprState.WarmSolves()
+			s.bstats.ColdSolves = s.lprState.ColdSolves()
+			s.bstats.WarmFallbacks = s.lprState.WarmFallbacks()
 			s.lprState = nil
 		}
 	}

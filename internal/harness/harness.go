@@ -488,11 +488,9 @@ func fill(rr *RunResult, res core.Result) {
 	}
 }
 
-// runPortfolio runs the default four-member race under the harness limits,
-// cooperatively or isolated; withLS appends one UB-only local-search member
-// (the portfolio-ls column). noteInc receives every member's incumbent
-// reports for the FirstIncumbent column.
-func runPortfolio(p *pb.Problem, lim Limits, isolated, withLS bool, noteInc func(int64)) portfolio.Result {
+// portfolioMembers returns the default four B&B members with the harness
+// limits and ablation switches applied to each.
+func portfolioMembers(lim Limits, noteInc func(int64)) []portfolio.Config {
 	configs := portfolio.DefaultConfigs()
 	for i := range configs {
 		configs[i].Options.TimeLimit = lim.Time
@@ -504,6 +502,15 @@ func runPortfolio(p *pb.Problem, lim Limits, isolated, withLS bool, noteInc func
 		configs[i].Options.CutMaxPool = lim.CutMaxPool
 		configs[i].Options.OnIncumbent = noteInc
 	}
+	return configs
+}
+
+// runPortfolio runs the default four-member race under the harness limits,
+// cooperatively or isolated; withLS appends one UB-only local-search member
+// (the portfolio-ls column). noteInc receives every member's incumbent
+// reports for the FirstIncumbent column.
+func runPortfolio(p *pb.Problem, lim Limits, isolated, withLS bool, noteInc func(int64)) portfolio.Result {
+	configs := portfolioMembers(lim, noteInc)
 	if withLS {
 		cfg := portfolio.LSConfig("ls", 101, lsFlipBudget(lim))
 		cfg.LS.TimeLimit = lim.Time
@@ -524,17 +531,7 @@ func runPortfolio(p *pb.Problem, lim Limits, isolated, withLS bool, noteInc func
 // Builder() compilation (inst.Prob), which is exactly the space the
 // core-guided member's ExtendedWitness maps into.
 func runPortfolioWbo(inst Instance, lim Limits, noteInc func(int64)) portfolio.Result {
-	configs := portfolio.DefaultConfigs()
-	for i := range configs {
-		configs[i].Options.TimeLimit = lim.Time
-		configs[i].Options.MaxConflicts = lim.MaxConflicts
-		configs[i].Options.NoIncrementalReduce = lim.NoIncrementalReduce
-		configs[i].Options.NoWarmLP = lim.NoWarmLP
-		configs[i].Options.NoCuts = lim.NoCuts
-		configs[i].Options.CutRounds = lim.CutRounds
-		configs[i].Options.CutMaxPool = lim.CutMaxPool
-		configs[i].Options.OnIncumbent = noteInc
-	}
+	configs := portfolioMembers(lim, noteInc)
 	cg := portfolio.Config{CoreGuided: &portfolio.CoreGuided{
 		Instance: inst.WBO,
 		Options:  wbo.Options{TimeLimit: lim.Time, MaxConflicts: lim.MaxConflicts},

@@ -171,32 +171,12 @@ func (r *Registry) Handler() http.Handler {
 // host (":6060") is rewritten to 127.0.0.1, and binding a non-loopback host
 // requires spelling it out explicitly (DESIGN.md §11 security note).
 //
-// The shutdown function drains in-flight requests gracefully for up to two
-// seconds before force-closing; long-lived callers that want to control the
-// drain budget should use ServeHandler directly.
-func Serve(addr string, r *Registry) (boundAddr string, shutdown func(), err error) {
-	bound, stop, err := ServeHandler(addr, r.Handler())
-	if err != nil {
-		return "", nil, err
-	}
-	return bound, func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = stop(ctx)
-	}, nil
-}
-
-// ServeHandler starts a hardened HTTP server for an arbitrary handler with
-// the same loopback-default addressing as Serve. The server carries
-// slow-client protection for long-lived use — ReadHeaderTimeout against
+// The server carries slow-client protection — ReadHeaderTimeout against
 // header-dribbling connections, IdleTimeout so abandoned keep-alives do not
-// accumulate — and the returned shutdown function performs a context-bounded
-// graceful drain: new connections are refused immediately, in-flight
-// requests get until ctx's deadline, and whatever remains is force-closed.
-// Shutdown always reaps the serving goroutine before returning (the
-// pre-hardening Serve could only abandon it). Reused by bsolvd for both its
-// API listener and its debug endpoint.
-func ServeHandler(addr string, h http.Handler) (boundAddr string, shutdown func(context.Context) error, err error) {
+// accumulate. The shutdown function refuses new connections immediately,
+// drains in-flight requests for up to two seconds, force-closes whatever
+// remains, and always reaps the serving goroutine before returning.
+func Serve(addr string, r *Registry) (boundAddr string, shutdown func(), err error) {
 	if strings.HasPrefix(addr, ":") {
 		addr = "127.0.0.1" + addr
 	}
@@ -205,7 +185,7 @@ func ServeHandler(addr string, h http.Handler) (boundAddr string, shutdown func(
 		return "", nil, fmt.Errorf("obs: debug endpoint: %w", err)
 	}
 	srv := &http.Server{
-		Handler:           h,
+		Handler:           r.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
@@ -214,12 +194,12 @@ func ServeHandler(addr string, h http.Handler) (boundAddr string, shutdown func(
 		defer close(done)
 		_ = srv.Serve(ln) // ErrServerClosed on shutdown
 	}()
-	return ln.Addr().String(), func(ctx context.Context) error {
-		err := srv.Shutdown(ctx)
-		if err != nil {
+	return ln.Addr().String(), func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		if srv.Shutdown(ctx) != nil {
 			_ = srv.Close() // drain budget exhausted: force-close stragglers
 		}
 		<-done
-		return err
 	}, nil
 }

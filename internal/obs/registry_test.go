@@ -3,11 +3,13 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func sampleSolverMetrics(name string) SolverMetrics {
@@ -193,5 +195,36 @@ func TestServeDefaultsToLoopback(t *testing.T) {
 	defer shutdown()
 	if !strings.HasPrefix(addr, "127.0.0.1:") {
 		t.Fatalf("host-less addr must bind loopback, got %s", addr)
+	}
+}
+
+// TestServeShutdownWithIdleClient checks that shutdown returns promptly
+// while a client still holds an idle keep-alive connection, and that the
+// listener is closed afterwards.
+func TestServeShutdownWithIdleClient(t *testing.T) {
+	addr, shutdown, err := Serve("127.0.0.1:0", NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close() // the connection goes back to the client's idle pool
+
+	done := make(chan struct{})
+	go func() {
+		shutdown()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("shutdown did not return within 5s")
+	}
+	if c, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+		c.Close()
+		t.Fatal("listener still accepts connections after shutdown")
 	}
 }

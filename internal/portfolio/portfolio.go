@@ -157,16 +157,6 @@ type Options struct {
 	// snapshot function, so a concurrent scraper (`bsolo -debug-addr`) sees
 	// the full roster and tear-free per-member counters mid-race.
 	Registry *obs.Registry
-	// WarmIncumbent, when non-nil, seeds the board with a known-feasible
-	// solution before any member starts — the serving layer's solve-session
-	// cache hands back the previous submission's incumbent so every member
-	// begins with its upper bound (and the eq. 10 cut it implies) instead of
-	// rediscovering it. The assignment is verified against p and its cost
-	// recomputed from the values before publication; an infeasible or
-	// wrong-length seed (a corrupted cache entry) is silently dropped and the
-	// race starts cold — seeding can degrade to nothing but never poison the
-	// board. Ignored with NoSharing (there is no board to seed).
-	WarmIncumbent []bool
 }
 
 // MemberResult is one member's outcome, reported in config order.
@@ -222,8 +212,13 @@ func (r *Result) TotalDecisions() int64 {
 }
 
 // Solve races the given configurations cooperatively with default options.
-// Limits in each member's Options still apply individually (set a common
-// TimeLimit to bound the whole run).
+// Limits in each member's Options apply to that member alone: a member's
+// TimeLimit clock starts when the member starts, and members beyond the
+// concurrency cap (Options.MaxConcurrent, GOMAXPROCS by default) wait for a
+// running one to finish. A common TimeLimit therefore does not bound the
+// whole run: with more members than slots the wall time can reach a
+// multiple of it (ROADMAP, "End-to-end deadlines"). Close a Stop channel
+// (SolveWithCancel) to bound the run from outside.
 func Solve(p *pb.Problem, configs []Config) Result {
 	return SolveOpts(p, configs, Options{})
 }
@@ -270,7 +265,6 @@ func SolveOpts(p *pb.Problem, configs []Config, opts Options) Result {
 				handles[i] = board.Join(cfg.name())
 			}
 		}
-		SeedIncumbent(board, p, opts.WarmIncumbent)
 	}
 
 	// Observability wiring: one live metrics source per member (registered
@@ -423,26 +417,6 @@ func SolveOpts(p *pb.Problem, configs []Config, opts Options) Result {
 	return finalize(Result{Result: core.Result{Status: core.StatusLimit}})
 }
 
-// SeedIncumbent publishes a cached incumbent to the board under a "warm"
-// member identity. Defensive by construction: the assignment must have the
-// right length and satisfy every constraint, and the published cost is
-// recomputed from the values (internal space, excluding CostOffset) — a
-// corrupted cache entry fails verification and the board stays empty.
-func SeedIncumbent(board *share.Board, p *pb.Problem, values []bool) bool {
-	if board == nil || values == nil || len(values) != p.NumVars || !p.Feasible(values) {
-		return false
-	}
-	var cost int64
-	for v, c := range p.Cost {
-		if c != 0 && values[v] {
-			cost += c
-		}
-	}
-	// The seeder is incumbent-only: were it a clause member, its permanently
-	// stalled ring cursor would (wrongly) show up in the lap accounting.
-	return board.JoinNoClauses("warm").PublishIncumbent(cost, values)
-}
-
 // sanitizeUBOnly enforces the UB-only contract on a local-search member's
 // outcome before the winner logic can see it: an exhaustion verdict
 // (optimal/unsat) is structurally impossible for a member that merely
@@ -486,9 +460,7 @@ func runLSMember(p *pb.Problem, cfg Config, cancel <-chan struct{}, m *share.Mem
 		opt.Audit = aud
 	}
 	opt.Trace = trace
-	if live != nil {
-		opt.Live = live
-	}
+	opt.Live = live
 	lr := ls.Solve(p, opt)
 	if lr.Err != nil {
 		return core.Result{Status: core.StatusError, Err: lr.Err}
@@ -608,12 +580,7 @@ func runMember(p *pb.Problem, cfg Config, cancel <-chan struct{}, m *share.Membe
 		opt.Audit = aud
 	}
 	opt.Trace = trace
-	if live != nil {
-		// The registry-managed source wins; otherwise a Live handle set on
-		// the member's own Options (the serving layer's per-job watchdog
-		// heartbeat) is left in place instead of being clobbered with nil.
-		opt.Live = live
-	}
+	opt.Live = live
 	return core.Solve(p, opt)
 }
 
