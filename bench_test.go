@@ -1,6 +1,7 @@
 // Package repro's benchmark suite regenerates the paper's evaluation
 // (Table 1 — its only exhibit; the paper contains no figures) and the
-// ablation studies A1–A6 indexed in DESIGN.md §4.
+// ablation studies A1–A6 and A8 indexed in DESIGN.md §4 (A7, cut
+// separation, is `make bench-cuts`).
 //
 // Table 1 benches (one per family, sub-benchmarks per solver column):
 //
@@ -15,6 +16,7 @@
 //	BenchmarkAblationCardInference  — §5 eqs. 11–13 on/off
 //	BenchmarkAblationLGRIterations  — §6 LGR convergence (iteration sweep)
 //	BenchmarkAblationPreprocess     — §6 preprocessing on the synth family
+//	BenchmarkAblationLPIncumbent    — LP-point incumbents vs §5's branching-only use
 //
 // Bench instances are scaled down from the Table 1 defaults so that a
 // single iteration stays in the tens-of-milliseconds range for the strong
@@ -239,4 +241,17 @@ func BenchmarkAblationPreprocess(b *testing.B) {
 	}
 	b.Run("preprocess", func(b *testing.B) { run(b, true) })
 	b.Run("raw", func(b *testing.B) { run(b, false) })
+}
+
+// A8 — the LPR point as an incumbent source (root LP before the first
+// incumbent, 0.5-rounding at the root, integral points below it) vs the
+// paper's §5, which uses the point only to pick the branching variable.
+func BenchmarkAblationLPIncumbent(b *testing.B) {
+	b.Run("lp-incumbent", func(b *testing.B) {
+		runWithOptions(b, core.Options{LowerBound: core.LBLPR, CardinalityInference: true})
+	})
+	b.Run("branching-only", func(b *testing.B) {
+		runWithOptions(b, core.Options{LowerBound: core.LBLPR, CardinalityInference: true,
+			NoLPIncumbent: true})
+	})
 }

@@ -536,8 +536,8 @@ func main() {
 		if fixing != nil {
 			fmt.Printf("c presolveFixed=%d\n", fixing.NumFixed())
 		}
-		fmt.Printf("c solutions=%d restarts=%d knapsackCuts=%d cardCuts=%d ncbSavedLevels=%d learned=%d\n",
-			st.Solutions, st.Restarts, st.KnapsackCuts, st.CardCuts, st.NCBSavedLevels, st.LearnedClauses)
+		fmt.Printf("c solutions=%d lpIncumbents=%d restarts=%d knapsackCuts=%d cardCuts=%d ncbSavedLevels=%d learned=%d\n",
+			st.Solutions, st.LPIncumbents, st.Restarts, st.KnapsackCuts, st.CardCuts, st.NCBSavedLevels, st.LearnedClauses)
 		if st.PBLearned > 0 || st.PBCardNormalized > 0 {
 			fmt.Printf("c pbLearned=%d pbCardNormalized=%d\n", st.PBLearned, st.PBCardNormalized)
 		}

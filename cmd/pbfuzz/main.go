@@ -73,10 +73,7 @@ func main() {
 			continue
 		}
 		findings++
-		small := fuzz.Shrink(p, func(q *pb.Problem) bool {
-			return len(fuzz.Check(q, *budget)) > 0
-		})
-		sms := fuzz.Check(small, *budget)
+		small, sms := fuzz.ShrinkFailure(p, ms, *budget)
 		fmt.Fprintf(os.Stderr, "c seed %d: %d mismatch(es), shrunk %d->%d constraints\n",
 			s, len(ms), len(p.Constraints), len(small.Constraints))
 		for _, m := range sms {

@@ -96,6 +96,12 @@ type Options struct {
 	NoLPBranching bool
 	// NoKnapsackCuts disables the eq. 10 incumbent constraint.
 	NoKnapsackCuts bool
+	// NoLPIncumbent restores the paper's use of the LPR point, which only
+	// picks the branching variable (§5). By default an LPR run also solves
+	// the root LP before the first incumbent and turns LP points into
+	// verified incumbents: the root point rounded at 0.5, and an integral
+	// point at any node. Kept for ablation A8.
+	NoLPIncumbent bool
 	// CardinalityInference enables the eq. 11–13 inference on new
 	// incumbents.
 	CardinalityInference bool
@@ -300,6 +306,9 @@ type Stats struct {
 	// cardinality constraints and rewritten with unit coefficients
 	// (cuts.DetectCardinality): e.g. 3x+3y+2z ≥ 5 becomes x+y+z ≥ 2.
 	PBCardNormalized int64
+	// LPIncumbents counts incumbents taken from an LPR point rather than
+	// from a search leaf (see Options.NoLPIncumbent).
+	LPIncumbents int64
 
 	// Resilience counters (the fallback ladder of the bound procedures).
 	//
@@ -400,6 +409,9 @@ type solver struct {
 
 	upper    int64 // best objective found so far, excluding CostOffset
 	bestVals []bool
+	// rootLPDone records that the root LP before the first incumbent has
+	// run (see boundNode).
+	rootLPDone bool
 	// upperForeign marks an incumbent adopted from the sharing board (reset
 	// whenever a locally found solution takes over); prunes under a foreign
 	// incumbent are attributed to sharing in the stats.
@@ -1022,8 +1034,7 @@ func (s *solver) search() Result {
 
 		// Lower bound estimation (§3) and bound conflict detection (§4).
 		fracX = nil
-		if hasObjective && s.upper < upperInf && s.opt.LowerBound != LBNone &&
-			s.nodeCounter%s.opt.BoundEvery == 0 {
+		if hasObjective && s.boundNode() {
 			red := s.reduce()
 			s.stats.BoundCalls++
 			res := s.estimate(red, s.upper-path)
@@ -1032,6 +1043,13 @@ func (s *solver) search() Result {
 			// short by Budget.Interrupt still gets its node pruned against
 			// the tighter upper bound.
 			s.adoptShared()
+			// Likewise an incumbent read off the LP point: at the root, a
+			// rounded point whose cost meets ⌈z_lp⌉ ends the search here
+			// through the ordinary bound conflict at level 0.
+			lpInc := s.lpIncumbent(res.FracX)
+			if lpInc && s.opt.Strategy == StrategyLinearSearch {
+				continue // addIncumbentCuts restarted the search from the root
+			}
 			if path+res.Bound >= s.upper {
 				s.stats.BoundPrunes++
 				s.bstats.Proc(s.lastEst).Prunes++
@@ -1044,6 +1062,11 @@ func (s *solver) search() Result {
 					return s.finish(true)
 				}
 				continue
+			}
+			if lpInc && s.knapCut >= 0 {
+				// The eq. 10 row was created or tightened at this node; have
+				// the next propagation examine it.
+				s.eng.ScheduleCheck(s.knapCut)
 			}
 			fracX = res.FracX
 		}
@@ -1059,19 +1082,7 @@ func (s *solver) search() Result {
 				return s.finish(true)
 			}
 			if path < s.upper {
-				s.upper = path
-				s.bestVals = s.eng.Values()
-				s.upperForeign = false
-				s.trace.Emit(obs.EvIncumbent, "", s.upper+s.prob.CostOffset, 0, "local")
-				s.auditIncumbent()
-				// Publish before any clause learned under the new bound can
-				// reach the exchange — the ordering the sharing soundness
-				// argument rests on (DESIGN.md §9).
-				s.publishIncumbent()
-				if s.opt.OnIncumbent != nil {
-					s.opt.OnIncumbent(s.upper + s.prob.CostOffset)
-				}
-				s.addIncumbentCuts()
+				s.adoptLocal(path, s.eng.Values(), "local")
 			}
 			if s.opt.Strategy == StrategyLinearSearch {
 				// addIncumbentCuts restarted the search from the root; the
@@ -1096,6 +1107,79 @@ func (s *solver) search() Result {
 		}
 		s.eng.Decide(lit)
 	}
+}
+
+// boundNode reports whether the current node gets a lower-bound estimate:
+// every BoundEvery-th node once an incumbent exists, and — on LPR runs with
+// LP incumbents — one root node before the first incumbent, whose LP point
+// may supply that incumbent.
+func (s *solver) boundNode() bool {
+	if s.opt.LowerBound == LBNone {
+		return false
+	}
+	if s.upper < upperInf {
+		return s.nodeCounter%s.opt.BoundEvery == 0
+	}
+	if s.rootLPDone || s.opt.LowerBound != LBLPR || s.opt.NoLPIncumbent || s.eng.DecisionLevel() != 0 {
+		return false
+	}
+	s.rootLPDone = true
+	return true
+}
+
+// lpIntEps is the distance from 0 or 1 within which an LP value counts as
+// integral.
+const lpIntEps = 1e-6
+
+// lpIncumbent turns an LPR point into an incumbent when it yields a feasible
+// assignment cheaper than the current one. At decision level 0 the point is
+// rounded at 0.5; below the root it is used only when every value is
+// integral. Assigned variables keep their trail values and unassigned
+// variables outside fracX take 0. It reports whether an incumbent was adopted.
+func (s *solver) lpIncumbent(fracX []bounds.FracVar) bool {
+	if fracX == nil || s.opt.NoLPIncumbent {
+		return false
+	}
+	if s.eng.DecisionLevel() > 0 {
+		for _, f := range fracX {
+			if f.X > lpIntEps && f.X < 1-lpIntEps {
+				return false
+			}
+		}
+	}
+	vals := s.eng.Values()
+	for _, f := range fracX {
+		vals[f.Var] = f.X >= 0.5
+	}
+	if !s.prob.Feasible(vals) {
+		return false
+	}
+	cost := s.prob.ObjectiveValue(vals) - s.prob.CostOffset
+	if cost >= s.upper {
+		return false
+	}
+	s.stats.LPIncumbents++
+	s.adoptLocal(cost, vals, "lp")
+	return true
+}
+
+// adoptLocal makes a solution this solver found — at a search leaf, or from
+// an LP point — the incumbent: audit it, publish it, report it and tighten
+// the incumbent cuts. source tags the EvIncumbent trace event.
+func (s *solver) adoptLocal(cost int64, vals []bool, source string) {
+	s.upper = cost
+	s.bestVals = vals
+	s.upperForeign = false
+	s.trace.Emit(obs.EvIncumbent, "", s.upper+s.prob.CostOffset, 0, source)
+	s.auditIncumbent()
+	// Publish before any clause learned under the new bound can reach the
+	// exchange — the ordering the sharing soundness argument rests on
+	// (DESIGN.md §9).
+	s.publishIncumbent()
+	if s.opt.OnIncumbent != nil {
+		s.opt.OnIncumbent(s.upper + s.prob.CostOffset)
+	}
+	s.addIncumbentCuts()
 }
 
 // resolveConstraintConflict analyzes a BCP conflict; returns false when the
@@ -1328,13 +1412,12 @@ type branchEngine interface {
 // must replay identically across processes for the deterministic mode to
 // mean anything. ok is false when no candidate is fractional.
 func lpBranchVar(fracX []bounds.FracVar, e branchEngine) (best bounds.FracVar, ok bool) {
-	const intEps = 1e-6
 	bestDist := math.Inf(1)
 	for _, f := range fracX {
 		if e.Value(f.Var) != engine.Unassigned {
 			continue
 		}
-		if f.X < intEps || f.X > 1-intEps {
+		if f.X < lpIntEps || f.X > 1-lpIntEps {
 			continue // integral in the LP: not a §5 candidate
 		}
 		if d := math.Abs(f.X - 0.5); d < bestDist {
@@ -1348,7 +1431,7 @@ func lpBranchVar(fracX []bounds.FracVar, e branchEngine) (best bounds.FracVar, o
 		if e.Value(f.Var) != engine.Unassigned {
 			continue
 		}
-		if f.X < intEps || f.X > 1-intEps {
+		if f.X < lpIntEps || f.X > 1-lpIntEps {
 			continue
 		}
 		if math.Abs(f.X-0.5) > bestDist+1e-9 {

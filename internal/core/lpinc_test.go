@@ -1,0 +1,100 @@
+package core_test
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/audit"
+	"repro/internal/core"
+	"repro/internal/gen"
+	"repro/internal/milp"
+	"repro/internal/obs"
+	"repro/internal/pb"
+)
+
+// auditedSolve solves p with an auditor attached and fails the test on any
+// violation.
+func auditedSolve(t *testing.T, name string, p *pb.Problem, opt core.Options) core.Result {
+	t.Helper()
+	a := audit.New(p)
+	opt.Audit = a
+	res := core.Solve(p, opt)
+	if rep := a.Snapshot(); !rep.Ok() {
+		t.Fatalf("%s: audit violations:\n%s", name, rep.String())
+	}
+	return res
+}
+
+// TestLPIncumbentClosesRoot: on small synthesis and covering instances the
+// root LP point rounds to an optimal assignment, so LPR proves the optimum
+// at the root with no decision, and that optimum is milp's.
+func TestLPIncumbentClosesRoot(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		synth, err := gen.Synthesis(gen.SynthesisConfig{Nodes: 10, Impls: 4, Fanout: 2.0, Incompat: 0.5, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mcnc, err := gen.MinCover(gen.MinCoverConfig{Inputs: 6, OnDensity: 0.3, DcDensity: 0.1, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range []struct {
+			name string
+			p    *pb.Problem
+		}{{fmt.Sprintf("synth-%d", seed), synth}, {fmt.Sprintf("mcnc-%d", seed), mcnc}} {
+			res := auditedSolve(t, in.name, in.p, core.Options{LowerBound: core.LBLPR, CardinalityInference: true})
+			ref := milp.Solve(in.p, milp.Options{})
+			if res.Status != core.StatusOptimal || !ref.HasSolution || res.Best != ref.Best {
+				t.Fatalf("%s: status %v best %d, milp best %d", in.name, res.Status, res.Best, ref.Best)
+			}
+			if res.Stats.Decisions != 0 || res.Stats.LPIncumbents < 1 {
+				t.Fatalf("%s: decisions %d, LP incumbents %d: the root did not close",
+					in.name, res.Stats.Decisions, res.Stats.LPIncumbents)
+			}
+			off := auditedSolve(t, in.name, in.p, core.Options{LowerBound: core.LBLPR, CardinalityInference: true,
+				NoLPIncumbent: true})
+			if off.Status != core.StatusOptimal || off.Best != res.Best || off.Stats.LPIncumbents != 0 {
+				t.Fatalf("%s: NoLPIncumbent: status %v best %d, LP incumbents %d",
+					in.name, off.Status, off.Best, off.Stats.LPIncumbents)
+			}
+		}
+	}
+}
+
+// TestLPIncumbentRoundingInfeasible: on the odd cycle x0+x1 ≥ 1, x1+x2 ≥ 1,
+// x0+x2 ≥ 1 with at most two of the three set and equal costs, the root LP
+// point is (½,½,½) and rounds to all ones, which breaks the at-most-two row.
+// No LP incumbent is taken and the search still proves the optimum 2. Cuts
+// are off: separation would tighten the root LP to an integral point.
+func TestLPIncumbentRoundingInfeasible(t *testing.T) {
+	p := pb.NewProblem(3)
+	lits := []pb.Lit{pb.PosLit(0), pb.PosLit(1), pb.PosLit(2)}
+	for v := range lits {
+		p.SetCost(pb.Var(v), 1)
+	}
+	_ = p.AddClause(lits[0], lits[1])
+	_ = p.AddClause(lits[1], lits[2])
+	_ = p.AddClause(lits[0], lits[2])
+	_ = p.AddAtMost(lits, 2)
+	tr := obs.NewTracer(64)
+	res := auditedSolve(t, "odd-cycle", p, core.Options{LowerBound: core.LBLPR, NoCuts: true, Trace: tr})
+	if res.Status != core.StatusOptimal || res.Best != 2 {
+		t.Fatalf("status %v best %d, want optimal 2", res.Status, res.Best)
+	}
+	if res.Stats.LPIncumbents != 0 {
+		t.Fatalf("%d LP incumbents from an infeasible rounding", res.Stats.LPIncumbents)
+	}
+	// The root LP ran before the first incumbent, which came from a leaf.
+	var kinds []string
+	for _, e := range tr.Snapshot() {
+		switch e.Kind {
+		case obs.EvBound:
+			kinds = append(kinds, "bound")
+		case obs.EvIncumbent:
+			kinds = append(kinds, "incumbent:"+e.Note)
+		}
+	}
+	if len(kinds) < 2 || kinds[0] != "bound" || kinds[1] != "incumbent:local" {
+		t.Fatalf("bound/incumbent events %v, want the root bound first, then a leaf incumbent", kinds)
+	}
+}

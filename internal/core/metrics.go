@@ -28,6 +28,7 @@ func (st *Stats) Metrics() obs.SolverMetrics {
 		BoundCalls:     st.BoundCalls,
 		BoundPrunes:    st.BoundPrunes,
 		Solutions:      st.Solutions,
+		LPIncumbents:   st.LPIncumbents,
 		Restarts:       st.Restarts,
 		KnapsackCuts:   st.KnapsackCuts,
 		CardCuts:       st.CardCuts,

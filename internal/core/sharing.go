@@ -202,25 +202,15 @@ func (s *solver) importShared() bool {
 	if sh == nil || s.eng.DecisionLevel() != 0 {
 		return true
 	}
-	// Audit support: the board's upper bound at drain time under-approximates
-	// every cost assumption behind the drained clauses (publishers put their
-	// incumbents on the board before their clauses enter the ring, and the
-	// board UB only decreases), so imported clauses are replayed — and the
-	// solver's own later learned clauses checked — under it.
-	var boardUB int64
-	var boardHasUB bool
-	if s.aud != nil {
-		boardUB, boardHasUB = sh.BestUB()
-	}
-	auditImport := func(lits []pb.Lit) {
-		if s.aud == nil {
-			return
-		}
-		s.aud.ImportedClause(lits, boardUB, boardHasUB)
-		if boardHasUB && boardUB < s.minImportUB {
-			s.minImportUB = boardUB
-		}
-	}
+	// Audit support: drained clauses are replayed under the board's upper
+	// bound read after the drain. Publishers put their incumbents on the
+	// board before the clauses learned under them enter the ring, and the
+	// board UB only decreases, so that UB under-approximates the cost
+	// assumption behind every drained clause. A UB read before the drain
+	// can miss an incumbent published, with a clause learned under it,
+	// between the read and the drain. The solver's own later learned
+	// clauses are checked under the same bound (minImportUB).
+	var audited [][]pb.Lit
 	ok := true
 	installed0 := s.stats.Sharing.ClausesImported
 	conflicts0 := s.stats.Sharing.ImportConflicts
@@ -228,21 +218,32 @@ func (s *solver) importShared() bool {
 		switch s.eng.ImportClause(lits) {
 		case engine.ImportAdded:
 			s.stats.Sharing.ClausesImported++
-			auditImport(lits)
 		case engine.ImportUnit:
 			s.stats.Sharing.ClausesImported++
 			s.stats.Sharing.ImportedUnits++
-			auditImport(lits)
 		case engine.ImportSatisfied:
 			s.stats.Sharing.ImportsDropped++
+			return
 		case engine.ImportInvalid:
 			s.stats.Sharing.ImportsRejected++
+			return
 		case engine.ImportConflict:
 			s.stats.Sharing.ImportConflicts++
-			auditImport(lits)
 			ok = false
 		}
+		if s.aud != nil {
+			audited = append(audited, lits)
+		}
 	})
+	if len(audited) > 0 {
+		boardUB, boardHasUB := sh.BestUB()
+		for _, lits := range audited {
+			s.aud.ImportedClause(lits, boardUB, boardHasUB)
+		}
+		if boardHasUB && boardUB < s.minImportUB {
+			s.minImportUB = boardUB
+		}
+	}
 	installed := s.stats.Sharing.ClausesImported - installed0
 	conflicts := s.stats.Sharing.ImportConflicts - conflicts0
 	if installed != 0 || conflicts != 0 {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/pb"
 )
 
@@ -17,6 +18,10 @@ type stubSharer struct {
 	hasUB  bool
 
 	deliver [][]pb.Lit // drained once, in order
+	// beforeDrain, when set, runs at the start of the next drain: another
+	// member's move landing between the solver's last board poll and its
+	// drain.
+	beforeDrain func(*stubSharer)
 
 	pubIncumbents []int64
 	pubClauses    [][]pb.Lit
@@ -48,6 +53,10 @@ func (s *stubSharer) PublishClause(lits []pb.Lit, lbd int) bool {
 }
 
 func (s *stubSharer) DrainClauses(fn func(lits []pb.Lit)) {
+	if f := s.beforeDrain; f != nil {
+		s.beforeDrain = nil
+		f(s)
+	}
 	for _, c := range s.deliver {
 		fn(c)
 	}
@@ -127,6 +136,45 @@ func TestSharerImportedUnitsRestrictSearch(t *testing.T) {
 	}
 	if res.Stats.Sharing.ImportedUnits == 0 && res.Stats.Sharing.ImportConflicts == 0 {
 		t.Fatalf("no imports recorded: %+v", res.Stats.Sharing)
+	}
+}
+
+// TestImportAuditUsesBoardBoundAfterDrain: another member publishes a better
+// incumbent, then a clause learned under it, after the importer's last look
+// at the board and before its drain. The import audit must replay the clause
+// under the board's bound after the drain; under the stale bound the clause
+// looks like it eliminates a feasible assignment.
+func TestImportAuditUsesBoardBoundAfterDrain(t *testing.T) {
+	// minimize x0 + 72 x1 + 31 x3 subject to x0+x1+x2 = 2, 2 x0 − x1 ≥ 0.
+	// The optimum is {x0,x2} at cost 1; {x0,x1} costs 73.
+	p := pb.NewProblem(4)
+	p.SetCost(0, 1)
+	p.SetCost(1, 72)
+	p.SetCost(3, 31)
+	if err := p.AddConstraint([]pb.Term{{Coef: 1, Lit: pb.PosLit(0)}, {Coef: 1, Lit: pb.PosLit(1)},
+		{Coef: 1, Lit: pb.PosLit(2)}}, pb.EQ, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AddConstraint([]pb.Term{{Coef: 2, Lit: pb.PosLit(0)}, {Coef: -1, Lit: pb.PosLit(1)}},
+		pb.GE, 0); err != nil {
+		t.Fatal(err)
+	}
+	sh := &stubSharer{beforeDrain: func(b *stubSharer) {
+		// (¬x1) is implied by cost < 1, the other member's new bound.
+		b.PublishIncumbent(1, []bool{true, false, true, false})
+		b.deliver = [][]pb.Lit{{pb.NegLit(1)}}
+	}}
+	a := audit.New(p)
+	res := Solve(p, Options{LowerBound: LBMIS, Share: sh, Audit: a})
+	rep := a.Snapshot()
+	if !rep.Ok() {
+		t.Fatalf("audit violations:\n%s", rep.String())
+	}
+	if rep.Counts.ImportedClauses == 0 {
+		t.Fatal("the drained clause was not audited")
+	}
+	if res.Status != StatusOptimal || res.Best != 1 {
+		t.Fatalf("status=%v best=%d, want optimal 1", res.Status, res.Best)
 	}
 }
 

@@ -295,6 +295,28 @@ func CheckText(text string, budget int64) (mismatches []Mismatch, ok bool) {
 	return Check(p, budget), true
 }
 
+// ShrinkFailure shrinks p, on which Check reported ms, and returns the
+// shrunk instance with the mismatches from the shrink predicate's last
+// firing — the ones Check reported for that very instance. Re-running Check
+// on the result instead would lose an intermittent mismatch (a race) and
+// report the instance with no finding attached.
+func ShrinkFailure(p *pb.Problem, ms []Mismatch, budget int64) (*pb.Problem, []Mismatch) {
+	return shrinkFailure(p, ms, func(q *pb.Problem) []Mismatch { return Check(q, budget) })
+}
+
+func shrinkFailure(p *pb.Problem, ms []Mismatch, check func(*pb.Problem) []Mismatch) (*pb.Problem, []Mismatch) {
+	last := ms
+	small := Shrink(p, func(q *pb.Problem) bool {
+		qm := check(q)
+		if len(qm) == 0 {
+			return false
+		}
+		last = qm
+		return true
+	})
+	return small, last
+}
+
 // Describe renders a mismatch list plus the instance for reproducer headers
 // and failure messages.
 func Describe(p *pb.Problem, ms []Mismatch) string {

@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -31,8 +32,7 @@ func FuzzDifferential(f *testing.F) {
 		if len(ms) == 0 {
 			return
 		}
-		small := Shrink(p, func(q *pb.Problem) bool { return len(Check(q, 20_000)) > 0 })
-		t.Fatalf("differential mismatch (shrunk):\n%s", Describe(small, Check(small, 20_000)))
+		t.Fatalf("differential mismatch (shrunk):\n%s", Describe(ShrinkFailure(p, ms, 20_000)))
 	})
 }
 
@@ -55,9 +55,8 @@ func TestAdversarialDifferential(t *testing.T) {
 		}
 		if len(ms) != 0 {
 			p, _ := opb.ParseString(text)
-			small := Shrink(p, func(q *pb.Problem) bool { return len(Check(q, 20_000)) > 0 })
 			t.Fatalf("seed %d: differential mismatch (shrunk):\n%s",
-				seed, Describe(small, Check(small, 20_000)))
+				seed, Describe(ShrinkFailure(p, ms, 20_000)))
 		}
 	}
 }
@@ -118,6 +117,40 @@ func TestShrinkMinimizes(t *testing.T) {
 		if cost != 0 {
 			t.Fatalf("cost[%d]=%d not shrunk away", v, cost)
 		}
+	}
+}
+
+// TestShrinkFailureKeepsIntermittentMismatch: a mismatch that fires once
+// during shrinking and never again must still reach the report, attached to
+// the instance it fired on.
+func TestShrinkFailureKeepsIntermittentMismatch(t *testing.T) {
+	p, err := opb.ParseString("min: +2 a +1 b ;\n+1 a +1 b >= 1 ;\n+1 a >= 1 ;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired := false
+	flaky := func(q *pb.Problem) []Mismatch {
+		if fired {
+			return nil
+		}
+		fired = true
+		return []Mismatch{{Config: "racy", Detail: "once"}}
+	}
+	orig := []Mismatch{{Config: "racy", Detail: "first"}}
+	small, ms := shrinkFailure(p, orig, flaky)
+	if len(small.Constraints) >= len(p.Constraints) {
+		t.Fatalf("the one firing should have been accepted as a shrink step")
+	}
+	if len(ms) != 1 || ms[0].Detail != "once" {
+		t.Fatalf("mismatches %v, want the one from the last firing", ms)
+	}
+	if !strings.Contains(Describe(small, ms), "* mismatch racy: once") {
+		t.Fatalf("report lost the mismatch:\n%s", Describe(small, ms))
+	}
+	// No firing at all: the caller's mismatches describe the unshrunk input.
+	small, ms = shrinkFailure(p, orig, func(*pb.Problem) []Mismatch { return nil })
+	if small != p || len(ms) != 1 || ms[0].Detail != "first" {
+		t.Fatalf("without a firing want the input and its mismatches, got %v", ms)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // AblationID names one of the DESIGN.md §4 ablation experiments.
 type AblationID string
 
-// The seven ablations (A1–A7).
+// The eight ablations (A1–A8).
 const (
 	AblationBoundConflicts AblationID = "A1-bound-conflicts"
 	AblationLPBranching    AblationID = "A2-lp-branching"
@@ -21,6 +21,7 @@ const (
 	AblationLGRIterations  AblationID = "A5-lgr-convergence"
 	AblationPreprocess     AblationID = "A6-preprocess"
 	AblationLPRCuts        AblationID = "A7-lpr-cuts"
+	AblationLPIncumbent    AblationID = "A8-lp-incumbent"
 )
 
 // Ablations lists all ablation ids in order.
@@ -28,7 +29,7 @@ func Ablations() []AblationID {
 	return []AblationID{
 		AblationBoundConflicts, AblationLPBranching, AblationKnapsack,
 		AblationCardInference, AblationLGRIterations, AblationPreprocess,
-		AblationLPRCuts,
+		AblationLPRCuts, AblationLPIncumbent,
 	}
 }
 
@@ -86,6 +87,10 @@ func ablationVariants(id AblationID) []ablationVariant {
 		noCuts := base
 		noCuts.NoCuts = true
 		return []ablationVariant{{"cuts", base, false}, {"no-cuts", noCuts, false}}
+	case AblationLPIncumbent:
+		branchOnly := base
+		branchOnly.NoLPIncumbent = true
+		return []ablationVariant{{"lp-incumbent", base, false}, {"branching-only", branchOnly, false}}
 	default:
 		return nil
 	}

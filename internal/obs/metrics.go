@@ -48,6 +48,7 @@ type SolverMetrics struct {
 	BoundCalls     int64 `json:"bound_calls"`
 	BoundPrunes    int64 `json:"bound_prunes"`
 	Solutions      int64 `json:"solutions"`
+	LPIncumbents   int64 `json:"lp_incumbents"`
 	Restarts       int64 `json:"restarts"`
 	KnapsackCuts   int64 `json:"knapsack_cuts"`
 	CardCuts       int64 `json:"card_cuts"`

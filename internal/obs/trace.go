@@ -38,8 +38,8 @@ const (
 	// A = decision level at the conflict; B = backjump target level.
 	EvBoundConflict
 	// EvIncumbent is an upper-bound improvement. A = objective value
-	// (including CostOffset); Note = "local" or "foreign" (adopted from the
-	// sharing board).
+	// (including CostOffset); Note = "local" (a search leaf), "lp" (an LPR
+	// point) or "foreign" (adopted from the sharing board).
 	EvIncumbent
 	// EvSharePublish is an offer to the sharing board. Method = "incumbent"
 	// (A = cost, Note = "won"/"lost") or "clause" (A = length, B = LBD,
