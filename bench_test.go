@@ -148,8 +148,11 @@ func BenchmarkAblationBoundConflicts(b *testing.B) {
 		runWithOptions(b, core.Options{LowerBound: core.LBLPR, CardinalityInference: true})
 	})
 	b.Run("chronological", func(b *testing.B) {
-		runWithOptions(b, core.Options{LowerBound: core.LBLPR, CardinalityInference: true,
-			ChronologicalBounds: true})
+		runWithOptions(b, core.Options{
+			LowerBound:           core.LBLPR,
+			CardinalityInference: true,
+			Tuning:               core.Tuning{ChronologicalBounds: true},
+		})
 	})
 }
 
@@ -159,8 +162,11 @@ func BenchmarkAblationLPBranching(b *testing.B) {
 		runWithOptions(b, core.Options{LowerBound: core.LBLPR, CardinalityInference: true})
 	})
 	b.Run("vsids-only", func(b *testing.B) {
-		runWithOptions(b, core.Options{LowerBound: core.LBLPR, CardinalityInference: true,
-			NoLPBranching: true})
+		runWithOptions(b, core.Options{
+			LowerBound:           core.LBLPR,
+			CardinalityInference: true,
+			Tuning:               core.Tuning{NoLPBranching: true},
+		})
 	})
 }
 
@@ -170,7 +176,7 @@ func BenchmarkAblationKnapsack(b *testing.B) {
 		runWithOptions(b, core.Options{LowerBound: core.LBLPR})
 	})
 	b.Run("no-cut", func(b *testing.B) {
-		runWithOptions(b, core.Options{LowerBound: core.LBLPR, NoKnapsackCuts: true})
+		runWithOptions(b, core.Options{LowerBound: core.LBLPR, Tuning: core.Tuning{NoKnapsackCuts: true}})
 	})
 }
 
@@ -193,11 +199,11 @@ func BenchmarkAblationLGRIterations(b *testing.B) {
 		name string
 		opt  core.Options
 	}{
-		{"cold-10", core.Options{LowerBound: core.LBLGR, LGRIterations: 10, LGRColdStart: true}},
-		{"cold-50", core.Options{LowerBound: core.LBLGR, LGRIterations: 50, LGRColdStart: true}},
-		{"cold-200", core.Options{LowerBound: core.LBLGR, LGRIterations: 200, LGRColdStart: true}},
-		{"warm-10", core.Options{LowerBound: core.LBLGR, LGRIterations: 10}},
-		{"warm-50", core.Options{LowerBound: core.LBLGR, LGRIterations: 50}},
+		{"cold-10", core.Options{LowerBound: core.LBLGR, Tuning: core.Tuning{LGRIterations: 10, LGRColdStart: true}}},
+		{"cold-50", core.Options{LowerBound: core.LBLGR, Tuning: core.Tuning{LGRIterations: 50, LGRColdStart: true}}},
+		{"cold-200", core.Options{LowerBound: core.LBLGR, Tuning: core.Tuning{LGRIterations: 200, LGRColdStart: true}}},
+		{"warm-10", core.Options{LowerBound: core.LBLGR, Tuning: core.Tuning{LGRIterations: 10}}},
+		{"warm-50", core.Options{LowerBound: core.LBLGR, Tuning: core.Tuning{LGRIterations: 50}}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			opt := cfg.opt
@@ -251,7 +257,10 @@ func BenchmarkAblationLPIncumbent(b *testing.B) {
 		runWithOptions(b, core.Options{LowerBound: core.LBLPR, CardinalityInference: true})
 	})
 	b.Run("branching-only", func(b *testing.B) {
-		runWithOptions(b, core.Options{LowerBound: core.LBLPR, CardinalityInference: true,
-			NoLPIncumbent: true})
+		runWithOptions(b, core.Options{
+			LowerBound:           core.LBLPR,
+			CardinalityInference: true,
+			Tuning:               core.Tuning{NoLPIncumbent: true},
+		})
 	})
 }

@@ -24,6 +24,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -180,19 +181,21 @@ func main() {
 	opt := core.Options{
 		TimeLimit:            *timeLimit,
 		MaxConflicts:         *maxConflicts,
-		ChronologicalBounds:  *chrono,
-		NoLPBranching:        *noLPBranch,
-		NoKnapsackCuts:       *noKnapsack,
 		CardinalityInference: *cardInf,
-		LGRIterations:        *lgrIters,
-		PBLearning:           *pbLearn,
-		BoundBudget:          *boundBudget,
-		FallbackAfter:        *fallbackK,
-		NoIncrementalReduce:  !*incremental,
-		NoWarmLP:             !*warmLP,
-		NoCuts:               !*cutsOn,
-		CutRounds:            *cutRounds,
-		CutMaxPool:           *cutMaxPool,
+		Tuning: core.Tuning{
+			ChronologicalBounds: *chrono,
+			NoLPBranching:       *noLPBranch,
+			NoKnapsackCuts:      *noKnapsack,
+			LGRIterations:       *lgrIters,
+			PBLearning:          *pbLearn,
+			BoundBudget:         *boundBudget,
+			FallbackAfter:       *fallbackK,
+			NoIncrementalReduce: !*incremental,
+			NoWarmLP:            !*warmLP,
+			NoCuts:              !*cutsOn,
+			CutRounds:           *cutRounds,
+			CutMaxPool:          *cutMaxPool,
+		},
 	}
 
 	// SIGINT/SIGTERM close the Cancel channel so the search unwinds
@@ -272,6 +275,17 @@ func main() {
 	if *lsMembers > 0 && !*portfolioRun {
 		fatal(fmt.Errorf("-ls requires -portfolio (a lone UB-only worker cannot conclude; race it against the exact members)"))
 	}
+	if *lsMembers > 0 && *timeLimit == 0 && *lsFlips == 0 {
+		// LS members take the first slots and run until cancelled, so
+		// without a budget they must leave a slot for an exact member.
+		slots := *maxMembers
+		if slots <= 0 {
+			slots = runtime.GOMAXPROCS(0)
+		}
+		if slots <= *lsMembers {
+			fatal(fmt.Errorf("-ls %d with %d member slots would never finish: unbudgeted LS members hold every slot; set -time or -ls-flips, or raise -members", *lsMembers, slots))
+		}
+	}
 
 	start := time.Now()
 	var res core.Result
@@ -282,13 +296,7 @@ func main() {
 		for i := range configs {
 			configs[i].Options.TimeLimit = opt.TimeLimit
 			configs[i].Options.MaxConflicts = opt.MaxConflicts
-			configs[i].Options.BoundBudget = opt.BoundBudget
-			configs[i].Options.FallbackAfter = opt.FallbackAfter
-			configs[i].Options.NoIncrementalReduce = opt.NoIncrementalReduce
-			configs[i].Options.NoWarmLP = opt.NoWarmLP
-			configs[i].Options.NoCuts = opt.NoCuts
-			configs[i].Options.CutRounds = opt.CutRounds
-			configs[i].Options.CutMaxPool = opt.CutMaxPool
+			configs[i].Options.Tuning = opt.Tuning
 		}
 		// LS members go first: irrelevant when members race concurrently,
 		// but under serialized execution (capped -members, low GOMAXPROCS)

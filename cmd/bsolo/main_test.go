@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"os"
 	"os/exec"
@@ -34,8 +35,18 @@ func TestMain(m *testing.M) {
 // output and the exit code.
 func runBsolo(t *testing.T, stdin string, args ...string) (string, int) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "BSOLO_RUN_MAIN=1")
+	return runBsoloEnv(t, nil, stdin, args...)
+}
+
+// runBsoloEnv is runBsolo with extra environment variables. A run that has
+// not exited after a minute is killed, so a hang fails the test instead of
+// stalling the suite.
+func runBsoloEnv(t *testing.T, env []string, stdin string, args ...string) (string, int) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
+	cmd.Env = append(append(os.Environ(), "BSOLO_RUN_MAIN=1"), env...)
 	cmd.Stdin = strings.NewReader(stdin)
 	out, err := cmd.CombinedOutput()
 	code := 0
@@ -107,9 +118,11 @@ func TestWeightedSoftEmptyOffset(t *testing.T) {
 	}
 }
 
+// softOPB is a toy soft-OPB instance with penalty optimum 2.
+const softOPB = "* toy wbo\nsoft: 10 ;\n+1 a +1 b >= 1 ;\n[3] +1 ~a >= 1 ;\n[2] +1 ~b >= 1 ;\n"
+
 func TestSoftOPBInput(t *testing.T) {
-	in := "* toy wbo\nsoft: 10 ;\n+1 a +1 b >= 1 ;\n[3] +1 ~a >= 1 ;\n[2] +1 ~b >= 1 ;\n"
-	out, code := runBsolo(t, in, "-wbo", "-core-guided")
+	out, code := runBsolo(t, softOPB, "-wbo", "-core-guided")
 	if !strings.Contains(out, "s OPTIMUM FOUND") || !strings.Contains(out, "o 2\n") {
 		t.Fatalf("soft-OPB optimum wrong:\n%s", out)
 	}
@@ -130,6 +143,68 @@ func TestMixedPortfolioWeighted(t *testing.T) {
 	}
 	if code != 30 {
 		t.Fatalf("exit code %d, want 30", code)
+	}
+}
+
+// TestCoreGuidedMemberPublishesMetrics checks that the core-guided member of
+// a race reports its verdict in the -metrics snapshot like every other
+// member. The sequential race (-members 1 -share=false) runs it first, so
+// it is the member that proves the optimum.
+func TestCoreGuidedMemberPublishesMetrics(t *testing.T) {
+	metrics := filepath.Join(t.TempDir(), "m.json")
+	out, code := runBsolo(t, softOPB, "-wbo", "-core-guided", "-portfolio", "-members", "1",
+		"-share=false", "-metrics", metrics)
+	if code != 30 || !strings.Contains(out, "winner: core-guided") {
+		t.Fatalf("exit %d, want 30 with a core-guided win:\n%s", code, out)
+	}
+	raw, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Solvers []map[string]any `json:"solvers"`
+	}
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range snap.Solvers {
+		if m["name"] != "core-guided" {
+			continue
+		}
+		if m["status"] != "optimal" || m["best"] != 2.0 {
+			t.Fatalf("core-guided metrics: status=%v best=%v, want optimal/2: %v", m["status"], m["best"], m)
+		}
+		if _, ok := m["conflicts"]; !ok {
+			t.Fatalf("core-guided metrics carry no counters: %v", m)
+		}
+		return
+	}
+	t.Fatalf("no core-guided member in the metrics snapshot: %s", raw)
+}
+
+// TestUnbudgetedLSMembersRejected: local-search members run until they are
+// cancelled and take the first member slots, so a race in which they hold
+// every slot and have neither -time nor -ls-flips would never end. bsolo
+// refuses it up front; a flip budget makes the same race finish.
+func TestUnbudgetedLSMembersRejected(t *testing.T) {
+	in := "min: +1 x1 +2 x2 +3 x3 ;\n+1 x1 +1 x2 +1 x3 >= 2 ;\n"
+	for _, tc := range []struct {
+		env  []string
+		args []string
+	}{
+		{nil, []string{"-members", "1", "-ls", "1"}},
+		{nil, []string{"-members", "2", "-ls", "2"}},
+		{[]string{"GOMAXPROCS=1"}, []string{"-ls", "1"}},
+	} {
+		args := append([]string{"-portfolio"}, tc.args...)
+		out, code := runBsoloEnv(t, tc.env, in, args...)
+		if code != 1 || !strings.Contains(out, "would never finish") {
+			t.Fatalf("env %v args %v: exit %d, want a usage error:\n%s", tc.env, args, code, out)
+		}
+		out, code = runBsoloEnv(t, tc.env, in, append(args, "-ls-flips", "10000")...)
+		if code != 0 || !strings.Contains(out, "s OPTIMUM FOUND") || !strings.Contains(out, "o 3\n") {
+			t.Fatalf("env %v args %v -ls-flips 10000: exit %d, want optimum 3:\n%s", tc.env, args, code, out)
+		}
 	}
 }
 
@@ -167,29 +242,53 @@ func mcncOPB(t *testing.T, inputs int) string {
 	return opb.WriteString(p)
 }
 
-// TestPortfolioHonoursAblationFlags checks that -warm-lp=false and
-// -incremental=false reach every portfolio member, not only single solves.
-// No member proves this instance within the conflict cap, so every member,
-// lpr included, runs to its own limit whatever the scheduling.
+// TestPortfolioHonoursAblationFlags checks that the tuning flags reach
+// every portfolio member, not only single solves: -warm-lp=false and
+// -incremental=false (read from the bound profile), and -no-knapsack and
+// -chrono (no eq. 10 incumbent cuts, no levels saved by non-chronological
+// backjumps). The members run one after another (-members 1 -share=false),
+// so the counts are deterministic, and a run without the flags shows the
+// counters the flags must zero.
 func TestPortfolioHonoursAblationFlags(t *testing.T) {
-	metrics := filepath.Join(t.TempDir(), "m.json")
-	out, code := runBsolo(t, mcncOPB(t, 9), "-portfolio", "-share=false", "-conflicts", "50",
-		"-warm-lp=false", "-incremental=false", "-metrics", metrics)
-	if code != 0 {
-		t.Fatalf("exit %d, want 0:\n%s", code, out)
+	text := mcncOPB(t, 9)
+	solvers := func(flags ...string) ([]obs.SolverMetrics, []byte) {
+		t.Helper()
+		metrics := filepath.Join(t.TempDir(), "m.json")
+		args := append([]string{"-portfolio", "-members", "1", "-share=false", "-conflicts", "50",
+			"-metrics", metrics}, flags...)
+		out, code := runBsolo(t, text, args...)
+		if code != 0 {
+			t.Fatalf("exit %d, want 0:\n%s", code, out)
+		}
+		raw, err := os.ReadFile(metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap obs.Snapshot
+		if err := json.Unmarshal(raw, &snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap.Solvers, raw
 	}
-	raw, err := os.ReadFile(metrics)
-	if err != nil {
-		t.Fatal(err)
+	base, _ := solvers()
+	var cuts, saved int64
+	for _, m := range base {
+		cuts += m.KnapsackCuts
+		saved += m.NCBSavedLevels
 	}
-	var snap obs.Snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatal(err)
+	if cuts == 0 || saved == 0 {
+		t.Fatalf("without the flags the members report knapsack_cuts=%d ncb_saved_levels=%d; the check is vacuous",
+			cuts, saved)
 	}
+	ablated, raw := solvers("-warm-lp=false", "-incremental=false", "-no-knapsack", "-chrono")
 	sawLPR := false
-	for _, m := range snap.Solvers {
+	for _, m := range ablated {
 		if m.Bounds.Incremental {
 			t.Errorf("member %s ran the incremental reducer under -incremental=false", m.Name)
+		}
+		if m.KnapsackCuts != 0 || m.NCBSavedLevels != 0 {
+			t.Errorf("member %s: knapsack_cuts=%d ncb_saved_levels=%d under -no-knapsack -chrono",
+				m.Name, m.KnapsackCuts, m.NCBSavedLevels)
 		}
 		if m.Name == "lpr" {
 			sawLPR = true

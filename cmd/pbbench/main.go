@@ -60,6 +60,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/obs"
 )
@@ -171,8 +172,8 @@ func run(stdout, stderr io.Writer, args []string) int {
 		len(insts), len(cols), *timeLimit)
 
 	lim := harness.Limits{Time: *timeLimit, MaxConflicts: *conflicts, MilpNodes: *milpNodes,
-		NoIncrementalReduce: !*incremental, NoWarmLP: !*warmLP, Presolve: *presolve,
-		NoCuts: !*cutsOn, CutRounds: *cutRounds, CutMaxPool: *cutMaxPool}
+		Presolve: *presolve, Tuning: core.Tuning{NoIncrementalReduce: !*incremental, NoWarmLP: !*warmLP,
+			NoCuts: !*cutsOn, CutRounds: *cutRounds, CutMaxPool: *cutMaxPool}}
 	var results []harness.RunResult
 	for _, inst := range insts {
 		for _, id := range cols {

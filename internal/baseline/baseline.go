@@ -27,16 +27,10 @@ type Limits struct {
 	MaxConflicts int64
 	MaxDecisions int64
 	TimeLimit    time.Duration
-	// NoIncrementalReduce / NoWarmLP disable the incremental bound pipeline
-	// (per-node Extract, cold LP solves) for ablation runs; they affect only
-	// the bsolo columns, which are the only users of lower bounding.
-	NoIncrementalReduce bool
-	NoWarmLP            bool
-	// NoCuts disables LPR cutting-plane separation; CutRounds / CutMaxPool
-	// override the separation fixpoint cap and pool capacity (0 = defaults).
-	NoCuts     bool
-	CutRounds  int
-	CutMaxPool int
+	// Tuning is handed to the bsolo columns unchanged (ablation runs:
+	// incremental bound pipeline, warm LP, cuts); PBS and Galena keep their
+	// own fixed configurations.
+	Tuning core.Tuning
 }
 
 // PBS runs the PBS-style linear-search solver.
@@ -68,10 +62,11 @@ func Galena(p *pb.Problem, lim Limits) core.Result {
 	return core.Solve(pre, core.Options{
 		Strategy:     core.StrategyLinearSearch,
 		LowerBound:   core.LBNone,
-		PBLearning:   true, // Galena's distinguishing cutting-plane learning
 		MaxConflicts: lim.MaxConflicts,
 		MaxDecisions: lim.MaxDecisions,
 		TimeLimit:    lim.TimeLimit,
+		// Galena's distinguishing cutting-plane learning.
+		Tuning: core.Tuning{PBLearning: true},
 	})
 }
 
@@ -85,10 +80,6 @@ func Bsolo(p *pb.Problem, method core.Method, lim Limits) core.Result {
 		MaxDecisions:         lim.MaxDecisions,
 		TimeLimit:            lim.TimeLimit,
 		CardinalityInference: true,
-		NoIncrementalReduce:  lim.NoIncrementalReduce,
-		NoWarmLP:             lim.NoWarmLP,
-		NoCuts:               lim.NoCuts,
-		CutRounds:            lim.CutRounds,
-		CutMaxPool:           lim.CutMaxPool,
+		Tuning:               lim.Tuning,
 	})
 }

@@ -73,7 +73,7 @@ func TestChronologicalAblationExact(t *testing.T) {
 	for iter := 0; iter < 100; iter++ {
 		p := randomPBO(rng, 3+rng.Intn(5), 2+rng.Intn(6))
 		want := pb.BruteForce(p)
-		res := Solve(p, Options{LowerBound: LBMIS, ChronologicalBounds: true, MaxConflicts: 200000})
+		res := Solve(p, Options{LowerBound: LBMIS, MaxConflicts: 200000, Tuning: Tuning{ChronologicalBounds: true}})
 		if want.Feasible {
 			if res.Status != StatusOptimal || res.Best != want.Optimum {
 				t.Fatalf("iter %d: got %v/%d want optimal/%d", iter, res.Status, res.Best, want.Optimum)

@@ -47,7 +47,7 @@ func TestAuditedSolvesAreClean(t *testing.T) {
 			for _, opt := range []Options{
 				{LowerBound: m, MaxConflicts: 200000},
 				{LowerBound: m, Strategy: StrategyLinearSearch, MaxConflicts: 200000},
-				{LowerBound: m, CardinalityInference: true, PBLearning: true, MaxConflicts: 200000},
+				{LowerBound: m, CardinalityInference: true, MaxConflicts: 200000, Tuning: Tuning{PBLearning: true}},
 			} {
 				a := audit.New(p)
 				opt.Audit = a

@@ -87,52 +87,14 @@ type Options struct {
 	// TimeLimit bounds wall-clock time; 0 means unlimited.
 	TimeLimit time.Duration
 
-	// ChronologicalBounds disables §4's conflict analysis on bound
-	// conflicts: the explanation degrades to the full set of decision
-	// assignments, forcing chronological backtracking (ablation A1).
-	ChronologicalBounds bool
-	// NoLPBranching disables the §5 branching heuristic (branch on the LP
-	// variable closest to 0.5) even when LowerBound is LBLPR.
-	NoLPBranching bool
-	// NoKnapsackCuts disables the eq. 10 incumbent constraint.
-	NoKnapsackCuts bool
-	// NoLPIncumbent restores the paper's use of the LPR point, which only
-	// picks the branching variable (§5). By default an LPR run also solves
-	// the root LP before the first incumbent and turns LP points into
-	// verified incumbents: the root point rounded at 0.5, and an integral
-	// point at any node. Kept for ablation A8.
-	NoLPIncumbent bool
 	// CardinalityInference enables the eq. 11–13 inference on new
 	// incumbents.
 	CardinalityInference bool
 
-	// BoundEvery computes the lower bound only at every k-th eligible node
-	// (default 1 = every node). Higher values trade pruning for speed.
-	BoundEvery int
-
-	// PBLearning additionally derives a cutting-plane (pseudo-Boolean)
-	// constraint at every conflict, Galena-style [4], alongside the 1UIP
-	// clause: the clause drives the backjump, the cutting plane adds
-	// pruning power.
-	PBLearning bool
-	// MaxPBLearned caps how many cutting-plane constraints are retained
-	// (default 20000); beyond the cap only clauses are learned.
-	MaxPBLearned int64
-
-	// LGRIterations bounds subgradient iterations per bound call
-	// (default 50; ablation A5).
-	LGRIterations int
-	// LGRColdStart disables the greedy dual-ascent warm start of the
-	// Lagrangian multipliers, leaving the plain subgradient scheme of the
-	// paper's reference [12] — whose slow convergence the paper reports
-	// (ablation A5).
-	LGRColdStart bool
-	// LPRAlphaFilter applies the §4.3 α-filter to LP duals as well.
-	LPRAlphaFilter bool
-	// LPRZeroSlack uses the paper's literal §4.2 responsible set (all
-	// zero-slack rows of the LP solution) instead of the stronger
-	// positive-dual subset.
-	LPRZeroSlack bool
+	// Tuning holds the ablation and tuning switches. It is one value so a
+	// front end (CLI, harness, portfolio member) hands it on in one
+	// assignment instead of copying the switches one by one.
+	Tuning
 
 	// RestartBase is the Luby restart unit in conflicts (default 128;
 	// 0 uses the default, negative disables restarts).
@@ -149,44 +111,6 @@ type Options struct {
 	// handler. The channel is polled between nodes and, via the engine's
 	// Interrupt hook, inside long propagation fixpoints.
 	Cancel <-chan struct{}
-
-	// BoundBudget caps the wall-clock time of a single lower-bound
-	// estimation (threaded into the LP simplex and the LGR subgradient
-	// loop). Zero derives a budget from the remaining TimeLimit — an eighth
-	// of what is left, clamped to [5ms, 500ms] — so one cycling LP cannot
-	// eat the whole node budget; negative disables the per-call cap.
-	BoundBudget time.Duration
-
-	// FallbackAfter is the circuit-breaker threshold: after this many
-	// consecutive *failed* primary bound calls (panics or numerical
-	// failures) the solver demotes LowerBound to MIS for the remainder of
-	// the run. Zero selects the default (8); negative disables demotion.
-	// Individual failed calls always fall back to MIS for that node
-	// regardless of the breaker state.
-	FallbackAfter int
-
-	// NoIncrementalReduce disables the persistent incremental Reducer and
-	// rebuilds the reduced problem from scratch at every node
-	// (bounds.Extract) — the pre-incremental behaviour, kept for ablation
-	// and as a differential-testing oracle.
-	NoIncrementalReduce bool
-	// NoWarmLP disables LP warm starting for LBLPR: every node's LP is
-	// solved cold. Kept for ablation; warm starts never change results
-	// (see bounds.LPRState), only node cost.
-	NoWarmLP bool
-	// NoCuts disables cutting-plane separation for LBLPR: node LPs are
-	// solved over the reduced rows alone, with no pool. Cuts are on by
-	// default for LBLPR (mirroring warm starts); the flag exists for
-	// ablation and differential testing — cuts tighten bounds but never
-	// change optima (every pooled cut is implied by the problem; the
-	// auditor's PooledCut hook replays that claim).
-	NoCuts bool
-	// CutRounds overrides the root separation fixpoint cap (0 = the
-	// internal/cuts default).
-	CutRounds int
-	// CutMaxPool overrides the cut pool capacity (0 = the internal/cuts
-	// default).
-	CutMaxPool int
 
 	// Share, when non-nil, connects this solve to a cooperative-portfolio
 	// board (see Sharer): incumbents are published and adopted, learned
@@ -248,6 +172,92 @@ type Options struct {
 	// and the terminal audit claim is suppressed for assumption-relative
 	// UNSAT answers because they are not claims about the bare problem.
 	Assumptions []pb.Lit
+}
+
+// Tuning is the set of ablation and tuning switches of a solve: everything
+// that changes how the search works but not what it is limited by or which
+// portfolio member it is. The zero value is the default bsolo
+// configuration.
+type Tuning struct {
+	// ChronologicalBounds disables §4's conflict analysis on bound
+	// conflicts: the explanation degrades to the full set of decision
+	// assignments, forcing chronological backtracking (ablation A1).
+	ChronologicalBounds bool
+	// NoLPBranching disables the §5 branching heuristic (branch on the LP
+	// variable closest to 0.5) even when LowerBound is LBLPR.
+	NoLPBranching bool
+	// NoKnapsackCuts disables the eq. 10 incumbent constraint.
+	NoKnapsackCuts bool
+	// NoLPIncumbent restores the paper's use of the LPR point, which only
+	// picks the branching variable (§5). By default an LPR run also solves
+	// the root LP before the first incumbent and turns LP points into
+	// verified incumbents: the root point rounded at 0.5, and an integral
+	// point at any node. Kept for ablation A8.
+	NoLPIncumbent bool
+
+	// LGRIterations bounds subgradient iterations per bound call
+	// (default 50; ablation A5).
+	LGRIterations int
+	// LGRColdStart disables the greedy dual-ascent warm start of the
+	// Lagrangian multipliers, leaving the plain subgradient scheme of the
+	// paper's reference [12] — whose slow convergence the paper reports
+	// (ablation A5).
+	LGRColdStart bool
+	// LPRAlphaFilter applies the §4.3 α-filter to LP duals as well.
+	LPRAlphaFilter bool
+	// LPRZeroSlack uses the paper's literal §4.2 responsible set (all
+	// zero-slack rows of the LP solution) instead of the stronger
+	// positive-dual subset.
+	LPRZeroSlack bool
+
+	// PBLearning additionally derives a cutting-plane (pseudo-Boolean)
+	// constraint at every conflict, Galena-style [4], alongside the 1UIP
+	// clause: the clause drives the backjump, the cutting plane adds
+	// pruning power.
+	PBLearning bool
+	// MaxPBLearned caps how many cutting-plane constraints are retained
+	// (default 20000); beyond the cap only clauses are learned.
+	MaxPBLearned int64
+
+	// BoundEvery computes the lower bound only at every k-th eligible node
+	// (default 1 = every node). Higher values trade pruning for speed.
+	BoundEvery int
+	// BoundBudget caps the wall-clock time of a single lower-bound
+	// estimation (threaded into the LP simplex and the LGR subgradient
+	// loop). Zero derives a budget from the remaining TimeLimit — an eighth
+	// of what is left, clamped to [5ms, 500ms] — so one cycling LP cannot
+	// eat the whole node budget; negative disables the per-call cap.
+	BoundBudget time.Duration
+	// FallbackAfter is the circuit-breaker threshold: after this many
+	// consecutive *failed* primary bound calls (panics or numerical
+	// failures) the solver demotes LowerBound to MIS for the remainder of
+	// the run. Zero selects the default (8); negative disables demotion.
+	// Individual failed calls always fall back to MIS for that node
+	// regardless of the breaker state.
+	FallbackAfter int
+
+	// NoIncrementalReduce disables the persistent incremental Reducer and
+	// rebuilds the reduced problem from scratch at every node
+	// (bounds.Extract) — the pre-incremental behaviour, kept for ablation
+	// and as a differential-testing oracle.
+	NoIncrementalReduce bool
+	// NoWarmLP disables LP warm starting for LBLPR: every node's LP is
+	// solved cold. Kept for ablation; warm starts never change results
+	// (see bounds.LPRState), only node cost.
+	NoWarmLP bool
+	// NoCuts disables cutting-plane separation for LBLPR: node LPs are
+	// solved over the reduced rows alone, with no pool. Cuts are on by
+	// default for LBLPR (mirroring warm starts); the flag exists for
+	// ablation and differential testing — cuts tighten bounds but never
+	// change optima (every pooled cut is implied by the problem; the
+	// auditor's PooledCut hook replays that claim).
+	NoCuts bool
+	// CutRounds overrides the root separation fixpoint cap (0 = the
+	// internal/cuts default).
+	CutRounds int
+	// CutMaxPool overrides the cut pool capacity (0 = the internal/cuts
+	// default).
+	CutMaxPool int
 }
 
 // Status reports how a solve ended.

@@ -16,23 +16,23 @@ func allConfigs() map[string]Options {
 		"mis":             {LowerBound: LBMIS},
 		"lgr":             {LowerBound: LBLGR},
 		"lpr":             {LowerBound: LBLPR},
-		"lpr-nobranch":    {LowerBound: LBLPR, NoLPBranching: true},
-		"lpr-nocuts":      {LowerBound: LBLPR, NoKnapsackCuts: true},
-		"lpr-chrono":      {LowerBound: LBLPR, ChronologicalBounds: true},
-		"mis-chrono":      {LowerBound: LBMIS, ChronologicalBounds: true},
-		"lgr-alpha":       {LowerBound: LBLGR, LGRIterations: 20},
-		"lpr-alphafilter": {LowerBound: LBLPR, LPRAlphaFilter: true},
+		"lpr-nobranch":    {LowerBound: LBLPR, Tuning: Tuning{NoLPBranching: true}},
+		"lpr-nocuts":      {LowerBound: LBLPR, Tuning: Tuning{NoKnapsackCuts: true}},
+		"lpr-chrono":      {LowerBound: LBLPR, Tuning: Tuning{ChronologicalBounds: true}},
+		"mis-chrono":      {LowerBound: LBMIS, Tuning: Tuning{ChronologicalBounds: true}},
+		"lgr-alpha":       {LowerBound: LBLGR, Tuning: Tuning{LGRIterations: 20}},
+		"lpr-alphafilter": {LowerBound: LBLPR, Tuning: Tuning{LPRAlphaFilter: true}},
 		"lpr-cardinf":     {LowerBound: LBLPR, CardinalityInference: true},
 		"lgr-cardinf":     {LowerBound: LBLGR, CardinalityInference: true},
 		"linear":          {Strategy: StrategyLinearSearch},
 		"linear-mis":      {Strategy: StrategyLinearSearch, LowerBound: LBMIS},
 		"plain-norestart": {LowerBound: LBNone, RestartBase: -1},
-		"lpr-every3":      {LowerBound: LBLPR, BoundEvery: 3},
-		"pb-learning":     {LowerBound: LBNone, PBLearning: true},
-		"linear-pblearn":  {Strategy: StrategyLinearSearch, PBLearning: true},
-		"lpr-pblearn":     {LowerBound: LBLPR, PBLearning: true},
-		"lgr-coldstart":   {LowerBound: LBLGR, LGRColdStart: true},
-		"lpr-zeroslack":   {LowerBound: LBLPR, LPRZeroSlack: true},
+		"lpr-every3":      {LowerBound: LBLPR, Tuning: Tuning{BoundEvery: 3}},
+		"pb-learning":     {LowerBound: LBNone, Tuning: Tuning{PBLearning: true}},
+		"linear-pblearn":  {Strategy: StrategyLinearSearch, Tuning: Tuning{PBLearning: true}},
+		"lpr-pblearn":     {LowerBound: LBLPR, Tuning: Tuning{PBLearning: true}},
+		"lgr-coldstart":   {LowerBound: LBLGR, Tuning: Tuning{LGRColdStart: true}},
+		"lpr-zeroslack":   {LowerBound: LBLPR, Tuning: Tuning{LPRZeroSlack: true}},
 	}
 }
 
@@ -349,7 +349,7 @@ func TestLGRAlphaFilterSoundness(t *testing.T) {
 			_ = p.AddConstraint(terms, pb.GE, int64(1+rng.Intn(7)))
 		}
 		want := pb.BruteForce(p)
-		res := Solve(p, Options{LowerBound: LBLGR, LGRIterations: 30, MaxConflicts: 200000})
+		res := Solve(p, Options{LowerBound: LBLGR, MaxConflicts: 200000, Tuning: Tuning{LGRIterations: 30}})
 		if want.Feasible {
 			if res.Status != StatusOptimal || res.Best != want.Optimum {
 				t.Fatalf("iter %d: got %v/%d want optimal/%d", iter, res.Status, res.Best, want.Optimum)

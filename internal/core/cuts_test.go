@@ -60,8 +60,11 @@ func TestCutsOptimaUnchanged(t *testing.T) {
 		}
 		for mi, method := range methods {
 			on := core.Solve(p, core.Options{LowerBound: method, MaxConflicts: 500000})
-			off := core.Solve(p, core.Options{LowerBound: method, MaxConflicts: 500000,
-				NoCuts: true})
+			off := core.Solve(p, core.Options{
+				LowerBound:   method,
+				MaxConflicts: 500000,
+				Tuning:       core.Tuning{NoCuts: true},
+			})
 			if on.Status == core.StatusLimit || off.Status == core.StatusLimit {
 				continue
 			}
@@ -122,7 +125,7 @@ func TestCardinalityNormalizationEngages(t *testing.T) {
 			}
 			_ = p.AddConstraint(terms, pb.GE, c*int64(1+rng.Intn(2)))
 		}
-		pbRes := core.Solve(p, core.Options{LowerBound: core.LBMIS, PBLearning: true, MaxConflicts: 500000})
+		pbRes := core.Solve(p, core.Options{LowerBound: core.LBMIS, MaxConflicts: 500000, Tuning: core.Tuning{PBLearning: true}})
 		plain := core.Solve(p, core.Options{LowerBound: core.LBMIS, MaxConflicts: 500000})
 		if pbRes.Status == core.StatusLimit || plain.Status == core.StatusLimit {
 			continue

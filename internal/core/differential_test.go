@@ -39,7 +39,7 @@ func TestDifferentialMidSize(t *testing.T) {
 		}
 
 		lpr := Solve(p, Options{LowerBound: LBLPR, MaxConflicts: 500000})
-		lin := Solve(p, Options{Strategy: StrategyLinearSearch, PBLearning: true, MaxConflicts: 500000})
+		lin := Solve(p, Options{Strategy: StrategyLinearSearch, MaxConflicts: 500000, Tuning: Tuning{PBLearning: true}})
 		mi := milp.Solve(p, milp.Options{MaxNodes: 2000000})
 
 		if lpr.Status == StatusLimit || lin.Status == StatusLimit || mi.Status == milp.StatusLimit {

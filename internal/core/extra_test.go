@@ -94,7 +94,7 @@ func TestPBLearningStatsCounted(t *testing.T) {
 			}
 			_ = p.AddConstraint(terms, pb.GE, 1+rng.Int63n(sum-1))
 		}
-		res := Solve(p, Options{PBLearning: true, MaxConflicts: 50000})
+		res := Solve(p, Options{MaxConflicts: 50000, Tuning: Tuning{PBLearning: true}})
 		totalPB += res.Stats.PBLearned
 	}
 	if totalPB == 0 {
@@ -106,7 +106,7 @@ func TestMaxPBLearnedCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for iter := 0; iter < 20; iter++ {
 		p := randomPBO(rng, 10, 14)
-		res := Solve(p, Options{PBLearning: true, MaxPBLearned: 3, MaxConflicts: 50000})
+		res := Solve(p, Options{MaxConflicts: 50000, Tuning: Tuning{PBLearning: true, MaxPBLearned: 3}})
 		if res.Stats.PBLearned > 3 {
 			t.Fatalf("cap violated: %d", res.Stats.PBLearned)
 		}

@@ -25,7 +25,7 @@ func TestIncrementalPipelineOptimaUnchanged(t *testing.T) {
 		{"mis", core.Options{LowerBound: core.LBMIS}},
 		{"lgr", core.Options{LowerBound: core.LBLGR}},
 		{"lpr", core.Options{LowerBound: core.LBLPR}},
-		{"lpr-nolpinc", core.Options{LowerBound: core.LBLPR, NoLPIncumbent: true}},
+		{"lpr-nolpinc", core.Options{LowerBound: core.LBLPR, Tuning: core.Tuning{NoLPIncumbent: true}}},
 	}
 	var totalWarm int64
 	for iter := 0; iter < 8; iter++ {

@@ -51,8 +51,11 @@ func TestLPIncumbentClosesRoot(t *testing.T) {
 				t.Fatalf("%s: decisions %d, LP incumbents %d: the root did not close",
 					in.name, res.Stats.Decisions, res.Stats.LPIncumbents)
 			}
-			off := auditedSolve(t, in.name, in.p, core.Options{LowerBound: core.LBLPR, CardinalityInference: true,
-				NoLPIncumbent: true})
+			off := auditedSolve(t, in.name, in.p, core.Options{
+				LowerBound:           core.LBLPR,
+				CardinalityInference: true,
+				Tuning:               core.Tuning{NoLPIncumbent: true},
+			})
 			if off.Status != core.StatusOptimal || off.Best != res.Best || off.Stats.LPIncumbents != 0 {
 				t.Fatalf("%s: NoLPIncumbent: status %v best %d, LP incumbents %d",
 					in.name, off.Status, off.Best, off.Stats.LPIncumbents)
@@ -77,7 +80,7 @@ func TestLPIncumbentRoundingInfeasible(t *testing.T) {
 	_ = p.AddClause(lits[0], lits[2])
 	_ = p.AddAtMost(lits, 2)
 	tr := obs.NewTracer(64)
-	res := auditedSolve(t, "odd-cycle", p, core.Options{LowerBound: core.LBLPR, NoCuts: true, Trace: tr})
+	res := auditedSolve(t, "odd-cycle", p, core.Options{LowerBound: core.LBLPR, Trace: tr, Tuning: core.Tuning{NoCuts: true}})
 	if res.Status != core.StatusOptimal || res.Best != 2 {
 		t.Fatalf("status %v best %d, want optimal 2", res.Status, res.Best)
 	}

@@ -111,7 +111,7 @@ func TestCircuitBreakerDemotesToMIS(t *testing.T) {
 
 		fault.Reset()
 		fault.Arm("lpr.solve", fault.Spec{Kind: fault.KindPanic, Every: 1})
-		res := Solve(p, Options{LowerBound: LBLPR, FallbackAfter: 4})
+		res := Solve(p, Options{LowerBound: LBLPR, Tuning: Tuning{FallbackAfter: 4}})
 		fault.Reset()
 
 		if want.Feasible {
@@ -274,7 +274,7 @@ func TestDeadlineRespectedOnPropagationHeavyRuns(t *testing.T) {
 	p := randomPBO(rng, 20, 30)
 	fault.Arm("lgr.solve", fault.Spec{Kind: fault.KindDelay, Every: 1, Delay: 2 * time.Millisecond})
 	start := time.Now()
-	res := Solve(p, Options{LowerBound: LBLGR, TimeLimit: 150 * time.Millisecond, LGRIterations: 10000})
+	res := Solve(p, Options{LowerBound: LBLGR, TimeLimit: 150 * time.Millisecond, Tuning: Tuning{LGRIterations: 10000}})
 	fault.Reset()
 	el := time.Since(start)
 	if el > 2*time.Second {

@@ -108,7 +108,7 @@ func TestCutsReproducersEngageSeparation(t *testing.T) {
 
 	cover := read("cuts-cover-lifting.opb")
 	on := core.SafeSolve(cover, core.Options{LowerBound: core.LBLPR, MaxConflicts: DefaultBudget})
-	off := core.SafeSolve(cover, core.Options{LowerBound: core.LBLPR, NoCuts: true, MaxConflicts: DefaultBudget})
+	off := core.SafeSolve(cover, core.Options{LowerBound: core.LBLPR, MaxConflicts: DefaultBudget, Tuning: core.Tuning{NoCuts: true}})
 	if on.Status != core.StatusOptimal || off.Status != core.StatusOptimal || on.Best != off.Best {
 		t.Fatalf("cover reproducer: cuts on/off disagree: on=%v/%d off=%v/%d",
 			on.Status, on.Best, off.Status, off.Best)

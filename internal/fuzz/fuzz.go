@@ -70,12 +70,12 @@ func configs(budget int64) []struct {
 		{"lgr", core.Options{LowerBound: core.LBLGR, MaxConflicts: budget}},
 		{"lpr", core.Options{LowerBound: core.LBLPR, MaxConflicts: budget}},
 		{"lpr-linear", core.Options{LowerBound: core.LBLPR, Strategy: core.StrategyLinearSearch, MaxConflicts: budget}},
-		{"plain-linear-pb", core.Options{LowerBound: core.LBNone, Strategy: core.StrategyLinearSearch, PBLearning: true, MaxConflicts: budget}},
-		{"lpr-noincremental", core.Options{LowerBound: core.LBLPR, NoIncrementalReduce: true, MaxConflicts: budget}},
-		{"lpr-coldlp", core.Options{LowerBound: core.LBLPR, NoWarmLP: true, MaxConflicts: budget}},
-		{"lpr-nocuts", core.Options{LowerBound: core.LBLPR, NoCuts: true, MaxConflicts: budget}},
-		{"lgr-chrono", core.Options{LowerBound: core.LBLGR, ChronologicalBounds: true, MaxConflicts: budget}},
-		{"mis-cuts", core.Options{LowerBound: core.LBMIS, CardinalityInference: true, PBLearning: true, MaxConflicts: budget}},
+		{"plain-linear-pb", core.Options{LowerBound: core.LBNone, Strategy: core.StrategyLinearSearch, MaxConflicts: budget, Tuning: core.Tuning{PBLearning: true}}},
+		{"lpr-noincremental", core.Options{LowerBound: core.LBLPR, MaxConflicts: budget, Tuning: core.Tuning{NoIncrementalReduce: true}}},
+		{"lpr-coldlp", core.Options{LowerBound: core.LBLPR, MaxConflicts: budget, Tuning: core.Tuning{NoWarmLP: true}}},
+		{"lpr-nocuts", core.Options{LowerBound: core.LBLPR, MaxConflicts: budget, Tuning: core.Tuning{NoCuts: true}}},
+		{"lgr-chrono", core.Options{LowerBound: core.LBLGR, MaxConflicts: budget, Tuning: core.Tuning{ChronologicalBounds: true}}},
+		{"mis-cuts", core.Options{LowerBound: core.LBMIS, CardinalityInference: true, MaxConflicts: budget, Tuning: core.Tuning{PBLearning: true}}},
 	}
 }
 

@@ -71,8 +71,11 @@ func ablationVariants(id AblationID) []ablationVariant {
 		return []ablationVariant{{"inference", on, false}, {"off", off, false}}
 	case AblationLGRIterations:
 		mk := func(iters int, cold bool) core.Options {
-			return core.Options{LowerBound: core.LBLGR, CardinalityInference: true,
-				LGRIterations: iters, LGRColdStart: cold}
+			return core.Options{
+				LowerBound:           core.LBLGR,
+				CardinalityInference: true,
+				Tuning:               core.Tuning{LGRIterations: iters, LGRColdStart: cold},
+			}
 		}
 		return []ablationVariant{
 			{"cold-10", mk(10, true), false},

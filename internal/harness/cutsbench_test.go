@@ -89,7 +89,7 @@ func BenchmarkCutsSynth(b *testing.B) {
 		for seed := int64(0); seed < seeds; seed++ {
 			p := lprGapInstance(nTri, seed)
 			on := core.Solve(p, core.Options{LowerBound: core.LBLPR, MaxConflicts: 500000})
-			off := core.Solve(p, core.Options{LowerBound: core.LBLPR, NoCuts: true, MaxConflicts: 500000})
+			off := core.Solve(p, core.Options{LowerBound: core.LBLPR, MaxConflicts: 500000, Tuning: core.Tuning{NoCuts: true}})
 			if on.Status != core.StatusOptimal || off.Status != core.StatusOptimal {
 				b.Fatalf("seed %d: cell did not prove the optimum", seed)
 			}

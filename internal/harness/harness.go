@@ -17,7 +17,6 @@ import (
 	"repro/internal/bounds"
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/ls"
 	"repro/internal/milp"
 	"repro/internal/pb"
 	"repro/internal/portfolio"
@@ -256,16 +255,18 @@ const (
 	// SolverPortfolioIso is the same race with sharing disconnected — the
 	// isolated baseline the sharing columns are compared against.
 	SolverPortfolioIso SolverID = "portfolio-iso"
-	// SolverLS runs the stochastic local-search worker alone (internal/ls).
-	// UB-only: the cell can report an incumbent (and SAT on objective-free
-	// instances) but never proves optimality or infeasibility.
+	// SolverLS runs the stochastic local-search worker alone (internal/ls),
+	// as a one-member race. UB-only: the cell can report an incumbent (and
+	// SAT on objective-free instances) but never proves optimality or
+	// infeasibility.
 	SolverLS SolverID = "ls"
 	// SolverPortfolioLS is the cooperative race extended with one LS member:
 	// the mixed portfolio the first-incumbent benchmarks (make bench-ls)
 	// compare against SolverPortfolio.
 	SolverPortfolioLS SolverID = "portfolio-ls"
-	// SolverCoreGuided runs the core-guided WBO loop alone (internal/wbo).
-	// Valid only on FamilyWbo rows (the cell needs the WBO payload).
+	// SolverCoreGuided runs the core-guided WBO loop alone (internal/wbo),
+	// as a one-member race. Valid only on FamilyWbo rows (the cell needs the
+	// WBO payload).
 	SolverCoreGuided SolverID = "core-guided"
 	// SolverPortfolioWbo is the cooperative race extended with one
 	// core-guided member: the mixed portfolio the WBO benchmarks
@@ -283,15 +284,9 @@ type Limits struct {
 	Time         time.Duration
 	MaxConflicts int64
 	MilpNodes    int64
-	// NoIncrementalReduce / NoWarmLP run the bsolo columns with the
-	// incremental bound pipeline disabled (ablation; see core.Options).
-	NoIncrementalReduce bool
-	NoWarmLP            bool
-	// NoCuts disables LPR cutting-plane separation; CutRounds / CutMaxPool
-	// override the separation fixpoint cap and pool capacity (0 = defaults).
-	NoCuts     bool
-	CutRounds  int
-	CutMaxPool int
+	// Tuning is applied to every bsolo column and portfolio member
+	// (ablation runs; see core.Tuning).
+	Tuning core.Tuning
 	// Presolve runs preprocess.FixVariables on each instance before the
 	// solver (all columns): variables fixed at the root are eliminated and
 	// the solver sees the reduced, renumbered problem. Incumbents stay
@@ -372,9 +367,7 @@ func (r *RunResult) BoundTime() time.Duration { return r.Bounds.TotalTime() }
 func Run(inst Instance, id SolverID, lim Limits) RunResult {
 	start := time.Now()
 	rr := RunResult{Instance: inst.Name, Family: inst.Family, Solver: id}
-	bl := baseline.Limits{TimeLimit: lim.Time, MaxConflicts: lim.MaxConflicts,
-		NoIncrementalReduce: lim.NoIncrementalReduce, NoWarmLP: lim.NoWarmLP,
-		NoCuts: lim.NoCuts, CutRounds: lim.CutRounds, CutMaxPool: lim.CutMaxPool}
+	bl := baseline.Limits{TimeLimit: lim.Time, MaxConflicts: lim.MaxConflicts, Tuning: lim.Tuning}
 	// Time-to-first-incumbent capture: any member (B&B or LS) reporting its
 	// first incumbent stamps the wall-clock once. Concurrent members race on
 	// the stamp, hence the CAS; presolve time counts (it is part of the cell).
@@ -436,8 +429,10 @@ func Run(inst Instance, id SolverID, lim Limits) RunResult {
 				rr.Err = "core-guided requires a wbo-family instance"
 				return
 			}
-			fillWBO(&rr, wbo.Solve(inst.WBO, wbo.Options{
-				TimeLimit: lim.Time, MaxConflicts: lim.MaxConflicts}))
+			// Like portfolio-wbo, on the original compilation: the witness
+			// mapping needs the WBO instance's extended variable space.
+			fillPortfolio(&rr, portfolio.SolveOpts(inst.Prob,
+				[]portfolio.Config{coreGuidedMember(inst, lim)}, portfolio.Options{NoSharing: true}))
 		case SolverPortfolioWbo:
 			if inst.WBO == nil {
 				rr.Err = "portfolio-wbo requires a wbo-family instance"
@@ -449,12 +444,8 @@ func Run(inst Instance, id SolverID, lim Limits) RunResult {
 			// space and break the witness mapping.
 			fillPortfolio(&rr, runPortfolioWbo(inst, lim, noteInc))
 		case SolverLS:
-			fillLS(&rr, ls.Solve(prob, ls.Options{
-				Seed:        1,
-				TimeLimit:   lim.Time,
-				MaxFlips:    lsFlipBudget(lim),
-				OnIncumbent: noteInc,
-			}))
+			fillPortfolio(&rr, portfolio.SolveOpts(prob,
+				[]portfolio.Config{lsMember(1, lim, noteInc)}, portfolio.Options{NoSharing: true}))
 		}
 	}()
 	rr.Duration = time.Since(start)
@@ -489,20 +480,33 @@ func fill(rr *RunResult, res core.Result) {
 }
 
 // portfolioMembers returns the default four B&B members with the harness
-// limits and ablation switches applied to each.
+// limits and tuning applied to each.
 func portfolioMembers(lim Limits, noteInc func(int64)) []portfolio.Config {
 	configs := portfolio.DefaultConfigs()
 	for i := range configs {
 		configs[i].Options.TimeLimit = lim.Time
 		configs[i].Options.MaxConflicts = lim.MaxConflicts
-		configs[i].Options.NoIncrementalReduce = lim.NoIncrementalReduce
-		configs[i].Options.NoWarmLP = lim.NoWarmLP
-		configs[i].Options.NoCuts = lim.NoCuts
-		configs[i].Options.CutRounds = lim.CutRounds
-		configs[i].Options.CutMaxPool = lim.CutMaxPool
+		configs[i].Options.Tuning = lim.Tuning
 		configs[i].Options.OnIncumbent = noteInc
 	}
 	return configs
+}
+
+// lsMember returns one local-search member under the harness limits.
+func lsMember(seed int64, lim Limits, noteInc func(int64)) portfolio.Config {
+	cfg := portfolio.LSConfig("ls", seed, lsFlipBudget(lim))
+	cfg.LS.TimeLimit = lim.Time
+	cfg.LS.OnIncumbent = noteInc
+	return cfg
+}
+
+// coreGuidedMember returns the core-guided member of a FamilyWbo row under
+// the harness limits.
+func coreGuidedMember(inst Instance, lim Limits) portfolio.Config {
+	return portfolio.Config{CoreGuided: &portfolio.CoreGuided{
+		Instance: inst.WBO,
+		Options:  wbo.Options{TimeLimit: lim.Time, MaxConflicts: lim.MaxConflicts},
+	}}
 }
 
 // runPortfolio runs the default four-member race under the harness limits,
@@ -512,9 +516,7 @@ func portfolioMembers(lim Limits, noteInc func(int64)) []portfolio.Config {
 func runPortfolio(p *pb.Problem, lim Limits, isolated, withLS bool, noteInc func(int64)) portfolio.Result {
 	configs := portfolioMembers(lim, noteInc)
 	if withLS {
-		cfg := portfolio.LSConfig("ls", 101, lsFlipBudget(lim))
-		cfg.LS.TimeLimit = lim.Time
-		cfg.LS.OnIncumbent = noteInc
+		cfg := lsMember(101, lim, noteInc)
 		// The LS member goes FIRST: with spare cores the order is
 		// irrelevant (everyone races concurrently), but when members are
 		// serialized (MaxConcurrent or GOMAXPROCS caps, single-core CI) the
@@ -531,12 +533,7 @@ func runPortfolio(p *pb.Problem, lim Limits, isolated, withLS bool, noteInc func
 // Builder() compilation (inst.Prob), which is exactly the space the
 // core-guided member's ExtendedWitness maps into.
 func runPortfolioWbo(inst Instance, lim Limits, noteInc func(int64)) portfolio.Result {
-	configs := portfolioMembers(lim, noteInc)
-	cg := portfolio.Config{CoreGuided: &portfolio.CoreGuided{
-		Instance: inst.WBO,
-		Options:  wbo.Options{TimeLimit: lim.Time, MaxConflicts: lim.MaxConflicts},
-	}}
-	configs = append([]portfolio.Config{cg}, configs...)
+	configs := append([]portfolio.Config{coreGuidedMember(inst, lim)}, portfolioMembers(lim, noteInc)...)
 	// Core-guided must genuinely race the exact members, not replace them:
 	// on a single-CPU box the default concurrency (GOMAXPROCS) serializes
 	// the members, and whichever strategy happens to run first would
@@ -550,24 +547,6 @@ func runPortfolioWbo(inst Instance, lim Limits, noteInc func(int64)) portfolio.R
 	return portfolio.SolveOpts(inst.Prob, configs, portfolio.Options{MaxConcurrent: conc})
 }
 
-// fillWBO maps a core-guided outcome onto the table cell. Optimal and
-// hard-UNSAT verdicts both count as solved — the core-guided loop is a
-// complete method, unlike the UB-only LS column.
-func fillWBO(rr *RunResult, res wbo.Result) {
-	rr.Solved = res.Status == core.StatusOptimal || res.Status == core.StatusUnsat
-	rr.HasUB = res.HasSolution
-	rr.Best = res.Best
-	rr.Conflicts = res.Conflicts
-	if res.Status == core.StatusError {
-		rr.Solved, rr.HasUB = false, false
-		if res.Err != nil {
-			rr.Err = res.Err.Error()
-		} else {
-			rr.Err = "error"
-		}
-	}
-}
-
 // lsFlipBudget bounds a local-search member when the cell has no wall-clock
 // limit: LS has no conflict budget of its own, so the B&B conflict limit is
 // scaled into a flip limit (flips are far cheaper than conflicts). With a
@@ -577,20 +556,6 @@ func lsFlipBudget(lim Limits) int64 {
 		return 0
 	}
 	return 256 * lim.MaxConflicts
-}
-
-// fillLS maps a standalone local-search outcome onto the table cell. LS is
-// UB-only: the cell counts as solved only for the verified SAT witness on an
-// objective-free instance, never for optimality or infeasibility.
-func fillLS(rr *RunResult, res ls.Result) {
-	rr.Solved = res.Satisfiable
-	rr.HasUB = res.HasSolution
-	rr.Best = res.Best
-	rr.Flips = res.Stats.Flips
-	if res.Err != nil {
-		rr.Solved, rr.HasUB = false, false
-		rr.Err = res.Err.Error()
-	}
 }
 
 // fillPortfolio maps a portfolio outcome onto the table cell: the verdict and

@@ -55,7 +55,7 @@ type Config struct {
 	// Name labels the member in the result.
 	Name string
 	// Options configures the member's solver. Cancel and Share are managed
-	// by Solve and must be nil. Ignored when LS is set.
+	// by Solve and must be nil. Ignored when LS or CoreGuided is set.
 	Options core.Options
 	// LS, when non-nil, makes this member a stochastic local-search worker
 	// (internal/ls) instead of a branch-and-bound solver: a UB-only member
@@ -69,10 +69,10 @@ type Config struct {
 	// problem MUST be the instance's Builder() compilation (original
 	// variables first, then one selector per soft constraint, in order):
 	// witnesses are mapped into that space via Instance.ExtendedWitness and
-	// re-verified against the compiled problem before they can win the race
-	// or reach the board — an inconsistent instance/problem pair demotes
-	// every claim to the inconclusive StatusLimit instead of poisoning the
-	// race (the same defense-in-depth discipline as sanitizeUBOnly).
+	// verified against the compiled problem (verifyClaim) before they can
+	// win the race or reach the board — an inconsistent instance/problem
+	// pair demotes every claim to the inconclusive StatusLimit instead of
+	// poisoning the race.
 	// Cancel is managed by Solve; the board's Share handle is used only for
 	// verified incumbent publication and is never passed into the wbo
 	// sub-solves.
@@ -330,24 +330,14 @@ func SolveOpts(p *pb.Problem, configs []Config, opts Options) Result {
 			defer wg.Done()
 			for i := range queue {
 				cfg := configs[i]
-				var m *share.Member
+				w := wiring{cancel: cancel, audit: opts.Audit, trace: opts.Trace.Named(cfg.name())}
 				if handles != nil {
-					m = handles[i]
+					w.share = handles[i]
 				}
-				var live *obs.Live
 				if lives != nil {
-					live = lives[i]
+					w.live = lives[i]
 				}
-				switch {
-				case cfg.CoreGuided != nil:
-					results <- outcome{i, cfg.name(), runCoreGuidedMember(p, cfg, cancel, m, opts.Audit)}
-				case cfg.UBOnly():
-					results <- outcome{i, cfg.name(), runLSMember(p, cfg, cancel, m, opts.Audit,
-						opts.Trace.Named(cfg.name()), live)}
-				default:
-					results <- outcome{i, cfg.name(), runMember(p, cfg, cancel, m, opts.Audit,
-						opts.Trace.Named(cfg.name()), live)}
-				}
+				results <- outcome{i, cfg.name(), runMember(p, cfg, w)}
 				if consumed != nil {
 					<-consumed
 				}
@@ -368,9 +358,6 @@ func SolveOpts(p *pb.Problem, configs []Config, opts Options) Result {
 			consumed <- struct{}{} // outcome i−1 is handled: start the next member
 		}
 		oc := <-results
-		if configs[oc.idx].UBOnly() {
-			oc.res = sanitizeUBOnly(p, oc.res)
-		}
 		members[oc.idx] = MemberResult{Name: oc.name, UBOnly: configs[oc.idx].UBOnly(), Result: oc.res}
 		if oc.res.Status == core.StatusError {
 			// Panic isolation: record the crash and keep consuming results —
@@ -417,31 +404,24 @@ func SolveOpts(p *pb.Problem, configs []Config, opts Options) Result {
 	return finalize(Result{Result: core.Result{Status: core.StatusLimit}})
 }
 
-// sanitizeUBOnly enforces the UB-only contract on a local-search member's
-// outcome before the winner logic can see it: an exhaustion verdict
-// (optimal/unsat) is structurally impossible for a member that merely
-// samples assignments, and a satisfiability claim is accepted only as a
-// verified witness on an objective-free instance. Anything else is demoted
-// to the inconclusive StatusLimit — defense in depth so that no future ls
-// change can turn an upper bound into a fake proof.
-func sanitizeUBOnly(p *pb.Problem, res core.Result) core.Result {
-	switch res.Status {
-	case core.StatusOptimal, core.StatusUnsat:
-		res.Status = core.StatusLimit
-	case core.StatusSatisfiable:
-		if p.HasObjective() || !res.HasSolution || len(res.Values) != p.NumVars || !p.Feasible(res.Values) {
-			res.Status = core.StatusLimit
-		}
-	}
-	return res
+// wiring is what the race hands one member: the shared cancel channel and
+// the member's own board handle (nil with NoSharing), auditor, named tracer
+// and live metrics source.
+type wiring struct {
+	cancel <-chan struct{}
+	share  *share.Member
+	audit  *audit.Auditor
+	trace  *obs.Tracer
+	live   *obs.Live
 }
 
-// runLSMember executes one local-search configuration behind the same panic
-// barrier as runMember and maps its UB-only outcome into the core.Result
-// shape the portfolio aggregates: a verified SAT witness on an
-// objective-free instance is conclusive (StatusSatisfiable); everything else
-// is StatusLimit, carrying the best incumbent when one was found.
-func runLSMember(p *pb.Problem, cfg Config, cancel <-chan struct{}, m *share.Member, aud *audit.Auditor, trace *obs.Tracer, live *obs.Live) (res core.Result) {
+// runMember runs one member of any kind. It is the race's only panic
+// barrier, so a member crash (including one injected at the
+// "portfolio.worker" fault point, keyed by member name) becomes a
+// StatusError outcome. The per-kind body does the solving; every outcome
+// then passes verifyClaim before the winner logic sees it, and the verified
+// verdict is published as the member's terminal metrics block.
+func runMember(p *pb.Problem, cfg Config, w wiring) (res core.Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = core.Result{
@@ -451,21 +431,43 @@ func runLSMember(p *pb.Problem, cfg Config, cancel <-chan struct{}, m *share.Mem
 		}
 	}()
 	fault.Fire("portfolio.worker", cfg.name())
-	opt := *cfg.LS
-	opt.Cancel = cancel
-	if m != nil {
-		opt.Share = m
+	switch {
+	case cfg.CoreGuided != nil:
+		res = runCoreGuided(p, cfg.CoreGuided, w)
+	case cfg.LS != nil:
+		res = runLS(p, *cfg.LS, w)
+	default:
+		opt := cfg.Options
+		opt.Cancel, opt.Trace, opt.Live = w.cancel, w.trace, w.live
+		if w.share != nil {
+			opt.Share = w.share
+		}
+		if w.audit != nil {
+			opt.Audit = w.audit
+		}
+		res = core.Solve(p, opt)
 	}
-	if aud != nil {
-		opt.Audit = aud
+	res = verifyClaim(p, cfg.UBOnly(), res)
+	if w.live != nil {
+		w.live.Publish(res.Metrics(cfg.name()))
 	}
-	opt.Trace = trace
-	opt.Live = live
+	return res
+}
+
+// runLS runs a local-search member and maps its UB-only outcome onto the
+// core.Result shape the race aggregates: a SAT witness is claimed as
+// StatusSatisfiable, everything else is StatusLimit with the best
+// incumbent.
+func runLS(p *pb.Problem, opt ls.Options, w wiring) core.Result {
+	opt.Cancel, opt.Audit, opt.Trace, opt.Live = w.cancel, w.audit, w.trace, w.live
+	if w.share != nil {
+		opt.Share = w.share
+	}
 	lr := ls.Solve(p, opt)
 	if lr.Err != nil {
 		return core.Result{Status: core.StatusError, Err: lr.Err}
 	}
-	res = core.Result{
+	res := core.Result{
 		Status:      core.StatusLimit,
 		HasSolution: lr.HasSolution,
 		Best:        lr.Best,
@@ -477,7 +479,7 @@ func runLSMember(p *pb.Problem, cfg Config, cancel <-chan struct{}, m *share.Mem
 	res.Stats.Restarts = lr.Stats.Restarts
 	res.Stats.Solutions = lr.Stats.Improvements
 	res.Stats.Flips = lr.Stats.Flips
-	if m != nil {
+	if w.share != nil {
 		res.Stats.Sharing.IncumbentsPublished = lr.Stats.BoardPublished
 		res.Stats.Sharing.IncumbentsWon = lr.Stats.BoardWon
 		res.Stats.Sharing.ForeignIncumbents = lr.Stats.BoardImports
@@ -485,103 +487,91 @@ func runLSMember(p *pb.Problem, cfg Config, cancel <-chan struct{}, m *share.Mem
 	return res
 }
 
-// sanitizeCoreGuided maps a core-guided outcome into the compiled problem's
-// space under the same defense-in-depth discipline as sanitizeUBOnly: the
-// witness is lifted via ExtendedWitness and re-verified against p, and an
-// optimality claim survives only when the verified compiled cost matches the
-// claimed optimum (minus the instance offset, which lives outside the
-// compiled objective). A hard-UNSAT verdict passes through — the compiled
-// problem's soft rows are always satisfiable via their selectors, so its
-// infeasibility is exactly the hard skeleton's. Anything that fails
-// verification is demoted to the inconclusive StatusLimit.
-func sanitizeCoreGuided(p *pb.Problem, in *wbo.Instance, r wbo.Result) core.Result {
-	res := core.Result{Status: core.StatusLimit, Err: r.Err}
-	res.Stats.Conflicts = r.Conflicts
-	if r.HasSolution && len(r.Values) >= in.NumVars {
-		ext := in.ExtendedWitness(r.Values)
-		if len(ext) == p.NumVars && p.Feasible(ext) {
-			res.HasSolution = true
-			res.Values = ext
-			res.Best = p.ObjectiveValue(ext)
-		}
-	}
-	switch r.Status {
-	case core.StatusOptimal:
-		if res.HasSolution && res.Best == r.Best-in.Offset {
-			res.Status = core.StatusOptimal
-		}
-	case core.StatusUnsat:
-		if r.HardUnsat {
-			res.Status = core.StatusUnsat
-		}
-	case core.StatusError:
-		res.Status = core.StatusError
-	}
-	return res
-}
-
-// runCoreGuidedMember executes one core-guided configuration behind the same
-// panic barrier as runMember. The board handle is used only to publish the
-// verified terminal incumbent — the wbo sub-solves never see the board, so
-// no foreign clause or incumbent can leak into the core extraction — and
-// every claim is audited against the compiled problem after sanitization.
-func runCoreGuidedMember(p *pb.Problem, cfg Config, cancel <-chan struct{}, m *share.Member, aud *audit.Auditor) (res core.Result) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = core.Result{
-				Status: core.StatusError,
-				Err:    fmt.Errorf("portfolio: member %q panicked: %v\n%s", cfg.name(), r, debug.Stack()),
-			}
-		}
-	}()
-	fault.Fire("portfolio.worker", cfg.name())
-	cg := cfg.CoreGuided
+// runCoreGuided runs a core-guided member. The board handle is used only to
+// publish the verified terminal incumbent — the wbo sub-solves never see the
+// board, so no foreign clause or incumbent can leak into the core
+// extraction — and the claim is audited against the compiled problem. Both
+// need a checked witness, so the claim is verified here before either; the
+// runner's own verifyClaim then finds nothing left to demote.
+func runCoreGuided(p *pb.Problem, cg *CoreGuided, w wiring) core.Result {
 	opt := cg.Options
-	opt.Cancel = cancel
-	res = sanitizeCoreGuided(p, cg.Instance, wbo.Solve(cg.Instance, opt))
+	opt.Cancel = w.cancel
+	res := verifyClaim(p, false, coreGuidedClaim(cg.Instance, wbo.Solve(cg.Instance, opt)))
 	if res.HasSolution {
-		aud.Incumbent(res.Best, res.Values)
-		if m != nil && m.PublishIncumbent(res.Best, res.Values) {
+		w.audit.Incumbent(res.Best, res.Values)
+		if w.share != nil && w.share.PublishIncumbent(res.Best, res.Values) {
 			res.Stats.Sharing.IncumbentsPublished++
 		}
 	}
 	switch res.Status {
 	case core.StatusOptimal:
-		aud.Termination(audit.Claim{Optimal: true, Best: res.Best})
+		w.audit.Termination(audit.Claim{Optimal: true, Best: res.Best})
 	case core.StatusUnsat:
-		aud.Termination(audit.Claim{Unsat: true})
+		w.audit.Termination(audit.Claim{Unsat: true})
 	case core.StatusLimit:
 		if res.HasSolution {
-			aud.Termination(audit.Claim{UpperBound: true, Best: res.Best})
+			w.audit.Termination(audit.Claim{UpperBound: true, Best: res.Best})
 		}
 	}
 	return res
 }
 
-// runMember executes one configuration behind a panic barrier, so a member
-// crash (including one injected at the "portfolio.worker" fault point,
-// keyed by member name) becomes a StatusError outcome.
-func runMember(p *pb.Problem, cfg Config, cancel <-chan struct{}, m *share.Member, aud *audit.Auditor, trace *obs.Tracer, live *obs.Live) (res core.Result) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = core.Result{
-				Status: core.StatusError,
-				Err:    fmt.Errorf("portfolio: member %q panicked: %v\n%s", cfg.name(), r, debug.Stack()),
-			}
+// coreGuidedClaim states a core-guided outcome in the compiled problem's
+// space: the witness is lifted through ExtendedWitness (selectors set on
+// exactly the violated softs) and the claimed cost is the penalty minus the
+// instance offset, which lives outside the compiled objective. UNSAT is
+// claimed only for a hard-UNSAT verdict: the compiled soft rows are always
+// satisfiable through their selectors, so the compiled problem is
+// infeasible exactly when the hard skeleton is, while an
+// assumption-relative refusal says nothing about it.
+func coreGuidedClaim(in *wbo.Instance, r wbo.Result) core.Result {
+	res := core.Result{Status: r.Status, Err: r.Err}
+	res.Stats.Conflicts = r.Conflicts
+	if r.Status == core.StatusUnsat && !r.HardUnsat {
+		res.Status = core.StatusLimit
+	}
+	if r.HasSolution && len(r.Values) >= in.NumVars {
+		res.HasSolution = true
+		res.Values = in.ExtendedWitness(r.Values)
+		res.Best = r.Best - in.Offset
+	}
+	return res
+}
+
+// verifyClaim is the race's one check on a member's outcome, applied to
+// every member kind before the winner logic can see it. A witness is kept
+// only if it is a full assignment of p that satisfies every constraint and
+// costs exactly the claimed Best; otherwise it is dropped and the outcome
+// demoted to the inconclusive StatusLimit. OPTIMAL and UNSAT are exhaustion
+// proofs and need a complete member (not ubOnly); OPTIMAL also needs the
+// verified witness. SATISFIABLE needs a verified witness on an
+// objective-free problem. StatusError passes through unchanged. Defense in
+// depth: no member bug, and no inconsistent instance/problem pair, can
+// turn into a wrong verdict of the race.
+func verifyClaim(p *pb.Problem, ubOnly bool, res core.Result) core.Result {
+	if res.Status == core.StatusError {
+		return res
+	}
+	if res.HasSolution && (len(res.Values) != p.NumVars || !p.Feasible(res.Values) ||
+		p.ObjectiveValue(res.Values) != res.Best) {
+		res.HasSolution, res.Best, res.Values = false, 0, nil
+		res.Status = core.StatusLimit
+	}
+	switch res.Status {
+	case core.StatusOptimal:
+		if ubOnly || !res.HasSolution {
+			res.Status = core.StatusLimit
 		}
-	}()
-	fault.Fire("portfolio.worker", cfg.name())
-	opt := cfg.Options
-	opt.Cancel = cancel
-	if m != nil {
-		opt.Share = m
+	case core.StatusUnsat:
+		if ubOnly {
+			res.Status = core.StatusLimit
+		}
+	case core.StatusSatisfiable:
+		if p.HasObjective() || !res.HasSolution {
+			res.Status = core.StatusLimit
+		}
 	}
-	if aud != nil {
-		opt.Audit = aud
-	}
-	opt.Trace = trace
-	opt.Live = live
-	return core.Solve(p, opt)
+	return res
 }
 
 func (c Config) name() string {

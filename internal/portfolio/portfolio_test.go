@@ -219,9 +219,9 @@ func TestLSOnlyPortfolioSatWitness(t *testing.T) {
 	}
 }
 
-// TestSanitizeUBOnly pins the defense-in-depth demotion: exhaustion verdicts
-// and unverifiable SAT claims from a UB-only member collapse to StatusLimit.
-func TestSanitizeUBOnly(t *testing.T) {
+// TestVerifyClaimUBOnly pins the demotion of a UB-only member's claims:
+// exhaustion verdicts and unverifiable SAT claims collapse to StatusLimit.
+func TestVerifyClaimUBOnly(t *testing.T) {
 	p := pb.NewProblem(2)
 	p.SetCost(0, 1)
 	_ = p.AddConstraint([]pb.Term{{Coef: 1, Lit: pb.PosLit(0)}, {Coef: 1, Lit: pb.PosLit(1)}}, pb.GE, 1)
@@ -238,7 +238,7 @@ func TestSanitizeUBOnly(t *testing.T) {
 		{"error passes through", core.Result{Status: core.StatusError}, core.StatusError},
 	}
 	for _, tc := range cases {
-		if got := sanitizeUBOnly(p, tc.in); got.Status != tc.want {
+		if got := verifyClaim(p, true, tc.in); got.Status != tc.want {
 			t.Errorf("%s: status=%v want %v", tc.name, got.Status, tc.want)
 		}
 	}
@@ -246,11 +246,43 @@ func TestSanitizeUBOnly(t *testing.T) {
 	pf := pb.NewProblem(2)
 	_ = pf.AddConstraint([]pb.Term{{Coef: 1, Lit: pb.PosLit(0)}}, pb.GE, 1)
 	ok := core.Result{Status: core.StatusSatisfiable, HasSolution: true, Values: []bool{true, false}}
-	if got := sanitizeUBOnly(pf, ok); got.Status != core.StatusSatisfiable {
+	if got := verifyClaim(pf, true, ok); got.Status != core.StatusSatisfiable {
 		t.Errorf("verified witness demoted: %v", got.Status)
 	}
 	bad := core.Result{Status: core.StatusSatisfiable, HasSolution: true, Values: []bool{false, false}}
-	if got := sanitizeUBOnly(pf, bad); got.Status != core.StatusLimit {
+	if got := verifyClaim(pf, true, bad); got.Status != core.StatusLimit {
 		t.Errorf("infeasible witness not demoted: %v", got.Status)
+	}
+}
+
+// TestVerifyClaimBranchAndBound pins the check on a complete member: a
+// consistent proof passes, while a witness that breaks a constraint, costs
+// something other than Best, or has the wrong length is dropped and the
+// claim demoted to StatusLimit.
+func TestVerifyClaimBranchAndBound(t *testing.T) {
+	p := pb.NewProblem(2)
+	p.SetCost(0, 1)
+	p.SetCost(1, 2)
+	_ = p.AddConstraint([]pb.Term{{Coef: 1, Lit: pb.PosLit(0)}, {Coef: 1, Lit: pb.PosLit(1)}}, pb.GE, 1)
+	cases := []struct {
+		name    string
+		in      core.Result
+		want    core.Status
+		witness bool
+	}{
+		{"consistent optimal", core.Result{Status: core.StatusOptimal, HasSolution: true, Best: 1, Values: []bool{true, false}}, core.StatusOptimal, true},
+		{"unsat from a complete member", core.Result{Status: core.StatusUnsat}, core.StatusUnsat, false},
+		{"optimal without witness", core.Result{Status: core.StatusOptimal, Best: 1}, core.StatusLimit, false},
+		{"witness breaks a constraint", core.Result{Status: core.StatusOptimal, HasSolution: true, Best: 0, Values: []bool{false, false}}, core.StatusLimit, false},
+		{"cost differs from Best", core.Result{Status: core.StatusOptimal, HasSolution: true, Best: 1, Values: []bool{false, true}}, core.StatusLimit, false},
+		{"short witness", core.Result{Status: core.StatusOptimal, HasSolution: true, Best: 1, Values: []bool{true}}, core.StatusLimit, false},
+		{"limit with a bad witness", core.Result{Status: core.StatusLimit, HasSolution: true, Best: 2, Values: []bool{true, true}}, core.StatusLimit, false},
+		{"satisfiable on an objective", core.Result{Status: core.StatusSatisfiable, HasSolution: true, Best: 1, Values: []bool{true, false}}, core.StatusLimit, true},
+	}
+	for _, tc := range cases {
+		got := verifyClaim(p, false, tc.in)
+		if got.Status != tc.want || got.HasSolution != tc.witness || (!got.HasSolution && got.Values != nil) {
+			t.Errorf("%s: status=%v witness=%v want %v/%v", tc.name, got.Status, got.HasSolution, tc.want, tc.witness)
+		}
 	}
 }
