@@ -6,17 +6,19 @@ GO ?= go
 
 all: build test
 
+# go vet plus the formatting gate: every Go file must be gofmt-clean.
 vet:
 	$(GO) vet ./...
+	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
 
 # What CI runs (.github/workflows/ci.yml runs the same steps, fuzzing
-# longer): vet + build + full test suite, the tests of the tablebench module
-# (its own go.mod, so the root suite never reaches them), the race detector
-# on the concurrency-sensitive packages (race-pkgs), the escape-analysis
-# guard, the bench-regression gate against the committed baseline, then a
-# single-iteration smoke pass over the bound-pipeline, engine, portfolio-
-# sharing and cut-separation benchmarks, small bench snapshots and the
-# differential fuzzing matrix.
+# longer): vet and the gofmt gate + build + full test suite, the tests of
+# the tablebench module (its own go.mod, so the root suite never reaches
+# them), the race detector on the concurrency-sensitive packages
+# (race-pkgs), the escape-analysis guard, the bench-regression gate against
+# the committed baseline, then a single-iteration smoke pass over the
+# bound-pipeline, engine, portfolio-sharing and cut-separation benchmarks,
+# small bench snapshots and the differential fuzzing matrix.
 ci: vet build test
 	cd tablebench && $(GO) test ./...
 	$(MAKE) race-pkgs

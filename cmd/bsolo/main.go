@@ -465,13 +465,9 @@ func main() {
 		if hasSol && *showModel {
 			fmt.Println(weightedValueLine(wi, values))
 		}
-		if *showStats {
-			if pres != nil {
-				printPortfolioStats(pres)
-			} else if wres == nil {
-				st := res.Stats
-				fmt.Printf("c decisions=%d conflicts=%d boundConflicts=%d boundCalls=%d boundPrunes=%d\n",
-					st.Decisions, st.Conflicts, st.BoundConflicts, st.BoundCalls, st.BoundPrunes)
+		if *showStats && wres == nil {
+			if err := printStats(&res, pres); err != nil {
+				fatal(err)
 			}
 		}
 		if err := writeObsOutputs(tracer, registry, *tracePath, *tracePretty, *metricsPath); err != nil {
@@ -535,36 +531,14 @@ func main() {
 		}
 	}
 	if *showStats {
-		st := res.Stats
-		fmt.Printf("c decisions=%d conflicts=%d boundConflicts=%d boundCalls=%d boundPrunes=%d\n",
-			st.Decisions, st.Conflicts, st.BoundConflicts, st.BoundCalls, st.BoundPrunes)
+		if err := printStats(&res, pres); err != nil {
+			fatal(err)
+		}
 		if secs := elapsed.Seconds(); secs > 0 {
-			fmt.Printf("c propagations=%d (%.0f/s)\n", st.Propagations, float64(st.Propagations)/secs)
+			fmt.Printf("c props_per_sec=%.0f\n", float64(res.Stats.Propagations)/secs)
 		}
 		if fixing != nil {
 			fmt.Printf("c presolveFixed=%d\n", fixing.NumFixed())
-		}
-		fmt.Printf("c solutions=%d lpIncumbents=%d restarts=%d knapsackCuts=%d cardCuts=%d ncbSavedLevels=%d learned=%d\n",
-			st.Solutions, st.LPIncumbents, st.Restarts, st.KnapsackCuts, st.CardCuts, st.NCBSavedLevels, st.LearnedClauses)
-		if st.PBLearned > 0 || st.PBCardNormalized > 0 {
-			fmt.Printf("c pbLearned=%d pbCardNormalized=%d\n", st.PBLearned, st.PBCardNormalized)
-		}
-		if st.BoundFailures > 0 || st.BoundFallbacks > 0 || st.BoundTimeouts > 0 || st.BoundDemotions > 0 {
-			fmt.Printf("c boundFailures=%d boundPanics=%d boundFallbacks=%d boundTimeouts=%d boundDemotions=%d\n",
-				st.BoundFailures, st.BoundPanics, st.BoundFallbacks, st.BoundTimeouts, st.BoundDemotions)
-		}
-		if st.Bounds.TotalCalls() > 0 || st.Bounds.Reduces > 0 {
-			for _, line := range strings.Split(st.Bounds.String(), "\n") {
-				fmt.Printf("c %s\n", line)
-			}
-		}
-		if st.RandomDecisions > 0 {
-			fmt.Printf("c randomDecisions=%d\n", st.RandomDecisions)
-		}
-		if pres != nil {
-			printPortfolioStats(pres)
-		} else if st.Sharing.Active() {
-			printSharing("", &st.Sharing, st.ImportedClauses)
 		}
 	}
 	if err := writeObsOutputs(tracer, registry, *tracePath, *tracePretty, *metricsPath); err != nil {
@@ -623,40 +597,24 @@ func writeObsOutputs(tracer *obs.Tracer, registry *obs.Registry, tracePath strin
 	return nil
 }
 
-// printPortfolioStats prints the board's global counters and each member's
-// sharing-side view as comment lines.
-func printPortfolioStats(p *portfolio.Result) {
-	if p.Sharing {
-		b := p.Board
-		owner := b.BestOwner
-		if owner == "" {
-			owner = "-"
-		}
-		fmt.Printf("c board: incumbents=%d owner=%s clausesPublished=%d tooLong=%d highLBD=%d dup=%d lapped=%d\n",
-			b.Incumbents, owner, b.ClausesPublished, b.ClausesTooLong,
-			b.ClausesHighLBD, b.ClausesDuplicate, b.ClausesLapped)
+// printStats prints every non-zero counter of the run as one
+// "c <path>=<value>" line: the single solve's counter block, or the board's
+// block ("board.") and each member's ("member.<name>.").
+func printStats(res *core.Result, pres *portfolio.Result) error {
+	if pres == nil {
+		return obs.PrintCounters(os.Stdout, "", res.Stats)
 	}
-	for _, m := range p.Members {
-		if m.UBOnly {
-			fmt.Printf("c member %-6s status=%s flips=%d restarts=%d improvements=%d (ub-only)\n",
-				m.Name, m.Status, m.Stats.Flips, m.Stats.Restarts, m.Stats.Solutions)
-		} else {
-			fmt.Printf("c member %-6s status=%s decisions=%d conflicts=%d boundConflicts=%d\n",
-				m.Name, m.Status, m.Stats.Decisions, m.Stats.Conflicts, m.Stats.BoundConflicts)
-		}
-		if m.Stats.Sharing.Active() {
-			printSharing(m.Name+" ", &m.Stats.Sharing, m.Stats.ImportedClauses)
+	if pres.Sharing {
+		if err := obs.PrintCounters(os.Stdout, "board.", pres.Board); err != nil {
+			return err
 		}
 	}
-}
-
-func printSharing(prefix string, sh *core.SharingStats, imported int64) {
-	fmt.Printf("c %ssharing: incumbents=%d/%d foreignUB=%d foreignPrunes=%d ubInterrupts=%d\n",
-		prefix, sh.IncumbentsWon, sh.IncumbentsPublished, sh.ForeignIncumbents,
-		sh.ForeignUBPrunes, sh.UBInterrupts)
-	fmt.Printf("c %ssharing: clausesPub=%d rejected=%d imported=%d (units=%d) dropped=%d invalid=%d conflicts=%d\n",
-		prefix, sh.ClausesPublished, sh.ClausesRejected, imported,
-		sh.ImportedUnits, sh.ImportsDropped, sh.ImportsRejected, sh.ImportConflicts)
+	for _, m := range pres.Members {
+		if err := obs.PrintCounters(os.Stdout, "member."+m.Name+".", m.Result.Metrics("")); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // weightedValueLine renders a weighted-instance witness over the ORIGINAL

@@ -242,6 +242,50 @@ func mcncOPB(t *testing.T, inputs int) string {
 	return opb.WriteString(p)
 }
 
+// TestPBCardNormalizedReachesMetrics checks that the count of learned PB
+// constraints normalized to cardinality constraints reaches the -metrics
+// document with the value -stats prints.
+func TestPBCardNormalizedReachesMetrics(t *testing.T) {
+	p, err := gen.Sym(gen.SymConfig{Inputs: 7, LowK: 3, HighK: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := filepath.Join(t.TempDir(), "m.json")
+	out, code := runBsolo(t, opb.WriteString(p),
+		"-lb", "plain", "-pb-learning", "-conflicts", "5000", "-stats", "-metrics", metrics)
+	if code != 0 {
+		t.Fatalf("exit %d, want 0:\n%s", code, out)
+	}
+	var printed int64 = -1
+	for _, line := range strings.Split(out, "\n") {
+		if v, ok := strings.CutPrefix(line, "c pb_card_normalized="); ok {
+			if printed, err = strconv.ParseInt(v, 10, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if printed <= 0 {
+		t.Fatalf("-stats printed no pb_card_normalized count; the check is vacuous:\n%s", out)
+	}
+	raw, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Solvers []map[string]any `json:"solvers"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Solvers) != 1 {
+		t.Fatalf("want one solver block, got %d", len(doc.Solvers))
+	}
+	got, ok := doc.Solvers[0]["pb_card_normalized"]
+	if !ok || got != float64(printed) {
+		t.Fatalf("metrics pb_card_normalized = %v (present %v), -stats printed %d", got, ok, printed)
+	}
+}
+
 // TestPortfolioHonoursAblationFlags checks that the tuning flags reach
 // every portfolio member, not only single solves: -warm-lp=false and
 // -incremental=false (read from the bound profile), and -no-knapsack and

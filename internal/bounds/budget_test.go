@@ -3,6 +3,8 @@ package bounds
 import (
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestBudgetInterruptDetectionLag pins the worst-case detection lag of the
@@ -95,13 +97,13 @@ func TestBudgetZeroValueNeverExpires(t *testing.T) {
 }
 
 func TestStatsClone(t *testing.T) {
-	var s Stats
+	var s obs.BoundsStats
 	s.Incremental = true
 	s.Reduces = 3
-	s.Record("lpr", Result{Bound: 5}, time.Millisecond, false)
+	Record(&s, "lpr", Result{Bound: 5}, time.Millisecond, false)
 	cl := s.Clone()
-	s.Record("lpr", Result{Bound: 7}, time.Millisecond, false)
-	s.Record("mis", Result{Bound: 1}, time.Millisecond, false)
+	Record(&s, "lpr", Result{Bound: 7}, time.Millisecond, false)
+	Record(&s, "mis", Result{Bound: 1}, time.Millisecond, false)
 	if got := cl.Per["lpr"].Calls; got != 1 {
 		t.Fatalf("clone shares ProcStats with original: calls=%d want 1", got)
 	}

@@ -294,77 +294,6 @@ func (s Status) String() string {
 	}
 }
 
-// Stats counts solver events.
-type Stats struct {
-	Decisions      int64
-	Conflicts      int64 // BCP conflicts
-	BoundConflicts int64 // §4 bound conflicts
-	BoundCalls     int64 // lower bound estimations
-	BoundPrunes    int64 // estimations that triggered a bound conflict
-	Solutions      int64
-	Restarts       int64
-	KnapsackCuts   int64
-	CardCuts       int64
-	// NCBSavedLevels accumulates, over bound conflicts, how many decision
-	// levels each backjump skipped beyond the chronological single level.
-	NCBSavedLevels int64
-	Propagations   int64
-	LearnedClauses int64
-	// PBLearned counts cutting-plane constraints derived by PB learning.
-	PBLearned int64
-	// PBCardNormalized counts learned PB constraints recognized as semantic
-	// cardinality constraints and rewritten with unit coefficients
-	// (cuts.DetectCardinality): e.g. 3x+3y+2z ≥ 5 becomes x+y+z ≥ 2.
-	PBCardNormalized int64
-	// LPIncumbents counts incumbents taken from an LPR point rather than
-	// from a search leaf (see Options.NoLPIncumbent).
-	LPIncumbents int64
-
-	// Resilience counters (the fallback ladder of the bound procedures).
-	//
-	// BoundFailures counts primary bound calls that failed hard: a panic
-	// recovered inside the estimation, a numerical failure (NaN/Inf), or an
-	// LP solver error.
-	BoundFailures int64
-	// BoundPanics counts the subset of BoundFailures that were recovered
-	// panics (genuine or injected via internal/fault).
-	BoundPanics int64
-	// BoundFallbacks counts nodes whose bound was rescued by the MIS
-	// fallback after the primary procedure failed or returned no usable
-	// bound within its budget.
-	BoundFallbacks int64
-	// BoundDemotions counts circuit-breaker trips: after FallbackAfter
-	// consecutive failures the primary method is demoted to MIS for the
-	// rest of the run (at most 1 per run today; kept a counter for the
-	// portfolio's aggregated stats).
-	BoundDemotions int64
-	// BoundTimeouts counts bound calls that exhausted their per-node
-	// wall-clock budget (sound anytime bound used; not a failure).
-	BoundTimeouts int64
-
-	// Bounds is the bound-pipeline observability block: reduction mode and
-	// cost, per-estimator call/time/strength aggregates, and the LP
-	// warm-start counters (see bounds.Stats).
-	Bounds bounds.Stats
-
-	// Sharing counts cooperative-portfolio events (all zero when
-	// Options.Share is nil): incumbents published/adopted, clauses
-	// exchanged, pruning attributable to foreign upper bounds.
-	Sharing SharingStats
-
-	// ImportedClauses mirrors the engine's count of installed foreign
-	// clauses (units + watched).
-	ImportedClauses int64
-	// RandomDecisions counts seeded-RNG branch picks (Options.Seed /
-	// RandomBranchFreq).
-	RandomDecisions int64
-
-	// Flips counts local-search moves; always 0 for branch-and-bound
-	// members, set when a portfolio maps an internal/ls worker's outcome
-	// into this shape.
-	Flips int64
-}
-
 // Result is the outcome of Solve.
 type Result struct {
 	Status Status
@@ -414,7 +343,7 @@ type solver struct {
 	// bstats aggregates the bound pipeline's observability (surfaced as
 	// Stats.Bounds). lastEst names the estimator whose result the last
 	// estimate() call returned, for per-estimator prune attribution.
-	bstats  bounds.Stats
+	bstats  obs.BoundsStats
 	lastEst string
 
 	upper    int64 // best objective found so far, excluding CostOffset
@@ -798,7 +727,7 @@ func (s *solver) reduce() *bounds.Reduced {
 		red = bounds.Extract(s.eng)
 	}
 	s.bstats.Reduces++
-	s.bstats.ReduceTime += time.Since(start)
+	s.bstats.ReduceTime += obs.Duration(time.Since(start))
 	return red
 }
 
@@ -912,7 +841,7 @@ func (s *solver) tryEstimate(est bounds.Estimator, red *bounds.Reduced, target i
 			failed = true
 			panicked = true
 		}
-		s.bstats.Record(est.Name(), res, time.Since(start), panicked)
+		bounds.Record(&s.bstats, est.Name(), res, time.Since(start), panicked)
 	}()
 	res = est.Estimate(s.eng, red, s.prob.Cost, target, bud)
 	if res.Failed || res.Bound < 0 {

@@ -146,10 +146,7 @@ func TestCancelStatsConsistency(t *testing.T) {
 			t.Fatalf("iter %d: interrupted solve returned torn stats: decisions=%d hasSolution=%v",
 				iter, st.Decisions, res.HasSolution)
 		}
-		var perCalls int64
-		for _, name := range st.Bounds.Names() {
-			perCalls += st.Bounds.Per[name].Calls
-		}
+		perCalls := st.Bounds.TotalCalls()
 		if st.BoundCalls > 0 && perCalls != st.BoundCalls {
 			t.Fatalf("iter %d: bound pipeline block inconsistent on the cancel path: calls=%d per-sum=%d",
 				iter, st.BoundCalls, perCalls)

@@ -1,7 +1,7 @@
 // Cooperative-portfolio hooks: the solver side of the sharing layer.
 //
 // core deliberately defines only the *interface* it needs (Sharer) and counts
-// its own member-side events (SharingStats); the concrete board lives in
+// its own member-side events (Stats.Sharing); the concrete board lives in
 // internal/share and the wiring in internal/portfolio, keeping the import
 // direction one-way (portfolio → core + share).
 //
@@ -46,56 +46,6 @@ type Sharer interface {
 	// DrainClauses delivers clauses published by other members since the
 	// last drain. Delivered slices are read-only.
 	DrainClauses(fn func(lits []pb.Lit))
-}
-
-// SharingStats counts one member's cooperative events (zero when
-// Options.Share is nil).
-type SharingStats struct {
-	// IncumbentsPublished counts local incumbents offered to the board;
-	// IncumbentsWon the subset that became the global best.
-	IncumbentsPublished int64
-	IncumbentsWon       int64
-	// ForeignIncumbents counts upper bounds adopted from other members.
-	ForeignIncumbents int64
-	// ForeignRejected counts board incumbents that failed re-verification
-	// (infeasible, wrong length, or a cost mismatch) and were NOT adopted.
-	// Always 0 on a healthy board: a nonzero count means a member published
-	// a corrupt certificate — with UB-only members in the portfolio this
-	// check is what keeps a bad incumbent from ever becoming part of an
-	// exhaustion proof.
-	ForeignRejected int64
-	// ForeignUBPrunes counts nodes pruned (path or bound conflicts) while
-	// the incumbent in force was a foreign adoption — pruning this member
-	// only got because another member found the solution.
-	ForeignUBPrunes int64
-	// UBInterrupts counts bound estimations cut short because a foreign
-	// incumbent dropped the target mid-call (bounds.Budget.Interrupt).
-	UBInterrupts int64
-	// ClausesPublished / ClausesRejected count the exchange's verdicts on
-	// this member's learned clauses (rejected = length/LBD filter or dup).
-	ClausesPublished int64
-	ClausesRejected  int64
-	// ClausesImported counts foreign clauses installed into the engine
-	// (ImportedUnits is the subset that arrived as root units).
-	ClausesImported int64
-	ImportedUnits   int64
-	// ImportsDropped counts imports that were already satisfied or
-	// tautological; ImportsRejected counts structurally invalid (corrupt)
-	// imports; ImportConflicts counts imports conflicting at the root
-	// (converted into exhaustion proofs).
-	ImportsDropped  int64
-	ImportsRejected int64
-	ImportConflicts int64
-}
-
-// Active reports whether any sharing event was recorded.
-func (s *SharingStats) Active() bool {
-	return s.IncumbentsPublished != 0 || s.ForeignIncumbents != 0 ||
-		s.ClausesPublished != 0 || s.ClausesRejected != 0 ||
-		s.ClausesImported != 0 || s.ImportsDropped != 0 ||
-		s.ImportsRejected != 0 || s.ImportConflicts != 0 ||
-		s.ForeignUBPrunes != 0 || s.UBInterrupts != 0 ||
-		s.ForeignRejected != 0
 }
 
 // verifyForeign re-verifies a board incumbent against the member's own

@@ -12,14 +12,13 @@
 // what the audit hook (audit.PooledCut) re-verifies exhaustively on small
 // instances.
 //
-// The package depends only on pb. The bounds package residualizes pooled
-// cuts per node and installs them into the LP as extra dual columns; see
-// bounds.LPR.
+// The package depends only on pb and obs (whose CutStats block the pool
+// counts into). The bounds package residualizes pooled cuts per node and
+// installs them into the LP as extra dual columns; see bounds.LPR.
 package cuts
 
 import (
 	"sort"
-	"time"
 
 	"repro/internal/pb"
 )
@@ -90,28 +89,6 @@ func (c Config) withDefaults() Config {
 		c.MinViolation = 0.02
 	}
 	return c
-}
-
-// Counters is the cut-pipeline observability block, snapshotted into
-// bounds.Stats.Cuts and from there into the obs metrics schema and the CSV
-// columns.
-type Counters struct {
-	// Separated counts cuts accepted into the pool.
-	Separated int64
-	// Duplicates counts separated cuts rejected by the duplicate hash
-	// (the violated inequality was already pooled).
-	Duplicates int64
-	// Rounds counts separation rounds run.
-	Rounds int64
-	// Applied counts cut columns installed into node LPs (summed over
-	// estimations: 3 live cuts over 10 nodes ⇒ 30).
-	Applied int64
-	// Active is the live pool size at snapshot time.
-	Active int64
-	// Pruned counts cuts evicted by activity aging.
-	Pruned int64
-	// SepTime is the wall clock spent inside separation rounds.
-	SepTime time.Duration
 }
 
 // sortTerms puts cut terms into the engine's normal order: descending

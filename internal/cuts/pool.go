@@ -3,6 +3,7 @@ package cuts
 import (
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/pb"
 )
 
@@ -26,7 +27,7 @@ type Pool struct {
 	byID   map[int64]int  // id → index in live
 
 	graph conflictGraph
-	ctr   Counters
+	ctr   obs.CutStats
 
 	// OnAdd, when non-nil, observes every cut accepted into the pool (the
 	// solver wires the audit hook and the trace emitter here). Called before
@@ -59,10 +60,11 @@ func (p *Pool) MaxRounds() int {
 	return p.cfg.MaxRounds
 }
 
-// Counters returns a snapshot of the pool's observability block.
-func (p *Pool) Counters() Counters {
+// Counters returns a snapshot of the pool's observability block (the
+// metrics schema's cuts block).
+func (p *Pool) Counters() obs.CutStats {
 	if p == nil {
-		return Counters{}
+		return obs.CutStats{}
 	}
 	c := p.ctr
 	c.Active = int64(len(p.live))
@@ -97,7 +99,7 @@ func (p *Pool) Separate(rows []Source, frac func(pb.Lit) float64) int {
 			}
 		}
 	}
-	p.ctr.SepTime += time.Since(start)
+	p.ctr.SepTime += obs.Duration(time.Since(start))
 	return added
 }
 

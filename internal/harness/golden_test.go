@@ -8,8 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bounds"
-	"repro/internal/cuts"
+	"repro/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
@@ -24,11 +23,11 @@ func goldenCells() []RunResult {
 		{
 			Instance: "synth-30-1", Family: FamilySynth, Solver: SolverLPR,
 			Solved: true, HasUB: true, Best: 42, Duration: 61234567,
-			Bounds: bounds.Stats{
+			Bounds: obs.BoundsStats{
 				Incremental: true, Reduces: 300, ReduceTime: 1234567,
 				WarmSolves: 250, ColdSolves: 50, WarmFallbacks: 3,
-				Cuts: cuts.Counters{Separated: 12, Duplicates: 2, Rounds: 4, Applied: 80, Active: 9, Pruned: 3, SepTime: 2345678},
-				Per: map[string]*bounds.ProcStats{
+				Cuts: obs.CutStats{Separated: 12, Duplicates: 2, Rounds: 4, Applied: 80, Active: 9, Pruned: 3, SepTime: 2345678},
+				Per: map[string]*obs.ProcStats{
 					"lpr": {Calls: 290, Time: 40123456, BoundSum: 8700, MaxBound: 41, Prunes: 120, Incomplete: 2},
 					"mis": {Calls: 10, Time: 345678, BoundSum: 200, MaxBound: 30, Prunes: 4, Failed: 1},
 				},
@@ -38,9 +37,9 @@ func goldenCells() []RunResult {
 		{
 			Instance: "grout-4-2", Family: FamilyGrout, Solver: SolverPortfolio,
 			Solved: true, HasUB: true, Best: 17, Duration: 250*time.Millisecond + 7,
-			Bounds: bounds.Stats{
+			Bounds: obs.BoundsStats{
 				Reduces: 90, ReduceTime: 456789,
-				Per: map[string]*bounds.ProcStats{"lgr": {Calls: 88, Time: 9876543, BoundSum: 1000, MaxBound: 16}},
+				Per: map[string]*obs.ProcStats{"lgr": {Calls: 88, Time: 9876543, BoundSum: 1000, MaxBound: 16}},
 			},
 			Conflicts: 6000, Decisions: 9100, Propagations: 3_500_000,
 			Members: 4, Winner: "lgr",

@@ -14,10 +14,10 @@ import (
 	"time"
 
 	"repro/internal/baseline"
-	"repro/internal/bounds"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/milp"
+	"repro/internal/obs"
 	"repro/internal/pb"
 	"repro/internal/portfolio"
 	"repro/internal/preprocess"
@@ -311,7 +311,7 @@ type RunResult struct {
 	// Bounds is the bound-pipeline profile of the run (bsolo columns only:
 	// reduction mode/cost, per-estimator call/time aggregates, LP warm-start
 	// counters). Zero for the baselines and the MILP column.
-	Bounds bounds.Stats
+	Bounds obs.BoundsStats
 	// Conflicts / Decisions measure search effort: BCP + bound conflicts and
 	// decisions (summed across members for the portfolio columns; zero for
 	// the MILP column). The sharing benchmarks compare these between the
@@ -674,31 +674,28 @@ func fmtDur(d time.Duration) string {
 // published/imported, foreign-UB prunes — zero outside the cooperative
 // portfolio column), and the incumbent-latency columns (ttfiMs: wall-clock
 // milliseconds to the first incumbent any member reported, empty when none;
-// flips: local-search flips, zero for the exact columns).
+// flips: local-search flips, zero for the exact columns). Each line is read
+// off the cell's BenchRow, the same row the bench snapshots carry.
 func FormatCSV(results []RunResult) string {
 	var sb strings.Builder
 	sb.WriteString("instance,family,solver,solved,best,ms,boundCalls,boundMs,lpWarm,lpCold," +
 		"cutsSep,cutsActive,cutsPruned," +
 		"conflicts,decisions,fixedVars,propsPerSec,members,shPub,shImp,shPrunes,ttfiMs,flips\n")
-	for _, r := range results {
-		best := ""
-		if r.HasUB {
-			best = fmt.Sprint(r.Best)
+	for i := range results {
+		row := results[i].BenchRow()
+		best, ttfi := "", ""
+		if row.Best != nil {
+			best = fmt.Sprint(*row.Best)
 		}
-		ttfi := ""
-		if r.FirstIncumbent > 0 {
-			ttfi = fmt.Sprintf("%.2f", float64(r.FirstIncumbent.Microseconds())/1000)
+		if row.TtfiMs > 0 {
+			ttfi = fmt.Sprintf("%.2f", row.TtfiMs)
 		}
 		fmt.Fprintf(&sb, "%s,%s,%s,%t,%s,%.2f,%d,%.2f,%d,%d,%d,%d,%d,%d,%d,%d,%.0f,%d,%d,%d,%d,%s,%d\n",
-			r.Instance, r.Family, r.Solver, r.Solved, best,
-			float64(r.Duration.Microseconds())/1000,
-			r.BoundCalls(), float64(r.BoundTime().Microseconds())/1000,
-			r.Bounds.WarmSolves, r.Bounds.ColdSolves,
-			r.Bounds.Cuts.Separated, r.Bounds.Cuts.Active, r.Bounds.Cuts.Pruned,
-			r.Conflicts, r.Decisions,
-			r.FixedVars, r.PropsPerSec(),
-			r.Members, r.ShClausesPub, r.ShClausesImp, r.ShForeignPrunes,
-			ttfi, r.Flips)
+			row.Instance, row.Family, row.Solver, row.Solved, best, row.WallMs,
+			row.BoundCalls, row.BoundMs, row.LPWarm, row.LPCold,
+			row.CutsSep, row.CutsActive, row.CutsPruned,
+			row.Conflicts, row.Decisions, row.FixedVars, row.PropsPerSec,
+			row.Members, row.ShPub, row.ShImp, row.ShPrunes, ttfi, row.Flips)
 	}
 	return sb.String()
 }
@@ -731,9 +728,9 @@ func FormatBoundProfile(results []RunResult) string {
 		a.cold += r.Bounds.ColdSolves
 		a.fallbacks += r.Bounds.WarmFallbacks
 		a.reduces += r.Bounds.Reduces
-		a.reduceTime += r.Bounds.ReduceTime
+		a.reduceTime += time.Duration(r.Bounds.ReduceTime)
 		for _, p := range r.Bounds.Per {
-			a.time += p.Time
+			a.time += time.Duration(p.Time)
 			a.incomplete += p.Incomplete
 			a.failed += p.Failed
 		}

@@ -144,6 +144,23 @@ type Stats struct {
 	PresolveFixed int
 }
 
+// Solver maps the LS counters onto the metrics schema's solver block:
+// flips, restarts, improvements as solutions, and the incumbent exchange
+// with the board (zero without one). The live publish and the portfolio's
+// member result both use this one mapping.
+func (st *Stats) Solver() obs.SolverStats {
+	return obs.SolverStats{
+		Restarts:  st.Restarts,
+		Solutions: st.Improvements,
+		Flips:     st.Flips,
+		Sharing: obs.SharingStats{
+			IncumbentsPublished: st.BoardPublished,
+			IncumbentsWon:       st.BoardWon,
+			ForeignIncumbents:   st.BoardImports,
+		},
+	}
+}
+
 // upperInf mirrors core's "no incumbent" sentinel.
 const upperInf = int64(math.MaxInt64 / 2)
 
@@ -744,22 +761,10 @@ func (s *solver) publishLive(status string) {
 	if s.opt.Live == nil {
 		return
 	}
-	m := obs.SolverMetrics{
-		Status:    status,
-		Flips:     s.stats.Flips,
-		Restarts:  s.stats.Restarts,
-		Solutions: s.stats.Improvements,
-	}
+	m := obs.SolverMetrics{Status: status, SolverStats: s.stats.Solver()}
 	if s.extVals != nil {
 		b := s.extBest
 		m.Best = &b
-	}
-	if s.opt.Share != nil {
-		m.Sharing = &obs.SharingMetrics{
-			IncumbentsPublished: s.stats.BoardPublished,
-			IncumbentsWon:       s.stats.BoardWon,
-			ForeignIncumbents:   s.stats.BoardImports,
-		}
 	}
 	s.opt.Live.Publish(m)
 }

@@ -85,10 +85,10 @@ func TestCompareBenchFlagsRegressions(t *testing.T) {
 func TestCompareBenchToleratesNoiseAndReportsImprovements(t *testing.T) {
 	old := sampleBench()
 	cur := sampleBench()
-	cur.Rows[0].WallMs = 160      // 1.33x with a 50ms floor: inside tolerance
-	cur.Rows[1].Solved = true     // plain now solves
-	cur.Rows[1].WallMs = 900      //
-	cur.Rows = cur.Rows[:2]       // portfolio cell disappears -> note
+	cur.Rows[0].WallMs = 160  // 1.33x with a 50ms floor: inside tolerance
+	cur.Rows[1].Solved = true // plain now solves
+	cur.Rows[1].WallMs = 900  //
+	cur.Rows = cur.Rows[:2]   // portfolio cell disappears -> note
 	d := CompareBench(old, cur, 1.5)
 	if d.HasRegressions() {
 		t.Fatalf("unexpected regressions:\n%s", d.String())

@@ -1,10 +1,9 @@
 // Package obs is the observability layer of the reproduction: a structured,
-// ring-buffered search-event tracer, a unified metrics snapshot schema that
-// merges the solver's scattered counter blocks (core.Stats, bounds.Stats,
-// SharingStats, the board's global counters) into one versioned JSON
-// document, and a live introspection registry that serves that document —
-// plus net/http/pprof — over an opt-in loopback HTTP endpoint while a solve
-// is still running.
+// ring-buffered search-event tracer, the solver stack's counter blocks
+// (solver, bounds, per-estimator, cuts, sharing and board), which are at the
+// same time the versioned metrics schema, and a live introspection registry
+// that serves that document — plus net/http/pprof — over an opt-in loopback
+// HTTP endpoint while a solve is still running.
 //
 // Design constraints (DESIGN.md §11):
 //
@@ -17,6 +16,7 @@
 //     atomic pointer, so concurrent scrapers can never observe a torn or
 //     half-updated counter block.
 //   - One-way imports. obs depends only on the standard library; the solver
-//     packages (core, portfolio, harness) import obs and convert their
-//     native stats into the schema structs defined here.
+//     packages (core, bounds, cuts, share, ls, portfolio) import obs and
+//     count straight into the blocks defined here, so each counter is
+//     declared once and no converter sits between solver and document.
 package obs

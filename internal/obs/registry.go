@@ -24,8 +24,8 @@ type Live struct {
 }
 
 // Publish installs m as the latest snapshot. The value is copied; the
-// caller must not retain pointers into m's maps after publishing (the core
-// converter builds fresh maps per snapshot, see core.Stats.Metrics).
+// caller must not mutate what m's Bounds.Per map points to after publishing
+// (core publishes a deep copy per snapshot, see BoundsStats.Clone).
 // A nil receiver is a true no-op: the heap copy lives in the non-inlined
 // store helper, so the disabled path costs one nil check and zero
 // allocations (pinned by TestDisabledObservabilityAllocatesNothing).
@@ -64,7 +64,7 @@ type Registry struct {
 	meta    map[string]string
 	names   []string
 	solvers []*Live
-	board   func() BoardMetrics
+	board   func() BoardStats
 }
 
 // NewRegistry returns an empty registry with its uptime clock started.
@@ -94,7 +94,7 @@ func (r *Registry) RegisterSolver(name string, src *Live) {
 
 // RegisterBoard installs the sharing board's snapshot function (fn must be
 // safe to call concurrently; share.Board.Snapshot is).
-func (r *Registry) RegisterBoard(fn func() BoardMetrics) {
+func (r *Registry) RegisterBoard(fn func() BoardStats) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.board = fn

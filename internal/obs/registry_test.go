@@ -14,10 +14,7 @@ import (
 
 func sampleSolverMetrics(name string) SolverMetrics {
 	best := int64(42)
-	return SolverMetrics{
-		Name:           name,
-		Status:         "optimal",
-		Best:           &best,
+	return SolverMetrics{Name: name, Status: "optimal", Best: &best, SolverStats: SolverStats{
 		Decisions:      100,
 		Conflicts:      40,
 		BoundConflicts: 12,
@@ -28,32 +25,33 @@ func sampleSolverMetrics(name string) SolverMetrics {
 		Propagations:   9000,
 		LearnedClauses: 38,
 		BoundTimeouts:  1,
-		Bounds: BoundsMetrics{
+		Bounds: BoundsStats{
 			Incremental: true,
 			Reduces:     50,
-			ReduceMs:    1.25,
+			ReduceTime:  Duration(1250 * time.Microsecond),
 			WarmSolves:  30,
 			ColdSolves:  20,
-			Per: map[string]ProcMetrics{
-				"lpr": {Calls: 45, TimeMs: 12.5, BoundSum: 900, MaxBound: 40, Prunes: 10},
-				"mis": {Calls: 5, TimeMs: 0.5, BoundSum: 20, MaxBound: 8, Prunes: 1},
+			Cuts:        CutStats{Separated: 4, Rounds: 2, Active: 3, SepTime: Duration(750 * time.Microsecond)},
+			Per: map[string]*ProcStats{
+				"lpr": {Calls: 45, Time: Duration(12500 * time.Microsecond), BoundSum: 900, MaxBound: 40, Prunes: 10},
+				"mis": {Calls: 5, Time: Duration(500 * time.Microsecond), BoundSum: 20, MaxBound: 8, Prunes: 1},
 			},
 		},
-		Sharing: &SharingMetrics{
+		Sharing: SharingStats{
 			IncumbentsPublished: 3,
 			IncumbentsWon:       2,
 			ClausesPublished:    17,
 			ClausesImported:     9,
 		},
-	}
+	}}
 }
 
 // TestSnapshotSchemaRoundTrip is the snapshot-schema round-trip test: a
 // fully populated Snapshot must survive JSON encode/decode bit-identically
-// (the schema uses only exactly-representable field types: int64 counters,
-// float64 milliseconds, strings).
+// (int64 counters, strings, and durations that are whole microseconds, which
+// float64 milliseconds carry exactly).
 func TestSnapshotSchemaRoundTrip(t *testing.T) {
-	board := BoardMetrics{
+	board := BoardStats{
 		Members:          4,
 		ClausesPublished: 17,
 		ClausesDuplicate: 2,
@@ -111,7 +109,7 @@ func TestLiveNilSafeAndTearFree(t *testing.T) {
 				return
 			default:
 			}
-			live.Publish(SolverMetrics{Decisions: i, Conflicts: i})
+			live.Publish(SolverMetrics{SolverStats: SolverStats{Decisions: i, Conflicts: i}})
 		}
 	}()
 	for i := 0; i < 10000; i++ {
@@ -131,7 +129,7 @@ func TestRegistrySnapshotAndEndpoint(t *testing.T) {
 	liveA, liveB := &Live{}, &Live{}
 	reg.RegisterSolver("lpr", liveA)
 	reg.RegisterSolver("mis", liveB)
-	reg.RegisterBoard(func() BoardMetrics { return BoardMetrics{Members: 2, Incumbents: 1} })
+	reg.RegisterBoard(func() BoardStats { return BoardStats{Members: 2, Incumbents: 1} })
 	liveA.Publish(sampleSolverMetrics("ignored")) // registry stamps the registered name
 
 	snap := reg.Snapshot()

@@ -123,27 +123,3 @@ func TestPortfolioLiveScrapeDuringSolve(t *testing.T) {
 		}
 	}
 }
-
-// TestPortfolioMetricsConversion checks the terminal Result→schema
-// conversion used by end-of-run snapshot writers.
-func TestPortfolioMetricsConversion(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	p := randomPBO(rng, 10, 16)
-	res := Solve(p, nil)
-	ms := res.Metrics()
-	if len(ms) != 4 {
-		t.Fatalf("got %d member blocks, want 4", len(ms))
-	}
-	for i, m := range ms {
-		if m.Name != res.Members[i].Name {
-			t.Fatalf("block %d name %q want %q", i, m.Name, res.Members[i].Name)
-		}
-		if m.Status == "" {
-			t.Fatalf("block %d: empty status", i)
-		}
-	}
-	bm := BoardMetrics(res.Board)
-	if bm.Members != 4 {
-		t.Fatalf("board members=%d want 4", bm.Members)
-	}
-}

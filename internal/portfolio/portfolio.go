@@ -189,7 +189,7 @@ type Result struct {
 	// Board is the board's final global snapshot (zero when !Sharing). Its
 	// BestOwner names the member whose solution the certificate carries —
 	// distinct from Winner when the prover adopted a foreign incumbent.
-	Board share.Stats
+	Board obs.BoardStats
 }
 
 // TotalConflicts sums BCP + bound conflicts across every member — the
@@ -278,9 +278,7 @@ func SolveOpts(p *pb.Problem, configs []Config, opts Options) Result {
 			opts.Registry.RegisterSolver(cfg.name(), lives[i])
 		}
 		if board != nil {
-			opts.Registry.RegisterBoard(func() obs.BoardMetrics {
-				return BoardMetrics(board.Snapshot())
-			})
+			opts.Registry.RegisterBoard(board.Snapshot)
 		}
 	}
 
@@ -472,17 +470,10 @@ func runLS(p *pb.Problem, opt ls.Options, w wiring) core.Result {
 		HasSolution: lr.HasSolution,
 		Best:        lr.Best,
 		Values:      lr.Values,
+		Stats:       lr.Stats.Solver(),
 	}
 	if lr.Satisfiable {
 		res.Status = core.StatusSatisfiable
-	}
-	res.Stats.Restarts = lr.Stats.Restarts
-	res.Stats.Solutions = lr.Stats.Improvements
-	res.Stats.Flips = lr.Stats.Flips
-	if w.share != nil {
-		res.Stats.Sharing.IncumbentsPublished = lr.Stats.BoardPublished
-		res.Stats.Sharing.IncumbentsWon = lr.Stats.BoardWon
-		res.Stats.Sharing.ForeignIncumbents = lr.Stats.BoardImports
 	}
 	return res
 }

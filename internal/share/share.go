@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/pb"
 )
 
@@ -270,34 +271,10 @@ func hashLits(lits []pb.Lit) uint64 {
 	return h
 }
 
-// Stats is a point-in-time snapshot of the board's global counters.
-type Stats struct {
-	// Members is the number of handles issued by Join/JoinNoClauses.
-	Members int
-	// ClauseMembers is the number of members participating in clause
-	// exchange (Join only); UB-only members are excluded.
-	ClauseMembers int
-	// ClausesPublished counts clauses accepted into the ring.
-	ClausesPublished int64
-	// ClausesTooLong / ClausesHighLBD / ClausesDuplicate count publisher-side
-	// filter rejections.
-	ClausesTooLong   int64
-	ClausesHighLBD   int64
-	ClausesDuplicate int64
-	// ClausesLapped counts clauses a slow drainer lost to ring overwrite.
-	ClausesLapped int64
-	// Incumbents counts accepted global-best improvements; BestOwner names
-	// the member holding the final certificate; BestCost is its internal
-	// cost, valid when HasIncumbent.
-	Incumbents   int64
-	HasIncumbent bool
-	BestCost     int64
-	BestOwner    string
-}
-
-// Snapshot returns the board's current global counters.
-func (b *Board) Snapshot() Stats {
-	st := Stats{
+// Snapshot returns the board's current global counters (the metrics
+// schema's board block).
+func (b *Board) Snapshot() obs.BoardStats {
+	st := obs.BoardStats{
 		Members:          int(b.members.Load()),
 		ClauseMembers:    int(b.clauseMembers.Load()),
 		ClausesPublished: int64(b.seq.Load()),

@@ -14,9 +14,8 @@
 // (plain weighted MaxSAT). Weights must be positive. Clauses may span lines;
 // the terminating 0 is mandatory.
 //
-// Soft OPB (.wbo):
+// Soft OPB (.wbo), where lines starting with "*" are comments:
 //
-//	* comments
 //	soft: <top> ;
 //	[<weight>] +1 x1 +2 x2 >= 2 ;      (soft constraint)
 //	+1 x1 +1 x3 >= 1 ;                 (hard constraint)
