@@ -121,13 +121,13 @@ func ablationInstances(b *testing.B) []harness.Instance {
 
 func runWithOptions(b *testing.B, opt core.Options) {
 	insts := ablationInstances(b)
-	opt.TimeLimit = 2 * time.Second
 	opt.MaxConflicts = 200_000
 	solved, total := 0, 0
 	var decisions int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, inst := range insts {
+			opt.Deadline = time.Now().Add(2 * time.Second)
 			res := core.Solve(inst.Prob, opt)
 			total++
 			if res.Status == core.StatusOptimal || res.Status == core.StatusSatisfiable ||
@@ -235,7 +235,7 @@ func BenchmarkAblationPreprocess(b *testing.B) {
 					}
 				}
 				res := core.Solve(prob, core.Options{
-					LowerBound: core.LBLPR, TimeLimit: 2 * time.Second, MaxConflicts: 200_000,
+					LowerBound: core.LBLPR, Deadline: time.Now().Add(2 * time.Second), MaxConflicts: 200_000,
 				})
 				total++
 				if res.Status == core.StatusOptimal {

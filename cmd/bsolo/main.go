@@ -49,7 +49,7 @@ func main() {
 		wcnfIn       = flag.Bool("wcnf", false, "parse the input as weighted CNF (DIMACS wcnf; weights at or above the header top are hard)")
 		wboIn        = flag.Bool("wbo", false, "parse the input as soft OPB (soft: header plus [w]-prefixed soft constraints)")
 		coreGuided   = flag.Bool("core-guided", false, "with -wcnf/-wbo: WPM1 core-guided search instead of big-M branch-and-bound (with -portfolio: joins the race as an extra member)")
-		timeLimit    = flag.Duration("time", 0, "wall-clock limit (e.g. 30s; 0 = none)")
+		timeLimit    = flag.Duration("time", 0, "wall-clock limit on the whole run, parsing, presolve and every portfolio member included (e.g. 30s; 0 = none)")
 		maxConflicts = flag.Int64("conflicts", 0, "conflict limit (0 = none)")
 		chrono       = flag.Bool("chrono", false, "chronological backtracking on bound conflicts (§4 ablation)")
 		noLPBranch   = flag.Bool("no-lp-branching", false, "disable §5 LP-guided branching")
@@ -87,6 +87,12 @@ func main() {
 		metricsPath  = flag.String("metrics", "", "write the final unified metrics snapshot JSON to this file at exit")
 	)
 	flag.Parse()
+	// The run's one deadline: parsing, presolve and every solver layer and
+	// portfolio member count toward -time.
+	var deadline time.Time
+	if *timeLimit > 0 {
+		deadline = time.Now().Add(*timeLimit)
+	}
 
 	var in io.Reader = os.Stdin
 	if flag.NArg() > 0 {
@@ -179,7 +185,7 @@ func main() {
 	}
 
 	opt := core.Options{
-		TimeLimit:            *timeLimit,
+		Deadline:             deadline,
 		MaxConflicts:         *maxConflicts,
 		CardinalityInference: *cardInf,
 		Tuning: core.Tuning{
@@ -292,35 +298,11 @@ func main() {
 	var pres *portfolio.Result
 	var wres *wbo.Result
 	if *portfolioRun {
-		configs := portfolio.DefaultConfigs()
-		for i := range configs {
-			configs[i].Options.TimeLimit = opt.TimeLimit
-			configs[i].Options.MaxConflicts = opt.MaxConflicts
-			configs[i].Options.Tuning = opt.Tuning
-		}
-		// LS members go first: irrelevant when members race concurrently,
-		// but under serialized execution (capped -members, low GOMAXPROCS)
-		// the UB-only workers must run before the exact members so their
-		// incumbents are already on the board warming B&B pruning.
-		var lsConfigs []portfolio.Config
-		for i := 0; i < *lsMembers; i++ {
-			name := "ls"
-			if *lsMembers > 1 {
-				name = fmt.Sprintf("ls%d", i+1)
-			}
-			cfg := portfolio.LSConfig(name, int64(101+i), *lsFlips)
-			cfg.LS.TimeLimit = opt.TimeLimit
-			lsConfigs = append(lsConfigs, cfg)
-		}
-		configs = append(lsConfigs, configs...)
+		var cg *wbo.Instance
 		if *coreGuided {
-			cg := portfolio.Config{Name: "core-guided", CoreGuided: &portfolio.CoreGuided{
-				Instance: wi,
-				Options:  wbo.Options{TimeLimit: opt.TimeLimit, MaxConflicts: opt.MaxConflicts},
-			}}
-			configs = append([]portfolio.Config{cg}, configs...)
+			cg = wi
 		}
-		p := portfolio.SolveOpts(prob, configs, portfolio.Options{
+		p := portfolio.SolveOpts(prob, portfolio.Roster(opt, *lsMembers, *lsFlips, cg), portfolio.Options{
 			NoSharing:     !*shareOn,
 			Share:         share.Config{Capacity: *shareCap, MaxLen: *shareLen, MaxLBD: *shareLBD},
 			MaxConcurrent: *maxMembers,
@@ -338,7 +320,7 @@ func main() {
 		}
 	} else if *coreGuided {
 		r := wbo.Solve(wi, wbo.Options{
-			TimeLimit:    opt.TimeLimit,
+			Deadline:     deadline,
 			MaxConflicts: opt.MaxConflicts,
 			Cancel:       cancel,
 		})
@@ -534,8 +516,14 @@ func main() {
 		if err := printStats(&res, pres); err != nil {
 			fatal(err)
 		}
+		// A race's rate counts every member's propagations over its wall
+		// time, not the winner's alone.
+		props := res.Stats.Propagations
+		if pres != nil {
+			props = pres.TotalPropagations()
+		}
 		if secs := elapsed.Seconds(); secs > 0 {
-			fmt.Printf("c props_per_sec=%.0f\n", float64(res.Stats.Propagations)/secs)
+			fmt.Printf("c props_per_sec=%.0f\n", float64(props)/secs)
 		}
 		if fixing != nil {
 			fmt.Printf("c presolveFixed=%d\n", fixing.NumFixed())

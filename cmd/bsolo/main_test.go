@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -431,5 +432,53 @@ func TestSIGTERMReportsVerifiedIncumbent(t *testing.T) {
 	}
 	if rep.Objective != best {
 		t.Fatalf("printed assignment costs %d, last o line says %d", rep.Objective, best)
+	}
+}
+
+// TestPortfolioPropsPerSecCountsEveryMember checks that a race's -stats rate
+// line divides the propagations of every member, not the winner's alone, by
+// the run's wall time. The members run one after another under a conflict
+// budget (-members 1 -share=false), so the losers that ran out of budget
+// before the winner carry most of the propagations.
+func TestPortfolioPropsPerSecCountsEveryMember(t *testing.T) {
+	out, code := runBsolo(t, mcncOPB(t, 7), "-portfolio", "-members", "1", "-share=false",
+		"-conflicts", "20", "-stats", "-model=false")
+	if code != 0 {
+		t.Fatalf("exit %d, want 0:\n%s", code, out)
+	}
+	winner, elapsed, rate, props := "", time.Duration(0), -1.0, map[string]float64{}
+	var err error
+	for _, line := range strings.Split(out, "\n") {
+		if v, ok := strings.CutPrefix(line, "c portfolio winner: "); ok {
+			winner, _, _ = strings.Cut(v, " ")
+		}
+		if v, ok := strings.CutPrefix(line, "c solved in "); ok {
+			if elapsed, err = time.ParseDuration(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if v, ok := strings.CutPrefix(line, "c props_per_sec="); ok {
+			if rate, err = strconv.ParseFloat(v, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if v, ok := strings.CutPrefix(line, "c member."); ok {
+			if name, n, ok := strings.Cut(v, ".propagations="); ok {
+				if props[name], err = strconv.ParseFloat(n, 64); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	var total float64
+	for _, n := range props {
+		total += n
+	}
+	if winner == "" || elapsed <= 0 || rate < 0 || total <= props[winner] {
+		t.Fatalf("want a winner, a wall time, a rate and losers with propagations; the check is vacuous:\n%s", out)
+	}
+	if want := total / elapsed.Seconds(); math.Abs(rate-want) > 1 {
+		t.Fatalf("props_per_sec=%.0f, want %.0f (%.0f propagations over %v, the winner %s ran %.0f):\n%s",
+			rate, want, total, elapsed, winner, props[winner], out)
 	}
 }

@@ -75,7 +75,7 @@ func run(stdout, stderr io.Writer, args []string) int {
 		family    = fs.String("family", "", "family to run: grout|synth|mcnc|acc|sat|wbo (empty with -all = the four Table 1 families)")
 		all       = fs.Bool("all", false, "run all four families")
 		solvers   = fs.String("solvers", "", "comma-separated solver subset (default: all seven columns)")
-		timeLimit = fs.Duration("time", 10*time.Second, "per-run wall-clock limit")
+		timeLimit = fs.Duration("time", 10*time.Second, "wall-clock limit per cell, presolve and every portfolio member included")
 		conflicts = fs.Int64("conflicts", 0, "per-run conflict limit (0 = none)")
 		milpNodes = fs.Int64("milp-nodes", 0, "MILP node limit (0 = default)")
 		perFamily = fs.Int("n", 10, "instances per family")

@@ -32,7 +32,8 @@ func main() {
 
 	for _, method := range []core.Method{core.LBNone, core.LBMIS, core.LBLGR, core.LBLPR} {
 		start := time.Now()
-		res := core.Solve(prob, core.Options{LowerBound: method, TimeLimit: 30 * time.Second})
+		// The deadline bounds the whole solve at 30 s.
+		res := core.Solve(prob, core.Options{LowerBound: method, Deadline: time.Now().Add(30 * time.Second)})
 		fmt.Printf("  bsolo-%-6s %v in %v (bound calls: %d — always 0 without a cost function)\n",
 			method, res.Status, time.Since(start).Round(time.Millisecond), res.Stats.BoundCalls)
 		if method != core.LBLPR {

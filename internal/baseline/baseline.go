@@ -26,7 +26,8 @@ import (
 type Limits struct {
 	MaxConflicts int64
 	MaxDecisions int64
-	TimeLimit    time.Duration
+	// Deadline is the absolute wall-clock stop time (zero = none).
+	Deadline time.Time
 	// Tuning is handed to the bsolo columns unchanged (ablation runs:
 	// incremental bound pipeline, warm LP, cuts); PBS and Galena keep their
 	// own fixed configurations.
@@ -40,7 +41,7 @@ func PBS(p *pb.Problem, lim Limits) core.Result {
 		LowerBound:   core.LBNone,
 		MaxConflicts: lim.MaxConflicts,
 		MaxDecisions: lim.MaxDecisions,
-		TimeLimit:    lim.TimeLimit,
+		Deadline:     lim.Deadline,
 		RestartBase:  -1, // no Luby restarts; restart only on new solutions
 	})
 }
@@ -64,7 +65,7 @@ func Galena(p *pb.Problem, lim Limits) core.Result {
 		LowerBound:   core.LBNone,
 		MaxConflicts: lim.MaxConflicts,
 		MaxDecisions: lim.MaxDecisions,
-		TimeLimit:    lim.TimeLimit,
+		Deadline:     lim.Deadline,
 		// Galena's distinguishing cutting-plane learning.
 		Tuning: core.Tuning{PBLearning: true},
 	})
@@ -78,7 +79,7 @@ func Bsolo(p *pb.Problem, method core.Method, lim Limits) core.Result {
 		LowerBound:           method,
 		MaxConflicts:         lim.MaxConflicts,
 		MaxDecisions:         lim.MaxDecisions,
-		TimeLimit:            lim.TimeLimit,
+		Deadline:             lim.Deadline,
 		CardinalityInference: true,
 		Tuning:               lim.Tuning,
 	})

@@ -84,8 +84,11 @@ type Options struct {
 	MaxConflicts int64
 	// MaxDecisions bounds the number of decisions; 0 means unlimited.
 	MaxDecisions int64
-	// TimeLimit bounds wall-clock time; 0 means unlimited.
-	TimeLimit time.Duration
+	// Deadline is the absolute wall-clock time at which the search stops
+	// (StatusLimit with the best incumbent); the zero value means none. The
+	// entry point sets it once, so every layer and portfolio member under it
+	// shares the same clock.
+	Deadline time.Time
 
 	// CardinalityInference enables the eq. 11–13 inference on new
 	// incumbents.
@@ -219,14 +222,11 @@ type Tuning struct {
 	// (default 20000); beyond the cap only clauses are learned.
 	MaxPBLearned int64
 
-	// BoundEvery computes the lower bound only at every k-th eligible node
-	// (default 1 = every node). Higher values trade pruning for speed.
-	BoundEvery int
 	// BoundBudget caps the wall-clock time of a single lower-bound
 	// estimation (threaded into the LP simplex and the LGR subgradient
-	// loop). Zero derives a budget from the remaining TimeLimit — an eighth
-	// of what is left, clamped to [5ms, 500ms] — so one cycling LP cannot
-	// eat the whole node budget; negative disables the per-call cap.
+	// loop). Zero derives a budget from the time left before Deadline — an
+	// eighth of it, clamped to [5ms, 500ms] — so one cycling LP cannot eat
+	// the whole node budget; negative disables the per-call cap.
 	BoundBudget time.Duration
 	// FallbackAfter is the circuit-breaker threshold: after this many
 	// consecutive *failed* primary bound calls (panics or numerical
@@ -357,8 +357,6 @@ type solver struct {
 	upperForeign bool
 
 	stats        Stats
-	deadline     time.Time
-	hasDeadline  bool
 	expired      bool  // sticky: deadline passed or Cancel closed
 	lastPropSeen int64 // engine propagation count at the last wall-clock check
 	nodeCounter  int
@@ -425,16 +423,9 @@ func Solve(p *pb.Problem, opt Options) Result {
 			Err: fmt.Errorf("core: worst-case objective %d exceeds solver headroom %d: %w",
 				tc, pb.MaxObjective, pb.ErrOverflow)}
 	}
-	if opt.BoundEvery <= 0 {
-		opt.BoundEvery = 1
-	}
 	s := &solver{prob: p, opt: opt, upper: upperInf, knapCut: -1,
 		aud: opt.Audit, minImportUB: upperInf, trace: opt.Trace}
 	s.trace.Emit(obs.EvSolveStart, opt.LowerBound.String(), int64(p.NumVars), int64(len(p.Constraints)), "")
-	if opt.TimeLimit > 0 {
-		s.deadline = time.Now().Add(opt.TimeLimit)
-		s.hasDeadline = true
-	}
 	switch opt.LowerBound {
 	case LBMIS:
 		s.est = bounds.MIS{}
@@ -483,10 +474,10 @@ func Solve(p *pb.Problem, opt Options) Result {
 		s.reducer = bounds.NewReducer(s.eng)
 		s.bstats.Incremental = true
 	}
-	if s.hasDeadline || opt.Cancel != nil {
+	if !opt.Deadline.IsZero() || opt.Cancel != nil {
 		// Reach propagation-heavy nodes: the engine polls this inside long
 		// BCP fixpoints, so a single huge propagation cascade cannot
-		// overshoot TimeLimit by seconds.
+		// overshoot the deadline by seconds.
 		s.eng.Interrupt = s.timeUp
 	}
 	if opt.CardinalityInference {
@@ -497,7 +488,7 @@ func Solve(p *pb.Problem, opt Options) Result {
 		s.reducer.Detach()
 	}
 	// Single-point stats assembly: every terminal path (optimal, unsat,
-	// TimeLimit, SIGINT/Cancel) and every live publish goes through the one
+	// deadline, SIGINT/Cancel) and every live publish goes through the one
 	// snapshot function, so consumers never see counters mixed across
 	// assembly points.
 	res.Stats = s.snapshotStats()
@@ -639,7 +630,7 @@ func (s *solver) timeUp() bool {
 	if s.expired {
 		return true
 	}
-	if s.hasDeadline && time.Now().After(s.deadline) {
+	if !s.opt.Deadline.IsZero() && time.Now().After(s.opt.Deadline) {
 		s.expired = true
 		return true
 	}
@@ -664,7 +655,7 @@ func (s *solver) budgetExpired() bool {
 	if s.opt.MaxDecisions > 0 && s.eng.Stats.Decisions >= s.opt.MaxDecisions {
 		return true
 	}
-	if !s.hasDeadline && s.opt.Cancel == nil && s.opt.Live == nil {
+	if s.opt.Deadline.IsZero() && s.opt.Cancel == nil && s.opt.Live == nil {
 		return false
 	}
 	// Wall-clock / cancellation granularity: consult the clock every 16
@@ -683,17 +674,17 @@ func (s *solver) budgetExpired() bool {
 }
 
 // boundBudget derives the wall-clock budget for one lower-bound estimation:
-// an explicit Options.BoundBudget wins; otherwise an eighth of the remaining
-// TimeLimit, clamped to [5ms, 500ms]. The budget never extends past the
-// run's own deadline, and carries the Cancel channel so a cancelled search
+// an explicit Options.BoundBudget wins; otherwise an eighth of the time left
+// before Options.Deadline, clamped to [5ms, 500ms]. The budget never extends
+// past that deadline, and carries the Cancel channel so a cancelled search
 // does not sit inside a subgradient loop.
 func (s *solver) boundBudget() bounds.Budget {
 	bud := bounds.Budget{Cancel: s.opt.Cancel}
 	bb := s.opt.BoundBudget
 	if bb < 0 {
 		bb = 0 // explicitly uncapped
-	} else if bb == 0 && s.hasDeadline {
-		rem := time.Until(s.deadline)
+	} else if bb == 0 && !s.opt.Deadline.IsZero() {
+		rem := time.Until(s.opt.Deadline)
 		if rem < 0 {
 			rem = 0
 		}
@@ -708,8 +699,8 @@ func (s *solver) boundBudget() bounds.Budget {
 	if bb > 0 {
 		bud.Deadline = time.Now().Add(bb)
 	}
-	if s.hasDeadline && (bud.Deadline.IsZero() || s.deadline.Before(bud.Deadline)) {
-		bud.Deadline = s.deadline
+	if !s.opt.Deadline.IsZero() && (bud.Deadline.IsZero() || s.opt.Deadline.Before(bud.Deadline)) {
+		bud.Deadline = s.opt.Deadline
 	}
 	s.shareInterruptBudget(&bud)
 	return bud
@@ -1049,15 +1040,15 @@ func (s *solver) search() Result {
 }
 
 // boundNode reports whether the current node gets a lower-bound estimate:
-// every BoundEvery-th node once an incumbent exists, and — on LPR runs with
-// LP incumbents — one root node before the first incumbent, whose LP point
-// may supply that incumbent.
+// every node once an incumbent exists, and — on LPR runs with LP incumbents
+// — one root node before the first incumbent, whose LP point may supply that
+// incumbent.
 func (s *solver) boundNode() bool {
 	if s.opt.LowerBound == LBNone {
 		return false
 	}
 	if s.upper < upperInf {
-		return s.nodeCounter%s.opt.BoundEvery == 0
+		return true
 	}
 	if s.rootLPDone || s.opt.LowerBound != LBLPR || s.opt.NoLPIncumbent || s.eng.DecisionLevel() != 0 {
 		return false

@@ -27,7 +27,6 @@ func allConfigs() map[string]Options {
 		"linear":          {Strategy: StrategyLinearSearch},
 		"linear-mis":      {Strategy: StrategyLinearSearch, LowerBound: LBMIS},
 		"plain-norestart": {LowerBound: LBNone, RestartBase: -1},
-		"lpr-every3":      {LowerBound: LBLPR, Tuning: Tuning{BoundEvery: 3}},
 		"pb-learning":     {LowerBound: LBNone, Tuning: Tuning{PBLearning: true}},
 		"linear-pblearn":  {Strategy: StrategyLinearSearch, Tuning: Tuning{PBLearning: true}},
 		"lpr-pblearn":     {LowerBound: LBLPR, Tuning: Tuning{PBLearning: true}},

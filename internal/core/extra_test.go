@@ -58,7 +58,7 @@ func TestTimeLimitHonored(t *testing.T) {
 		_ = p.AddClause(lits...)
 	}
 	start := time.Now()
-	res := Solve(p, Options{LowerBound: LBNone, TimeLimit: 50 * time.Millisecond})
+	res := Solve(p, Options{LowerBound: LBNone, Deadline: start.Add(50 * time.Millisecond)})
 	elapsed := time.Since(start)
 	if res.Status == StatusLimit && elapsed > 2*time.Second {
 		t.Fatalf("time limit ignored: ran %v", elapsed)

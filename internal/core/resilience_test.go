@@ -225,7 +225,7 @@ func TestCancelMidSearchKeepsIncumbent(t *testing.T) {
 
 // TestCancelBeforeSolveReturnsQuickly: a Cancel channel closed up front
 // stops the search within the first granularity window even with no
-// TimeLimit set.
+// Deadline set.
 func TestCancelBeforeSolveReturnsQuickly(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	p := randomPBO(rng, 18, 24)
@@ -274,11 +274,11 @@ func TestDeadlineRespectedOnPropagationHeavyRuns(t *testing.T) {
 	p := randomPBO(rng, 20, 30)
 	fault.Arm("lgr.solve", fault.Spec{Kind: fault.KindDelay, Every: 1, Delay: 2 * time.Millisecond})
 	start := time.Now()
-	res := Solve(p, Options{LowerBound: LBLGR, TimeLimit: 150 * time.Millisecond, Tuning: Tuning{LGRIterations: 10000}})
+	res := Solve(p, Options{LowerBound: LBLGR, Deadline: start.Add(150 * time.Millisecond), Tuning: Tuning{LGRIterations: 10000}})
 	fault.Reset()
 	el := time.Since(start)
 	if el > 2*time.Second {
-		t.Fatalf("TimeLimit=150ms but the solve ran %v", el)
+		t.Fatalf("deadline 150ms but the solve ran %v", el)
 	}
 	_ = res
 }

@@ -116,7 +116,9 @@ func RunAblation(id AblationID, insts []Instance, timeLimit time.Duration, maxCo
 				}
 			}
 			opt := variant.opt
-			opt.TimeLimit = timeLimit
+			if timeLimit > 0 {
+				opt.Deadline = time.Now().Add(timeLimit)
+			}
 			opt.MaxConflicts = maxConflicts
 			res := core.Solve(prob, opt)
 			row.Total++

@@ -366,8 +366,14 @@ func (r *RunResult) BoundTime() time.Duration { return r.Bounds.TotalTime() }
 // matrix run.
 func Run(inst Instance, id SolverID, lim Limits) RunResult {
 	start := time.Now()
+	// The cell's one deadline: every column and every race member stops at
+	// it, presolve included.
+	var deadline time.Time
+	if lim.Time > 0 {
+		deadline = start.Add(lim.Time)
+	}
 	rr := RunResult{Instance: inst.Name, Family: inst.Family, Solver: id}
-	bl := baseline.Limits{TimeLimit: lim.Time, MaxConflicts: lim.MaxConflicts, Tuning: lim.Tuning}
+	bl := baseline.Limits{Deadline: deadline, MaxConflicts: lim.MaxConflicts, Tuning: lim.Tuning}
 	// Time-to-first-incumbent capture: any member (B&B or LS) reporting its
 	// first incumbent stamps the wall-clock once. Concurrent members race on
 	// the stamp, hence the CAS; presolve time counts (it is part of the cell).
@@ -379,6 +385,7 @@ func Run(inst Instance, id SolverID, lim Limits) RunResult {
 		}
 		firstInc.CompareAndSwap(0, ns)
 	}
+	base := core.Options{Deadline: deadline, MaxConflicts: lim.MaxConflicts, Tuning: lim.Tuning, OnIncumbent: noteInc}
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -406,7 +413,7 @@ func Run(inst Instance, id SolverID, lim Limits) RunResult {
 			if nodes == 0 {
 				nodes = 2_000_000
 			}
-			m := milp.Solve(prob, milp.Options{TimeLimit: lim.Time, MaxNodes: nodes})
+			m := milp.Solve(prob, milp.Options{Deadline: deadline, MaxNodes: nodes})
 			rr.Solved = m.Status == milp.StatusOptimal || m.Status == milp.StatusInfeasible
 			rr.HasUB = m.HasSolution
 			rr.Best = m.Best
@@ -419,20 +426,21 @@ func Run(inst Instance, id SolverID, lim Limits) RunResult {
 		case SolverLPR:
 			fill(&rr, baseline.Bsolo(prob, core.LBLPR, bl))
 		case SolverPortfolio:
-			fillPortfolio(&rr, runPortfolio(prob, lim, false, false, noteInc))
+			fillPortfolio(&rr, portfolio.SolveOpts(prob, portfolio.Roster(base, 0, 0, nil), portfolio.Options{}))
 		case SolverPortfolioIso:
-			fillPortfolio(&rr, runPortfolio(prob, lim, true, false, noteInc))
+			fillPortfolio(&rr, portfolio.SolveOpts(prob, portfolio.Roster(base, 0, 0, nil), portfolio.Options{NoSharing: true}))
 		case SolverPortfolioLS:
-			fillPortfolio(&rr, runPortfolio(prob, lim, false, true, noteInc))
+			fillPortfolio(&rr, portfolio.SolveOpts(prob, portfolio.Roster(base, 1, lsFlipBudget(lim), nil), portfolio.Options{}))
 		case SolverCoreGuided:
 			if inst.WBO == nil {
 				rr.Err = "core-guided requires a wbo-family instance"
 				return
 			}
 			// Like portfolio-wbo, on the original compilation: the witness
-			// mapping needs the WBO instance's extended variable space.
+			// mapping needs the WBO instance's extended variable space. The
+			// roster's first member is the core-guided one.
 			fillPortfolio(&rr, portfolio.SolveOpts(inst.Prob,
-				[]portfolio.Config{coreGuidedMember(inst, lim)}, portfolio.Options{NoSharing: true}))
+				portfolio.Roster(base, 0, 0, inst.WBO)[:1], portfolio.Options{NoSharing: true}))
 		case SolverPortfolioWbo:
 			if inst.WBO == nil {
 				rr.Err = "portfolio-wbo requires a wbo-family instance"
@@ -442,10 +450,11 @@ func Run(inst Instance, id SolverID, lim Limits) RunResult {
 			// members on the ORIGINAL compilation: presolve would renumber
 			// the compiled problem away from the WBO instance's extended
 			// space and break the witness mapping.
-			fillPortfolio(&rr, runPortfolioWbo(inst, lim, noteInc))
+			fillPortfolio(&rr, runPortfolioWbo(inst, base))
 		case SolverLS:
+			// The LS member of the portfolio-ls roster, alone.
 			fillPortfolio(&rr, portfolio.SolveOpts(prob,
-				[]portfolio.Config{lsMember(1, lim, noteInc)}, portfolio.Options{NoSharing: true}))
+				portfolio.Roster(base, 1, lsFlipBudget(lim), nil)[:1], portfolio.Options{NoSharing: true}))
 		}
 	}()
 	rr.Duration = time.Since(start)
@@ -479,61 +488,11 @@ func fill(rr *RunResult, res core.Result) {
 	}
 }
 
-// portfolioMembers returns the default four B&B members with the harness
-// limits and tuning applied to each.
-func portfolioMembers(lim Limits, noteInc func(int64)) []portfolio.Config {
-	configs := portfolio.DefaultConfigs()
-	for i := range configs {
-		configs[i].Options.TimeLimit = lim.Time
-		configs[i].Options.MaxConflicts = lim.MaxConflicts
-		configs[i].Options.Tuning = lim.Tuning
-		configs[i].Options.OnIncumbent = noteInc
-	}
-	return configs
-}
-
-// lsMember returns one local-search member under the harness limits.
-func lsMember(seed int64, lim Limits, noteInc func(int64)) portfolio.Config {
-	cfg := portfolio.LSConfig("ls", seed, lsFlipBudget(lim))
-	cfg.LS.TimeLimit = lim.Time
-	cfg.LS.OnIncumbent = noteInc
-	return cfg
-}
-
-// coreGuidedMember returns the core-guided member of a FamilyWbo row under
-// the harness limits.
-func coreGuidedMember(inst Instance, lim Limits) portfolio.Config {
-	return portfolio.Config{CoreGuided: &portfolio.CoreGuided{
-		Instance: inst.WBO,
-		Options:  wbo.Options{TimeLimit: lim.Time, MaxConflicts: lim.MaxConflicts},
-	}}
-}
-
-// runPortfolio runs the default four-member race under the harness limits,
-// cooperatively or isolated; withLS appends one UB-only local-search member
-// (the portfolio-ls column). noteInc receives every member's incumbent
-// reports for the FirstIncumbent column.
-func runPortfolio(p *pb.Problem, lim Limits, isolated, withLS bool, noteInc func(int64)) portfolio.Result {
-	configs := portfolioMembers(lim, noteInc)
-	if withLS {
-		cfg := lsMember(101, lim, noteInc)
-		// The LS member goes FIRST: with spare cores the order is
-		// irrelevant (everyone races concurrently), but when members are
-		// serialized (MaxConcurrent or GOMAXPROCS caps, single-core CI) the
-		// UB-only worker must run before the exact members so its incumbent
-		// is already on the board warming their pruning — the reverse order
-		// would delay the first incumbent to the very end of the race.
-		configs = append([]portfolio.Config{cfg}, configs...)
-	}
-	return portfolio.SolveOpts(p, configs, portfolio.Options{NoSharing: isolated})
-}
-
 // runPortfolioWbo runs the default four-member race plus one core-guided
 // member on a FamilyWbo instance. The race operates on the instance's
 // Builder() compilation (inst.Prob), which is exactly the space the
 // core-guided member's ExtendedWitness maps into.
-func runPortfolioWbo(inst Instance, lim Limits, noteInc func(int64)) portfolio.Result {
-	configs := append([]portfolio.Config{coreGuidedMember(inst, lim)}, portfolioMembers(lim, noteInc)...)
+func runPortfolioWbo(inst Instance, base core.Options) portfolio.Result {
 	// Core-guided must genuinely race the exact members, not replace them:
 	// on a single-CPU box the default concurrency (GOMAXPROCS) serializes
 	// the members, and whichever strategy happens to run first would
@@ -544,7 +503,7 @@ func runPortfolioWbo(inst Instance, lim Limits, noteInc func(int64)) portfolio.R
 	if conc < 2 {
 		conc = 2
 	}
-	return portfolio.SolveOpts(inst.Prob, configs, portfolio.Options{MaxConcurrent: conc})
+	return portfolio.SolveOpts(inst.Prob, portfolio.Roster(base, 0, 0, inst.WBO), portfolio.Options{MaxConcurrent: conc})
 }
 
 // lsFlipBudget bounds a local-search member when the cell has no wall-clock
@@ -568,12 +527,11 @@ func fillPortfolio(rr *RunResult, res portfolio.Result) {
 	rr.Members = len(res.Members)
 	rr.Conflicts = res.TotalConflicts()
 	rr.Decisions = res.TotalDecisions()
+	rr.Propagations = res.TotalPropagations()
 	rr.ShClausesPub = res.Board.ClausesPublished
-	rr.Propagations = 0
 	for _, m := range res.Members {
 		rr.ShClausesImp += m.Stats.ImportedClauses
 		rr.ShForeignPrunes += m.Stats.Sharing.ForeignUBPrunes
-		rr.Propagations += m.Stats.Propagations
 		rr.Flips += m.Stats.Flips
 	}
 }

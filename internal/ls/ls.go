@@ -63,15 +63,15 @@ type Pool interface {
 }
 
 // Options configures one local-search run. The zero value searches forever
-// (bound it with MaxFlips, TimeLimit, or Cancel).
+// (bound it with MaxFlips, Deadline, or Cancel).
 type Options struct {
 	// Seed seeds the solver's explicit RNG. Runs with the same Seed and no
 	// board are bit-reproducible; portfolio members carry distinct seeds.
 	Seed int64
 	// MaxFlips bounds the total number of flips (0 = unlimited).
 	MaxFlips int64
-	// TimeLimit bounds wall-clock time (0 = unlimited).
-	TimeLimit time.Duration
+	// Deadline is the absolute wall-clock stop time (zero = none).
+	Deadline time.Time
 	// Cancel, when non-nil, stops the search as soon as it is closed.
 	Cancel <-chan struct{}
 	// Noise is the probability of a random (non-greedy) flip inside the
@@ -213,8 +213,6 @@ type solver struct {
 
 	stats        Stats
 	sinceImprove int64
-	deadline     time.Time
-	hasDeadline  bool
 	expired      bool
 	satisfiable  bool
 
@@ -244,10 +242,6 @@ func newSolver(p *pb.Problem, opt Options) (*solver, Result) {
 	}
 	if opt.RestartInterval == 0 {
 		s.opt.RestartInterval = defaultRestartInterval
-	}
-	if opt.TimeLimit > 0 {
-		s.deadline = time.Now().Add(opt.TimeLimit)
-		s.hasDeadline = true
 	}
 	s.trace = opt.Trace
 	s.rng = rand.New(rand.NewSource(mixSeed(opt.Seed)))
@@ -385,7 +379,7 @@ func (s *solver) stopNow() bool {
 	if s.expired {
 		return true
 	}
-	if s.hasDeadline && time.Now().After(s.deadline) {
+	if !s.opt.Deadline.IsZero() && time.Now().After(s.opt.Deadline) {
 		s.expired = true
 		return true
 	}

@@ -25,8 +25,8 @@ import (
 type Options struct {
 	// MaxNodes bounds the number of branch-and-bound nodes (0 = 1e6).
 	MaxNodes int64
-	// TimeLimit bounds wall-clock time (0 = unlimited).
-	TimeLimit time.Duration
+	// Deadline is the absolute wall-clock stop time (zero = none).
+	Deadline time.Time
 	// LPIter bounds simplex iterations per node LP (0 = solver default).
 	LPIter int
 	// StrongBranching evaluates the child LPs of the most fractional
@@ -103,12 +103,6 @@ func Solve(p *pb.Problem, opt Options) Result {
 	if maxNodes <= 0 {
 		maxNodes = 1_000_000
 	}
-	var deadline time.Time
-	hasDeadline := opt.TimeLimit > 0
-	if hasDeadline {
-		deadline = time.Now().Add(opt.TimeLimit)
-	}
-
 	base := buildLP(p, opt.LPIter)
 	n := p.NumVars
 
@@ -127,7 +121,7 @@ func Solve(p *pb.Problem, opt Options) Result {
 		if res.Nodes >= maxNodes {
 			return finishLimit(res, incumbent, p)
 		}
-		if hasDeadline && time.Now().After(deadline) {
+		if !opt.Deadline.IsZero() && time.Now().After(opt.Deadline) {
 			return finishLimit(res, incumbent, p)
 		}
 		nd := heap.Pop(q).(*node)

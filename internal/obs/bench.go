@@ -175,6 +175,9 @@ const benchCompareFloorMs = 50
 //   - both solved, newMs > oldMs*tol + floor → regression
 //   - both unsolved, new incumbent worse (or lost) → regression
 //
+// and, for every cell of cur, shared or not: a run past the snapshot's
+// limit (newMs > limitMs*1.1 + floor) → regression.
+//
 // The reverse transitions are reported as improvements; cells present in
 // only one snapshot are notes. Comparing different benches (no shared
 // cells) yields only notes.
@@ -193,12 +196,16 @@ func CompareBench(old, cur *BenchSnapshot, tol float64) BenchDiff {
 		n := &cur.Rows[i]
 		k := key(n)
 		seen[k] = true
+		cell := fmt.Sprintf("%s/%s", n.Instance, n.Solver)
+		if cur.LimitMs > 0 && n.WallMs > cur.LimitMs*1.1+benchCompareFloorMs {
+			d.Regressions = append(d.Regressions,
+				fmt.Sprintf("%s: ran %.0fms past a %.0fms limit", cell, n.WallMs, cur.LimitMs))
+		}
 		o, ok := oldRows[k]
 		if !ok {
-			d.Notes = append(d.Notes, fmt.Sprintf("%s/%s: new cell", n.Instance, n.Solver))
+			d.Notes = append(d.Notes, fmt.Sprintf("%s: new cell", cell))
 			continue
 		}
-		cell := fmt.Sprintf("%s/%s", n.Instance, n.Solver)
 		switch {
 		case o.Solved && !n.Solved:
 			why := "no longer solved"

@@ -82,6 +82,32 @@ func TestCompareBenchFlagsRegressions(t *testing.T) {
 	}
 }
 
+// TestCompareBenchFlagsOverruns: a row that ran past the snapshot's limit by
+// more than 10% plus the floor is a regression even when its verdict and
+// incumbent are unchanged, and so is a new cell that did; a row within the
+// margin is not.
+func TestCompareBenchFlagsOverruns(t *testing.T) {
+	old := sampleBench()
+	cur := sampleBench()
+	cur.Rows[1].WallMs = 5549 // limit 5000: inside 5000*1.1 + 50
+	d := CompareBench(old, cur, 1.5)
+	if d.HasRegressions() {
+		t.Fatalf("a row inside the margin flagged:\n%s", d.String())
+	}
+	cur.Rows[1].WallMs = 5551
+	cur.Rows = append(cur.Rows, BenchRow{Instance: "synth-30-1", Family: "synth", Solver: "portfolio-ls",
+		Solved: false, Best: i64(17), WallMs: 20700})
+	d = CompareBench(old, cur, 1.5)
+	if len(d.Regressions) != 2 {
+		t.Fatalf("want 2 overrun regressions, got %d:\n%s", len(d.Regressions), d.String())
+	}
+	for _, want := range []string{"plain: ran 5551ms past a 5000ms limit", "portfolio-ls: ran 20700ms past a 5000ms limit"} {
+		if !strings.Contains(d.String(), want) {
+			t.Fatalf("report missing %q:\n%s", want, d.String())
+		}
+	}
+}
+
 func TestCompareBenchToleratesNoiseAndReportsImprovements(t *testing.T) {
 	old := sampleBench()
 	cur := sampleBench()

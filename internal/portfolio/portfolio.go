@@ -124,8 +124,51 @@ func LSConfig(name string, seed int64, maxFlips int64) Config {
 	return Config{Name: name, LS: &ls.Options{Seed: seed, MaxFlips: maxFlips}}
 }
 
-// Options configures the portfolio run as a whole (per-member limits live in
-// each Config's core.Options). The zero value is the default cooperative
+// Roster returns the members of a race under one set of limits, in the order
+// the race runs them: the core-guided member for in (when non-nil), then nLS
+// local-search members, then the four DefaultConfigs members. The order
+// matters only when members are serialized (MaxConcurrent or GOMAXPROCS
+// below the member count): a member beyond the cap waits for a running one
+// to finish, so the core-guided member must hold a slot from the start to
+// genuinely race the B&B members, and the UB-only LS members must run before
+// the exact members so that their incumbents are already on the board
+// warming B&B pruning instead of arriving at the very end of the race.
+//
+// Of base, Roster reads only the limits and callbacks every member shares:
+// Deadline (every member stops at it, so a member that starts late gets what
+// is left of the time, not a fresh budget), MaxConflicts (B&B and
+// core-guided members), Tuning (B&B members) and OnIncumbent (B&B and LS
+// members). lsFlips bounds each LS member's flips (0 = until the deadline or
+// the race's cancel).
+func Roster(base core.Options, nLS int, lsFlips int64, in *wbo.Instance) []Config {
+	var configs []Config
+	if in != nil {
+		configs = append(configs, Config{Name: "core-guided", CoreGuided: &CoreGuided{
+			Instance: in,
+			Options:  wbo.Options{Deadline: base.Deadline, MaxConflicts: base.MaxConflicts},
+		}})
+	}
+	for i := 0; i < nLS; i++ {
+		name := "ls"
+		if nLS > 1 {
+			name = fmt.Sprintf("ls%d", i+1)
+		}
+		cfg := LSConfig(name, int64(101+i), lsFlips)
+		cfg.LS.Deadline, cfg.LS.OnIncumbent = base.Deadline, base.OnIncumbent
+		configs = append(configs, cfg)
+	}
+	for _, cfg := range DefaultConfigs() {
+		cfg.Options.Deadline = base.Deadline
+		cfg.Options.MaxConflicts = base.MaxConflicts
+		cfg.Options.Tuning = base.Tuning
+		cfg.Options.OnIncumbent = base.OnIncumbent
+		configs = append(configs, cfg)
+	}
+	return configs
+}
+
+// Options configures the portfolio run as a whole (member limits live in
+// each Config; Roster sets them from one base). The zero value is the default cooperative
 // race: sharing on, concurrency capped at GOMAXPROCS.
 type Options struct {
 	// NoSharing disconnects the board entirely: members race in isolation
@@ -211,23 +254,13 @@ func (r *Result) TotalDecisions() int64 {
 	return n
 }
 
-// Solve races the given configurations cooperatively with default options.
-// Limits in each member's Options apply to that member alone: a member's
-// TimeLimit clock starts when the member starts, and members beyond the
-// concurrency cap (Options.MaxConcurrent, GOMAXPROCS by default) wait for a
-// running one to finish. A common TimeLimit therefore does not bound the
-// whole run: with more members than slots the wall time can reach a
-// multiple of it (ROADMAP, "End-to-end deadlines"). Close a Stop channel
-// (SolveWithCancel) to bound the run from outside.
-func Solve(p *pb.Problem, configs []Config) Result {
-	return SolveOpts(p, configs, Options{})
-}
-
-// SolveWithCancel is Solve with an external stop channel: closing stop
-// cancels every member, and the best incumbent found so far is stitched
-// together (StatusLimit), exactly as when all members hit their budgets.
-func SolveWithCancel(p *pb.Problem, configs []Config, stop <-chan struct{}) Result {
-	return SolveOpts(p, configs, Options{Stop: stop})
+// TotalPropagations sums engine propagations across every member.
+func (r *Result) TotalPropagations() int64 {
+	var n int64
+	for _, m := range r.Members {
+		n += m.Stats.Propagations
+	}
+	return n
 }
 
 // SolveOpts races the given configurations under the given portfolio

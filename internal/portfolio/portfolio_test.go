@@ -34,7 +34,7 @@ func TestPortfolioAgreesWithBruteForce(t *testing.T) {
 	for iter := 0; iter < 60; iter++ {
 		p := randomPBO(rng, 2+rng.Intn(7), 1+rng.Intn(8))
 		want := pb.BruteForce(p)
-		res := Solve(p, nil) // default four-member portfolio
+		res := SolveOpts(p, nil, Options{}) // default four-member portfolio
 		if want.Feasible {
 			if res.Status != core.StatusOptimal {
 				t.Fatalf("iter %d: status=%v want optimal", iter, res.Status)
@@ -76,7 +76,7 @@ func TestPortfolioAllLimitsReturnsIncumbent(t *testing.T) {
 	for i := range configs {
 		configs[i].Options.MaxConflicts = 1
 	}
-	res := Solve(p, configs)
+	res := SolveOpts(p, configs, Options{})
 	if res.Status == core.StatusOptimal {
 		return // solved before the first conflict: acceptable
 	}
@@ -100,10 +100,10 @@ func TestPortfolioCancellationStopsLosers(t *testing.T) {
 	_ = p.AddClause(pb.PosLit(0), pb.PosLit(1))
 	configs := []Config{
 		{Name: "fast", Options: core.Options{LowerBound: core.LBNone}},
-		{Name: "slow", Options: core.Options{LowerBound: core.LBLPR, TimeLimit: 30 * time.Second}},
+		{Name: "slow", Options: core.Options{LowerBound: core.LBLPR, Deadline: time.Now().Add(30 * time.Second)}},
 	}
 	start := time.Now()
-	res := Solve(p, configs)
+	res := SolveOpts(p, configs, Options{})
 	if res.Status != core.StatusOptimal {
 		t.Fatalf("status=%v", res.Status)
 	}

@@ -25,7 +25,7 @@ func TestPanickingMemberDoesNotPreventWin(t *testing.T) {
 
 		fault.Reset()
 		fault.Arm("portfolio.worker", fault.Spec{Kind: fault.KindPanic, Every: 1, Match: "lpr"})
-		res := Solve(p, DefaultConfigs())
+		res := SolveOpts(p, DefaultConfigs(), Options{})
 		fault.Reset()
 
 		if want.Feasible {
@@ -62,7 +62,7 @@ func TestAllMembersCrashReportsEveryError(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	p := randomPBO(rng, 6, 6)
 	fault.Arm("portfolio.worker", fault.Spec{Kind: fault.KindPanic, Every: 1})
-	res := Solve(p, DefaultConfigs())
+	res := SolveOpts(p, DefaultConfigs(), Options{})
 	fault.Reset()
 	if res.Status != core.StatusLimit {
 		t.Fatalf("status=%v want limit", res.Status)
@@ -96,7 +96,7 @@ func TestSolveWithCancelStitchesIncumbent(t *testing.T) {
 				once.Do(func() { close(stop) })
 			}
 		}
-		res := SolveWithCancel(p, configs, stop)
+		res := SolveOpts(p, configs, Options{Stop: stop})
 		switch res.Status {
 		case core.StatusLimit:
 			sawLimit = true

@@ -185,8 +185,9 @@ func (in *Instance) ExtendedWitness(values []bool) []bool {
 
 // Options configure a core-guided solve.
 type Options struct {
-	// TimeLimit bounds total wall clock across all iterations (0 = none).
-	TimeLimit time.Duration
+	// Deadline is the absolute wall-clock stop time for the whole loop,
+	// every sub-solve included (zero = none).
+	Deadline time.Time
 	// Cancel, when closed, stops the solve at the next iteration boundary
 	// (and mid-iteration through the engine's interrupt hook).
 	Cancel <-chan struct{}
@@ -253,11 +254,6 @@ func Solve(in *Instance, opt Options) Result {
 	if err := in.Validate(); err != nil {
 		return Result{Status: core.StatusError, Err: err}
 	}
-	var deadline time.Time
-	if opt.TimeLimit > 0 {
-		deadline = time.Now().Add(opt.TimeLimit)
-	}
-
 	nv := in.NumVars
 	hards := append([]HardCons(nil), in.Hard...)
 	work := make([]*workSoft, 0, len(in.Soft))
@@ -274,7 +270,7 @@ func Solve(in *Instance, opt Options) Result {
 			res.Status = core.StatusLimit
 			return res
 		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
+		if !opt.Deadline.IsZero() && !time.Now().Before(opt.Deadline) {
 			res.Status = core.StatusLimit
 			return res
 		}
@@ -315,15 +311,7 @@ func Solve(in *Instance, opt Options) Result {
 			res.CardRewrites += normalizeCardinality(p)
 		}
 
-		sub := core.Options{Assumptions: assumptions, Cancel: opt.Cancel}
-		if !deadline.IsZero() {
-			rem := time.Until(deadline)
-			if rem <= 0 {
-				res.Status = core.StatusLimit
-				return res
-			}
-			sub.TimeLimit = rem
-		}
+		sub := core.Options{Assumptions: assumptions, Cancel: opt.Cancel, Deadline: opt.Deadline}
 		if opt.MaxConflicts > 0 {
 			rem := opt.MaxConflicts - res.Conflicts
 			if rem <= 0 {

@@ -3,6 +3,7 @@ package wbo
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/pb"
@@ -310,5 +311,39 @@ func TestCoreGuidedCardRewrite(t *testing.T) {
 	}
 	if off.CardRewrites != 0 {
 		t.Fatal("NoCardRewrite must disable the pass")
+	}
+}
+
+// TestSubSolvesStopAtTheDeadline: the hard part places ten pigeons into
+// nine holes (pairwise clauses per hole), which no sub-solve refutes within
+// seconds, so the first sub-solve is still searching when the caller's
+// deadline passes and must stop there.
+func TestSubSolvesStopAtTheDeadline(t *testing.T) {
+	const pigeons, holes = 10, 9
+	at := func(i, j int) pb.Lit { return pb.PosLit(pb.Var(i*holes + j)) }
+	in := &Instance{NumVars: pigeons * holes}
+	for i := 0; i < pigeons; i++ {
+		var lits []pb.Lit
+		for j := 0; j < holes; j++ {
+			lits = append(lits, at(i, j))
+		}
+		in.Hard = append(in.Hard, hardClause(lits...))
+	}
+	for j := 0; j < holes; j++ {
+		for i := 0; i < pigeons; i++ {
+			for k := i + 1; k < pigeons; k++ {
+				in.Hard = append(in.Hard, hardClause(at(i, j).Neg(), at(k, j).Neg()))
+			}
+		}
+		in.Soft = append(in.Soft, softClause(int64(j+1), at(0, j).Neg()))
+	}
+	const limit = 200 * time.Millisecond
+	start := time.Now()
+	res := Solve(in, Options{Deadline: start.Add(limit)})
+	if el := time.Since(start); el > limit+limit/2 {
+		t.Fatalf("a solve under a %v deadline ran %v", limit, el)
+	}
+	if res.Status != core.StatusLimit || res.Iterations == 0 {
+		t.Fatalf("status=%v iterations=%d, want limit after at least one sub-solve", res.Status, res.Iterations)
 	}
 }
