@@ -18,6 +18,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -196,8 +197,15 @@ func Parse(r io.Reader) (*pb.Problem, error) {
 
 	// Fold negative objective coefficients: −c·x = −c + c·¬x, i.e. cost c on
 	// x=0. Net cost on v is Cost[v] − negCost[v]; whichever polarity is
-	// cheaper absorbs the offset.
-	for v, nc := range negCost {
+	// cheaper absorbs the offset. Variables are folded in order, so the
+	// complement variables are numbered the same way on every run.
+	folds := make([]pb.Var, 0, len(negCost))
+	for v := range negCost {
+		folds = append(folds, v)
+	}
+	slices.Sort(folds)
+	for _, v := range folds {
+		nc := negCost[v]
 		net, err := pb.CheckedSub(p.Cost[v], nc)
 		if err != nil {
 			return nil, fmt.Errorf("opb: net objective coefficient on %s: %w", name(p, v), err)

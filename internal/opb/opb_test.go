@@ -129,20 +129,37 @@ func TestParseNegatedObjectiveLiteral(t *testing.T) {
 	}
 }
 
+// TestParseErrors pins the text and line of every parse error. A statement
+// reports the line of its terminating ';' (or the last line, at end of
+// input), however many lines it spans.
 func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"max: +1 x1 ;",               // max unsupported
-		"min: +1 x1 >= 1 ;",          // relop in objective
-		"+1 x1 +1 x2 ;",              // constraint without relop
-		"+1 x1 >= one ;",             // bad rhs
-		"+1 x1 +2 >= 1 ;",            // coefficient without literal
-		"min: +1 x1 ;\nmin: +1 x1 ;", // duplicate objective
-		"frob x1 >= 1 ;",             // bad coefficient token
-		"+1 x1 >= 1 2 ;",             // multi-token rhs
+	cases := []struct{ src, want string }{
+		{"max: +1 x1 ;", "opb: line 1: max: objectives are not supported (negate to min:)"},
+		{"min: +1 x1 >= 1 ;", "opb: line 1: relational operator in objective"},
+		{"+1 x1 +1 x2 ;", "opb: line 1: constraint without relational operator"},
+		{"+1 x1 >= one ;", `opb: line 1: bad right-hand side "one"`},
+		{"+1 x1 >= 99999999999999999999 ;", `opb: line 1: bad right-hand side "99999999999999999999"`},
+		{"+1 x1 +2 >= 1 ;", `opb: line 1: coefficient "+2" without literal`},
+		{"min: 3 ;", `opb: line 1: coefficient "3" without literal`},
+		{"min: +1 x1 ;\nmin: +1 x1 ;", "opb: line 2: duplicate objective"},
+		{"frob x1 >= 1 ;", `opb: line 1: expected coefficient, got "frob"`},
+		{"+1 x1 >= 1 2 ;", "opb: line 1: expected single right-hand side, got [1 2]"},
+		{"+1 x1 >= ;", "opb: line 1: expected single right-hand side, got []"},
+		{"+1 x1 <=", "opb: line 1: expected single right-hand side, got []"},
+		{"+1 x1 >= 1 ;\n+1 ~ >= 1 ;", "opb: line 2: empty literal"},
+		{"+1 x1 - >= 1 ;", `opb: line 1: invalid variable name "-"`},
+		{"+1 1x >= 1 ;", `opb: line 1: invalid variable name "1x"`},
+		{"+1 x1 +2x2 >= 1 ;", `opb: line 1: invalid variable name "+2x2"`},
+		{"+1 x1 ~x1 >= 1 ;", "opb: line 1: opb: product contains both polarities of x0"},
+		// A statement spanning lines reports the line of its ';'.
+		{"+1 x1\n+1 x2\n>= 3 2\n;", "opb: line 4: expected single right-hand side, got [3 2]"},
+		// An unterminated last statement reports the last line.
+		{"+1 x1 >= 1 ;\n\n+1 x2 >= 1 2\n", "opb: line 3: expected single right-hand side, got [1 2]"},
 	}
-	for _, src := range cases {
-		if _, err := ParseString(src); err == nil {
-			t.Errorf("expected error for %q", src)
+	for _, c := range cases {
+		_, err := ParseString(c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%q: err=%v, want %q", c.src, err, c.want)
 		}
 	}
 }

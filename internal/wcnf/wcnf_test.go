@@ -1,10 +1,12 @@
 package wcnf
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/opb"
 	"repro/internal/pb"
 	"repro/internal/verify"
 	"repro/internal/wbo"
@@ -214,6 +216,16 @@ func TestParseWBOErrors(t *testing.T) {
 		{"soft: 5 ;\n+1 x1 ;\n", "without relational operator"},
 		{"soft: 5 ;\nmax: +1 x1 ;\n", "not supported"},
 		{"soft: 5 ;\n+1 1bad >= 1 ;\n", "bad variable name"},
+		{"soft: 5 ;\n+1 ~ >= 1 ;\n", `wbo: line 2: wbo: bad variable name ""`},
+		{"soft: 5 ;\nmin: +1 x1 >= 1 ;\n", `wbo: line 2: wbo: bad variable name ">="`},
+		{"soft: 5 ;\n+1 >= 1 ;\n", "wbo: line 2: coefficient 1 without literal"},
+		{"soft: 5 ;\n+1 x1 >= one ;\n", `wbo: line 2: bad right-hand side "one"`},
+		{"soft: 5 ;\n+1 x1\n >= 1 2\n;\n", "wbo: line 4: expected single right-hand side, got [1 2]"},
+		{"soft: 5 ;\nmin: +1 x1 ;\nmin: +1 x1 ;\n", "wbo: line 3: duplicate objective"},
+		{"soft: 5 ;\nsoft: 5 ;\n", "wbo: line 2: duplicate soft: header"},
+		{"soft: 5 3 ;\n", "wbo: line 1: bad soft: header [soft: 5 3]"},
+		{"soft: x ;\n", `wbo: line 1: bad top cost "x"`},
+		{"soft: 5 ;\n[x] +1 x1 >= 1 ;\n", `wbo: line 2: soft weight must be a positive integer, got "x"`},
 	}
 	for _, tc := range cases {
 		_, err := ParseWBO(strings.NewReader(tc.text))
@@ -231,5 +243,28 @@ func TestParseWBOTopZeroMeansNoLimit(t *testing.T) {
 	}
 	if len(in.Soft) != 1 || in.Soft[0].Weight != 1000000 {
 		t.Fatalf("soft=%+v", in.Soft)
+	}
+}
+
+// TestGrammarSplit pins the two grammar differences between the readers:
+// in OPB a coefficient followed by several literals is one product term,
+// while soft OPB reads a bare literal as an implicit +1 term and has no
+// products.
+func TestGrammarSplit(t *testing.T) {
+	p, err := opb.ParseString("+1 x1 x2 >= 1 ;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.NumVars != 3 || p.Names[2] != "_p2" || len(p.Constraints) != 4 || len(p.Constraints[0].Terms) != 1 {
+		t.Fatalf("OPB: want the product x1·x2 as one term on _p2 and its 3 defining clauses, got %d vars %v\n%s",
+			p.NumVars, p.Names, opb.WriteString(p))
+	}
+	in, err := ParseWBO(strings.NewReader("soft: 5 ;\n+1 x1 x2 >= 1 ;\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []pb.Term{{Coef: 1, Lit: pb.PosLit(0)}, {Coef: 1, Lit: pb.PosLit(1)}}
+	if in.NumVars != 2 || len(in.Hard) != 1 || !slices.Equal(in.Hard[0].Terms, want) {
+		t.Fatalf("soft OPB: want two +1 terms, got %d vars %+v", in.NumVars, in.Hard)
 	}
 }
