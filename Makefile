@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz bench bench-bounds bench-engine bench-portfolio bench-cuts bench-ls bench-wbo bench-snapshot bench-baseline bench-compare escape-check race-pkgs table examples clean ci vet loc
+.PHONY: all build test race fuzz bench bench-bounds bench-engine bench-portfolio bench-cuts bench-parse bench-ls bench-wbo bench-snapshot bench-baseline bench-compare escape-check race-pkgs table examples clean ci vet loc
 
 all: build test
 
@@ -17,8 +17,8 @@ vet:
 # them), the race detector on the concurrency-sensitive packages
 # (race-pkgs), the escape-analysis guard, the bench-regression gate against
 # the committed baseline, then a single-iteration smoke pass over the
-# bound-pipeline, engine, portfolio-sharing and cut-separation benchmarks,
-# small bench snapshots and the differential fuzzing matrix.
+# bound-pipeline, engine, portfolio-sharing, cut-separation and reader
+# benchmarks, small bench snapshots and the differential fuzzing matrix.
 ci: vet build test
 	cd tablebench && $(GO) test ./...
 	$(MAKE) race-pkgs
@@ -28,6 +28,7 @@ ci: vet build test
 	$(MAKE) bench-engine BENCHTIME=1x
 	$(MAKE) bench-portfolio BENCHTIME=1x
 	$(MAKE) bench-cuts BENCHTIME=1x
+	$(MAKE) bench-parse BENCHTIME=1x
 	$(MAKE) bench-snapshot BENCH_FAMILY=synth BENCH_N=2 BENCH_TIME=3s
 	$(MAKE) bench-ls BENCH_LS_N=2 BENCH_LS_TIME=2s BENCH_LS_NODES=20 BENCH_LS_OUT=/tmp/bench_ls_smoke.json
 	$(MAKE) bench-wbo BENCH_WBO_N=2 BENCH_WBO_TIME=2s BENCH_WBO_VARS=12 BENCH_WBO_OUT=/tmp/bench_wbo_smoke.json
@@ -146,6 +147,12 @@ bench-portfolio:
 # (BENCHCOUNT=6), never single runs.
 bench-cuts:
 	$(GO) test -bench='BenchmarkCutsSynth' -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) -run='^$$' ./internal/harness
+
+# Reader throughput: one pass over the 40 Table 1 rows as OPB text and over
+# generated weighted rows as soft OPB per iteration, reported as MB/s and
+# allocs/op.
+bench-parse:
+	$(GO) test -bench='BenchmarkParse' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) -run='^$$' ./internal/opb
 
 # Local-search payoff benchmark (see DESIGN.md section 15): the cooperative
 # race plus one LS member (portfolio-ls) vs the B&B-only race (portfolio) on

@@ -565,7 +565,7 @@ func (a *Auditor) clauseString(lits []pb.Lit) string {
 		if l.IsNeg() {
 			sb.WriteByte('¬')
 		}
-		sb.WriteString(verify.VarName(a.p, l.Var()))
+		sb.WriteString(a.p.VarName(l.Var()))
 	}
 	sb.WriteByte(')')
 	return sb.String()

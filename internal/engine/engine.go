@@ -406,7 +406,7 @@ func (e *Engine) appendHdr(h consHdr) int32 {
 // initializing its propagation counters from the current assignment. It
 // returns the constraint index. The caller must ensure terms are normalized
 // (positive clipped coefficients sorted by descending coefficient, one term
-// per variable) — constraints from pb.Normalize or derived clauses satisfy
+// per variable) — constraints from pb.AddConstraint or derived clauses satisfy
 // this. A clause of literals can be added with coefficient 1 each and
 // degree 1. The terms are interned into the engine arenas; the input slice
 // is neither retained nor mutated.

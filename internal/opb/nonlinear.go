@@ -2,8 +2,7 @@ package opb
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"repro/internal/pb"
 )
@@ -19,18 +18,11 @@ import (
 // equivalence (rather than a one-sided implication) keeps the substitution
 // valid in every context: objectives, ≥/≤/= constraints, either sign.
 type productTable struct {
-	prob    *pb.Problem
-	byKey   map[string]pb.Var
-	pending []productDef
-}
-
-type productDef struct {
-	z    pb.Var
-	lits []pb.Lit
-}
-
-func newProductTable(p *pb.Problem) *productTable {
-	return &productTable{prob: p, byKey: map[string]pb.Var{}}
+	prob  *pb.Problem
+	byKey map[string]pb.Var
+	// pending holds each new product as z followed by its factors, for
+	// flushDefinitions.
+	pending [][]pb.Lit
 }
 
 // literal returns the literal representing the product of lits: the literal
@@ -45,40 +37,26 @@ func (pt *productTable) literal(lits []pb.Lit) (pb.Lit, error) {
 	// is constant false, which has no literal representation — reject with
 	// a clear error (a fresh always-false variable would silently grow the
 	// problem; such inputs are malformed in practice).
-	sorted := append([]pb.Lit(nil), lits...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	uniq := sorted[:0]
-	for i, l := range sorted {
-		if i > 0 && l == sorted[i-1] {
-			continue
+	uniq := slices.Clone(lits)
+	slices.Sort(uniq)
+	uniq = slices.Compact(uniq)
+	for i := 1; i < len(uniq); i++ {
+		if uniq[i].Var() == uniq[i-1].Var() {
+			return pb.NoLit, fmt.Errorf("opb: product contains both polarities of x%d", uniq[i].Var())
 		}
-		if i > 0 && l.Var() == sorted[i-1].Var() {
-			return pb.NoLit, fmt.Errorf("opb: product contains both polarities of x%d", l.Var())
-		}
-		uniq = append(uniq, l)
 	}
 	if len(uniq) == 1 {
 		return uniq[0], nil
 	}
-	var sb strings.Builder
-	for _, l := range uniq {
-		fmt.Fprintf(&sb, "%d.", int32(l))
-	}
-	key := sb.String()
+	key := fmt.Sprint(uniq)
 	if z, ok := pt.byKey[key]; ok {
 		return pb.PosLit(z), nil
 	}
+	// Every variable the parser creates is named, so z's name is appended.
 	z := pt.prob.AddVar(0)
-	if int(z) < len(pt.prob.Names) {
-		pt.prob.Names[z] = fmt.Sprintf("_p%d", z)
-	} else {
-		for len(pt.prob.Names) < int(z) {
-			pt.prob.Names = append(pt.prob.Names, "")
-		}
-		pt.prob.Names = append(pt.prob.Names, fmt.Sprintf("_p%d", z))
-	}
+	pt.prob.Names = append(pt.prob.Names, fmt.Sprintf("_p%d", z))
 	pt.byKey[key] = z
-	pt.pending = append(pt.pending, productDef{z: z, lits: append([]pb.Lit(nil), uniq...)})
+	pt.pending = append(pt.pending, append([]pb.Lit{pb.PosLit(z)}, uniq...))
 	return pb.PosLit(z), nil
 }
 
@@ -86,22 +64,18 @@ func (pt *productTable) literal(lits []pb.Lit) (pb.Lit, error) {
 // product variable.
 func (pt *productTable) flushDefinitions() error {
 	for _, def := range pt.pending {
-		// z → l_i for every factor.
-		for _, l := range def.lits {
-			if err := pt.prob.AddClause(pb.NegLit(def.z), l); err != nil {
+		z, clause := def[0], []pb.Lit{def[0]}
+		for _, l := range def[1:] {
+			// z → l_i for every factor.
+			if err := pt.prob.AddClause(z.Neg(), l); err != nil {
 				return err
 			}
-		}
-		// Conjunction → z.
-		clause := make([]pb.Lit, 0, len(def.lits)+1)
-		clause = append(clause, pb.PosLit(def.z))
-		for _, l := range def.lits {
 			clause = append(clause, l.Neg())
 		}
+		// Conjunction → z.
 		if err := pt.prob.AddClause(clause...); err != nil {
 			return err
 		}
 	}
-	pt.pending = nil
 	return nil
 }

@@ -18,9 +18,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"slices"
-	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/pb"
@@ -31,184 +28,113 @@ import (
 // attached to the complemented polarity by introducing the substitution in
 // the objective offset, keeping all pb.Problem costs non-negative.
 func Parse(r io.Reader) (*pb.Problem, error) {
-	p := &pb.Problem{}
-	vars := map[string]pb.Var{}
-	getVar := func(name string) pb.Var {
-		if v, ok := vars[name]; ok {
-			return v
-		}
-		v := pb.Var(p.NumVars)
-		p.NumVars++
-		p.Cost = append(p.Cost, 0)
-		p.Names = append(p.Names, name)
-		vars[name] = v
-		return v
+	buf, err := ReadAll(r)
+	if err != nil {
+		return nil, err
 	}
+	return parse(buf)
+}
+
+// ParseString parses an OPB instance from a string.
+func ParseString(s string) (*pb.Problem, error) {
+	return parse([]byte(s))
+}
+
+func parse(buf []byte) (*pb.Problem, error) {
+	vars, cons := sizeHint(buf)
+	p := &pb.Problem{Cost: make([]int64, 0, vars), Names: make([]string, 0, vars), Constraints: make([]*pb.Constraint, 0, cons)}
+	rd := &Reader{Scanner: NewScanner(buf), prefix: "opb", vars: make(map[string]pb.Var, vars),
+		products: &productTable{prob: p, byKey: map[string]pb.Var{}},
+		newVar: func(name string) pb.Var {
+			p.Names = append(p.Names, name)
+			return p.AddVar(0)
+		}}
 
 	// negCost[v] accumulates cost placed on x_v = 0 from negative objective
 	// coefficients; folded into Cost/CostOffset at the end.
-	var negCost map[pb.Var]int64
+	var negCost []int64
 	sawObjective := false
-	products := newProductTable(p)
-
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	lineNo := 0
-	// Statements may span lines until ';'. Accumulate tokens.
-	var pending []string
-	flush := func() error {
-		if len(pending) == 0 {
-			return nil
-		}
-		toks := pending
-		pending = nil
-		isObj := false
-		if strings.EqualFold(toks[0], "min:") {
-			isObj = true
-			toks = toks[1:]
-		} else if strings.EqualFold(toks[0], "max:") {
-			return fmt.Errorf("opb: line %d: max: objectives are not supported (negate to min:)", lineNo)
-		}
-		// Split at relational operator for constraints.
-		relIdx := -1
-		var cmp pb.Cmp
-		for i, t := range toks {
-			switch t {
-			case ">=":
-				relIdx, cmp = i, pb.GE
-			case "<=":
-				relIdx, cmp = i, pb.LE
-			case "=":
-				relIdx, cmp = i, pb.EQ
-			}
-			if relIdx >= 0 {
-				break
-			}
-		}
-		if isObj && relIdx >= 0 {
-			return fmt.Errorf("opb: line %d: relational operator in objective", lineNo)
-		}
-		if !isObj && relIdx < 0 {
-			return fmt.Errorf("opb: line %d: constraint without relational operator", lineNo)
-		}
-
-		lhsToks := toks
-		var rhs int64
-		if !isObj {
-			lhsToks = toks[:relIdx]
-			rhsToks := toks[relIdx+1:]
-			if len(rhsToks) != 1 {
-				return fmt.Errorf("opb: line %d: expected single right-hand side, got %v", lineNo, rhsToks)
-			}
-			var err error
-			rhs, err = strconv.ParseInt(rhsToks[0], 10, 64)
-			if err != nil {
-				return fmt.Errorf("opb: line %d: bad right-hand side %q", lineNo, rhsToks[0])
-			}
-		}
-
-		terms, err := parseTerms(lhsToks, getVar, lineNo, products)
+	for toks, ok := rd.Statement(); ok; toks, ok = rd.Statement() {
+		isObj, err := rd.Objective(toks)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if isObj {
-			if sawObjective {
-				return fmt.Errorf("opb: line %d: duplicate objective", lineNo)
+		if !isObj {
+			lhs, cmp, rhs, err := rd.Constraint(toks)
+			if err != nil {
+				return nil, err
 			}
-			sawObjective = true
-			for _, t := range terms {
-				coef := t.Coef
-				v := t.Lit.Var()
-				var err error
-				if t.Lit.IsNeg() {
-					// c·¬x = c − c·x: offset c, coefficient −c on x.
-					if p.CostOffset, err = pb.CheckedAdd(p.CostOffset, coef); err != nil {
-						return fmt.Errorf("opb: line %d: objective offset: %w", lineNo, err)
-					}
-					if coef, err = pb.CheckedNeg(coef); err != nil {
-						return fmt.Errorf("opb: line %d: objective coefficient: %w", lineNo, err)
-					}
+			terms, err := rd.Terms(lhs)
+			if err != nil {
+				return nil, err
+			}
+			if err := p.AddConstraint(terms, cmp, rhs); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		for _, t := range toks[1:] {
+			if _, ok := relation(t); ok {
+				return nil, rd.Errorf("relational operator in objective")
+			}
+		}
+		terms, err := rd.Terms(toks[1:])
+		if err != nil {
+			return nil, err
+		}
+		if sawObjective {
+			return nil, rd.Errorf("duplicate objective")
+		}
+		sawObjective = true
+		for _, t := range terms {
+			coef, v := t.Coef, t.Lit.Var()
+			if t.Lit.IsNeg() {
+				// c·¬x = c − c·x: offset c, coefficient −c on x.
+				if p.CostOffset, err = pb.CheckedAdd(p.CostOffset, coef); err != nil {
+					return nil, rd.Errorf("objective offset: %w", err)
 				}
-				if coef >= 0 {
-					if p.Cost[v], err = pb.CheckedAdd(p.Cost[v], coef); err != nil {
-						return fmt.Errorf("opb: line %d: objective coefficient on %s: %w",
-							lineNo, name(p, v), err)
-					}
-				} else {
-					// coef·x = coef + (−coef)·¬x: move the constant into the
-					// offset and pay −coef when x = 0.
-					if p.CostOffset, err = pb.CheckedAdd(p.CostOffset, coef); err != nil {
-						return fmt.Errorf("opb: line %d: objective offset: %w", lineNo, err)
-					}
-					if negCost == nil {
-						negCost = map[pb.Var]int64{}
-					}
-					nc, err := pb.CheckedNeg(coef)
-					if err != nil {
-						return fmt.Errorf("opb: line %d: objective coefficient: %w", lineNo, err)
-					}
-					if negCost[v], err = pb.CheckedAdd(negCost[v], nc); err != nil {
-						return fmt.Errorf("opb: line %d: objective coefficient on %s: %w",
-							lineNo, name(p, v), err)
-					}
+				if coef, err = pb.CheckedNeg(coef); err != nil {
+					return nil, rd.Errorf("objective coefficient: %w", err)
 				}
 			}
-			return nil
-		}
-		return p.AddConstraint(terms, cmp, rhs)
-	}
-
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if i := strings.IndexByte(line, '*'); i >= 0 {
-			line = line[:i]
-		}
-		// Tokenize; ';' terminates a statement.
-		for _, field := range strings.Fields(line) {
-			for {
-				semi := strings.IndexByte(field, ';')
-				if semi < 0 {
-					pending = append(pending, field)
-					break
+			if coef >= 0 {
+				if p.Cost[v], err = pb.CheckedAdd(p.Cost[v], coef); err != nil {
+					return nil, rd.Errorf("objective coefficient on %s: %w", p.VarName(v), err)
 				}
-				if semi > 0 {
-					pending = append(pending, field[:semi])
-				}
-				if err := flush(); err != nil {
-					return nil, err
-				}
-				field = field[semi+1:]
-				if field == "" {
-					break
-				}
+				continue
+			}
+			// coef·x = coef + (−coef)·¬x: move the constant into the offset
+			// and pay −coef when x = 0.
+			if p.CostOffset, err = pb.CheckedAdd(p.CostOffset, coef); err != nil {
+				return nil, rd.Errorf("objective offset: %w", err)
+			}
+			if negCost == nil {
+				negCost = make([]int64, p.NumVars)
+			}
+			nc, err := pb.CheckedNeg(coef)
+			if err != nil {
+				return nil, rd.Errorf("objective coefficient: %w", err)
+			}
+			if negCost[v], err = pb.CheckedAdd(negCost[v], nc); err != nil {
+				return nil, rd.Errorf("objective coefficient on %s: %w", p.VarName(v), err)
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	if err := products.flushDefinitions(); err != nil {
+	if err := rd.products.flushDefinitions(); err != nil {
 		return nil, err
 	}
 
 	// Fold negative objective coefficients: −c·x = −c + c·¬x, i.e. cost c on
 	// x=0. Net cost on v is Cost[v] − negCost[v]; whichever polarity is
-	// cheaper absorbs the offset. Variables are folded in order, so the
-	// complement variables are numbered the same way on every run.
-	folds := make([]pb.Var, 0, len(negCost))
-	for v := range negCost {
-		folds = append(folds, v)
-	}
-	slices.Sort(folds)
-	for _, v := range folds {
-		nc := negCost[v]
+	// cheaper absorbs the offset.
+	for i, nc := range negCost {
+		v := pb.Var(i)
+		if nc == 0 {
+			continue
+		}
 		net, err := pb.CheckedSub(p.Cost[v], nc)
 		if err != nil {
-			return nil, fmt.Errorf("opb: net objective coefficient on %s: %w", name(p, v), err)
+			return nil, fmt.Errorf("opb: net objective coefficient on %s: %w", p.VarName(v), err)
 		}
 		if net >= 0 {
 			// Cost[v]·x + nc·(1−x) = nc + net·x.
@@ -224,10 +150,8 @@ func Parse(r io.Reader) (*pb.Problem, error) {
 			p.Cost[v] = 0
 			// Penalize x_v = 0 by −net: add constraint-free cost via a fresh
 			// complement variable y ≡ ¬x with cost −net.
-			y := pb.Var(p.NumVars)
-			p.NumVars++
-			p.Cost = append(p.Cost, -net)
-			p.Names = append(p.Names, "_n"+name(p, v))
+			y := p.AddVar(-net)
+			p.Names = append(p.Names, "_n"+p.VarName(v))
 			// y + x >= 1 and ¬y + ¬x >= 1 enforce y = ¬x.
 			if err := p.AddClause(pb.PosLit(y), pb.PosLit(v)); err != nil {
 				return nil, err
@@ -243,91 +167,6 @@ func Parse(r io.Reader) (*pb.Problem, error) {
 	return p, nil
 }
 
-func name(p *pb.Problem, v pb.Var) string {
-	if int(v) < len(p.Names) && p.Names[v] != "" {
-		return p.Names[v]
-	}
-	return fmt.Sprintf("x%d", int(v)+1)
-}
-
-// validName reports whether s is an acceptable variable identifier: a
-// letter or underscore followed by letters, digits or underscores. This is
-// the same class the writers emit (x<k>, user names, _n/_p synthetics), so
-// everything the package writes re-parses, and nothing that parses can
-// collide with the "-" false-literal marker of the value-line format.
-func validName(s string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z':
-		case c >= '0' && c <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return len(s) > 0
-}
-
-func parseTerms(toks []string, getVar func(string) pb.Var, lineNo int, products *productTable) ([]pb.Term, error) {
-	var terms []pb.Term
-	i := 0
-	for i < len(toks) {
-		coefTok := toks[i]
-		coef, err := strconv.ParseInt(coefTok, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("opb: line %d: expected coefficient, got %q", lineNo, coefTok)
-		}
-		i++
-		if i >= len(toks) {
-			return nil, fmt.Errorf("opb: line %d: coefficient %q without literal", lineNo, coefTok)
-		}
-		// One or more literal tokens follow (more than one = a nonlinear
-		// product term, per the OPB specification).
-		var lits []pb.Lit
-		for i < len(toks) {
-			if _, err := strconv.ParseInt(toks[i], 10, 64); err == nil {
-				break // next coefficient
-			}
-			litTok := toks[i]
-			i++
-			neg := false
-			if strings.HasPrefix(litTok, "~") {
-				neg = true
-				litTok = litTok[1:]
-			}
-			if litTok == "" {
-				return nil, fmt.Errorf("opb: line %d: empty literal", lineNo)
-			}
-			if !validName(litTok) {
-				// Identifier syntax only: a stray operator token ("-", "=")
-				// must be a parse error, not a variable. (Differential-fuzzer
-				// finding: a variable literally named "-" survives solving
-				// but corrupts the value-line round trip, where "-" is the
-				// false-literal prefix.)
-				return nil, fmt.Errorf("opb: line %d: invalid variable name %q", lineNo, litTok)
-			}
-			lits = append(lits, pb.MkLit(getVar(litTok), neg))
-		}
-		if len(lits) == 0 {
-			return nil, fmt.Errorf("opb: line %d: coefficient %q without literal", lineNo, coefTok)
-		}
-		lit, err := products.literal(lits)
-		if err != nil {
-			return nil, fmt.Errorf("opb: line %d: %w", lineNo, err)
-		}
-		terms = append(terms, pb.Term{Coef: coef, Lit: lit})
-	}
-	return terms, nil
-}
-
-// ParseString parses an OPB instance from a string.
-func ParseString(s string) (*pb.Problem, error) {
-	return Parse(strings.NewReader(s))
-}
-
 // Write renders p in OPB syntax. Variables are written using p.Names when
 // available and x<k> (1-based) otherwise. The objective offset, if nonzero,
 // is recorded in a comment (OPB has no offset syntax).
@@ -341,18 +180,18 @@ func Write(w io.Writer, p *pb.Problem) error {
 		bw.WriteString("min:")
 		for v := 0; v < p.NumVars; v++ {
 			if p.Cost[v] != 0 {
-				fmt.Fprintf(bw, " +%d %s", p.Cost[v], name(p, pb.Var(v)))
+				fmt.Fprintf(bw, " +%d %s", p.Cost[v], p.VarName(pb.Var(v)))
 			}
 		}
 		bw.WriteString(" ;\n")
 	}
 	for _, c := range p.Constraints {
-		// Deterministic term order: as stored (already sorted by Normalize).
+		// Deterministic term order: as stored (already sorted by AddConstraint).
 		for i, t := range c.Terms {
 			if i > 0 {
 				bw.WriteByte(' ')
 			}
-			lit := name(p, t.Lit.Var())
+			lit := p.VarName(t.Lit.Var())
 			if t.Lit.IsNeg() {
 				lit = "~" + lit
 			}
@@ -368,15 +207,4 @@ func WriteString(p *pb.Problem) string {
 	var sb strings.Builder
 	_ = Write(&sb, p)
 	return sb.String()
-}
-
-// SortedVarNames returns the distinct variable names of p in deterministic
-// order; useful for tests and diagnostics.
-func SortedVarNames(p *pb.Problem) []string {
-	names := make([]string, p.NumVars)
-	for v := 0; v < p.NumVars; v++ {
-		names[v] = name(p, pb.Var(v))
-	}
-	sort.Strings(names)
-	return names
 }

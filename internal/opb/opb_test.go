@@ -2,6 +2,7 @@ package opb
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -253,7 +254,8 @@ func TestVariableNamesPreserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := SortedVarNames(p)
+	names := slices.Clone(p.Names)
+	slices.Sort(names)
 	if names[0] != "a" || names[1] != "b" {
 		t.Fatalf("names=%v", names)
 	}

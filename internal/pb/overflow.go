@@ -1,7 +1,7 @@
 // Overflow-checked int64 arithmetic for the normalization layer.
 //
 // Fuzzer-sized coefficients (up to ±2^63−1 straight from an OPB file) can
-// wrap the accumulations inside Normalize, AddConstraint's ≤→≥ negation and
+// wrap the accumulations inside normalize, AddConstraint's ≤→≥ negation and
 // the objective fold — silently turning an UNSAT row into a trivially
 // satisfied one, or corrupting the optimum. Every accumulation that touches
 // externally supplied coefficients therefore goes through the helpers below:

@@ -43,7 +43,7 @@ func TestCheckedHelpers(t *testing.T) {
 }
 
 // Duplicate-literal merging used to wrap: +MaxInt64 x1 +MaxInt64 x1 >= 1
-// silently became a small (or negative) coefficient. NormalizeChecked must
+// silently became a small (or negative) coefficient. normalize must
 // reject it with ErrOverflow.
 func TestNormalizeCheckedOverflow(t *testing.T) {
 	huge := int64(math.MaxInt64)
@@ -57,18 +57,18 @@ func TestNormalizeCheckedOverflow(t *testing.T) {
 		{"coef sum", []Term{{huge, PosLit(0)}, {huge, PosLit(1)}}, huge},
 	}
 	for _, c := range cases {
-		if _, err := NormalizeChecked(c.terms, c.rhs); !errors.Is(err, ErrOverflow) {
+		if _, err := normalize(c.terms, c.rhs, false); !errors.Is(err, ErrOverflow) {
 			t.Errorf("%s: got err=%v, want ErrOverflow", c.name, err)
 		}
 	}
-	// Sanity: moderate inputs still normalize identically to Normalize.
-	got, err := NormalizeChecked([]Term{{2, PosLit(0)}, {-3, PosLit(1)}}, 1)
+	// Sanity: moderate inputs still normalize as mustNormalize does.
+	got, err := normalize([]Term{{2, PosLit(0)}, {-3, PosLit(1)}}, 1, false)
 	if err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	want := Normalize([]Term{{2, PosLit(0)}, {-3, PosLit(1)}}, 1)
+	want := mustNormalize([]Term{{2, PosLit(0)}, {-3, PosLit(1)}}, 1)
 	if got.String() != want.String() {
-		t.Fatalf("NormalizeChecked=%v want %v", got, want)
+		t.Fatalf("normalize=%v want %v", got, want)
 	}
 }
 

@@ -15,10 +15,12 @@
 package pb
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 )
 
 // Var identifies a Boolean decision variable. Variables are dense integers
@@ -252,6 +254,15 @@ type Problem struct {
 	Names []string
 }
 
+// VarName returns the external name of v: Names[v] when set, else the
+// 1-based OPB name x<k>.
+func (p *Problem) VarName(v Var) string {
+	if int(v) < len(p.Names) && p.Names[v] != "" {
+		return p.Names[v]
+	}
+	return fmt.Sprintf("x%d", int(v)+1)
+}
+
 // NewProblem returns an empty problem with n variables and zero costs.
 func NewProblem(n int) *Problem {
 	return &Problem{
@@ -316,44 +327,29 @@ func (p *Problem) HasObjective() bool {
 // Terms may mention a variable several times and with negative coefficients;
 // EQ is split into GE+LE. Trivially true constraints are dropped; trivially
 // false constraints are recorded as an empty constraint with positive degree
-// (which the solver reports as UNSAT). It returns an error only if a term
-// mentions an out-of-range variable.
+// (which the solver reports as UNSAT). It returns an error if a term
+// mentions an out-of-range variable, or ErrOverflow.
 func (p *Problem) AddConstraint(terms []Term, cmp Cmp, rhs int64) error {
 	for _, t := range terms {
 		if v := t.Lit.Var(); v < 0 || int(v) >= p.NumVars {
 			return fmt.Errorf("pb: constraint mentions undefined variable x%d (problem has %d vars)", v, p.NumVars)
 		}
 	}
+	negate := false
 	switch cmp {
 	case GE:
-		c, err := NormalizeChecked(terms, rhs)
-		if err != nil {
-			return err
-		}
-		if c != nil {
-			p.Constraints = append(p.Constraints, c)
-		}
 	case LE:
-		// Σ a·l ≤ b  ⇔  Σ −a·l ≥ −b.
-		neg := make([]Term, len(terms))
-		for i, t := range terms {
-			nc, ok := negOK(t.Coef)
-			if !ok {
+		// Σ a·l ≤ b  ⇔  Σ −a·l ≥ −b; normalize negates as it merges.
+		for _, t := range terms {
+			if _, ok := negOK(t.Coef); !ok {
 				return fmt.Errorf("pb: coefficient %d on %s: %w", t.Coef, t.Lit, ErrOverflow)
 			}
-			neg[i] = Term{Coef: nc, Lit: t.Lit}
 		}
 		nrhs, ok := negOK(rhs)
 		if !ok {
 			return fmt.Errorf("pb: right-hand side %d: %w", rhs, ErrOverflow)
 		}
-		c, err := NormalizeChecked(neg, nrhs)
-		if err != nil {
-			return err
-		}
-		if c != nil {
-			p.Constraints = append(p.Constraints, c)
-		}
+		rhs, negate = nrhs, true
 	case EQ:
 		if err := p.AddConstraint(terms, GE, rhs); err != nil {
 			return err
@@ -362,43 +358,32 @@ func (p *Problem) AddConstraint(terms []Term, cmp Cmp, rhs int64) error {
 	default:
 		return fmt.Errorf("pb: unknown comparison %d", cmp)
 	}
-	return nil
+	c, err := normalize(terms, rhs, negate)
+	if c != nil {
+		p.Constraints = append(p.Constraints, c)
+	}
+	return err
 }
 
 // AddClause appends the clause l1 ∨ l2 ∨ … (Σ l_k ≥ 1).
-func (p *Problem) AddClause(lits ...Lit) error {
-	terms := make([]Term, len(lits))
-	for i, l := range lits {
-		terms[i] = Term{Coef: 1, Lit: l}
-	}
-	return p.AddConstraint(terms, GE, 1)
-}
+func (p *Problem) AddClause(lits ...Lit) error { return p.addUnit(lits, GE, 1) }
 
 // AddAtLeast appends the cardinality constraint Σ lits ≥ k.
-func (p *Problem) AddAtLeast(lits []Lit, k int64) error {
-	terms := make([]Term, len(lits))
-	for i, l := range lits {
-		terms[i] = Term{Coef: 1, Lit: l}
-	}
-	return p.AddConstraint(terms, GE, k)
-}
+func (p *Problem) AddAtLeast(lits []Lit, k int64) error { return p.addUnit(lits, GE, k) }
 
 // AddAtMost appends the cardinality constraint Σ lits ≤ k.
-func (p *Problem) AddAtMost(lits []Lit, k int64) error {
-	terms := make([]Term, len(lits))
-	for i, l := range lits {
-		terms[i] = Term{Coef: 1, Lit: l}
-	}
-	return p.AddConstraint(terms, LE, k)
-}
+func (p *Problem) AddAtMost(lits []Lit, k int64) error { return p.addUnit(lits, LE, k) }
 
 // AddExactlyOne appends Σ lits = 1.
-func (p *Problem) AddExactlyOne(lits ...Lit) error {
+func (p *Problem) AddExactlyOne(lits ...Lit) error { return p.addUnit(lits, EQ, 1) }
+
+// addUnit appends Σ lits op k, every literal with coefficient 1.
+func (p *Problem) addUnit(lits []Lit, op Cmp, k int64) error {
 	terms := make([]Term, len(lits))
 	for i, l := range lits {
 		terms[i] = Term{Coef: 1, Lit: l}
 	}
-	return p.AddConstraint(terms, EQ, 1)
+	return p.AddConstraint(terms, op, k)
 }
 
 // ObjectiveValue returns CostOffset + Σ Cost[v]·x_v for the full assignment.
@@ -472,11 +457,12 @@ func (p *Problem) Validate() error {
 				v, MaxObjective, ErrOverflow)
 		}
 	}
+	// stamp[v] == i+1 marks x_v as already seen in constraint i.
+	stamp := make([]int, p.NumVars)
 	for i, c := range p.Constraints {
 		if c.Degree < 0 {
 			return fmt.Errorf("pb: constraint %d has negative degree %d", i, c.Degree)
 		}
-		seen := map[Var]bool{}
 		for _, t := range c.Terms {
 			if t.Coef <= 0 {
 				return fmt.Errorf("pb: constraint %d has non-positive coefficient %d", i, t.Coef)
@@ -488,10 +474,10 @@ func (p *Problem) Validate() error {
 			if v < 0 || int(v) >= p.NumVars {
 				return fmt.Errorf("pb: constraint %d mentions undefined x%d", i, v)
 			}
-			if seen[v] {
+			if stamp[v] == i+1 {
 				return fmt.Errorf("pb: constraint %d mentions x%d twice", i, v)
 			}
-			seen[v] = true
+			stamp[v] = i + 1
 		}
 		// Degree ≤ CoefSum or the constraint is an intentional UNSAT marker;
 		// either way the sum itself must not wrap (CoefSum saturates, so a
@@ -507,70 +493,85 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
-// Normalize converts Σ terms ≥ rhs into normal form: merges duplicate
-// variables, removes zero coefficients, flips negative coefficients via
-// a·l = a − a·¬l, clips coefficients at the degree, and sorts terms by
-// descending coefficient (ties by literal). It returns nil when the
-// constraint is trivially true (degree ≤ 0). A constraint that is trivially
-// false (degree > coefficient sum, including empty with degree > 0) is
-// returned as-is so the caller can detect infeasibility.
-//
-// Normalize assumes coefficient arithmetic cannot overflow (moderate,
-// program-constructed inputs); external inputs must go through
-// NormalizeChecked / AddConstraint, which reject overflow with ErrOverflow.
-// If an overflow does occur here, Normalize panics rather than returning a
-// silently wrapped — and potentially unsound — constraint.
-func Normalize(terms []Term, rhs int64) *Constraint {
-	c, err := NormalizeChecked(terms, rhs)
-	if err != nil {
-		panic(err)
-	}
-	return c
+// mergeScratch is normalize's reused buffer: the k-th variable to appear,
+// order[k], has net coefficient net[k] on its positive literal and
+// pos[order[k]] = k+1 (0 for a variable not seen yet); out collects the
+// normalized terms.
+type mergeScratch struct {
+	pos   []int32
+	order []Var
+	net   []int64
+	out   []Term
 }
 
-// NormalizeChecked is Normalize with overflow-checked arithmetic: every
-// accumulation that could exceed int64 (duplicate-variable merging, the
-// negative-coefficient flips on the right-hand side, the residual coefficient
-// sum) reports ErrOverflow instead of wrapping. This is the entry point for
-// externally supplied coefficients (the OPB parser, the fuzzer's adversarial
-// instances).
-func NormalizeChecked(terms []Term, rhs int64) (*Constraint, error) {
+var mergePool = sync.Pool{New: func() any { return new(mergeScratch) }}
+
+// normalize converts Σ terms ≥ rhs, with every coefficient negated when
+// negate is set (the ≤ form; the caller has checked that every negation is
+// in range), into normal form: it merges duplicate variables, removes zero
+// coefficients, flips negative coefficients via a·l = a − a·¬l, clips
+// coefficients at the degree, and sorts terms by descending coefficient
+// (ties by literal). It returns nil when the constraint is trivially true
+// (degree ≤ 0); a trivially false one (degree > coefficient sum) is
+// returned as is. Every accumulation is overflow-checked and reports
+// ErrOverflow; terms merge in input order, so the first overflow in input
+// order is the one reported.
+func normalize(terms []Term, rhs int64, negate bool) (*Constraint, error) {
+	s := mergePool.Get().(*mergeScratch)
+	defer func() {
+		for _, v := range s.order {
+			s.pos[v] = 0
+		}
+		s.order, s.net, s.out = s.order[:0], s.net[:0], s.out[:0]
+		mergePool.Put(s)
+	}()
 	// Merge per-variable contributions. For variable v with positive-literal
 	// coefficient ap and negative-literal coefficient an:
 	//   ap·x + an·(1−x) = (ap−an)·x + an
 	// so the merged coefficient on x is ap−an and rhs decreases by an.
-	byVar := map[Var]int64{} // net coefficient on the positive literal
 	var ok bool
 	for _, t := range terms {
-		if t.Coef == 0 {
+		c, v := t.Coef, t.Lit.Var()
+		if c == 0 {
 			continue
 		}
-		c := t.Coef
+		if negate {
+			c = -c
+		}
+		if v < 0 {
+			return nil, fmt.Errorf("pb: constraint mentions undefined variable x%d", v)
+		}
+		if int(v) >= len(s.pos) {
+			s.pos = append(s.pos, make([]int32, int(v)+1-len(s.pos))...)
+		}
+		if s.pos[v] == 0 {
+			s.order, s.net = append(s.order, v), append(s.net, 0)
+			s.pos[v] = int32(len(s.order))
+		}
+		k := s.pos[v] - 1
 		if t.Lit.IsNeg() {
-			if byVar[t.Lit.Var()], ok = subOK(byVar[t.Lit.Var()], c); !ok {
+			if s.net[k], ok = subOK(s.net[k], c); !ok {
 				return nil, fmt.Errorf("pb: merged coefficient on %s: %w", t.Lit, ErrOverflow)
 			}
 			if rhs, ok = subOK(rhs, c); !ok {
 				return nil, fmt.Errorf("pb: degree adjustment for %s: %w", t.Lit, ErrOverflow)
 			}
-		} else {
-			if byVar[t.Lit.Var()], ok = addOK(byVar[t.Lit.Var()], c); !ok {
-				return nil, fmt.Errorf("pb: merged coefficient on %s: %w", t.Lit, ErrOverflow)
-			}
+		} else if s.net[k], ok = addOK(s.net[k], c); !ok {
+			return nil, fmt.Errorf("pb: merged coefficient on %s: %w", t.Lit, ErrOverflow)
 		}
 	}
-	out := make([]Term, 0, len(byVar))
-	for v, a := range byVar {
+	for k, a := range s.net {
+		v := s.order[k]
 		switch {
 		case a > 0:
-			out = append(out, Term{Coef: a, Lit: PosLit(v)})
+			s.out = append(s.out, Term{Coef: a, Lit: PosLit(v)})
 		case a < 0:
 			// a·x = a − a·(1−x) = a + (−a)·¬x ⇒ move constant a to rhs.
 			na, ok := negOK(a)
 			if !ok {
 				return nil, fmt.Errorf("pb: flipped coefficient on x%d: %w", v, ErrOverflow)
 			}
-			out = append(out, Term{Coef: na, Lit: NegLit(v)})
+			s.out = append(s.out, Term{Coef: na, Lit: NegLit(v)})
 			if rhs, ok = subOK(rhs, a); !ok {
 				return nil, fmt.Errorf("pb: degree adjustment for x%d: %w", v, ErrOverflow)
 			}
@@ -584,21 +585,20 @@ func NormalizeChecked(terms []Term, rhs int64) (*Constraint, error) {
 	// coefficient is ≤ rhs, but the *sum* over many terms can still wrap —
 	// and a wrapped CoefSum corrupts slack-based propagation — so reject it.
 	var sum int64
-	for i := range out {
-		if out[i].Coef > rhs {
-			out[i].Coef = rhs
-		}
-		if sum, ok = addOK(sum, out[i].Coef); !ok {
+	for i := range s.out {
+		s.out[i].Coef = min(s.out[i].Coef, rhs)
+		if sum, ok = addOK(sum, s.out[i].Coef); !ok {
 			return nil, fmt.Errorf("pb: coefficient sum of normalized constraint: %w", ErrOverflow)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Coef != out[j].Coef {
-			return out[i].Coef > out[j].Coef
+	slices.SortFunc(s.out, func(a, b Term) int {
+		if a.Coef != b.Coef {
+			return cmp.Compare(b.Coef, a.Coef)
 		}
-		return out[i].Lit < out[j].Lit
+		return cmp.Compare(a.Lit, b.Lit)
 	})
-	return &Constraint{Terms: out, Degree: rhs}, nil
+	// The stored terms are an exact-length copy, never the scratch.
+	return &Constraint{Terms: append(make([]Term, 0, len(s.out)), s.out...), Degree: rhs}, nil
 }
 
 // Reduce returns the residual of c under a partial assignment. assigned[v]

@@ -47,19 +47,19 @@ func TestLitString(t *testing.T) {
 
 func TestNormalizeTriviallyTrue(t *testing.T) {
 	// x0 + x1 >= 0 is trivially true.
-	c := Normalize([]Term{{1, PosLit(0)}, {1, PosLit(1)}}, 0)
+	c := mustNormalize([]Term{{1, PosLit(0)}, {1, PosLit(1)}}, 0)
 	if c != nil {
 		t.Fatalf("expected nil, got %v", c)
 	}
 	// Negative rhs likewise.
-	if Normalize([]Term{{1, PosLit(0)}}, -5) != nil {
+	if mustNormalize([]Term{{1, PosLit(0)}}, -5) != nil {
 		t.Fatal("expected nil for negative rhs")
 	}
 }
 
 func TestNormalizeNegativeCoef(t *testing.T) {
 	// -2 x0 + 3 x1 >= 1  ⇔  2 ¬x0 + 3 x1 >= 3.
-	c := Normalize([]Term{{-2, PosLit(0)}, {3, PosLit(1)}}, 1)
+	c := mustNormalize([]Term{{-2, PosLit(0)}, {3, PosLit(1)}}, 1)
 	if c == nil {
 		t.Fatal("unexpected nil")
 	}
@@ -77,17 +77,17 @@ func TestNormalizeNegativeCoef(t *testing.T) {
 
 func TestNormalizeMergesDuplicates(t *testing.T) {
 	// 2 x0 + 3 x0 >= 4 ⇒ 5 x0 >= 4 ⇒ clipped to 4 x0 >= 4.
-	c := Normalize([]Term{{2, PosLit(0)}, {3, PosLit(0)}}, 4)
+	c := mustNormalize([]Term{{2, PosLit(0)}, {3, PosLit(0)}}, 4)
 	if c == nil || len(c.Terms) != 1 || c.Terms[0].Coef != 4 || c.Degree != 4 {
 		t.Fatalf("got %v", c)
 	}
 	// x0 and ¬x0 cancel: 2 x0 + 3 ¬x0 >= 1 ⇔ -1 x0 >= -2 ⇔ ¬x0 >= -1: trivial.
-	c = Normalize([]Term{{2, PosLit(0)}, {3, NegLit(0)}}, 1)
+	c = mustNormalize([]Term{{2, PosLit(0)}, {3, NegLit(0)}}, 1)
 	if c != nil {
 		t.Fatalf("expected trivial, got %v", c)
 	}
 	// 2 x0 + 3 ¬x0 >= 3 ⇔ ¬x0 >= 0 + ... : -1·x0 >= 0 ⇔ 1·¬x0 >= 1.
-	c = Normalize([]Term{{2, PosLit(0)}, {3, NegLit(0)}}, 3)
+	c = mustNormalize([]Term{{2, PosLit(0)}, {3, NegLit(0)}}, 3)
 	if c == nil || len(c.Terms) != 1 || c.Terms[0].Lit != NegLit(0) || c.Degree != 1 {
 		t.Fatalf("got %v", c)
 	}
@@ -95,14 +95,14 @@ func TestNormalizeMergesDuplicates(t *testing.T) {
 
 func TestNormalizeClipping(t *testing.T) {
 	// 10 x0 + 1 x1 >= 2 ⇒ coef 10 clipped to 2.
-	c := Normalize([]Term{{10, PosLit(0)}, {1, PosLit(1)}}, 2)
+	c := mustNormalize([]Term{{10, PosLit(0)}, {1, PosLit(1)}}, 2)
 	if c.Terms[0].Coef != 2 {
 		t.Fatalf("not clipped: %v", c)
 	}
 }
 
 func TestNormalizeSortsDescending(t *testing.T) {
-	c := Normalize([]Term{{1, PosLit(0)}, {3, PosLit(1)}, {2, PosLit(2)}}, 3)
+	c := mustNormalize([]Term{{1, PosLit(0)}, {3, PosLit(1)}, {2, PosLit(2)}}, 3)
 	for i := 1; i < len(c.Terms); i++ {
 		if c.Terms[i].Coef > c.Terms[i-1].Coef {
 			t.Fatalf("not sorted: %v", c)
@@ -125,7 +125,7 @@ func TestNormalizePreservesSolutionSet(t *testing.T) {
 			}
 		}
 		rhs := int64(rng.Intn(13) - 6)
-		c := Normalize(append([]Term(nil), terms...), rhs)
+		c := mustNormalize(append([]Term(nil), terms...), rhs)
 		for mask := 0; mask < 1<<n; mask++ {
 			values := make([]bool, n)
 			for v := 0; v < n; v++ {
@@ -153,11 +153,11 @@ func TestConstraintKind(t *testing.T) {
 		want Kind
 	}{
 		{&Constraint{Degree: 0}, KindTrivial},
-		{Normalize([]Term{{1, PosLit(0)}, {1, PosLit(1)}}, 1), KindClause},
-		{Normalize([]Term{{1, PosLit(0)}, {1, PosLit(1)}, {1, PosLit(2)}}, 2), KindCardinality},
-		{Normalize([]Term{{2, PosLit(0)}, {1, PosLit(1)}, {1, PosLit(2)}}, 3), KindGeneral},
+		{mustNormalize([]Term{{1, PosLit(0)}, {1, PosLit(1)}}, 1), KindClause},
+		{mustNormalize([]Term{{1, PosLit(0)}, {1, PosLit(1)}, {1, PosLit(2)}}, 2), KindCardinality},
+		{mustNormalize([]Term{{2, PosLit(0)}, {1, PosLit(1)}, {1, PosLit(2)}}, 3), KindGeneral},
 		// 5x0 + 5x1 >= 3 clips to 3x0+3x1>=3: each alone satisfies ⇒ clause.
-		{Normalize([]Term{{5, PosLit(0)}, {5, PosLit(1)}}, 3), KindClause},
+		{mustNormalize([]Term{{5, PosLit(0)}, {5, PosLit(1)}}, 3), KindClause},
 	}
 	for i, tc := range cases {
 		if got := tc.c.Kind(); got != tc.want {
@@ -167,11 +167,11 @@ func TestConstraintKind(t *testing.T) {
 }
 
 func TestCardinalityNeed(t *testing.T) {
-	c := Normalize([]Term{{1, PosLit(0)}, {1, PosLit(1)}, {1, PosLit(2)}}, 2)
+	c := mustNormalize([]Term{{1, PosLit(0)}, {1, PosLit(1)}, {1, PosLit(2)}}, 2)
 	if c.CardinalityNeed() != 2 {
 		t.Fatalf("need=%d", c.CardinalityNeed())
 	}
-	c = Normalize([]Term{{3, PosLit(0)}, {2, PosLit(1)}, {2, PosLit(2)}}, 4)
+	c = mustNormalize([]Term{{3, PosLit(0)}, {2, PosLit(1)}, {2, PosLit(2)}}, 4)
 	if got := c.CardinalityNeed(); got != 2 { // ceil(4/3)=2 literal minimum
 		t.Fatalf("need=%d want 2", got)
 	}
@@ -276,7 +276,7 @@ func TestValidate(t *testing.T) {
 
 func TestReduce(t *testing.T) {
 	// 3x0 + 2x1 + 1¬x2 >= 4.
-	c := Normalize([]Term{{3, PosLit(0)}, {2, PosLit(1)}, {1, NegLit(2)}}, 4)
+	c := mustNormalize([]Term{{3, PosLit(0)}, {2, PosLit(1)}, {1, NegLit(2)}}, 4)
 	assigned := []bool{true, false, false}
 	value := []bool{true, false, false}
 	res, sat := c.Reduce(assigned, value)
@@ -305,7 +305,7 @@ func TestReduce(t *testing.T) {
 func TestReduceInfeasibleResidual(t *testing.T) {
 	// x0 + x1 >= 2 with x0=0: residual x1 >= 2... after clip x1>=2 ⇒ coef
 	// clipped to 2? Degree 2 > coefsum 1 ⇒ unsatisfiable residual.
-	c := Normalize([]Term{{1, PosLit(0)}, {1, PosLit(1)}}, 2)
+	c := mustNormalize([]Term{{1, PosLit(0)}, {1, PosLit(1)}}, 2)
 	res, sat := c.Reduce([]bool{true, false}, []bool{false, false})
 	if sat {
 		t.Fatal("not satisfied")
@@ -356,7 +356,7 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-// Property: Normalize is idempotent — normalizing a normalized constraint's
+// Property: normalize is idempotent — normalizing a normalized constraint's
 // terms with its degree yields an equivalent constraint.
 func TestNormalizeIdempotent(t *testing.T) {
 	f := func(seed int64) bool {
@@ -368,11 +368,11 @@ func TestNormalizeIdempotent(t *testing.T) {
 			terms[i] = Term{Coef: int64(rng.Intn(7) - 3), Lit: MkLit(Var(rng.Intn(n)), rng.Intn(2) == 0)}
 		}
 		rhs := int64(rng.Intn(9) - 3)
-		c := Normalize(terms, rhs)
+		c := mustNormalize(terms, rhs)
 		if c == nil {
 			return true
 		}
-		c2 := Normalize(append([]Term(nil), c.Terms...), c.Degree)
+		c2 := mustNormalize(append([]Term(nil), c.Terms...), c.Degree)
 		if c2 == nil {
 			return false
 		}
@@ -403,7 +403,7 @@ func TestSlackInfeasibilityProperty(t *testing.T) {
 			terms[i] = Term{Coef: int64(1 + rng.Intn(5)), Lit: MkLit(Var(rng.Intn(n)), rng.Intn(2) == 0)}
 		}
 		rhs := int64(1 + rng.Intn(20))
-		c := Normalize(terms, rhs)
+		c := mustNormalize(terms, rhs)
 		if c == nil {
 			return true
 		}
@@ -432,7 +432,7 @@ func TestSlackInfeasibilityProperty(t *testing.T) {
 }
 
 func TestConstraintString(t *testing.T) {
-	c := Normalize([]Term{{2, PosLit(0)}, {1, NegLit(1)}}, 2)
+	c := mustNormalize([]Term{{2, PosLit(0)}, {1, NegLit(1)}}, 2)
 	if got := c.String(); got != "+2 x0 +1 ~x1 >= 2" {
 		t.Fatalf("got %q", got)
 	}
@@ -445,4 +445,14 @@ func TestAddVar(t *testing.T) {
 	if v0 != 0 || v1 != 1 || p.NumVars != 2 || p.Cost[0] != 5 || p.Cost[1] != 0 {
 		t.Fatalf("AddVar wrong: %+v", p)
 	}
+}
+
+// mustNormalize is normalize for constraints whose arithmetic cannot
+// overflow.
+func mustNormalize(terms []Term, rhs int64) *Constraint {
+	c, err := normalize(terms, rhs, false)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }

@@ -48,14 +48,6 @@ type Report struct {
 	Violated    *pb.Constraint
 }
 
-// VarName returns the external name of v (OPB 1-based x<k> fallback).
-func VarName(p *pb.Problem, v pb.Var) string {
-	if int(v) < len(p.Names) && p.Names[v] != "" {
-		return p.Names[v]
-	}
-	return fmt.Sprintf("x%d", int(v)+1)
-}
-
 // Index is the cached name→variable map of one problem, hoisting the
 // per-call map rebuild out of ParseValueLine. Build it once per problem and
 // reuse it across value lines (ScanValueLine does this internally; long-lived
@@ -75,10 +67,10 @@ type Index struct {
 func NewIndex(p *pb.Problem) *Index {
 	ix := &Index{p: p, byName: make(map[string]pb.Var, p.NumVars)}
 	for v := 0; v < p.NumVars; v++ {
-		ix.byName[VarName(p, pb.Var(v))] = pb.Var(v)
+		ix.byName[p.VarName(pb.Var(v))] = pb.Var(v)
 	}
 	for v := 0; v < p.NumVars; v++ {
-		name := VarName(p, pb.Var(v))
+		name := p.VarName(pb.Var(v))
 		if !strings.HasPrefix(name, "_n") {
 			continue
 		}
@@ -236,7 +228,7 @@ func FormatValueLine(p *pb.Problem, values []bool) string {
 		if !values[v] {
 			sb.WriteByte('-')
 		}
-		sb.WriteString(VarName(p, pb.Var(v)))
+		sb.WriteString(p.VarName(pb.Var(v)))
 	}
 	return sb.String()
 }

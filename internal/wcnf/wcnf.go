@@ -27,42 +27,37 @@
 package wcnf
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
+	"repro/internal/opb"
 	"repro/internal/pb"
 	"repro/internal/wbo"
 )
 
-// hardEmpty is the canonical encoding of a hard empty clause: 0 ≥ 1 is
-// unconditionally false, so the instance is hard-UNSAT, matching MaxSAT
-// evaluation semantics for an empty hard clause.
-func hardEmpty() wbo.HardCons {
-	return wbo.HardCons{Terms: nil, Cmp: pb.GE, Rhs: 1}
-}
-
 // Parse reads a WCNF instance from r.
 func Parse(r io.Reader) (*wbo.Instance, error) {
+	buf, err := opb.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("wcnf: %w", err)
+	}
 	in := &wbo.Instance{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-
+	sc := opb.NewScanner(buf)
 	var (
+		f         [][]byte // the current line's tokens
 		sawHeader bool
 		hasTop    bool
 		top       int64
 		declared  int
-		lineNo    int
 	)
 	// Clause accumulator: weight then literals until a terminating 0.
 	var (
 		inClause bool
 		weight   int64
 		lits     []pb.Lit
-		seen     map[pb.Lit]bool
+		seen     = map[pb.Lit]bool{}
 	)
 
 	endClause := func() error {
@@ -89,14 +84,16 @@ func Parse(r io.Reader) (*wbo.Instance, error) {
 		}
 		if len(lits) == 0 {
 			if hard {
-				in.Hard = append(in.Hard, hardEmpty())
+				// 0 ≥ 1 is unconditionally false, so the instance is
+				// hard-UNSAT, as MaxSAT evaluation semantics demand.
+				in.Hard = append(in.Hard, wbo.HardCons{Cmp: pb.GE, Rhs: 1})
 				return nil
 			}
 			// A soft empty clause can never be satisfied: its weight is an
 			// unconditional part of every solution's cost.
 			var err error
 			if in.Offset, err = pb.CheckedAdd(in.Offset, weight); err != nil {
-				return fmt.Errorf("wcnf: line %d: offset: %w", lineNo, err)
+				return fmt.Errorf("wcnf: line %d: offset: %w", sc.Line, err)
 			}
 			return nil
 		}
@@ -112,68 +109,62 @@ func Parse(r io.Reader) (*wbo.Instance, error) {
 		return nil
 	}
 
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == 'c' {
+	for line, ok := sc.NextLine(); ok; line, ok = sc.NextLine() {
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 || line[0] == 'c' {
 			continue
 		}
+		f = opb.Fields(f[:0], line)
 		if line[0] == 'p' {
 			if sawHeader {
-				return nil, fmt.Errorf("wcnf: line %d: duplicate header", lineNo)
+				return nil, fmt.Errorf("wcnf: line %d: duplicate header", sc.Line)
 			}
 			if inClause {
-				return nil, fmt.Errorf("wcnf: line %d: header inside clause", lineNo)
+				return nil, fmt.Errorf("wcnf: line %d: header inside clause", sc.Line)
 			}
-			f := strings.Fields(line)
-			if len(f) < 4 || len(f) > 5 || f[1] != "wcnf" {
-				return nil, fmt.Errorf("wcnf: line %d: bad header %q (want \"p wcnf nvars nclauses [top]\")", lineNo, line)
+			if len(f) < 4 || len(f) > 5 || string(f[1]) != "wcnf" {
+				return nil, fmt.Errorf("wcnf: line %d: bad header %q (want \"p wcnf nvars nclauses [top]\")", sc.Line, line)
 			}
-			nv, err := strconv.Atoi(f[2])
-			if err != nil || nv < 0 {
-				return nil, fmt.Errorf("wcnf: line %d: bad variable count %q", lineNo, f[2])
+			nv, ok := opb.ParseInt(f[2])
+			if !ok || nv < 0 {
+				return nil, fmt.Errorf("wcnf: line %d: bad variable count %q", sc.Line, f[2])
 			}
-			nc, err := strconv.Atoi(f[3])
-			if err != nil || nc < 0 {
-				return nil, fmt.Errorf("wcnf: line %d: bad clause count %q", lineNo, f[3])
+			nc, ok := opb.ParseInt(f[3])
+			if !ok || nc < 0 {
+				return nil, fmt.Errorf("wcnf: line %d: bad clause count %q", sc.Line, f[3])
 			}
-			declared = nc
+			declared = int(nc)
 			if len(f) == 5 {
-				top, err = strconv.ParseInt(f[4], 10, 64)
-				if err != nil || top <= 0 {
-					return nil, fmt.Errorf("wcnf: line %d: bad top weight %q", lineNo, f[4])
+				if top, ok = opb.ParseInt(f[4]); !ok || top <= 0 {
+					return nil, fmt.Errorf("wcnf: line %d: bad top weight %q", sc.Line, f[4])
 				}
 				hasTop = true
 			}
-			in.NumVars = nv
+			in.NumVars = int(nv)
 			sawHeader = true
 			continue
 		}
 		if !sawHeader {
-			return nil, fmt.Errorf("wcnf: line %d: clause before header", lineNo)
+			return nil, fmt.Errorf("wcnf: line %d: clause before header", sc.Line)
 		}
-		for _, tok := range strings.Fields(line) {
+		for _, tok := range f {
 			if !inClause {
-				w, err := strconv.ParseInt(tok, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("wcnf: line %d: bad clause weight %q", lineNo, tok)
+				w, ok := opb.ParseInt(tok)
+				if !ok {
+					return nil, fmt.Errorf("wcnf: line %d: bad clause weight %q", sc.Line, tok)
 				}
 				if w <= 0 {
-					return nil, fmt.Errorf("wcnf: line %d: clause weight must be positive, got %d", lineNo, w)
+					return nil, fmt.Errorf("wcnf: line %d: clause weight must be positive, got %d", sc.Line, w)
 				}
 				inClause = true
 				weight = w
 				lits = lits[:0]
-				if seen == nil {
-					seen = map[pb.Lit]bool{}
-				} else {
-					clear(seen)
-				}
+				clear(seen)
 				continue
 			}
-			lv, err := strconv.Atoi(tok)
-			if err != nil {
-				return nil, fmt.Errorf("wcnf: line %d: bad literal %q", lineNo, tok)
+			lv, ok := opb.ParseInt(tok)
+			if !ok {
+				return nil, fmt.Errorf("wcnf: line %d: bad literal %q", sc.Line, tok)
 			}
 			if lv == 0 {
 				if err := endClause(); err != nil {
@@ -186,14 +177,11 @@ func Parse(r io.Reader) (*wbo.Instance, error) {
 			if v < 0 {
 				v, neg = -v, true
 			}
-			if v > in.NumVars {
-				return nil, fmt.Errorf("wcnf: line %d: literal %d exceeds declared %d variables", lineNo, lv, in.NumVars)
+			if v > int64(in.NumVars) {
+				return nil, fmt.Errorf("wcnf: line %d: literal %d exceeds declared %d variables", sc.Line, lv, in.NumVars)
 			}
 			lits = append(lits, pb.MkLit(pb.Var(v-1), neg))
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("wcnf: %w", err)
 	}
 	if !sawHeader {
 		return nil, fmt.Errorf("wcnf: missing \"p wcnf\" header")
@@ -213,157 +201,88 @@ func Parse(r io.Reader) (*wbo.Instance, error) {
 	return in, nil
 }
 
-// ParseWBO reads a soft-OPB (.wbo) instance from r.
+// ParseWBO reads a soft-OPB (.wbo) instance from r. Soft OPB is OPB read by
+// opb's Reader in its soft grammar, plus the "soft:" header and the "[w]"
+// weight prefix handled here.
 func ParseWBO(r io.Reader) (*wbo.Instance, error) {
+	buf, err := opb.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("wbo: %w", err)
+	}
 	in := &wbo.Instance{}
-	vars := map[string]pb.Var{}
-	getVar := func(name string) (pb.Var, error) {
-		if v, ok := vars[name]; ok {
-			return v, nil
-		}
-		if !validName(name) {
-			return 0, fmt.Errorf("wbo: bad variable name %q", name)
-		}
-		v := pb.Var(in.NumVars)
+	rd := opb.NewSoftReader(buf, func(name string) pb.Var {
 		in.NumVars++
 		in.Names = append(in.Names, name)
-		vars[name] = v
-		return v, nil
-	}
-
-	var (
-		hasTop       bool
-		top          int64
-		sawObjective bool
-		lineNo       int
-		pending      []string
-	)
-
-	flush := func() error {
-		if len(pending) == 0 {
-			return nil
-		}
-		toks := pending
-		pending = nil
-
-		if strings.EqualFold(toks[0], "soft:") {
+		return pb.Var(in.NumVars - 1)
+	})
+	var hasTop, sawObjective bool
+	var top int64
+	for toks, ok := rd.Statement(); ok; toks, ok = rd.Statement() {
+		if bytes.EqualFold(toks[0], []byte("soft:")) {
 			if hasTop {
-				return fmt.Errorf("wbo: line %d: duplicate soft: header", lineNo)
+				return nil, rd.Errorf("duplicate soft: header")
 			}
 			if len(toks) > 2 {
-				return fmt.Errorf("wbo: line %d: bad soft: header %v", lineNo, toks)
+				return nil, rd.Errorf("bad soft: header [%s]", bytes.Join(toks, []byte(" ")))
 			}
 			hasTop = true
 			if len(toks) == 2 {
-				t, err := strconv.ParseInt(toks[1], 10, 64)
-				if err != nil || t <= 0 {
-					return fmt.Errorf("wbo: line %d: bad top cost %q", lineNo, toks[1])
+				var ok bool
+				if top, ok = opb.ParseInt(toks[1]); !ok || top <= 0 {
+					return nil, rd.Errorf("bad top cost %q", toks[1])
 				}
-				top = t
 			}
-			return nil
+			continue
 		}
-		if strings.EqualFold(toks[0], "min:") {
+		isObj, err := rd.Objective(toks)
+		if err != nil {
+			return nil, err
+		}
+		if isObj {
 			if sawObjective {
-				return fmt.Errorf("wbo: line %d: duplicate objective", lineNo)
+				return nil, rd.Errorf("duplicate objective")
 			}
 			sawObjective = true
-			return addObjective(in, toks[1:], getVar, lineNo)
-		}
-		if strings.EqualFold(toks[0], "max:") {
-			return fmt.Errorf("wbo: line %d: max: objectives are not supported (negate to min:)", lineNo)
+			terms, err := rd.Terms(toks[1:])
+			if err != nil {
+				return nil, err
+			}
+			if err := addObjective(in, terms); err != nil {
+				return nil, rd.Errorf("%w", err)
+			}
+			continue
 		}
 
-		// Soft constraints carry a "[w]" weight prefix.
+		// Soft constraints carry a "[w]" weight prefix; hard ones weigh 0.
 		var weight int64
-		isSoft := false
-		if w, ok := strings.CutPrefix(toks[0], "["); ok {
-			body, ok := strings.CutSuffix(w, "]")
+		if w, ok := bytes.CutPrefix(toks[0], []byte("[")); ok {
+			body, ok := bytes.CutSuffix(w, []byte("]"))
 			if !ok {
-				return fmt.Errorf("wbo: line %d: unterminated weight prefix %q", lineNo, toks[0])
+				return nil, rd.Errorf("unterminated weight prefix %q", toks[0])
 			}
-			wv, err := strconv.ParseInt(body, 10, 64)
-			if err != nil || wv <= 0 {
-				return fmt.Errorf("wbo: line %d: soft weight must be a positive integer, got %q", lineNo, body)
+			wv, ok := opb.ParseInt(body)
+			if !ok || wv <= 0 {
+				return nil, rd.Errorf("soft weight must be a positive integer, got %q", body)
 			}
 			if hasTop && top > 0 && wv >= top {
-				return fmt.Errorf("wbo: line %d: soft weight %d is not below the top cost %d", lineNo, wv, top)
+				return nil, rd.Errorf("soft weight %d is not below the top cost %d", wv, top)
 			}
-			weight, isSoft = wv, true
-			toks = toks[1:]
+			weight, toks = wv, toks[1:]
 		}
-
-		relIdx := -1
-		var cmp pb.Cmp
-		for i, t := range toks {
-			switch t {
-			case ">=":
-				relIdx, cmp = i, pb.GE
-			case "<=":
-				relIdx, cmp = i, pb.LE
-			case "=":
-				relIdx, cmp = i, pb.EQ
-			}
-			if relIdx >= 0 {
-				break
-			}
-		}
-		if relIdx < 0 {
-			return fmt.Errorf("wbo: line %d: constraint without relational operator", lineNo)
-		}
-		rhsToks := toks[relIdx+1:]
-		if len(rhsToks) != 1 {
-			return fmt.Errorf("wbo: line %d: expected single right-hand side, got %v", lineNo, rhsToks)
-		}
-		rhs, err := strconv.ParseInt(rhsToks[0], 10, 64)
+		lhs, cmp, rhs, err := rd.Constraint(toks)
 		if err != nil {
-			return fmt.Errorf("wbo: line %d: bad right-hand side %q", lineNo, rhsToks[0])
+			return nil, err
 		}
-		terms, err := parseTerms(toks[:relIdx], getVar, lineNo)
+		terms, err := rd.Terms(lhs)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if isSoft {
+		terms = append([]pb.Term(nil), terms...)
+		if weight > 0 {
 			in.Soft = append(in.Soft, wbo.SoftCons{Weight: weight, Terms: terms, Cmp: cmp, Rhs: rhs})
 		} else {
 			in.Hard = append(in.Hard, wbo.HardCons{Terms: terms, Cmp: cmp, Rhs: rhs})
 		}
-		return nil
-	}
-
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if i := strings.IndexByte(line, '*'); i >= 0 {
-			line = line[:i]
-		}
-		for _, field := range strings.Fields(line) {
-			for {
-				semi := strings.IndexByte(field, ';')
-				if semi < 0 {
-					pending = append(pending, field)
-					break
-				}
-				if semi > 0 {
-					pending = append(pending, field[:semi])
-				}
-				if err := flush(); err != nil {
-					return nil, err
-				}
-				field = field[semi+1:]
-				if field == "" {
-					break
-				}
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("wbo: %w", err)
-	}
-	if err := flush(); err != nil {
-		return nil, err
 	}
 	if !hasTop {
 		return nil, fmt.Errorf("wbo: missing \"soft:\" header")
@@ -374,15 +293,11 @@ func ParseWBO(r io.Reader) (*wbo.Instance, error) {
 	return in, nil
 }
 
-// addObjective converts a "min:" objective into unit soft constraints:
-// +a·x is a soft constraint x = 0 of weight a (pay a when x is true), and
-// −a·x is the substitution a·x − a + a·(1−x): offset −a plus a soft
-// constraint x = 1 of weight a. Coefficient 0 terms are dropped.
-func addObjective(in *wbo.Instance, toks []string, getVar func(string) (pb.Var, error), lineNo int) error {
-	terms, err := parseTerms(toks, getVar, lineNo)
-	if err != nil {
-		return err
-	}
+// addObjective converts the terms of a "min:" objective into unit soft
+// constraints: +a·x is a soft constraint x = 0 of weight a (pay a when x is
+// true), and −a·x is the substitution a·x − a + a·(1−x): offset −a plus a
+// soft constraint x = 1 of weight a. Coefficient 0 terms are dropped.
+func addObjective(in *wbo.Instance, terms []pb.Term) error {
 	for _, t := range terms {
 		coef := t.Coef
 		lit := t.Lit
@@ -392,11 +307,12 @@ func addObjective(in *wbo.Instance, toks []string, getVar func(string) (pb.Var, 
 		if coef < 0 {
 			// coef·[l] = coef + |coef|·[¬l]: fold the constant into the
 			// offset and pay |coef| when l is false.
+			var err error
 			if in.Offset, err = pb.CheckedAdd(in.Offset, coef); err != nil {
-				return fmt.Errorf("wbo: line %d: objective offset: %w", lineNo, err)
+				return fmt.Errorf("objective offset: %w", err)
 			}
 			if coef, err = pb.CheckedNeg(coef); err != nil {
-				return fmt.Errorf("wbo: line %d: objective coefficient: %w", lineNo, err)
+				return fmt.Errorf("objective coefficient: %w", err)
 			}
 			lit = lit.Neg()
 		}
@@ -409,56 +325,4 @@ func addObjective(in *wbo.Instance, toks []string, getVar func(string) (pb.Var, 
 		})
 	}
 	return nil
-}
-
-// parseTerms parses an alternating coefficient/literal token sequence.
-// Literals are x<k> or identifiers, with '~' negation; a missing coefficient
-// defaults to +1 (some generators emit bare literals in objectives).
-func parseTerms(toks []string, getVar func(string) (pb.Var, error), lineNo int) ([]pb.Term, error) {
-	var terms []pb.Term
-	i := 0
-	for i < len(toks) {
-		coef := int64(1)
-		tok := toks[i]
-		if c, err := strconv.ParseInt(tok, 10, 64); err == nil {
-			coef = c
-			i++
-			if i >= len(toks) {
-				return nil, fmt.Errorf("wbo: line %d: coefficient %d without literal", lineNo, coef)
-			}
-			tok = toks[i]
-		}
-		neg := false
-		if strings.HasPrefix(tok, "~") {
-			neg = true
-			tok = tok[1:]
-		}
-		v, err := getVar(tok)
-		if err != nil {
-			return nil, fmt.Errorf("wbo: line %d: %w", lineNo, err)
-		}
-		terms = append(terms, pb.Term{Coef: coef, Lit: pb.MkLit(v, neg)})
-		i++
-	}
-	return terms, nil
-}
-
-// validName matches OPB identifiers: a letter or '_' followed by letters,
-// digits or '_'.
-func validName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, r := range s {
-		switch {
-		case r == '_', r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z':
-		case r >= '0' && r <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
 }

@@ -157,7 +157,7 @@ func TestParseValueLineRoundTrip(t *testing.T) {
 	}
 	for v := range asg.Values {
 		if asg.Values[v] != res.Values[v] {
-			t.Fatalf("value of %s changed across round-trip", verify.VarName(p, pb.Var(v)))
+			t.Fatalf("value of %s changed across round-trip", p.VarName(pb.Var(v)))
 		}
 	}
 }
