@@ -42,7 +42,11 @@ func ParseString(s string) (*pb.Problem, error) {
 
 func parse(buf []byte) (*pb.Problem, error) {
 	vars, cons := sizeHint(buf)
-	p := &pb.Problem{Cost: make([]int64, 0, vars), Names: make([]string, 0, vars), Constraints: make([]*pb.Constraint, 0, cons)}
+	p := &pb.Problem{
+		Cost:        make([]int64, 0, vars),
+		Names:       make([]string, 0, vars),
+		Constraints: make([]*pb.Constraint, 0, cons),
+	}
 	rd := &Reader{Scanner: NewScanner(buf), prefix: "opb", vars: make(map[string]pb.Var, vars),
 		products: &productTable{prob: p, byKey: map[string]pb.Var{}},
 		newVar: func(name string) pb.Var {
@@ -54,7 +58,8 @@ func parse(buf []byte) (*pb.Problem, error) {
 	// coefficients; folded into Cost/CostOffset at the end.
 	var negCost []int64
 	sawObjective := false
-	for toks, ok := rd.Statement(); ok; toks, ok = rd.Statement() {
+	var tokBuf [256][]byte // on the stack: storing a token needs no write barrier
+	for toks, ok := rd.Statement(tokBuf[:0]); ok; toks, ok = rd.Statement(tokBuf[:0]) {
 		isObj, err := rd.Objective(toks)
 		if err != nil {
 			return nil, err

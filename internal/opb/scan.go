@@ -10,14 +10,14 @@ import (
 	"repro/internal/pb"
 )
 
-// Scanner reads OPB-family text from one buffer. Lines, tokens and
-// statements are sub-slices of it, so scanning allocates only the reused
-// token list. The OPB and soft-OPB readers scan statements through a
-// Reader; the DIMACS WCNF reader uses NextLine, Fields and ParseInt.
+// Scanner reads OPB-family text from one buffer. Lines and tokens are
+// sub-slices of it, and tokens go into a list the caller provides, so
+// scanning allocates nothing. The OPB and soft-OPB readers scan statements
+// through a Reader; the DIMACS WCNF reader uses NextLine, Fields and
+// ParseInt.
 type Scanner struct {
 	Line      int    // lines read so far
 	buf, rest []byte // input after the current line; its unscanned tail
-	toks      [][]byte
 }
 
 // NewScanner returns a Scanner over buf.
@@ -47,19 +47,18 @@ func (s *Scanner) NextLine() (line []byte, ok bool) {
 	return bytes.TrimSuffix(line, []byte("\r")), true
 }
 
-// Statement returns the tokens of the next non-empty statement: the tokens
-// up to the next ';', or to the end of the input. A '*' starts a comment
-// that runs to the end of its line. The list is reused by the next call;
-// Line is then the line of the ';' (or the last line).
-func (s *Scanner) Statement() ([][]byte, bool) {
-	s.toks = s.toks[:0]
+// Statement appends to dst the tokens of the next non-empty statement: the
+// tokens up to the next ';', or to the end of the input. A '*' starts a
+// comment that runs to the end of its line. Line is then the line of the
+// ';' (or the last line). ok is false at the end of the input.
+func (s *Scanner) Statement(dst [][]byte) (toks [][]byte, ok bool) {
 	for {
 		b := trimSpace(s.rest)
 		switch {
 		case len(b) == 0:
 			line, ok := s.NextLine()
 			if !ok {
-				return s.toks, len(s.toks) > 0
+				return dst, len(dst) > 0
 			}
 			if i := bytes.IndexByte(line, '*'); i >= 0 {
 				line = line[:i]
@@ -67,12 +66,12 @@ func (s *Scanner) Statement() ([][]byte, bool) {
 			s.rest = line
 		case b[0] == ';':
 			s.rest = b[1:]
-			if len(s.toks) > 0 {
-				return s.toks, true
+			if len(dst) > 0 {
+				return dst, true
 			}
 		default:
 			n := tokenLen(b, ';')
-			s.toks, s.rest = append(s.toks, b[:n]), b[n:]
+			dst, s.rest = append(dst, b[:n]), b[n:]
 		}
 	}
 }

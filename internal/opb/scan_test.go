@@ -105,7 +105,7 @@ func TestStatementMatchesLineReader(t *testing.T) {
 		text := randText(rng, "x|1|+|;|;|*| | |\t|\n|\n|\r\n|\u0085| ", rng.Intn(50))
 		var got []string
 		sc := NewScanner([]byte(text))
-		for toks, ok := sc.Statement(); ok; toks, ok = sc.Statement() {
+		for toks, ok := sc.Statement(nil); ok; toks, ok = sc.Statement(nil) {
 			words := make([]string, len(toks))
 			for k, w := range toks {
 				words[k] = string(w)

@@ -538,9 +538,6 @@ func normalize(terms []Term, rhs int64, negate bool) (*Constraint, error) {
 		if negate {
 			c = -c
 		}
-		if v < 0 {
-			return nil, fmt.Errorf("pb: constraint mentions undefined variable x%d", v)
-		}
 		if int(v) >= len(s.pos) {
 			s.pos = append(s.pos, make([]int32, int(v)+1-len(s.pos))...)
 		}

@@ -217,7 +217,8 @@ func ParseWBO(r io.Reader) (*wbo.Instance, error) {
 	})
 	var hasTop, sawObjective bool
 	var top int64
-	for toks, ok := rd.Statement(); ok; toks, ok = rd.Statement() {
+	var tokBuf [256][]byte // on the stack: storing a token needs no write barrier
+	for toks, ok := rd.Statement(tokBuf[:0]); ok; toks, ok = rd.Statement(tokBuf[:0]) {
 		if bytes.EqualFold(toks[0], []byte("soft:")) {
 			if hasTop {
 				return nil, rd.Errorf("duplicate soft: header")
