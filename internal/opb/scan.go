@@ -167,12 +167,12 @@ func sizeHint(buf []byte) (vars, cons int) {
 	return vars, cons
 }
 
-// ValidName reports whether b is a variable identifier: a letter or '_'
+// validName reports whether b is a variable identifier: a letter or '_'
 // followed by letters, digits or '_'. It is the class the writers emit
 // (x<k>, user names, the _n/_p synthetics), so everything this package
 // writes re-parses, and no name can collide with the "-" false-literal
 // prefix of the value-line format.
-func ValidName(b []byte) bool {
+func validName(b []byte) bool {
 	for i, c := range b {
 		if !(c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || i > 0 && c >= '0' && c <= '9') {
 			return false
@@ -308,11 +308,11 @@ func (r *Reader) literal(tok []byte) (pb.Lit, error) {
 		return pb.MkLit(v, neg), nil
 	}
 	switch {
-	case r.soft && !ValidName(tok):
+	case r.soft && !validName(tok):
 		return pb.NoLit, r.Errorf("wbo: bad variable name %q", tok)
 	case len(tok) == 0:
 		return pb.NoLit, r.Errorf("empty literal")
-	case !ValidName(tok):
+	case !validName(tok):
 		// A stray operator token ("-", "=") must be a parse error, not a
 		// variable. (Differential-fuzzer finding: a variable named "-"
 		// corrupts the value-line round trip, where "-" marks false.)

@@ -177,7 +177,7 @@ func Parse(r io.Reader) (*wbo.Instance, error) {
 			if v < 0 {
 				v, neg = -v, true
 			}
-			if v > int64(in.NumVars) {
+			if v < 0 || v > int64(in.NumVars) { // v < 0: -MinInt64 overflows
 				return nil, fmt.Errorf("wcnf: line %d: literal %d exceeds declared %d variables", sc.Line, lv, in.NumVars)
 			}
 			lits = append(lits, pb.MkLit(pb.Var(v-1), neg))

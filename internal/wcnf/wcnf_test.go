@@ -119,6 +119,7 @@ func TestParseStructuralErrors(t *testing.T) {
 	parseErr(t, "1 1 0\n", "clause before header")
 	parseErr(t, "p cnf 1 1\n", "bad header")
 	parseErr(t, "p wcnf 1 1 9\n9 2 0\n", "exceeds declared")
+	parseErr(t, "p wcnf 1 1 9\n9 -9223372036854775808 0\n", "line 2: literal -9223372036854775808 exceeds declared")
 	parseErr(t, "p wcnf 1 9 9\np wcnf 1 9 9\n", "duplicate header")
 	parseErr(t, "", "missing \"p wcnf\" header")
 	parseErr(t, "p wcnf 2 1 9\n9 1 x 0\n", "bad literal")
