@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz bench bench-bounds bench-engine bench-portfolio bench-cuts bench-parse bench-ls bench-wbo bench-snapshot bench-baseline bench-compare escape-check race-pkgs table examples clean ci vet loc
+.PHONY: all build test race fuzz bench ablations bench-bounds bench-engine bench-portfolio bench-cuts bench-parse bench-ls bench-wbo bench-snapshot bench-baseline bench-compare escape-check race-pkgs table examples clean ci vet loc
 
 all: build test
 
@@ -18,7 +18,8 @@ vet:
 # (race-pkgs), the escape-analysis guard, the bench-regression gate against
 # the committed baseline, then a single-iteration smoke pass over the
 # bound-pipeline, engine, portfolio-sharing, cut-separation and reader
-# benchmarks, small bench snapshots and the differential fuzzing matrix.
+# benchmarks, one pass of the ablations, small bench snapshots and the
+# differential fuzzing matrix.
 ci: vet build test
 	cd tablebench && $(GO) test ./...
 	$(MAKE) race-pkgs
@@ -29,6 +30,7 @@ ci: vet build test
 	$(MAKE) bench-portfolio BENCHTIME=1x
 	$(MAKE) bench-cuts BENCHTIME=1x
 	$(MAKE) bench-parse BENCHTIME=1x
+	$(MAKE) ablations
 	$(MAKE) bench-snapshot BENCH_FAMILY=synth BENCH_N=2 BENCH_TIME=3s
 	$(MAKE) bench-ls BENCH_LS_N=2 BENCH_LS_TIME=2s BENCH_LS_NODES=20 BENCH_LS_OUT=/tmp/bench_ls_smoke.json
 	$(MAKE) bench-wbo BENCH_WBO_N=2 BENCH_WBO_TIME=2s BENCH_WBO_VARS=12 BENCH_WBO_OUT=/tmp/bench_wbo_smoke.json
@@ -73,9 +75,15 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/opb
 	$(GO) test -fuzz=FuzzWCNFParse -fuzztime=$(FUZZTIME) ./internal/wcnf
 
-# Table 1 benches + ablations A1-A6 (see DESIGN.md section 4).
+# Table 1 benches + ablations A1-A8 (see DESIGN.md section 4).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' .
+
+# The ablations A1-A8 alone, one pass (harness.Ablations over the bench-scale
+# grout, synth and mcnc rows; about 9 s): solved/run and decisions/inst per
+# variant.
+ablations:
+	$(GO) test -run='^$$' -bench=Ablation -benchtime=1x .
 
 # Bound-pipeline microbenchmarks: from-scratch Extract vs the incremental
 # Reducer, and the LPR node-loop with cold vs warm-started LP solves.

@@ -1,22 +1,16 @@
 // Package repro's benchmark suite regenerates the paper's evaluation
 // (Table 1 — its only exhibit; the paper contains no figures) and the
-// ablation studies A1–A6 and A8 indexed in DESIGN.md §4 (A7, cut
-// separation, is `make bench-cuts`).
+// ablation studies A1–A8 indexed in DESIGN.md §4 (`make ablations`; the
+// cut-separation payoff on its own family is `make bench-cuts`).
 //
 // Table 1 benches (one per family, sub-benchmarks per solver column):
 //
 //	BenchmarkTable1Grout / Synth / Mcnc / Acc
 //	BenchmarkTable1Summary      — solved counts across the whole suite
 //
-// Ablations:
+// Ablations (harness.Ablations, one sub-benchmark each):
 //
-//	BenchmarkAblationBoundConflicts — §4 NCB vs chronological backtracking
-//	BenchmarkAblationLPBranching    — §5 LP-guided branching on/off
-//	BenchmarkAblationKnapsack       — §5 eq. 10 incumbent constraint on/off
-//	BenchmarkAblationCardInference  — §5 eqs. 11–13 on/off
-//	BenchmarkAblationLGRIterations  — §6 LGR convergence (iteration sweep)
-//	BenchmarkAblationPreprocess     — §6 preprocessing on the synth family
-//	BenchmarkAblationLPIncumbent    — LP-point incumbents vs §5's branching-only use
+//	BenchmarkAblation/A1-bound-conflicts … /A8-lp-incumbent
 //
 // Bench instances are scaled down from the Table 1 defaults so that a
 // single iteration stays in the tens-of-milliseconds range for the strong
@@ -28,9 +22,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/preprocess"
 )
 
 // benchScale is small enough for repeated timing runs yet large enough that
@@ -107,160 +99,26 @@ func BenchmarkTable1Summary(b *testing.B) {
 	}
 }
 
-// ablationInstances returns a small optimization suite (grout + synth +
-// mcnc) used by the ablation benches.
-func ablationInstances(b *testing.B) []harness.Instance {
-	insts, err := harness.Instances(
-		[]harness.Family{harness.FamilyGrout, harness.FamilySynth, harness.FamilyMcnc},
-		benchScale(2))
+// BenchmarkAblation runs the DESIGN.md §4 ablations A1–A8 as defined once in
+// harness.Ablations, over a small optimization suite (grout + synth + mcnc),
+// one sub-benchmark per ablation. Each variant reports its solved fraction,
+// its mean decisions per instance and its wall time over the suite.
+func BenchmarkAblation(b *testing.B) {
+	insts, err := harness.AblationInstances(benchScale(2))
 	if err != nil {
 		b.Fatal(err)
 	}
-	return insts
-}
-
-func runWithOptions(b *testing.B, opt core.Options) {
-	insts := ablationInstances(b)
-	opt.MaxConflicts = 200_000
-	solved, total := 0, 0
-	var decisions int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, inst := range insts {
-			opt.Deadline = time.Now().Add(2 * time.Second)
-			res := core.Solve(inst.Prob, opt)
-			total++
-			if res.Status == core.StatusOptimal || res.Status == core.StatusSatisfiable ||
-				res.Status == core.StatusUnsat {
-				solved++
+	for _, id := range harness.Ablations() {
+		b.Run(string(id), func(b *testing.B) {
+			var rows []harness.AblationResult
+			for i := 0; i < b.N; i++ {
+				rows = harness.RunAblation(id, insts, 2*time.Second, 200_000)
 			}
-			decisions += res.Stats.Decisions
-		}
-	}
-	b.ReportMetric(float64(solved)/float64(total), "solved/run")
-	b.ReportMetric(float64(decisions)/float64(total), "decisions/inst")
-}
-
-// A1 — §4: analyzing bound conflicts (non-chronological backtracking) vs
-// the "straightforward" chronological explanation.
-func BenchmarkAblationBoundConflicts(b *testing.B) {
-	b.Run("ncb", func(b *testing.B) {
-		runWithOptions(b, core.Options{LowerBound: core.LBLPR, CardinalityInference: true})
-	})
-	b.Run("chronological", func(b *testing.B) {
-		runWithOptions(b, core.Options{
-			LowerBound:           core.LBLPR,
-			CardinalityInference: true,
-			Tuning:               core.Tuning{ChronologicalBounds: true},
-		})
-	})
-}
-
-// A2 — §5: branch on the LP variable closest to 0.5 vs pure VSIDS.
-func BenchmarkAblationLPBranching(b *testing.B) {
-	b.Run("lp-branching", func(b *testing.B) {
-		runWithOptions(b, core.Options{LowerBound: core.LBLPR, CardinalityInference: true})
-	})
-	b.Run("vsids-only", func(b *testing.B) {
-		runWithOptions(b, core.Options{
-			LowerBound:           core.LBLPR,
-			CardinalityInference: true,
-			Tuning:               core.Tuning{NoLPBranching: true},
-		})
-	})
-}
-
-// A3 — §5 eq. 10: the incumbent knapsack constraint.
-func BenchmarkAblationKnapsack(b *testing.B) {
-	b.Run("knapsack-cut", func(b *testing.B) {
-		runWithOptions(b, core.Options{LowerBound: core.LBLPR})
-	})
-	b.Run("no-cut", func(b *testing.B) {
-		runWithOptions(b, core.Options{LowerBound: core.LBLPR, Tuning: core.Tuning{NoKnapsackCuts: true}})
-	})
-}
-
-// A4 — §5 eqs. 11–13: cardinality-based cost inference (grout and synth
-// carry the positive cardinality rows the inference needs).
-func BenchmarkAblationCardInference(b *testing.B) {
-	b.Run("inference", func(b *testing.B) {
-		runWithOptions(b, core.Options{LowerBound: core.LBMIS, CardinalityInference: true})
-	})
-	b.Run("off", func(b *testing.B) {
-		runWithOptions(b, core.Options{LowerBound: core.LBMIS})
-	})
-}
-
-// A5 — §6: "bsolo with LPR is significantly more efficient than bsolo with
-// LGR ... motivated by the slow convergence observed for the Lagrangian
-// relaxation": sweep the subgradient iteration budget and the warm start.
-func BenchmarkAblationLGRIterations(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		opt  core.Options
-	}{
-		{"cold-10", core.Options{LowerBound: core.LBLGR, Tuning: core.Tuning{LGRIterations: 10, LGRColdStart: true}}},
-		{"cold-50", core.Options{LowerBound: core.LBLGR, Tuning: core.Tuning{LGRIterations: 50, LGRColdStart: true}}},
-		{"cold-200", core.Options{LowerBound: core.LBLGR, Tuning: core.Tuning{LGRIterations: 200, LGRColdStart: true}}},
-		{"warm-10", core.Options{LowerBound: core.LBLGR, Tuning: core.Tuning{LGRIterations: 10}}},
-		{"warm-50", core.Options{LowerBound: core.LBLGR, Tuning: core.Tuning{LGRIterations: 50}}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			opt := cfg.opt
-			opt.CardinalityInference = true
-			runWithOptions(b, opt)
-		})
-	}
-}
-
-// A6 — §6: probing/strengthening/subsumption preprocessing on the synth
-// family (where the paper applied its simplification techniques).
-func BenchmarkAblationPreprocess(b *testing.B) {
-	insts, err := harness.Instances([]harness.Family{harness.FamilySynth}, benchScale(3))
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, pre bool) {
-		solved, total := 0, 0
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, inst := range insts {
-				prob := inst.Prob
-				if pre {
-					p2, info, err := preprocess.Apply(prob, preprocess.Options{
-						Probing: true, Strengthening: true, Subsumption: true,
-					})
-					if err == nil && !info.ProvedUnsat {
-						prob = p2
-					}
-				}
-				res := core.Solve(prob, core.Options{
-					LowerBound: core.LBLPR, Deadline: time.Now().Add(2 * time.Second), MaxConflicts: 200_000,
-				})
-				total++
-				if res.Status == core.StatusOptimal {
-					solved++
-				}
+			for _, r := range rows {
+				b.ReportMetric(float64(r.Solved)/float64(r.Total), r.Variant+"-solved/run")
+				b.ReportMetric(float64(r.Decisions)/float64(r.Total), r.Variant+"-decisions/inst")
+				b.ReportMetric(float64(r.Duration.Milliseconds()), r.Variant+"-ms")
 			}
-		}
-		b.ReportMetric(float64(solved)/float64(total), "solved/run")
-	}
-	b.Run("preprocess", func(b *testing.B) { run(b, true) })
-	b.Run("raw", func(b *testing.B) { run(b, false) })
-}
-
-// A8 — the LPR point as an incumbent source (root LP before the first
-// incumbent, 0.5-rounding at the root, integral points below it) vs the
-// paper's §5, which uses the point only to pick the branching variable.
-func BenchmarkAblationLPIncumbent(b *testing.B) {
-	b.Run("lp-incumbent", func(b *testing.B) {
-		runWithOptions(b, core.Options{LowerBound: core.LBLPR, CardinalityInference: true})
-	})
-	b.Run("branching-only", func(b *testing.B) {
-		runWithOptions(b, core.Options{
-			LowerBound:           core.LBLPR,
-			CardinalityInference: true,
-			Tuning:               core.Tuning{NoLPIncumbent: true},
 		})
-	})
+	}
 }

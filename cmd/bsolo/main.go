@@ -24,7 +24,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -36,7 +35,6 @@ import (
 	"repro/internal/pb"
 	"repro/internal/portfolio"
 	"repro/internal/preprocess"
-	"repro/internal/share"
 	"repro/internal/verify"
 	"repro/internal/wbo"
 	"repro/internal/wcnf"
@@ -56,27 +54,18 @@ func main() {
 		noKnapsack   = flag.Bool("no-knapsack", false, "disable the eq. 10 incumbent constraint")
 		cardInf      = flag.Bool("card-inference", true, "enable eq. 11-13 cardinality inference")
 		lgrIters     = flag.Int("lgr-iters", 50, "Lagrangian subgradient iterations per bound")
-		boundBudget  = flag.Duration("bound-budget", 0, "wall-clock cap per lower-bound call (0 = derive from -time; -1ns = uncapped)")
 		fallbackK    = flag.Int("fallback-after", 0, "consecutive bound failures before demoting to MIS (0 = default 8; <0 = never)")
 		pre          = flag.Bool("preprocess", false, "apply probing/strengthening/subsumption first")
 		presolve     = flag.Bool("presolve", false, "fix variables by probing + roof-duality-style persistency and solve the reduced problem (results are mapped back to the original variables)")
-		coverRed     = flag.Bool("cover", false, "apply covering-problem reductions (implies -preprocess machinery)")
 		pbLearn      = flag.Bool("pb-learning", false, "derive Galena-style cutting-plane constraints at conflicts")
 		incremental  = flag.Bool("incremental", true, "maintain the reduced problem incrementally across nodes (false = rebuild per node)")
 		warmLP       = flag.Bool("warm-lp", true, "warm-start the LPR simplex from the previous node's basis")
 		cutsOn       = flag.Bool("cuts", true, "with -lb lpr: separate knapsack-cover and clique cuts into a managed pool")
-		cutRounds    = flag.Int("cut-rounds", 0, "with -cuts: root separation fixpoint cap (0 = default)")
-		cutMaxPool   = flag.Int("cut-max-pool", 0, "with -cuts: cut pool capacity before activity-based eviction (0 = default)")
 		portfolioRun = flag.Bool("portfolio", false, "race all four lower-bound methods concurrently")
 		shareOn      = flag.Bool("share", true, "with -portfolio: cooperative sharing (incumbents + learned clauses); false = isolated race")
-		shareLen     = flag.Int("share-len", 8, "with -portfolio -share: max literals of an exchanged clause")
-		shareLBD     = flag.Int("share-lbd", 4, "with -portfolio -share: max LBD of an exchanged clause")
-		shareCap     = flag.Int("share-cap", 4096, "with -portfolio -share: exchange ring capacity in clauses")
-		maxMembers   = flag.Int("members", 0, "with -portfolio: cap on concurrently running members (0 = GOMAXPROCS; 1 + -share=false = deterministic)")
+		maxMembers   = flag.Int("members", 0, "with -portfolio: cap on concurrently running members (0 = every member at once; 1 + -share=false = deterministic)")
 		lsMembers    = flag.Int("ls", 0, "with -portfolio: append this many stochastic local-search members (UB-only: they publish incumbents but never prove optimality or infeasibility)")
 		lsFlips      = flag.Int64("ls-flips", 0, "with -ls: per-member flip limit (0 = none; the wall clock governs)")
-		seed         = flag.Int64("seed", 0, "RNG seed for -random-branch (0 = default seed 1; portfolio members use per-member seeds)")
-		randBranch   = flag.Float64("random-branch", 0, "probability of a random branch decision (single-solver diversification; 0 = off)")
 		auditRun     = flag.Bool("audit", false, "replay learned clauses, bound conflicts, imports and incumbents against the original problem (exhaustive on small instances; see internal/audit)")
 		showStats    = flag.Bool("stats", false, "print solver statistics")
 		showModel    = flag.Bool("model", true, "print the v (values) line")
@@ -142,27 +131,25 @@ func main() {
 	if *coreGuided && wi == nil {
 		fatal(fmt.Errorf("-core-guided requires a weighted instance (-wcnf or -wbo)"))
 	}
-	if wi != nil && (*pre || *presolve || *coverRed) {
+	if wi != nil && (*pre || *presolve) {
 		// These passes renumber or rewrite variables, which would silently
 		// break the soft-constraint index mapping behind ExtendedWitness.
-		fatal(fmt.Errorf("-preprocess/-presolve/-cover are not supported with -wcnf/-wbo"))
+		fatal(fmt.Errorf("-preprocess/-presolve are not supported with -wcnf/-wbo"))
 	}
 
-	if *pre || *coverRed {
+	if *pre {
 		var info preprocess.Info
 		prob, info, err = preprocess.Apply(prob, preprocess.Options{
-			Probing:           *pre,
-			Strengthening:     *pre,
-			Subsumption:       *pre,
-			CoverReductions:   *coverRed,
-			CardinalityDetect: *pre,
+			Probing:           true,
+			Strengthening:     true,
+			Subsumption:       true,
+			CardinalityDetect: true,
 		})
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("c preprocess: fixed=%d implications=%d subsumed=%d card=%d essential=%d domRows=%d domCols=%d\n",
-			info.FixedLiterals, info.Implications, info.SubsumedRemoved, info.CardinalityNormalized,
-			info.Cover.EssentialColumns, info.Cover.DominatedRows, info.Cover.DominatedColumns)
+		fmt.Printf("c preprocess: fixed=%d implications=%d subsumed=%d card=%d\n",
+			info.FixedLiterals, info.Implications, info.SubsumedRemoved, info.CardinalityNormalized)
 	}
 
 	// -presolve eliminates variables and renumbers the problem; origProb and
@@ -194,13 +181,10 @@ func main() {
 			NoKnapsackCuts:      *noKnapsack,
 			LGRIterations:       *lgrIters,
 			PBLearning:          *pbLearn,
-			BoundBudget:         *boundBudget,
 			FallbackAfter:       *fallbackK,
 			NoIncrementalReduce: !*incremental,
 			NoWarmLP:            !*warmLP,
 			NoCuts:              !*cutsOn,
-			CutRounds:           *cutRounds,
-			CutMaxPool:          *cutMaxPool,
 		},
 	}
 
@@ -240,9 +224,6 @@ func main() {
 		fatal(fmt.Errorf("unknown -strategy %q", *strategy))
 	}
 
-	opt.Seed = *seed
-	opt.RandomBranchFreq = *randBranch
-
 	var auditor *audit.Auditor
 	if *auditRun {
 		auditor = audit.New(prob)
@@ -281,16 +262,11 @@ func main() {
 	if *lsMembers > 0 && !*portfolioRun {
 		fatal(fmt.Errorf("-ls requires -portfolio (a lone UB-only worker cannot conclude; race it against the exact members)"))
 	}
-	if *lsMembers > 0 && *timeLimit == 0 && *lsFlips == 0 {
+	if *lsMembers > 0 && *timeLimit == 0 && *lsFlips == 0 && *maxMembers > 0 && *maxMembers <= *lsMembers {
 		// LS members take the first slots and run until cancelled, so
-		// without a budget they must leave a slot for an exact member.
-		slots := *maxMembers
-		if slots <= 0 {
-			slots = runtime.GOMAXPROCS(0)
-		}
-		if slots <= *lsMembers {
-			fatal(fmt.Errorf("-ls %d with %d member slots would never finish: unbudgeted LS members hold every slot; set -time or -ls-flips, or raise -members", *lsMembers, slots))
-		}
+		// without a budget an explicit cap must leave a slot for an exact
+		// member.
+		fatal(fmt.Errorf("-ls %d with %d member slots would never finish: unbudgeted LS members hold every slot; set -time or -ls-flips, or raise -members", *lsMembers, *maxMembers))
 	}
 
 	start := time.Now()
@@ -304,7 +280,6 @@ func main() {
 		}
 		p := portfolio.SolveOpts(prob, portfolio.Roster(opt, *lsMembers, *lsFlips, cg), portfolio.Options{
 			NoSharing:     !*shareOn,
-			Share:         share.Config{Capacity: *shareCap, MaxLen: *shareLen, MaxLBD: *shareLBD},
 			MaxConcurrent: *maxMembers,
 			Stop:          cancel,
 			Audit:         auditor,

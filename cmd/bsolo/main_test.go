@@ -184,28 +184,51 @@ func TestCoreGuidedMemberPublishesMetrics(t *testing.T) {
 }
 
 // TestUnbudgetedLSMembersRejected: local-search members run until they are
-// cancelled and take the first member slots, so a race in which they hold
-// every slot and have neither -time nor -ls-flips would never end. bsolo
-// refuses it up front; a flip budget makes the same race finish.
+// cancelled and take the first member slots, so a race whose explicit
+// -members cap lets them hold every slot, with neither -time nor -ls-flips,
+// would never end. bsolo refuses it up front; a flip budget makes the same
+// race finish. Without a cap every member starts at once, so the race ends
+// even on one CPU.
 func TestUnbudgetedLSMembersRejected(t *testing.T) {
 	in := "min: +1 x1 +2 x2 +3 x3 ;\n+1 x1 +1 x2 +1 x3 >= 2 ;\n"
-	for _, tc := range []struct {
-		env  []string
-		args []string
-	}{
-		{nil, []string{"-members", "1", "-ls", "1"}},
-		{nil, []string{"-members", "2", "-ls", "2"}},
-		{[]string{"GOMAXPROCS=1"}, []string{"-ls", "1"}},
+	for _, args := range [][]string{
+		{"-members", "1", "-ls", "1"},
+		{"-members", "2", "-ls", "2"},
 	} {
-		args := append([]string{"-portfolio"}, tc.args...)
-		out, code := runBsoloEnv(t, tc.env, in, args...)
+		args := append([]string{"-portfolio"}, args...)
+		out, code := runBsolo(t, in, args...)
 		if code != 1 || !strings.Contains(out, "would never finish") {
-			t.Fatalf("env %v args %v: exit %d, want a usage error:\n%s", tc.env, args, code, out)
+			t.Fatalf("args %v: exit %d, want a usage error:\n%s", args, code, out)
 		}
-		out, code = runBsoloEnv(t, tc.env, in, append(args, "-ls-flips", "10000")...)
+		out, code = runBsolo(t, in, append(args, "-ls-flips", "10000")...)
 		if code != 0 || !strings.Contains(out, "s OPTIMUM FOUND") || !strings.Contains(out, "o 3\n") {
-			t.Fatalf("env %v args %v -ls-flips 10000: exit %d, want optimum 3:\n%s", tc.env, args, code, out)
+			t.Fatalf("args %v -ls-flips 10000: exit %d, want optimum 3:\n%s", args, code, out)
 		}
+	}
+	out, code := runBsoloEnv(t, []string{"GOMAXPROCS=1"}, in, "-portfolio", "-ls", "1")
+	if code != 0 || !strings.Contains(out, "s OPTIMUM FOUND") || !strings.Contains(out, "o 3\n") {
+		t.Fatalf("GOMAXPROCS=1 -portfolio -ls 1: exit %d, want optimum 3:\n%s", code, out)
+	}
+}
+
+// TestLSMemberDoesNotStarveTheProvers: with more members than CPUs, a race
+// with one LS member must still let lpr, which proves this synth instance
+// at the root, run at once. When members waited for slots in roster order,
+// the LS member and plain held both CPUs until the 3 s deadline.
+func TestLSMemberDoesNotStarveTheProvers(t *testing.T) {
+	p, err := gen.Synthesis(gen.SynthesisConfig{Nodes: 28, Impls: 4, Fanout: 1.5, Incompat: 0.3, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	out, code := runBsoloEnv(t, []string{"GOMAXPROCS=2"}, opb.WriteString(p),
+		"-portfolio", "-ls", "1", "-time", "3s", "-model=false")
+	wall := time.Since(start)
+	if code != 0 || !strings.Contains(out, "s OPTIMUM FOUND") {
+		t.Fatalf("exit %d, want an optimum:\n%s", code, out)
+	}
+	if wall >= time.Second {
+		t.Fatalf("race took %v, want under 1s (a prover waited for a slot):\n%s", wall, out)
 	}
 }
 

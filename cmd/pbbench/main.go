@@ -87,14 +87,12 @@ func run(stdout, stderr io.Writer, args []string) int {
 		satNodes   = fs.Int("sat-nodes", 0, "override sat-family node count")
 		wboVars    = fs.Int("wbo-vars", 0, "override wbo-family variable count")
 		csvOut     = fs.String("csv", "", "also write machine-readable results to this file")
-		ablations  = fs.Bool("ablations", false, "run the A1-A7 ablations instead of Table 1")
+		ablations  = fs.Bool("ablations", false, "run the A1-A8 ablations instead of Table 1")
 
 		presolve     = fs.Bool("presolve", false, "fix variables by probing + persistency presolve before every run (fixedVars/propsPerSec land in the CSV and snapshot rows)")
 		incremental  = fs.Bool("incremental", true, "incremental reduced-problem maintenance in the bsolo columns")
 		warmLP       = fs.Bool("warm-lp", true, "LP warm starting in the lpr column")
 		cutsOn       = fs.Bool("cuts", true, "knapsack-cover/clique cut separation in the lpr column")
-		cutRounds    = fs.Int("cut-rounds", 0, "root separation fixpoint cap (0 = default)")
-		cutMaxPool   = fs.Int("cut-max-pool", 0, "cut pool capacity (0 = default)")
 		boundProfile = fs.Bool("bound-profile", false, "print per-solver bound-pipeline timing after the table")
 
 		snapshotOut = fs.String("snapshot", "", "write the run as a versioned bench snapshot JSON (\"auto\" = BENCH_<family>_<date>.json)")
@@ -114,7 +112,7 @@ func run(stdout, stderr io.Writer, args []string) int {
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stdout, "running ablations A1-A7 over %d instances (limit %v per run)\n\n", len(insts), *timeLimit)
+		fmt.Fprintf(stdout, "running ablations A1-A8 over %d instances (limit %v per run)\n\n", len(insts), *timeLimit)
 		var rows []harness.AblationResult
 		for _, id := range harness.Ablations() {
 			rows = append(rows, harness.RunAblation(id, insts, *timeLimit, *conflicts)...)
@@ -173,7 +171,7 @@ func run(stdout, stderr io.Writer, args []string) int {
 
 	lim := harness.Limits{Time: *timeLimit, MaxConflicts: *conflicts, MilpNodes: *milpNodes,
 		Presolve: *presolve, Tuning: core.Tuning{NoIncrementalReduce: !*incremental, NoWarmLP: !*warmLP,
-			NoCuts: !*cutsOn, CutRounds: *cutRounds, CutMaxPool: *cutMaxPool}}
+			NoCuts: !*cutsOn}}
 	var results []harness.RunResult
 	for _, inst := range insts {
 		for _, id := range cols {

@@ -116,14 +116,11 @@ func estimators() []Estimator {
 		None{},
 		MIS{},
 		LPR{},
-		LPR{AlphaFilter: true},
 		LGR{},
 		LGR{Iterations: 10},
-		LGR{DisableAlphaFilter: true},
 		LGR{WarmStart: true},
 		LGR{WarmStart: true, Iterations: 1},
 		LPR{MaxIter: 3}, // anytime: iteration-capped partial bound
-		LPR{ZeroSlackExplanations: true},
 	}
 }
 

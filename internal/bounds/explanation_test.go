@@ -24,11 +24,8 @@ func TestExplanationClauseSoundness(t *testing.T) {
 	ests := []Estimator{
 		MIS{},
 		LPR{},
-		LPR{AlphaFilter: true},
-		LPR{ZeroSlackExplanations: true},
 		LGR{},
 		LGR{WarmStart: true},
-		LGR{DisableAlphaFilter: true},
 	}
 	checked := 0
 	for iter := 0; iter < 800 && checked < 400; iter++ {

@@ -27,8 +27,6 @@ type LGR struct {
 	// HalveEvery halves Lambda after this many non-improving steps
 	// (default 5).
 	HalveEvery int
-	// DisableAlphaFilter turns off the §4.3 refinement of ω_pl.
-	DisableAlphaFilter bool
 	// WarmStart seeds the multipliers with a greedy dual-ascent pass before
 	// the subgradient iterations. The paper's implementation follows [12]
 	// directly (cold start) and reports slow convergence — the ablation
@@ -195,7 +193,7 @@ func (l LGR) Estimate(e *engine.Engine, red *Reduced, cost []int64, target int64
 	for k, i := range s {
 		res.Responsible[k] = xp.rows[i].engIdx
 	}
-	if !l.DisableAlphaFilter && len(s) > 0 {
+	if len(s) > 0 {
 		res.ExcludedVars = alphaFilter(s, bestMu, cost,
 			func(rowIdx int, visit func(v pb.Var, xCoef float64)) {
 				c := e.Cons(xp.rows[rowIdx].engIdx)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/lp"
-	"repro/internal/pb"
 )
 
 // LPR is the linear-programming-relaxation lower bound (§3.1): relax the
@@ -48,16 +47,6 @@ type LPR struct {
 	// MaxIter bounds simplex iterations per call (0 = 4·(m+n)+200, a cap
 	// that keeps per-node cost proportional to the reduced problem size).
 	MaxIter int
-	// AlphaFilter enables the §4.3-style α refinement on the LP duals
-	// (the paper applies it to Lagrangian relaxation; it is equally valid
-	// for LP duals and off by default to match the paper).
-	AlphaFilter bool
-	// ZeroSlackExplanations selects the paper's literal §4.2 responsible
-	// set — every row whose slack is zero in the LP solution — instead of
-	// the default positive-dual rows. The zero-slack set is a superset
-	// (complementary slackness), so the explanation clause is weaker but
-	// matches the paper's formulation exactly.
-	ZeroSlackExplanations bool
 	// State, when non-nil, enables warm-started LP solves: the basis of each
 	// solve is snapshotted into State and reused by the next call (see
 	// LPRState). nil preserves the cold per-node behaviour.
@@ -161,30 +150,6 @@ func (l LPR) Estimate(e *engine.Engine, red *Reduced, cost []int64, target int64
 			res.ResponsibleLits = append(res.ResponsibleLits, inst.falseLits[k]...)
 			l.Cuts.Bump(inst.ids[k])
 		}
-		if l.ZeroSlackExplanations && sol.Status == lp.Optimal {
-			// §4.2 literally: all rows with zero slack at the LP optimum.
-			// The primal x values are the duals of the dual LP's rows. Cut
-			// rows are excluded — the paper's responsible set is defined over
-			// problem constraints, and positive-multiplier cuts are already
-			// explained above.
-			inS := map[int]bool{}
-			for _, i := range s {
-				inS[i] = true
-			}
-			for i, xr := range xp.rows {
-				if inS[i] || xr.engIdx < 0 {
-					continue
-				}
-				lhs := 0.0
-				for _, en := range xr.entries {
-					x := sol.Dual[en.local]
-					lhs += en.coef * x
-				}
-				if lhs-xr.rhs < 1e-6 {
-					res.Responsible = append(res.Responsible, xr.engIdx)
-				}
-			}
-		}
 		if sol.Status == lp.Optimal {
 			// Primal x values are the duals of the dual rows.
 			res.FracX = make([]FracVar, n)
@@ -197,9 +162,6 @@ func (l LPR) Estimate(e *engine.Engine, red *Reduced, cost []int64, target int64
 				}
 				res.FracX[j] = FracVar{Var: v, X: x}
 			}
-		}
-		if l.AlphaFilter {
-			res.ExcludedVars = l.filter(e, xp, inst, s, y, cost)
 		}
 		return res
 	default:
@@ -368,40 +330,4 @@ func (l LPR) separationRounds(e *engine.Engine, red *Reduced, xp *xProblem, inst
 		}
 	}
 	return sol
-}
-
-func (l LPR) filter(e *engine.Engine, xp *xProblem, inst *cutInstall, s []int, y []float64, cost []int64) map[pb.Var]bool {
-	return alphaFilter(s, y, cost,
-		func(rowIdx int, visit func(v pb.Var, xCoef float64)) {
-			if rowIdx >= inst.m0 {
-				// Cut row: the pooled cut is a globally valid constraint in
-				// its own right, so the α accounting uses its full terms,
-				// exactly as e.Cons supplies them for problem rows.
-				for _, t := range inst.full[rowIdx-inst.m0] {
-					xc := float64(t.Coef)
-					if t.Lit.IsNeg() {
-						xc = -xc
-					}
-					visit(t.Lit.Var(), xc)
-				}
-				return
-			}
-			c := e.Cons(xp.rows[rowIdx].engIdx)
-			for k, l := range c.Lits {
-				xc := float64(c.Coefs[k])
-				if l.IsNeg() {
-					xc = -xc
-				}
-				visit(l.Var(), xc)
-			}
-		},
-		func(v pb.Var) (bool, bool) {
-			switch e.Value(v) {
-			case engine.True:
-				return true, true
-			case engine.False:
-				return false, true
-			}
-			return false, false
-		})
 }

@@ -23,10 +23,9 @@ type cutInstall struct {
 	m0 int // problem rows in xp before any cut row
 
 	// Aligned per installed cut row k (x-space row m0+k):
-	ids       []int64     // pool id, the warm-start column key
-	full      [][]pb.Term // the cut's full terms (α-filter needs global coefficients)
-	falseLits [][]pb.Lit  // currently-false literals, the cut's explanation
-	resid     []Row       // residual integer view (completion cap, tests)
+	ids       []int64    // pool id, the warm-start column key
+	falseLits [][]pb.Lit // currently-false literals, the cut's explanation
+	resid     []Row      // residual integer view (completion cap, tests)
 
 	// done records pool ids already visited this estimation — installed,
 	// skipped as satisfied, or rolled back — so separation rounds only
@@ -46,13 +45,11 @@ type cutInstall struct {
 func installCuts(inst *cutInstall, e *engine.Engine, xp *xProblem, pool *cuts.Pool, cost []int64) *cutInstall {
 	// Drop the previous estimation's references (cuts the pool may since
 	// have evicted, explanation literals).
-	clear(inst.full)
 	clear(inst.falseLits)
 	clear(inst.resid)
 	*inst = cutInstall{
 		m0:        len(xp.rows),
 		ids:       inst.ids[:0],
-		full:      inst.full[:0],
 		falseLits: inst.falseLits[:0],
 		resid:     inst.resid[:0],
 		done:      inst.done,
@@ -133,7 +130,6 @@ func (inst *cutInstall) installOne(e *engine.Engine, xp *xProblem, id int64, ter
 		}
 	}
 	inst.ids = append(inst.ids, id)
-	inst.full = append(inst.full, terms)
 	inst.falseLits = append(inst.falseLits, falseLits)
 	inst.resid = append(inst.resid, Row{EngIdx: -1, Terms: residTerms, Degree: residDegree})
 	return true
@@ -167,7 +163,6 @@ func (inst *cutInstall) rollback(xp *xProblem, snap cutSnapshot) {
 	xp.forget(snap.vars)
 	xp.rows = xp.rows[:snap.rows]
 	inst.ids = inst.ids[:snap.cuts]
-	inst.full = inst.full[:snap.cuts]
 	inst.falseLits = inst.falseLits[:snap.cuts]
 	inst.resid = inst.resid[:snap.cuts]
 }

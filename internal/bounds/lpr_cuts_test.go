@@ -242,31 +242,3 @@ func TestLPRCutsSoundDownRandomPaths(t *testing.T) {
 		}
 	}
 }
-
-// TestLPRCutsAlphaFilterSound repeats the soundness sweep with the §4.3
-// filter enabled on the cut-augmented LP: exclusions must never let the
-// bound exceed the reduced optimum recomputed with excluded variables freed.
-func TestLPRCutsAlphaFilterSound(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for iter := 0; iter < 100; iter++ {
-		p := randomProblem(rng, 4+rng.Intn(4))
-		pool := cuts.NewPool(cuts.Config{Every: 1})
-		est := LPR{State: &LPRState{}, Cuts: pool, AlphaFilter: true}
-		e := engine.New(p)
-		if !decideRandom(e, rng, 1+rng.Intn(2)) {
-			continue
-		}
-		red := Extract(e)
-		if red.Infeasible {
-			continue
-		}
-		res := est.Estimate(e, red, p.Cost, p.TotalCost()+1, Budget{})
-		if res.Failed || res.Bound >= InfBound {
-			continue
-		}
-		opt, feasible := bruteReduced(red, p.Cost)
-		if feasible && res.Bound > opt {
-			t.Fatalf("iter %d: filtered bound %d > reduced optimum %d", iter, res.Bound, opt)
-		}
-	}
-}

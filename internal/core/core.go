@@ -206,28 +206,14 @@ type Tuning struct {
 	// paper's reference [12] — whose slow convergence the paper reports
 	// (ablation A5).
 	LGRColdStart bool
-	// LPRAlphaFilter applies the §4.3 α-filter to LP duals as well.
-	LPRAlphaFilter bool
-	// LPRZeroSlack uses the paper's literal §4.2 responsible set (all
-	// zero-slack rows of the LP solution) instead of the stronger
-	// positive-dual subset.
-	LPRZeroSlack bool
 
 	// PBLearning additionally derives a cutting-plane (pseudo-Boolean)
 	// constraint at every conflict, Galena-style [4], alongside the 1UIP
 	// clause: the clause drives the backjump, the cutting plane adds
-	// pruning power.
+	// pruning power. At most 20,000 such constraints are retained
+	// (maxPBLearned); beyond that only clauses are learned.
 	PBLearning bool
-	// MaxPBLearned caps how many cutting-plane constraints are retained
-	// (default 20000); beyond the cap only clauses are learned.
-	MaxPBLearned int64
 
-	// BoundBudget caps the wall-clock time of a single lower-bound
-	// estimation (threaded into the LP simplex and the LGR subgradient
-	// loop). Zero derives a budget from the time left before Deadline — an
-	// eighth of it, clamped to [5ms, 500ms] — so one cycling LP cannot eat
-	// the whole node budget; negative disables the per-call cap.
-	BoundBudget time.Duration
 	// FallbackAfter is the circuit-breaker threshold: after this many
 	// consecutive *failed* primary bound calls (panics or numerical
 	// failures) the solver demotes LowerBound to MIS for the remainder of
@@ -252,12 +238,6 @@ type Tuning struct {
 	// change optima (every pooled cut is implied by the problem; the
 	// auditor's PooledCut hook replays that claim).
 	NoCuts bool
-	// CutRounds overrides the root separation fixpoint cap (0 = the
-	// internal/cuts default).
-	CutRounds int
-	// CutMaxPool overrides the cut pool capacity (0 = the internal/cuts
-	// default).
-	CutMaxPool int
 }
 
 // Status reports how a solve ended.
@@ -316,6 +296,10 @@ type Result struct {
 }
 
 const upperInf = int64(math.MaxInt64 / 2)
+
+// maxPBLearned caps how many cutting-plane constraints PBLearning retains.
+// A variable, not a constant, so a test can lower it.
+var maxPBLearned int64 = 20000
 
 type solver struct {
 	prob *pb.Problem
@@ -437,10 +421,7 @@ func Solve(p *pb.Problem, opt Options) Result {
 			s.lprState = &bounds.LPRState{}
 		}
 		if !opt.NoCuts {
-			s.cutPool = cuts.NewPool(cuts.Config{
-				MaxRounds: opt.CutRounds,
-				MaxPool:   opt.CutMaxPool,
-			})
+			s.cutPool = cuts.NewPool(cuts.Config{})
 			// Every cut accepted into the pool is observable (trace) and
 			// replayable (audit): the pool feeds every subsequent node LP, so
 			// an invalid cut here corrupts the whole run — exactly what the
@@ -452,8 +433,7 @@ func Solve(p *pb.Problem, opt Options) Result {
 				}
 			}
 		}
-		s.est = bounds.LPR{AlphaFilter: opt.LPRAlphaFilter, ZeroSlackExplanations: opt.LPRZeroSlack,
-			State: s.lprState, Cuts: s.cutPool}
+		s.est = bounds.LPR{State: s.lprState, Cuts: s.cutPool}
 		s.fallback = bounds.MIS{}
 	default:
 		s.est = bounds.None{}
@@ -674,33 +654,18 @@ func (s *solver) budgetExpired() bool {
 }
 
 // boundBudget derives the wall-clock budget for one lower-bound estimation:
-// an explicit Options.BoundBudget wins; otherwise an eighth of the time left
-// before Options.Deadline, clamped to [5ms, 500ms]. The budget never extends
-// past that deadline, and carries the Cancel channel so a cancelled search
-// does not sit inside a subgradient loop.
+// an eighth of the time left before Options.Deadline, clamped to
+// [5ms, 500ms], so one cycling LP cannot eat the whole node budget. The
+// budget never extends past that deadline, and carries the Cancel channel so
+// a cancelled search does not sit inside a subgradient loop.
 func (s *solver) boundBudget() bounds.Budget {
 	bud := bounds.Budget{Cancel: s.opt.Cancel}
-	bb := s.opt.BoundBudget
-	if bb < 0 {
-		bb = 0 // explicitly uncapped
-	} else if bb == 0 && !s.opt.Deadline.IsZero() {
-		rem := time.Until(s.opt.Deadline)
-		if rem < 0 {
-			rem = 0
-		}
-		bb = rem / 8
-		if bb > 500*time.Millisecond {
-			bb = 500 * time.Millisecond
-		}
-		if bb < 5*time.Millisecond {
-			bb = 5 * time.Millisecond
-		}
-	}
-	if bb > 0 {
+	if !s.opt.Deadline.IsZero() {
+		bb := min(max(time.Until(s.opt.Deadline)/8, 5*time.Millisecond), 500*time.Millisecond)
 		bud.Deadline = time.Now().Add(bb)
-	}
-	if !s.opt.Deadline.IsZero() && (bud.Deadline.IsZero() || s.opt.Deadline.Before(bud.Deadline)) {
-		bud.Deadline = s.opt.Deadline
+		if s.opt.Deadline.Before(bud.Deadline) {
+			bud.Deadline = s.opt.Deadline
+		}
 	}
 	s.shareInterruptBudget(&bud)
 	return bud
@@ -1118,11 +1083,7 @@ func (s *solver) resolveConstraintConflict(confl int) bool {
 	for round := 0; ; round++ {
 		var cpTerms []pb.Term
 		var cpDegree int64
-		maxPB := s.opt.MaxPBLearned
-		if maxPB == 0 {
-			maxPB = 20000
-		}
-		if s.opt.PBLearning && s.stats.PBLearned < maxPB {
+		if s.opt.PBLearning && s.stats.PBLearned < maxPBLearned {
 			cpTerms, cpDegree = s.eng.AnalyzeCuttingPlane(confl)
 			// Cardinality detection: when the derived constraint is
 			// semantically a cardinality constraint (every solution set

@@ -21,7 +21,6 @@ func allConfigs() map[string]Options {
 		"lpr-chrono":      {LowerBound: LBLPR, Tuning: Tuning{ChronologicalBounds: true}},
 		"mis-chrono":      {LowerBound: LBMIS, Tuning: Tuning{ChronologicalBounds: true}},
 		"lgr-alpha":       {LowerBound: LBLGR, Tuning: Tuning{LGRIterations: 20}},
-		"lpr-alphafilter": {LowerBound: LBLPR, Tuning: Tuning{LPRAlphaFilter: true}},
 		"lpr-cardinf":     {LowerBound: LBLPR, CardinalityInference: true},
 		"lgr-cardinf":     {LowerBound: LBLGR, CardinalityInference: true},
 		"linear":          {Strategy: StrategyLinearSearch},
@@ -31,7 +30,6 @@ func allConfigs() map[string]Options {
 		"linear-pblearn":  {Strategy: StrategyLinearSearch, Tuning: Tuning{PBLearning: true}},
 		"lpr-pblearn":     {LowerBound: LBLPR, Tuning: Tuning{PBLearning: true}},
 		"lgr-coldstart":   {LowerBound: LBLGR, Tuning: Tuning{LGRColdStart: true}},
-		"lpr-zeroslack":   {LowerBound: LBLPR, Tuning: Tuning{LPRZeroSlack: true}},
 	}
 }
 

@@ -102,11 +102,15 @@ func TestPBLearningStatsCounted(t *testing.T) {
 	}
 }
 
+// TestMaxPBLearnedCap lowers the package-level cap, so it must not run in
+// parallel with other core tests.
 func TestMaxPBLearnedCap(t *testing.T) {
+	defer func(old int64) { maxPBLearned = old }(maxPBLearned)
+	maxPBLearned = 3
 	rng := rand.New(rand.NewSource(45))
 	for iter := 0; iter < 20; iter++ {
 		p := randomPBO(rng, 10, 14)
-		res := Solve(p, Options{MaxConflicts: 50000, Tuning: Tuning{PBLearning: true, MaxPBLearned: 3}})
+		res := Solve(p, Options{MaxConflicts: 50000, Tuning: Tuning{PBLearning: true}})
 		if res.Stats.PBLearned > 3 {
 			t.Fatalf("cap violated: %d", res.Stats.PBLearned)
 		}

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/cover"
+	"repro/internal/pb"
 	"repro/internal/preprocess"
 )
 
@@ -43,32 +45,60 @@ type AblationResult struct {
 	Duration  time.Duration
 }
 
-// ablationVariant is one (variant label, solver options, preprocessing) cell.
+// ablationVariant is one (variant label, solver options, reduction) cell.
+// reduce, when non-nil, rewrites each instance before the solve and counts
+// toward the variant's time.
 type ablationVariant struct {
-	name string
-	opt  core.Options
-	pre  bool
+	name   string
+	opt    core.Options
+	reduce func(*pb.Problem) (*pb.Problem, error)
+}
+
+// preprocessed applies the §6 probing/strengthening/subsumption pipeline
+// (ablation A6).
+func preprocessed(p *pb.Problem) (*pb.Problem, error) {
+	out, info, err := preprocess.Apply(p, preprocess.Options{
+		Probing: true, Strengthening: true, Subsumption: true,
+	})
+	if err != nil || info.ProvedUnsat {
+		return p, err
+	}
+	return out, nil
+}
+
+// coverReduced applies the §5 covering reductions of internal/cover
+// (essential columns, row and column dominance; ablation A8).
+func coverReduced(p *pb.Problem) (*pb.Problem, error) {
+	out, _, err := cover.Reduce(p)
+	return out, err
 }
 
 func ablationVariants(id AblationID) []ablationVariant {
-	base := core.Options{LowerBound: core.LBLPR, CardinalityInference: true}
+	// The shared base is the paper's bsolo-LPR: the LP point only picks the
+	// branching variable (§5). With LP-point incumbents the bench-scale rows
+	// close at the root, and A1–A3 would compare two runs of 0 decisions.
+	base := core.Options{LowerBound: core.LBLPR, CardinalityInference: true,
+		Tuning: core.Tuning{NoLPIncumbent: true}}
 	switch id {
 	case AblationBoundConflicts:
 		chrono := base
 		chrono.ChronologicalBounds = true
-		return []ablationVariant{{"ncb", base, false}, {"chronological", chrono, false}}
+		return []ablationVariant{{"ncb", base, nil}, {"chronological", chrono, nil}}
 	case AblationLPBranching:
 		vsids := base
 		vsids.NoLPBranching = true
-		return []ablationVariant{{"lp-branching", base, false}, {"vsids-only", vsids, false}}
+		return []ablationVariant{{"lp-branching", base, nil}, {"vsids-only", vsids, nil}}
 	case AblationKnapsack:
+		// Without the eq. 11–13 inferences: with them on, they subsume
+		// eq. 10 on the ablation suite and both variants read the same.
+		base.CardinalityInference = false
 		noCut := base
 		noCut.NoKnapsackCuts = true
-		return []ablationVariant{{"knapsack-cut", base, false}, {"no-cut", noCut, false}}
+		return []ablationVariant{{"knapsack-cut", base, nil}, {"no-cut", noCut, nil}}
 	case AblationCardInference:
 		on := core.Options{LowerBound: core.LBMIS, CardinalityInference: true}
 		off := core.Options{LowerBound: core.LBMIS}
-		return []ablationVariant{{"inference", on, false}, {"off", off, false}}
+		return []ablationVariant{{"inference", on, nil}, {"off", off, nil}}
 	case AblationLGRIterations:
 		mk := func(iters int, cold bool) core.Options {
 			return core.Options{
@@ -78,22 +108,26 @@ func ablationVariants(id AblationID) []ablationVariant {
 			}
 		}
 		return []ablationVariant{
-			{"cold-10", mk(10, true), false},
-			{"cold-50", mk(50, true), false},
-			{"cold-200", mk(200, true), false},
-			{"warm-10", mk(10, false), false},
-			{"warm-50", mk(50, false), false},
+			{"cold-10", mk(10, true), nil},
+			{"cold-50", mk(50, true), nil},
+			{"cold-200", mk(200, true), nil},
+			{"warm-10", mk(10, false), nil},
+			{"warm-50", mk(50, false), nil},
 		}
 	case AblationPreprocess:
-		return []ablationVariant{{"preprocess", base, true}, {"raw", base, false}}
+		return []ablationVariant{{"preprocess", base, preprocessed}, {"raw", base, nil}}
 	case AblationLPRCuts:
 		noCuts := base
 		noCuts.NoCuts = true
-		return []ablationVariant{{"cuts", base, false}, {"no-cuts", noCuts, false}}
+		return []ablationVariant{{"cuts", base, nil}, {"no-cuts", noCuts, nil}}
 	case AblationLPIncumbent:
-		branchOnly := base
-		branchOnly.NoLPIncumbent = true
-		return []ablationVariant{{"lp-incumbent", base, false}, {"branching-only", branchOnly, false}}
+		lpInc := base
+		lpInc.NoLPIncumbent = false
+		return []ablationVariant{
+			{"lp-incumbent", lpInc, nil},
+			{"branching-only", base, nil},
+			{"branching-only+cover", base, coverReduced},
+		}
 	default:
 		return nil
 	}
@@ -108,10 +142,8 @@ func RunAblation(id AblationID, insts []Instance, timeLimit time.Duration, maxCo
 		start := time.Now()
 		for _, inst := range insts {
 			prob := inst.Prob
-			if variant.pre {
-				if p2, info, err := preprocess.Apply(prob, preprocess.Options{
-					Probing: true, Strengthening: true, Subsumption: true,
-				}); err == nil && !info.ProvedUnsat {
+			if variant.reduce != nil {
+				if p2, err := variant.reduce(prob); err == nil {
 					prob = p2
 				}
 			}
@@ -143,10 +175,10 @@ func AblationInstances(sc Scale) ([]Instance, error) {
 // FormatAblations renders ablation rows as an aligned table.
 func FormatAblations(rows []AblationResult) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-22s %-14s %8s %12s %10s\n",
+	fmt.Fprintf(&sb, "%-22s %-20s %8s %12s %10s\n",
 		"ablation", "variant", "solved", "decisions", "time")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-22s %-14s %4d/%-3d %12d %10s\n",
+		fmt.Fprintf(&sb, "%-22s %-20s %4d/%-3d %12d %10s\n",
 			r.Ablation, r.Variant, r.Solved, r.Total, r.Decisions,
 			r.Duration.Round(time.Millisecond))
 	}

@@ -7,7 +7,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -491,19 +490,10 @@ func fill(rr *RunResult, res core.Result) {
 // runPortfolioWbo runs the default four-member race plus one core-guided
 // member on a FamilyWbo instance. The race operates on the instance's
 // Builder() compilation (inst.Prob), which is exactly the space the
-// core-guided member's ExtendedWitness maps into.
+// core-guided member's ExtendedWitness maps into. Every member starts at
+// once, so the core-guided member genuinely races the B&B members.
 func runPortfolioWbo(inst Instance, base core.Options) portfolio.Result {
-	// Core-guided must genuinely race the exact members, not replace them:
-	// on a single-CPU box the default concurrency (GOMAXPROCS) serializes
-	// the members, and whichever strategy happens to run first would
-	// monopolize the cell. A floor of two keeps the core-guided member and
-	// at least one B&B member timesharing, so the faster strategy wins the
-	// row either way.
-	conc := runtime.GOMAXPROCS(0)
-	if conc < 2 {
-		conc = 2
-	}
-	return portfolio.SolveOpts(inst.Prob, portfolio.Roster(base, 0, 0, inst.WBO), portfolio.Options{MaxConcurrent: conc})
+	return portfolio.SolveOpts(inst.Prob, portfolio.Roster(base, 0, 0, inst.WBO), portfolio.Options{})
 }
 
 // lsFlipBudget bounds a local-search member when the cell has no wall-clock

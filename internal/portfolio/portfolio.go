@@ -27,7 +27,6 @@ package portfolio
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 
@@ -127,8 +126,8 @@ func LSConfig(name string, seed int64, maxFlips int64) Config {
 // Roster returns the members of a race under one set of limits, in the order
 // the race runs them: the core-guided member for in (when non-nil), then nLS
 // local-search members, then the four DefaultConfigs members. The order
-// matters only when members are serialized (MaxConcurrent or GOMAXPROCS
-// below the member count): a member beyond the cap waits for a running one
+// matters only when members are serialized (an explicit MaxConcurrent below
+// the member count): a member beyond the cap waits for a running one
 // to finish, so the core-guided member must hold a slot from the start to
 // genuinely race the B&B members, and the UB-only LS members must run before
 // the exact members so that their incumbents are already on the board
@@ -169,7 +168,7 @@ func Roster(base core.Options, nLS int, lsFlips int64, in *wbo.Instance) []Confi
 
 // Options configures the portfolio run as a whole (member limits live in
 // each Config; Roster sets them from one base). The zero value is the default cooperative
-// race: sharing on, concurrency capped at GOMAXPROCS.
+// race: sharing on, every member started at once.
 type Options struct {
 	// NoSharing disconnects the board entirely: members race in isolation
 	// (the pre-cooperative behaviour). Required for the deterministic mode
@@ -178,10 +177,13 @@ type Options struct {
 	// Share sizes the cooperative board (zero value = share defaults:
 	// capacity 4096, clause length ≤ 8, LBD ≤ 4). Ignored with NoSharing.
 	Share share.Config
-	// MaxConcurrent caps how many members run simultaneously; 0 selects
-	// GOMAXPROCS. Members beyond the cap wait their turn in config order.
-	// MaxConcurrent=1 runs the members strictly sequentially in config
-	// order, which with NoSharing is fully deterministic.
+	// MaxConcurrent caps how many members run simultaneously; 0 starts
+	// every member at once and lets the Go scheduler share the CPUs among
+	// them (as ParLS-PBO runs all its workers together), so a member that
+	// cannot conclude never keeps a prover from starting. Members beyond an
+	// explicit cap wait their turn in config order. MaxConcurrent=1 runs the
+	// members strictly sequentially in config order, which with NoSharing is
+	// fully deterministic.
 	MaxConcurrent int
 	// Stop, when non-nil, cancels every member as soon as the channel is
 	// closed (the CLI's SIGINT/SIGTERM handler).
@@ -225,7 +227,7 @@ type Result struct {
 	// including the losers, whose stats carry the sharing counters.
 	Members []MemberResult
 	// Concurrency is the member-level parallelism the run actually used
-	// (min of MaxConcurrent, GOMAXPROCS and the member count).
+	// (MaxConcurrent capped at the member count; the member count for 0).
 	Concurrency int
 	// Sharing reports whether the cooperative board was connected.
 	Sharing bool
@@ -270,14 +272,8 @@ func SolveOpts(p *pb.Problem, configs []Config, opts Options) Result {
 		configs = DefaultConfigs()
 	}
 	maxConc := opts.MaxConcurrent
-	if maxConc <= 0 {
-		maxConc = runtime.GOMAXPROCS(0)
-	}
-	if maxConc > len(configs) {
+	if maxConc <= 0 || maxConc > len(configs) {
 		maxConc = len(configs)
-	}
-	if maxConc < 1 {
-		maxConc = 1
 	}
 
 	// The board and the per-member handles are created up front, in config

@@ -43,9 +43,6 @@ type FixOptions struct {
 	// Persistency enables the costed pure-polarity (roof-duality-style)
 	// fixing rule, iterated to fixpoint with row deactivation.
 	Persistency bool
-	// MaxProbeVars caps how many variables are probed (0 = all). Variables
-	// are probed in order of descending occurrence count.
-	MaxProbeVars int
 }
 
 // DefaultFixOptions enables probing and persistency fixing, unbounded.
@@ -126,7 +123,7 @@ func FixVariables(p *pb.Problem, opt FixOptions) (*Fixing, error) {
 		return f.provedUnsat(), nil
 	}
 	if opt.Probing {
-		for _, v := range probeOrder(p, opt.MaxProbeVars) {
+		for _, v := range probeOrder(p, 0) {
 			if e.Value(v) != engine.Unassigned {
 				continue
 			}

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/cover"
 	"repro/internal/cuts"
 	"repro/internal/engine"
 	"repro/internal/pb"
@@ -38,14 +37,6 @@ type Options struct {
 	// MaxProbeVars caps how many variables are probed (0 = all). Variables
 	// are probed in order of descending occurrence count.
 	MaxProbeVars int
-	// MaxImplications caps how many implication clauses may be added
-	// (default 4× the constraint count; negative = unlimited).
-	MaxImplications int
-	// CoverReductions applies the covering-problem reductions of
-	// internal/cover (essential columns, row/column dominance) to the unate
-	// part of the instance before probing. Optimum-preserving but not
-	// solution-set-preserving (column dominance may exclude some optima).
-	CoverReductions bool
 	// CardinalityDetect rewrites input rows that are semantically
 	// cardinality constraints (identical solution set) to unit coefficients
 	// — e.g. 3x+3y+2z ≥ 5 becomes x+y+z ≥ 2. Solution-set-preserving; the
@@ -63,9 +54,6 @@ type Info struct {
 	// CardinalityDetect.
 	CardinalityNormalized int
 	ProvedUnsat           bool
-	// Cover reports the covering-reduction statistics when CoverReductions
-	// was enabled.
-	Cover cover.Info
 }
 
 // Apply returns a preprocessed copy of p (same variable numbering; solutions
@@ -75,15 +63,6 @@ type Info struct {
 func Apply(p *pb.Problem, opt Options) (*pb.Problem, Info, error) {
 	out := p.Clone()
 	var info Info
-
-	if opt.CoverReductions {
-		reduced, cinfo, err := cover.Reduce(out)
-		if err != nil {
-			return nil, info, err
-		}
-		out = reduced
-		info.Cover = cinfo
-	}
 
 	if opt.CardinalityDetect {
 		// Before subsumption: normalized degree-1 rows become clauses and
@@ -190,31 +169,9 @@ func subsume(p *pb.Problem) int {
 
 // probe runs failed-literal probing and implication strengthening.
 func probe(p *pb.Problem, opt Options, info *Info) error {
-	maxImpl := opt.MaxImplications
-	if maxImpl == 0 {
-		maxImpl = 4 * len(p.Constraints)
-	}
-
-	// Probe order: variables by descending occurrence count.
-	occ := make([]int, p.NumVars)
-	for _, c := range p.Constraints {
-		for _, t := range c.Terms {
-			occ[t.Lit.Var()]++
-		}
-	}
-	order := make([]pb.Var, p.NumVars)
-	for v := range order {
-		order[v] = pb.Var(v)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if occ[order[a]] != occ[order[b]] {
-			return occ[order[a]] > occ[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	if opt.MaxProbeVars > 0 && len(order) > opt.MaxProbeVars {
-		order = order[:opt.MaxProbeVars]
-	}
+	// At most 4× the constraint count implication clauses are added.
+	maxImpl := 4 * len(p.Constraints)
+	order := probeOrder(p, opt.MaxProbeVars)
 
 	e := engine.New(p)
 	if e.SeedUnits() < 0 || e.Propagate() >= 0 {
