@@ -86,12 +86,16 @@ ablations:
 	$(GO) test -run='^$$' -bench=Ablation -benchtime=1x .
 
 # Bound-pipeline microbenchmarks: from-scratch Extract vs the incremental
-# Reducer, and the LPR node-loop with cold vs warm-started LP solves.
+# Reducer, the LPR node-loop with cold vs warm-started LP solves, and the
+# root path of default bsolo-LPR over the 40 Table 1 rows (BenchmarkRootClose:
+# most rows end at the root, so its ns/op and allocs/op are what one root
+# node costs, set-up included).
 # Override BENCHTIME (e.g. BENCHTIME=2s) for stable comparative numbers.
 BENCHTIME ?= 2s
 bench-bounds:
 	$(GO) test -bench='BenchmarkExtract|BenchmarkReducerIncremental' -benchmem -benchtime=$(BENCHTIME) -run='^$$' ./internal/bounds
 	$(GO) test -bench='BenchmarkLPRNodeLoop' -benchmem -benchtime=$(BENCHTIME) -run='^$$' ./internal/lp
+	$(GO) test -bench='BenchmarkRootClose' -benchmem -benchtime=$(BENCHTIME) -run='^$$' ./internal/core
 
 # Engine-core node-throughput microbenchmarks: one full propagation wave
 # (decide, CSR counter propagation, batched delta flush, backtrack) through

@@ -100,15 +100,16 @@ func BenchmarkTable1Summary(b *testing.B) {
 }
 
 // BenchmarkAblation runs the DESIGN.md §4 ablations A1–A8 as defined once in
-// harness.Ablations, over a small optimization suite (grout + synth + mcnc),
-// one sub-benchmark per ablation. Each variant reports its solved fraction,
-// its mean decisions per instance and its wall time over the suite.
+// harness.Ablations, over a small optimization suite (grout + synth + mcnc;
+// the LPR-gap family for A7), one sub-benchmark per ablation. Each variant
+// reports its solved fraction, its mean decisions per instance and its wall
+// time over the suite.
 func BenchmarkAblation(b *testing.B) {
-	insts, err := harness.AblationInstances(benchScale(2))
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, id := range harness.Ablations() {
+		insts, err := harness.AblationInstances(id, benchScale(2))
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(string(id), func(b *testing.B) {
 			var rows []harness.AblationResult
 			for i := 0; i < b.N; i++ {

@@ -108,13 +108,13 @@ func run(stdout, stderr io.Writer, args []string) int {
 
 	if *ablations {
 		sc := harness.Scale{GroutNets: 18, SynthNodes: 24, McncInputs: 7, AccTeams: 8, PerFamily: 3}
-		insts, err := harness.AblationInstances(sc)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "running ablations A1-A8 over %d instances (limit %v per run)\n\n", len(insts), *timeLimit)
+		fmt.Fprintf(stdout, "running ablations A1-A8 (limit %v per run)\n\n", *timeLimit)
 		var rows []harness.AblationResult
 		for _, id := range harness.Ablations() {
+			insts, err := harness.AblationInstances(id, sc)
+			if err != nil {
+				return fail(err)
+			}
 			rows = append(rows, harness.RunAblation(id, insts, *timeLimit, *conflicts)...)
 		}
 		if _, err := io.WriteString(stdout, harness.FormatAblations(rows)); err != nil {

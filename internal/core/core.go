@@ -20,9 +20,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"time"
 
@@ -348,8 +350,11 @@ type solver struct {
 	conflictsCur int64 // conflicts since last restart
 	lastReduceAt int64 // Stats.Learned at the last ReduceDB
 
-	// cardinality sets precomputed for eq. 11–13.
-	cardSets []cardSet
+	// cardSets are the eq. 11–13 cardinality sets, chosen at the first
+	// incumbent (prepareCardSets); costTerms is the sorted eq. 10 row that
+	// the eq. 10 and eq. 13 rows are built from (costOrder).
+	cardSets  []cardSet
+	costTerms []pb.Term
 
 	// knapCut is the engine index of the eq. 10 incumbent constraint
 	// (created at the first incumbent, tightened in place afterwards;
@@ -459,9 +464,6 @@ func Solve(p *pb.Problem, opt Options) Result {
 		// BCP fixpoints, so a single huge propagation cascade cannot
 		// overshoot the deadline by seconds.
 		s.eng.Interrupt = s.timeUp
-	}
-	if opt.CardinalityInference {
-		s.prepareCardSets()
 	}
 	res := s.search()
 	if s.reducer != nil {
@@ -941,7 +943,7 @@ func (s *solver) search() Result {
 			// Likewise an incumbent read off the LP point: at the root, a
 			// rounded point whose cost meets ⌈z_lp⌉ ends the search here
 			// through the ordinary bound conflict at level 0.
-			lpInc := s.lpIncumbent(res.FracX)
+			lpInc := s.lpIncumbent(res.FracX, path+res.Bound)
 			if lpInc && s.opt.Strategy == StrategyLinearSearch {
 				continue // addIncumbentCuts restarted the search from the root
 			}
@@ -977,7 +979,7 @@ func (s *solver) search() Result {
 				return s.finish(true)
 			}
 			if path < s.upper {
-				s.adoptLocal(path, s.eng.Values(), "local")
+				s.adoptLocal(path, s.eng.Values(), "local", path)
 			}
 			if s.opt.Strategy == StrategyLinearSearch {
 				// addIncumbentCuts restarted the search from the root; the
@@ -1030,8 +1032,9 @@ const lpIntEps = 1e-6
 // assignment cheaper than the current one. At decision level 0 the point is
 // rounded at 0.5; below the root it is used only when every value is
 // integral. Assigned variables keep their trail values and unassigned
-// variables outside fracX take 0. It reports whether an incumbent was adopted.
-func (s *solver) lpIncumbent(fracX []bounds.FracVar) bool {
+// variables outside fracX take 0. lower is the node's path + bound. It
+// reports whether an incumbent was adopted.
+func (s *solver) lpIncumbent(fracX []bounds.FracVar, lower int64) bool {
 	if fracX == nil || s.opt.NoLPIncumbent {
 		return false
 	}
@@ -1054,14 +1057,18 @@ func (s *solver) lpIncumbent(fracX []bounds.FracVar) bool {
 		return false
 	}
 	s.stats.LPIncumbents++
-	s.adoptLocal(cost, vals, "lp")
+	s.adoptLocal(cost, vals, "lp", lower)
 	return true
 }
 
 // adoptLocal makes a solution this solver found — at a search leaf, or from
 // an LP point — the incumbent: audit it, publish it, report it and tighten
-// the incumbent cuts. source tags the EvIncumbent trace event.
-func (s *solver) adoptLocal(cost int64, vals []bool, source string) {
+// the incumbent cuts. source tags the EvIncumbent trace event. lower is what
+// the adopting node proves of every solution below it (a leaf: its own
+// cost). Under branch and bound, lower ≥ cost at the root makes the
+// incumbent optimal: the caller's bound conflict at level 0 ends the search
+// before anything reads the incumbent cuts, so they are not built.
+func (s *solver) adoptLocal(cost int64, vals []bool, source string, lower int64) {
 	s.upper = cost
 	s.bestVals = vals
 	s.upperForeign = false
@@ -1074,7 +1081,9 @@ func (s *solver) adoptLocal(cost int64, vals []bool, source string) {
 	if s.opt.OnIncumbent != nil {
 		s.opt.OnIncumbent(s.upper + s.prob.CostOffset)
 	}
-	s.addIncumbentCuts()
+	if s.opt.Strategy == StrategyLinearSearch || s.eng.DecisionLevel() > 0 || lower < cost {
+		s.addIncumbentCuts()
+	}
 }
 
 // resolveConstraintConflict analyzes a BCP conflict; returns false when the
@@ -1371,7 +1380,7 @@ func (s *solver) addCostUpperBoundCut() {
 		s.stats.KnapsackCuts++
 		return
 	}
-	terms := costTerms(s.prob.Cost, nil)
+	terms := s.costOrder()
 	if len(terms) == 0 {
 		return
 	}
@@ -1380,31 +1389,73 @@ func (s *solver) addCostUpperBoundCut() {
 	s.stats.KnapsackCuts++
 }
 
-// costTerms builds Σ c_j·¬x_j over positive-cost variables outside the
-// excluded set, sorted by descending coefficient (the engine's propagation
-// scan relies on that order). The terms are deliberately NOT clipped against
-// any degree so the degree can be tightened in place later.
-func costTerms(cost []int64, exclude []bool) []pb.Term {
-	var terms []pb.Term
+// costOrder returns the eq. 10 terms, built once per solve; the eq. 13 rows
+// are filtered from the same slice. AddCons copies the terms it is given.
+func (s *solver) costOrder() []pb.Term {
+	if s.costTerms == nil {
+		s.costTerms = sortedCostTerms(s.prob.Cost)
+	}
+	return s.costTerms
+}
+
+// sortedCostTerms builds Σ c_j·¬x_j over the positive-cost variables, sorted
+// by descending coefficient (the engine's propagation scan relies on that
+// order), then by literal. The key is a total order, so any subset filtered
+// from the result is itself sorted. The terms are deliberately NOT clipped
+// against any degree so the degree can be tightened in place later.
+func sortedCostTerms(cost []int64) []pb.Term {
+	terms := []pb.Term{}
 	for v, c := range cost {
-		if c > 0 && (exclude == nil || !exclude[v]) {
+		if c > 0 {
 			terms = append(terms, pb.Term{Coef: c, Lit: pb.NegLit(pb.Var(v))})
 		}
 	}
-	sort.Slice(terms, func(i, j int) bool {
-		if terms[i].Coef != terms[j].Coef {
-			return terms[i].Coef > terms[j].Coef
+	slices.SortFunc(terms, func(a, b pb.Term) int {
+		if a.Coef != b.Coef {
+			return cmp.Compare(b.Coef, a.Coef)
 		}
-		return terms[i].Lit < terms[j].Lit
+		return cmp.Compare(a.Lit, b.Lit)
 	})
 	return terms
 }
 
-// prepareCardSets scans the original constraints for positive cardinality
-// constraints Σ_{j∈K} x_j ≥ U (eq. 11) and precomputes V, the sum of the U
-// smallest costs in K (eq. 12).
-func (s *solver) prepareCardSets() {
-	for _, c := range s.prob.Constraints {
+// outsideK appends to buf the terms of order whose variable is outside K:
+// the eq. 13 left-hand side, in the same order as order.
+func outsideK(order []pb.Term, inK []bool, buf []pb.Term) []pb.Term {
+	for _, t := range order {
+		if !inK[t.Lit.Var()] {
+			buf = append(buf, t)
+		}
+	}
+	return buf
+}
+
+// maxCardSets is how many eq. 13 rows a solve keeps (the largest V): each is
+// a dense constraint touching every costed variable's occurrence list.
+const maxCardSets = 16
+
+// prepareCardSets scans p's constraints for positive cardinality constraints
+// Σ_{j∈K} x_j ≥ U (eq. 11), computes V, the sum of the U smallest costs in K
+// (eq. 12), and keeps the maxCardSets sets with the largest V, in that order.
+// One pass over the terms: Σ_{j∉K} c_j is the total positive cost minus the
+// positive cost inside K, and only the kept sets get a per-variable inK.
+func prepareCardSets(p *pb.Problem) []cardSet {
+	type candidate struct {
+		row           int
+		v, sumOutside int64
+	}
+	var totalPos int64
+	for _, c := range p.Cost {
+		if c > 0 {
+			totalPos += c
+		}
+	}
+	// counted[v] is 1 + the last row whose inside sum counted v, so a
+	// variable repeated within a row counts once.
+	counted := make([]int, p.NumVars)
+	var costs []int64
+	var cands []candidate
+	for ri, c := range p.Constraints {
 		kind := c.Kind()
 		if kind != pb.KindCardinality && kind != pb.KindClause {
 			continue
@@ -1413,21 +1464,26 @@ func (s *solver) prepareCardSets() {
 		if u <= 0 {
 			continue
 		}
-		inK := make([]bool, s.prob.NumVars)
-		var costs []int64
+		costs = costs[:0]
+		var inside int64
 		allPositive := true
 		for _, t := range c.Terms {
 			if t.Lit.IsNeg() {
 				allPositive = false
 				break
 			}
-			inK[t.Lit.Var()] = true
-			costs = append(costs, s.prob.Cost[t.Lit.Var()])
+			vr := t.Lit.Var()
+			cv := p.Cost[vr]
+			costs = append(costs, cv)
+			if cv > 0 && counted[vr] != ri+1 {
+				counted[vr] = ri + 1
+				inside += cv
+			}
 		}
 		if !allPositive {
 			continue
 		}
-		sort.Slice(costs, func(i, j int) bool { return costs[i] < costs[j] })
+		slices.Sort(costs)
 		var v int64
 		for i := int64(0); i < u && i < int64(len(costs)); i++ {
 			v += costs[i]
@@ -1435,37 +1491,41 @@ func (s *solver) prepareCardSets() {
 		if v <= 0 {
 			continue // eq. 13 would be no stronger than eq. 10
 		}
-		var sumOutside int64
-		for vv, c := range s.prob.Cost {
-			if c > 0 && !inK[vv] {
-				sumOutside += c
-			}
+		cands = append(cands, candidate{row: ri, v: v, sumOutside: totalPos - inside})
+	}
+	// The same unstable sort over the candidates in the same row order as
+	// the dense builder it replaced, so sets tied in V keep their order.
+	sort.Slice(cands, func(a, b int) bool { return cands[a].v > cands[b].v })
+	if len(cands) > maxCardSets {
+		cands = cands[:maxCardSets]
+	}
+	sets := make([]cardSet, len(cands))
+	for i, cd := range cands {
+		inK := make([]bool, p.NumVars)
+		for _, t := range p.Constraints[cd.row].Terms {
+			inK[t.Lit.Var()] = true
 		}
-		s.cardSets = append(s.cardSets, cardSet{inK: inK, v: v, sumOutside: sumOutside})
+		sets[i] = cardSet{inK: inK, v: cd.v, sumOutside: cd.sumOutside}
 	}
-	// Keep only the strongest sets (largest V): each cut is a dense
-	// constraint touching every costed variable's occurrence list.
-	sort.Slice(s.cardSets, func(a, b int) bool { return s.cardSets[a].v > s.cardSets[b].v })
-	const maxCardSets = 16
-	if len(s.cardSets) > maxCardSets {
-		s.cardSets = s.cardSets[:maxCardSets]
-	}
+	return sets
 }
 
 // addCardinalityCuts maintains Σ_{j∈N−K} c_j·x_j ≤ upper − 1 − V (eq. 13)
-// for every precomputed cardinality set, in normal form
-// Σ_{j∈N−K} c_j·¬x_j ≥ sumOutside − upper + 1 + V. Cuts are created at the
-// first incumbent and tightened in place afterwards.
+// for every cardinality set, in normal form
+// Σ_{j∈N−K} c_j·¬x_j ≥ sumOutside − upper + 1 + V. The sets are chosen and
+// the cuts created at the first incumbent, and tightened in place afterwards.
 func (s *solver) addCardinalityCuts() {
 	if s.cardCutIdx == nil {
+		s.cardSets = prepareCardSets(s.prob)
 		s.cardCutIdx = make([]int, len(s.cardSets))
+		var buf []pb.Term
 		for i, cs := range s.cardSets {
-			terms := costTerms(s.prob.Cost, cs.inK)
-			if len(terms) == 0 {
+			buf = outsideK(s.costOrder(), cs.inK, buf[:0])
+			if len(buf) == 0 {
 				s.cardCutIdx[i] = -1
 				continue
 			}
-			s.cardCutIdx[i] = s.eng.AddCons(terms, cs.sumOutside-s.upper+1+cs.v, true)
+			s.cardCutIdx[i] = s.eng.AddCons(buf, cs.sumOutside-s.upper+1+cs.v, true)
 			s.eng.Protect(s.cardCutIdx[i])
 			s.stats.CardCuts++
 		}

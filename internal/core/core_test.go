@@ -251,6 +251,29 @@ func TestKnapsackCutCounted(t *testing.T) {
 	}
 }
 
+// TestRootLeafBuildsNoIncumbentRows: when root propagation alone satisfies
+// every constraint, the leaf is the optimum and the bound conflict at level 0
+// ends the search, so no eq. 10 or eq. 13 row is built for it.
+func TestRootLeafBuildsNoIncumbentRows(t *testing.T) {
+	p := pb.NewProblem(3)
+	p.SetCost(0, 3)
+	p.SetCost(1, 1)
+	p.SetCost(2, 2)
+	_ = p.AddClause(pb.PosLit(0))
+	_ = p.AddClause(pb.PosLit(0), pb.PosLit(1), pb.PosLit(2))
+	for _, lb := range []Method{LBNone, LBMIS} {
+		res := Solve(p, Options{LowerBound: lb, CardinalityInference: true})
+		if res.Status != StatusOptimal || res.Best != 3 || res.Stats.Decisions != 0 {
+			t.Fatalf("%v: status %v best %d decisions %d, want optimal 3 at the root",
+				lb, res.Status, res.Best, res.Stats.Decisions)
+		}
+		if res.Stats.KnapsackCuts != 0 || res.Stats.CardCuts != 0 {
+			t.Fatalf("%v: %d eq. 10 and %d eq. 13 rows for a root leaf",
+				lb, res.Stats.KnapsackCuts, res.Stats.CardCuts)
+		}
+	}
+}
+
 func TestCardinalityInferenceGeneratesCuts(t *testing.T) {
 	// Σ x0..x3 ≥ 2 with positive costs ⇒ V > 0 ⇒ eq. 13 cuts on incumbents.
 	p := pb.NewProblem(6)

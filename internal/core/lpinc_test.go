@@ -27,7 +27,9 @@ func auditedSolve(t *testing.T, name string, p *pb.Problem, opt core.Options) co
 
 // TestLPIncumbentClosesRoot: on small synthesis and covering instances the
 // root LP point rounds to an optimal assignment, so LPR proves the optimum
-// at the root with no decision, and that optimum is milp's.
+// at the root with no decision, and that optimum is milp's. The incumbent
+// rows (eq. 10, eq. 13) are not built for an incumbent the same node proves
+// optimal; under NoLPIncumbent the search branches and installs both.
 func TestLPIncumbentClosesRoot(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		synth, err := gen.Synthesis(gen.SynthesisConfig{Nodes: 10, Impls: 4, Fanout: 2.0, Incompat: 0.5, Seed: seed})
@@ -51,6 +53,10 @@ func TestLPIncumbentClosesRoot(t *testing.T) {
 				t.Fatalf("%s: decisions %d, LP incumbents %d: the root did not close",
 					in.name, res.Stats.Decisions, res.Stats.LPIncumbents)
 			}
+			if res.Stats.KnapsackCuts != 0 || res.Stats.CardCuts != 0 {
+				t.Fatalf("%s: closed at the root but built %d eq. 10 and %d eq. 13 rows",
+					in.name, res.Stats.KnapsackCuts, res.Stats.CardCuts)
+			}
 			off := auditedSolve(t, in.name, in.p, core.Options{
 				LowerBound:           core.LBLPR,
 				CardinalityInference: true,
@@ -59,6 +65,10 @@ func TestLPIncumbentClosesRoot(t *testing.T) {
 			if off.Status != core.StatusOptimal || off.Best != res.Best || off.Stats.LPIncumbents != 0 {
 				t.Fatalf("%s: NoLPIncumbent: status %v best %d, LP incumbents %d",
 					in.name, off.Status, off.Best, off.Stats.LPIncumbents)
+			}
+			if off.Stats.Decisions == 0 || off.Stats.KnapsackCuts == 0 || off.Stats.CardCuts == 0 {
+				t.Fatalf("%s: NoLPIncumbent: decisions %d, eq. 10 rows %d, eq. 13 rows %d; want a branching search with both kinds",
+					in.name, off.Stats.Decisions, off.Stats.KnapsackCuts, off.Stats.CardCuts)
 			}
 		}
 	}

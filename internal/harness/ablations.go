@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"time"
 
@@ -166,10 +167,77 @@ func RunAblation(id AblationID, insts []Instance, timeLimit time.Duration, maxCo
 	return out
 }
 
-// AblationInstances generates the default ablation suite (the optimization
-// families at a reduced scale).
-func AblationInstances(sc Scale) ([]Instance, error) {
+// AblationInstances generates the suite ablation id runs over: the
+// optimization families at a reduced scale, except for A7, which runs on
+// 3·PerFamily rows of the LPR-gap family. The stock families' LP relaxations
+// are near tight at that scale, so separation finds nothing to cut there and
+// both A7 variants read the same decisions.
+func AblationInstances(id AblationID, sc Scale) ([]Instance, error) {
+	if id == AblationLPRCuts {
+		n := sc.PerFamily
+		if n == 0 {
+			n = DefaultScale().PerFamily
+		}
+		return LPRGapInstances(3 * n), nil
+	}
 	return Instances([]Family{FamilyGrout, FamilySynth, FamilyMcnc}, sc)
+}
+
+// FamilyLPRGap (beyond Table 1) is the synthetic LPR-gap family of
+// lprGapInstance. It exists for the cut-separation measurements (A7 and
+// `make bench-cuts`) and is not part of Families().
+const FamilyLPRGap Family = "lprgap"
+
+// lprGapTriangles is the LPR-gap family's size: 16 triangles, 48 variables.
+const lprGapTriangles = 16
+
+// LPRGapInstances generates n rows of the LPR-gap family, seeds 0..n-1.
+func LPRGapInstances(n int) []Instance {
+	out := make([]Instance, n)
+	for seed := range out {
+		out[seed] = Instance{
+			Name:   fmt.Sprintf("lprgap-%d-%d", lprGapTriangles, seed),
+			Family: FamilyLPRGap,
+			Prob:   lprGapInstance(int64(seed)),
+		}
+	}
+	return out
+}
+
+// lprGapInstance builds one instance of the synthetic LPR-gap family:
+// disjoint vertex-cover triangles (each an odd cycle whose LP relaxation
+// sits at the half-integral 3/2 while the integer optimum is 2 — the
+// canonical clique-cut gap) plus coefficient-heavy knapsack rows
+// (3a+3b+2c >= 5) whose fractional vertices feed cover separation. The stock
+// Table 1 families have near-tight LP relaxations at reproduction scale, so
+// they cannot show what separation buys; this family has a real root gap by
+// construction.
+func lprGapInstance(seed int64) *pb.Problem {
+	const nTri = lprGapTriangles
+	rng := rand.New(rand.NewSource(seed))
+	n := 3 * nTri
+	p := pb.NewProblem(n)
+	for v := 0; v < n; v++ {
+		p.SetCost(pb.Var(v), int64(1+rng.Intn(3)))
+	}
+	for t := 0; t < nTri; t++ {
+		a, b, c := pb.Var(3*t), pb.Var(3*t+1), pb.Var(3*t+2)
+		for _, pr := range [][2]pb.Var{{a, b}, {b, c}, {a, c}} {
+			_ = p.AddConstraint([]pb.Term{
+				{Coef: 1, Lit: pb.PosLit(pr[0])},
+				{Coef: 1, Lit: pb.PosLit(pr[1])},
+			}, pb.GE, 1)
+		}
+	}
+	for i := 0; i < nTri; i++ {
+		terms := []pb.Term{
+			{Coef: 3, Lit: pb.PosLit(pb.Var(rng.Intn(n)))},
+			{Coef: 3, Lit: pb.PosLit(pb.Var(rng.Intn(n)))},
+			{Coef: 2, Lit: pb.PosLit(pb.Var(rng.Intn(n)))},
+		}
+		_ = p.AddConstraint(terms, pb.GE, 5)
+	}
+	return p
 }
 
 // FormatAblations renders ablation rows as an aligned table.

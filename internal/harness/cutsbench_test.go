@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
 
@@ -11,41 +10,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/pb"
 )
-
-// lprGapInstance builds one instance of the synthetic LPR-gap family used by
-// `make bench-cuts`: disjoint vertex-cover triangles (each an odd cycle whose
-// LP relaxation sits at the half-integral 3/2 while the integer optimum is
-// 2 — the canonical clique-cut gap) plus coefficient-heavy knapsack rows
-// (3a+3b+2c >= 5) whose fractional vertices feed cover separation. The stock
-// Table 1 families have near-tight LP relaxations at reproduction scale, so
-// they cannot show what separation buys; this family has a real root gap by
-// construction.
-func lprGapInstance(nTri int, seed int64) *pb.Problem {
-	rng := rand.New(rand.NewSource(seed))
-	n := 3 * nTri
-	p := pb.NewProblem(n)
-	for v := 0; v < n; v++ {
-		p.SetCost(pb.Var(v), int64(1+rng.Intn(3)))
-	}
-	for t := 0; t < nTri; t++ {
-		a, b, c := pb.Var(3*t), pb.Var(3*t+1), pb.Var(3*t+2)
-		for _, pr := range [][2]pb.Var{{a, b}, {b, c}, {a, c}} {
-			_ = p.AddConstraint([]pb.Term{
-				{Coef: 1, Lit: pb.PosLit(pr[0])},
-				{Coef: 1, Lit: pb.PosLit(pr[1])},
-			}, pb.GE, 1)
-		}
-	}
-	for i := 0; i < nTri; i++ {
-		terms := []pb.Term{
-			{Coef: 3, Lit: pb.PosLit(pb.Var(rng.Intn(n)))},
-			{Coef: 3, Lit: pb.PosLit(pb.Var(rng.Intn(n)))},
-			{Coef: 2, Lit: pb.PosLit(pb.Var(rng.Intn(n)))},
-		}
-		_ = p.AddConstraint(terms, pb.GE, 5)
-	}
-	return p
-}
 
 // rootBound computes the root LPR bound of p, with or without a cut pool.
 func rootBound(b *testing.B, p *pb.Problem, withCuts bool) int64 {
@@ -81,13 +45,13 @@ func median(xs []int64) int64 {
 // `make bench-cuts` with BENCHCOUNT>=6 and compare medians, never single
 // runs.
 func BenchmarkCutsSynth(b *testing.B) {
-	const nTri, seeds = 16, 8
+	insts := LPRGapInstances(8)
 	for i := 0; i < b.N; i++ {
 		var gapClosedPct float64
 		var gapCells int
 		var onConfl, offConfl, onNodes, offNodes []int64
-		for seed := int64(0); seed < seeds; seed++ {
-			p := lprGapInstance(nTri, seed)
+		for seed, inst := range insts {
+			p := inst.Prob
 			on := core.Solve(p, core.Options{LowerBound: core.LBLPR, MaxConflicts: 500000})
 			off := core.Solve(p, core.Options{LowerBound: core.LBLPR, MaxConflicts: 500000, Tuning: core.Tuning{NoCuts: true}})
 			if on.Status != core.StatusOptimal || off.Status != core.StatusOptimal {

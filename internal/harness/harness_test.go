@@ -117,11 +117,12 @@ func TestFormatCSV(t *testing.T) {
 }
 
 func TestRunAblationSmall(t *testing.T) {
-	insts, err := AblationInstances(Scale{GroutNets: 4, SynthNodes: 6, McncInputs: 4, PerFamily: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := Scale{GroutNets: 4, SynthNodes: 6, McncInputs: 4, PerFamily: 1}
 	for _, id := range Ablations() {
+		insts, err := AblationInstances(id, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
 		rows := RunAblation(id, insts, 5*time.Second, 100000)
 		if len(rows) < 2 {
 			t.Fatalf("%s: %d variants", id, len(rows))
@@ -134,6 +135,10 @@ func TestRunAblationSmall(t *testing.T) {
 				t.Fatalf("%s/%s: tiny suite must solve fully (%d/%d)", id, r.Variant, r.Solved, r.Total)
 			}
 		}
+	}
+	insts, err := AblationInstances(AblationKnapsack, sc)
+	if err != nil {
+		t.Fatal(err)
 	}
 	out := FormatAblations(RunAblation(AblationKnapsack, insts, 5*time.Second, 100000))
 	if !strings.Contains(out, "knapsack-cut") || !strings.Contains(out, "no-cut") {

@@ -93,8 +93,12 @@ type SolverStats struct {
 	BoundPrunes    int64 `json:"bound_prunes"`    // estimations that triggered a bound conflict
 	Solutions      int64 `json:"solutions"`
 	Restarts       int64 `json:"restarts"`
-	KnapsackCuts   int64 `json:"knapsack_cuts"`
-	CardCuts       int64 `json:"card_cuts"`
+	// KnapsackCuts and CardCuts count the eq. 10 and eq. 13 incumbent rows
+	// installed or tightened: one per row at each incumbent that builds
+	// them. Under branch and bound, an incumbent that the adopting root node
+	// proves optimal builds none.
+	KnapsackCuts int64 `json:"knapsack_cuts"`
+	CardCuts     int64 `json:"card_cuts"`
 	// NCBSavedLevels accumulates, over bound conflicts, how many decision
 	// levels each backjump skipped beyond the chronological single level.
 	NCBSavedLevels int64 `json:"ncb_saved_levels"`
