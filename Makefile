@@ -113,9 +113,10 @@ bench-engine:
 # delta flush must stay allocation-free. The obs alloc-regression tests pin
 # the complementary runtime guarantee (0 allocs/op across a full wave); this
 # catches the same regressions at compile time with a file:line pointer. The
-# lp pivot helpers (pivot-row scaling and the sparse elimination every simplex
-# pivot runs) and the row-pattern helpers (pattern membership, the active-
-# column marks, the crash's key table) must stay inlinable into their loops;
+# lp pivot helpers (pivot-row scaling, the sparse elimination every simplex
+# pivot runs, and the column walk of its ratio test) and the row-pattern
+# helpers (pattern membership, the active-column marks, the crash's key
+# table) must stay inlinable into their loops;
 # the lp and bounds allocation pins check that a warm re-solve allocates only
 # its result.
 escape-check:
@@ -140,7 +141,7 @@ escape-check:
 		echo "$$lsout" | grep -qF "can inline $$fn" || { echo "escape-check: ls $$fn is no longer inlinable"; exit 1; }; \
 	done; \
 	lpout=$$($(GO) build -gcflags='-m' ./internal/lp 2>&1); \
-	for fn in '(*simplex).scalePivotRow' '(*simplex).eliminate' '(*simplex).activeCols' '(*simplex).note' '(*simplex).markActive' '(*keyIndex).put' '(*keyIndex).get'; do \
+	for fn in '(*simplex).scalePivotRow' '(*simplex).eliminate' '(*simplex).gatherCol' '(*simplex).activeCols' '(*simplex).note' '(*simplex).markActive' '(*keyIndex).put' '(*keyIndex).get'; do \
 		echo "$$lpout" | grep -qF "can inline $$fn" || { echo "escape-check: lp $$fn is no longer inlinable"; exit 1; }; \
 	done; \
 	echo "escape-check: hot-path inlining + alloc-free delta flush + cut-probe + ls flip-loop + lp pivot and pattern helpers OK"

@@ -62,6 +62,18 @@ func (LPR) Name() string { return "lpr" }
 
 // Estimate implements Estimator.
 func (l LPR) Estimate(e *engine.Engine, red *Reduced, cost []int64, target int64, bud Budget) Result {
+	if l.State == nil {
+		return l.estimate(e, red, cost, bud)
+	}
+	// busy stays set if the estimation panics, so Release will not pool
+	// buffers it may have left half-written.
+	l.State.busy = true
+	res := l.estimate(e, red, cost, bud)
+	l.State.busy = false
+	return res
+}
+
+func (l LPR) estimate(e *engine.Engine, red *Reduced, cost []int64, bud Budget) Result {
 	if red.Infeasible {
 		return Result{Bound: InfBound, Responsible: []int{red.InfeasibleRow}}
 	}
@@ -232,6 +244,7 @@ func (l LPR) solveDual(xp *xProblem, inst *cutInstall, bud *Budget) (lp.Solution
 	if st == nil {
 		return lp.Solve(prob)
 	}
+	ws := &st.buffers().ws
 	// Warm path: identify LP columns and rows by search-stable keys so the
 	// previous solve's basis maps onto this (re-numbered) problem.
 	varKeys := resize(sc.varKeys, m+n)
@@ -250,8 +263,8 @@ func (l LPR) solveDual(xp *xProblem, inst *cutInstall, bud *Budget) (lp.Solution
 		rowKeys[j] = int64(v)
 	}
 	sc.varKeys, sc.rowKeys = varKeys, rowKeys
-	hadBasis := st.ws.HasBasis()
-	sol, err := st.ws.SolveWarm(prob, varKeys, rowKeys)
+	hadBasis := ws.HasBasis()
+	sol, err := ws.SolveWarm(prob, varKeys, rowKeys)
 	if err == nil {
 		if sol.Warm {
 			st.warmSolves.Add(1)
@@ -284,6 +297,17 @@ func resize[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
+// integral reports whether every primal x value (clamped to [0,1], as the
+// separators read it) lies within 1e-9 of 0 or 1.
+func integral(x []float64) bool {
+	for _, v := range x {
+		if v > 1e-9 && v < 1-1e-9 {
+			return false
+		}
+	}
+	return true
+}
+
 // separationRounds runs up to rounds separate→install→re-solve cycles from
 // the LP optimum sol, returning the last trustworthy solution (always
 // describing the x-space problem as left in xp).
@@ -298,6 +322,15 @@ func (l LPR) separationRounds(e *engine.Engine, red *Reduced, xp *xProblem, inst
 	for round := 0; round < rounds; round++ {
 		if bud.Expired() {
 			l.State.Invalidate()
+			return sol
+		}
+		if integral(sol.Dual[:len(xp.vars)]) {
+			// Rounded, the point is a completion of the node: each reduced
+			// row has integer coefficients and holds at the point, and the
+			// other rows are satisfied by the assignment. Every valid cut
+			// holds there, so none is violated: count the round, skip the
+			// separators.
+			l.Cuts.SkipRound(cutSources(e, red))
 			return sol
 		}
 		frac := fracPoint(e, xp, sol.Dual)

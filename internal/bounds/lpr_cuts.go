@@ -43,22 +43,27 @@ type cutInstall struct {
 // (whose buffers are reused; its previous contents are dropped). Nil-safe on
 // the pool.
 func installCuts(inst *cutInstall, e *engine.Engine, xp *xProblem, pool *cuts.Pool, cost []int64) *cutInstall {
-	// Drop the previous estimation's references (cuts the pool may since
-	// have evicted, explanation literals).
+	inst.drop()
+	inst.m0 = len(xp.rows)
+	if pool.Len() > 0 {
+		inst.installNew(e, xp, pool, cost)
+	}
+	return inst
+}
+
+// drop forgets the previous estimation's cuts — its references to cuts the
+// pool may since have evicted and to their explanation literals — keeping
+// the buffers.
+func (inst *cutInstall) drop() {
 	clear(inst.falseLits)
 	clear(inst.resid)
 	*inst = cutInstall{
-		m0:        len(xp.rows),
 		ids:       inst.ids[:0],
 		falseLits: inst.falseLits[:0],
 		resid:     inst.resid[:0],
 		done:      inst.done,
 	}
 	clear(inst.done)
-	if pool.Len() > 0 {
-		inst.installNew(e, xp, pool, cost)
-	}
-	return inst
 }
 
 // installNew installs every pooled cut not yet visited this estimation.

@@ -76,3 +76,34 @@ func TestLPRResultOutlivesNextEstimate(t *testing.T) {
 		t.Fatal("a Result changed when the state served the next estimate")
 	}
 }
+
+// TestLPRReleasedBuffersAreReused pins the buffer pool: after one state has
+// solved a node and released its buffers, a new state's first estimation —
+// a cold solve, as the root of the next search is — takes its tableau rows,
+// x-space problem and dual LP from the pool, and allocates only the state
+// itself and what its Result returns.
+func TestLPRReleasedBuffersAreReused(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers at random")
+	}
+	e, p := lprNode(t)
+	red := Extract(e)
+	solve := func() Result {
+		st := &LPRState{}
+		res := LPR{State: st}.Estimate(e, red, p.Cost, InfBound, Budget{})
+		st.Release()
+		if st.ColdSolves() != 1 {
+			t.Fatalf("a new state's first estimation solved %d times cold, want once", st.ColdSolves())
+		}
+		return res
+	}
+	if res := solve(); res.Failed || res.FracX == nil || len(res.Responsible) == 0 {
+		t.Fatalf("node estimate unusable: %+v", res)
+	}
+	const state, lpBlock, responsible, frac = 1, 1, 1, 1
+	got := testing.AllocsPerRun(10, func() { solve() })
+	if want := float64(state + lpBlock + responsible + frac); got > want {
+		t.Fatalf("an estimation in released buffers allocates %.0f times, want at most %.0f (state %d + LP solution %d + Responsible %d + FracX %d): fresh buffers cost a tableau row per LP row",
+			got, want, state, lpBlock, responsible, frac)
+	}
+}

@@ -1,6 +1,7 @@
 package bounds
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/lp"
@@ -13,11 +14,17 @@ import (
 // usually differing in a handful of columns and rows — starts from a
 // near-optimal basis instead of the slack crash.
 //
-// It also owns every buffer an estimation builds into: the lp.Workspace
+// It also holds every buffer an estimation builds into: the lp.Workspace
 // (tableau rows and simplex scratch) and the x-space problem, cut record,
 // dual LP and warm keys (lprScratch). A steady-state estimation therefore
 // allocates only what its Result returns, and nothing in a Result aliases
-// these buffers.
+// these buffers. The buffers outlive the state: it takes them from a
+// package-level pool at its first estimation and gives them back on Release
+// (the search releases at the end of its solve and when it demotes the
+// estimator), so the next solve — of any size, in any goroutine — starts
+// from a tableau that has already grown instead of allocating one. Every
+// solve resets the buffers it uses to exactly the state fresh ones would
+// have, so reuse never changes a result.
 //
 // Soundness is independent of this state: LPR recomputes its bound from the
 // returned multipliers via weak duality, and the warm solve falls back to a
@@ -30,8 +37,11 @@ import (
 // single-threaded search loop; the counters are read with atomics only so
 // harness goroutines may sample them mid-run.
 type LPRState struct {
-	ws      lp.Workspace
-	scratch lprScratch
+	// bufs is nil until the first estimation and again after Release.
+	bufs *lprBuffers
+	// busy is set while an estimation runs: one that panicked leaves it set,
+	// and Release then drops the buffers rather than pool them half-written.
+	busy bool
 
 	// Counters (sampled by Stats): warm solves, cold solves (first node,
 	// invalidations, and fallbacks), and the subset of cold solves where a
@@ -40,6 +50,18 @@ type LPRState struct {
 	coldSolves    atomic.Int64
 	warmFallbacks atomic.Int64
 }
+
+// lprBuffers are the buffers an LPRState lends out: the simplex workspace
+// and the estimation scratch.
+type lprBuffers struct {
+	ws      lp.Workspace
+	scratch lprScratch
+}
+
+// lprPool holds the buffers of finished solves for the next ones. The pool
+// may drop them at any garbage collection, so idle tableaux cost no memory
+// for long.
+var lprPool = sync.Pool{New: func() any { return new(lprBuffers) }}
 
 // lprScratch holds the buffers one LPR estimation builds its x-space
 // problem, cut record and dual LP into.
@@ -52,13 +74,22 @@ type lprScratch struct {
 	varKeys, rowKeys []int64
 }
 
-// scratchFor returns the state's buffers, or fresh ones when there is no
+// buffers returns the state's buffers, taking them from the pool on first
+// use.
+func (st *LPRState) buffers() *lprBuffers {
+	if st.bufs == nil {
+		st.bufs = lprPool.Get().(*lprBuffers)
+	}
+	return st.bufs
+}
+
+// scratchFor returns the state's scratch, or a fresh one when there is no
 // state (the cold per-node configuration).
 func (st *LPRState) scratchFor() *lprScratch {
 	if st == nil {
 		return &lprScratch{}
 	}
-	return &st.scratch
+	return &st.buffers().scratch
 }
 
 // Invalidate drops the stored basis: the next LPR call solves cold. Called
@@ -66,13 +97,32 @@ func (st *LPRState) scratchFor() *lprScratch {
 // (restart, ReduceDB, estimator demotion) or after a hard LPR failure. The
 // buffers are kept.
 func (st *LPRState) Invalidate() {
-	if st != nil {
-		st.ws.Invalidate()
+	if st != nil && st.bufs != nil {
+		st.bufs.ws.Invalidate()
 	}
 }
 
+// Release invalidates the basis and gives the buffers back to the pool for
+// the next solve; the counters stay. A later estimation through st takes
+// buffers from the pool again. Buffers an interrupted (panicked) estimation
+// may have left half-written are dropped instead. Nil-safe.
+func (st *LPRState) Release() {
+	if st == nil || st.bufs == nil {
+		return
+	}
+	b := st.bufs
+	st.bufs = nil
+	if st.busy {
+		st.busy = false
+		return
+	}
+	b.ws.Invalidate()
+	b.scratch.inst.drop()
+	lprPool.Put(b)
+}
+
 // HasBasis reports whether a basis is currently stored (diagnostics only).
-func (st *LPRState) HasBasis() bool { return st != nil && st.ws.HasBasis() }
+func (st *LPRState) HasBasis() bool { return st != nil && st.bufs != nil && st.bufs.ws.HasBasis() }
 
 // WarmSolves returns the number of LP solves that reused a previous basis.
 func (st *LPRState) WarmSolves() int64 { return st.warmSolves.Load() }

@@ -319,7 +319,8 @@ type solver struct {
 	reducer *bounds.Reducer
 	// lprState carries the LP warm-start basis between LPR calls (nil
 	// unless LowerBound is LBLPR and warm starts are enabled). Each solve
-	// owns a fresh one, so its counters are this solve's own.
+	// owns a fresh one, so its counters are this solve's own; its LP
+	// buffers are borrowed from a pool and released when the solve ends.
 	lprState *bounds.LPRState
 	// cutPool is the managed cut store threaded into LPR (nil unless
 	// LowerBound is LBLPR and cuts are enabled). One pool per solve: pooled
@@ -348,7 +349,10 @@ type solver struct {
 	nodeCounter  int
 	restartIdx   int64
 	conflictsCur int64 // conflicts since last restart
-	lastReduceAt int64 // Stats.Learned at the last ReduceDB
+	lastReduceAt int64 // learnedRows at the last ReduceDB
+	// incumbentRows counts the eq. 10/13 rows installed: learned rows that
+	// the engine's Stats.Learned leaves out but the ReduceDB schedule counts.
+	incumbentRows int64
 
 	// cardSets are the eq. 11–13 cardinality sets, chosen at the first
 	// incumbent (prepareCardSets); costTerms is the sorted eq. 10 row that
@@ -469,6 +473,9 @@ func Solve(p *pb.Problem, opt Options) Result {
 	if s.reducer != nil {
 		s.reducer.Detach()
 	}
+	// The LP buffers go back to the pool for the next solve; the warm/cold
+	// counters stay with the state for the stats below.
+	s.lprState.Release()
 	// Single-point stats assembly: every terminal path (optimal, unsat,
 	// deadline, SIGINT/Cancel) and every live publish goes through the one
 	// snapshot function, so consumers never see counters mixed across
@@ -776,7 +783,7 @@ func (s *solver) estimateInner(red *bounds.Reduced, target int64) bounds.Result 
 		s.consecFails = 0
 		s.stats.BoundDemotions++
 		if s.lprState != nil {
-			s.lprState.Invalidate()
+			s.lprState.Release()
 			s.bstats.WarmSolves = s.lprState.WarmSolves()
 			s.bstats.ColdSolves = s.lprState.ColdSolves()
 			s.bstats.WarmFallbacks = s.lprState.WarmFallbacks()
@@ -1384,8 +1391,8 @@ func (s *solver) addCostUpperBoundCut() {
 	if len(terms) == 0 {
 		return
 	}
-	s.knapCut = s.eng.AddCons(terms, degree, true)
-	s.eng.Protect(s.knapCut)
+	s.knapCut = s.eng.AddProtected(terms, degree)
+	s.incumbentRows++
 	s.stats.KnapsackCuts++
 }
 
@@ -1525,8 +1532,8 @@ func (s *solver) addCardinalityCuts() {
 				s.cardCutIdx[i] = -1
 				continue
 			}
-			s.cardCutIdx[i] = s.eng.AddCons(buf, cs.sumOutside-s.upper+1+cs.v, true)
-			s.eng.Protect(s.cardCutIdx[i])
+			s.cardCutIdx[i] = s.eng.AddProtected(buf, cs.sumOutside-s.upper+1+cs.v)
+			s.incumbentRows++
 			s.stats.CardCuts++
 		}
 		return
@@ -1539,6 +1546,10 @@ func (s *solver) addCardinalityCuts() {
 		s.stats.CardCuts++
 	}
 }
+
+// learnedRows is what the ReduceDB schedule counts: every constraint added
+// as learned, the incumbent rows included.
+func (s *solver) learnedRows() int64 { return s.eng.Stats.Learned + s.incumbentRows }
 
 // maybeRestart applies Luby restarts after BCP conflicts.
 func (s *solver) maybeRestart() {
@@ -1564,10 +1575,10 @@ func (s *solver) maybeRestart() {
 		}
 		// Garbage-collect learned constraints when the database has grown
 		// past the threshold since the last collection.
-		if s.eng.Stats.Learned-s.lastReduceAt > 4000 {
+		if s.learnedRows()-s.lastReduceAt > 4000 {
 			s.eng.ReduceDB()
-			s.lastReduceAt = s.eng.Stats.Learned
-			s.trace.Emit(obs.EvReduceDB, "", s.eng.Stats.Learned, 0, "")
+			s.lastReduceAt = s.learnedRows()
+			s.trace.Emit(obs.EvReduceDB, "", s.lastReduceAt, 0, "")
 			s.lprState.Invalidate()
 		}
 	}

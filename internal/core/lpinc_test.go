@@ -111,3 +111,43 @@ func TestLPIncumbentRoundingInfeasible(t *testing.T) {
 		t.Fatalf("bound/incumbent events %v, want the root bound first, then a leaf incumbent", kinds)
 	}
 }
+
+// TestLearnedCountsOnlyLearning: learned_clauses counts the constraints
+// conflict analysis derived — the clauses the auditor replays plus the
+// PBLearning cutting planes — and not the eq. 10/13 incumbent rows, which
+// the search installs from an incumbent. The configurations cover both
+// kinds of incumbent row and a solve with no conflict at all.
+func TestLearnedCountsOnlyLearning(t *testing.T) {
+	synth, err := gen.Synthesis(gen.SynthesisConfig{Nodes: 10, Impls: 4, Fanout: 2.0, Incompat: 0.5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := int64(0)
+	for _, c := range []struct {
+		name string
+		opt  core.Options
+	}{
+		{"lpr", core.Options{LowerBound: core.LBLPR, CardinalityInference: true}},
+		{"lpr-no-lp-incumbent", core.Options{LowerBound: core.LBLPR, CardinalityInference: true, Tuning: core.Tuning{NoLPIncumbent: true}}},
+		{"mis", core.Options{LowerBound: core.LBMIS}},
+		{"plain-pb-learning", core.Options{LowerBound: core.LBNone, Tuning: core.Tuning{PBLearning: true}}},
+	} {
+		a := audit.New(synth)
+		c.opt.Audit = a
+		res := core.Solve(synth, c.opt)
+		rep := a.Snapshot()
+		if res.Status != core.StatusOptimal || !rep.Ok() {
+			t.Fatalf("%s: status %v, audit %s", c.name, res.Status, rep.String())
+		}
+		want := rep.Counts.LearnedClauses + res.Stats.PBLearned
+		if res.Stats.LearnedClauses != want {
+			t.Errorf("%s: learned_clauses %d, want %d (%d learned clauses + %d cutting planes); %d eq. 10 and %d eq. 13 row installs or tightenings",
+				c.name, res.Stats.LearnedClauses, want, rep.Counts.LearnedClauses, res.Stats.PBLearned,
+				res.Stats.KnapsackCuts, res.Stats.CardCuts)
+		}
+		rows += res.Stats.KnapsackCuts + res.Stats.CardCuts
+	}
+	if rows == 0 {
+		t.Fatal("no configuration installed an incumbent row")
+	}
+}

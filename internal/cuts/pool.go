@@ -77,9 +77,7 @@ func (p *Pool) Counters() obs.CutStats {
 func (p *Pool) Separate(rows []Source, frac func(pb.Lit) float64) int {
 	start := time.Now()
 	p.ctr.Rounds++
-	for i := range p.live {
-		p.live[i].activity *= activityDecay
-	}
+	p.age()
 	added := 0
 	for _, src := range rows {
 		if added >= p.cfg.MaxPerRound {
@@ -101,6 +99,23 @@ func (p *Pool) Separate(rows []Source, frac func(pb.Lit) float64) int {
 	}
 	p.ctr.SepTime += obs.Duration(time.Since(start))
 	return added
+}
+
+// SkipRound counts a separation round at an LP point no valid cut can be
+// violated at — an integral one — without running the separators. The pool
+// ages and the conflict graph absorbs rows exactly as in Separate, so later
+// rounds separate from the same pool either way.
+func (p *Pool) SkipRound(rows []Source) {
+	p.ctr.Rounds++
+	p.age()
+	p.graph.absorb(rows)
+}
+
+// age decays every live cut's activity by one round.
+func (p *Pool) age() {
+	for i := range p.live {
+		p.live[i].activity *= activityDecay
+	}
 }
 
 // Add offers one externally derived cut to the pool (tests, and callers that

@@ -58,8 +58,7 @@ func TestChaosAllFeaturesInterleaved(t *testing.T) {
 				}
 			}
 		}
-		cut := e.AddCons(cutTerms, 0, true)
-		e.Protect(cut)
+		cut := e.AddProtected(cutTerms, 0)
 		cutDegree := int64(0)
 
 		sat, done := false, false

@@ -157,8 +157,10 @@ type Stats struct {
 	Decisions    int64
 	Propagations int64
 	Conflicts    int64
-	Learned      int64
-	MaxTrail     int
+	// Learned counts the learned constraints conflict analysis or an
+	// import added; AddProtected rows are not among them.
+	Learned  int64
+	MaxTrail int
 	// Imported counts foreign clauses installed via ImportClause (units and
 	// watched clauses; rejected or dropped imports are not counted).
 	Imported int64
@@ -409,13 +411,28 @@ func (e *Engine) appendHdr(h consHdr) int32 {
 // per variable) — constraints from pb.AddConstraint or derived clauses satisfy
 // this. A clause of literals can be added with coefficient 1 each and
 // degree 1. The terms are interned into the engine arenas; the input slice
-// is neither retained nor mutated.
+// is neither retained nor mutated. A learned constraint (derived from a
+// conflict, or imported) may be removed by ReduceDB and counts in
+// Stats.Learned.
 func (e *Engine) AddCons(terms []pb.Term, degree int64, learned bool) int {
-	h := consHdr{off: int32(len(e.lits)), n: int32(len(terms)), degree: degree}
-	if learned {
-		h.flags |= flagLearned
-		e.Stats.Learned++
+	if !learned {
+		return e.addCons(terms, degree, 0)
 	}
+	e.Stats.Learned++
+	return e.addCons(terms, degree, flagLearned)
+}
+
+// AddProtected adds a learned constraint that ReduceDB never removes and
+// Stats.Learned does not count: a row the search derives from its incumbent
+// (the incumbent cuts, semantically irreplaceable), which no conflict
+// learned.
+func (e *Engine) AddProtected(terms []pb.Term, degree int64) int {
+	return e.addCons(terms, degree, flagLearned|flagProtected)
+}
+
+func (e *Engine) addCons(terms []pb.Term, degree int64, flags uint8) int {
+	h := consHdr{off: int32(len(e.lits)), n: int32(len(terms)), degree: degree, flags: flags}
+	learned := h.learned()
 	idx := int32(len(e.hdrs))
 	for _, t := range terms {
 		e.lits = append(e.lits, t.Lit)
@@ -558,10 +575,6 @@ func (e *Engine) Enqueue(l pb.Lit, reason int32) bool {
 	e.assign(l, reason)
 	return true
 }
-
-// Protect excludes a learned constraint from ReduceDB garbage collection
-// (used for the incumbent cuts, which are semantically irreplaceable).
-func (e *Engine) Protect(idx int) { e.hdrs[idx].flags |= flagProtected }
 
 // bumpCons increases a constraint's activity (called when it participates
 // in conflict analysis).

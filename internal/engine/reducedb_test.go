@@ -17,8 +17,7 @@ func TestReduceDBRemovesHalf(t *testing.T) {
 		}
 		e.AddCons(terms, 1, true)
 	}
-	prot := e.AddCons([]pb.Term{{Coef: 1, Lit: pb.PosLit(0)}}, 1, true)
-	e.Protect(prot)
+	prot := e.AddProtected([]pb.Term{{Coef: 1, Lit: pb.PosLit(0)}}, 1)
 	removed := e.ReduceDB()
 	if removed != 10 {
 		t.Fatalf("removed=%d want 10 (half of 20 unprotected)", removed)

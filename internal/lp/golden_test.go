@@ -71,13 +71,132 @@ func fixedCoveringLPs(seed int64, n, m, steps int) []*Problem {
 	return probs
 }
 
-// TestGoldenBits pins the exact bits every solve returns on four fixed
+// unsortedCoveringLPs is a chain of primal covering LPs, solved cold, whose
+// rows list their entries out of column order, some columns twice (once
+// cancelling to zero), with fractional coefficients, fractional and unit
+// lower bounds and some zero and negative-zero right-hand sides. The
+// slack-basis crash sums each row's residual over the row's own columns; with
+// nonzero start values the order of that sum matters, and this chain pins
+// that it comes out bitwise as a column-order loop over every variable
+// leaves it. The larger steps run past the periodic refresh of the basic
+// solution.
+func unsortedCoveringLPs(seed int64, steps int) []*Problem {
+	rng := rand.New(rand.NewSource(seed))
+	var probs []*Problem
+	for s := 0; s < steps; s++ {
+		n, m := 30+rng.Intn(40), 40+rng.Intn(60)
+		if s%4 == 3 {
+			n, m = 240, 320
+		}
+		p := &Problem{NumVars: n, Cost: make([]float64, n), Lo: make([]float64, n), Hi: make([]float64, n)}
+		for j := 0; j < n; j++ {
+			p.Cost[j] = float64(1+rng.Intn(20)) / 4
+			p.Hi[j] = 1
+			switch rng.Intn(16) {
+			case 0, 1:
+				p.Lo[j] = 1
+			case 2, 3, 4, 5:
+				p.Lo[j] = rng.Float64() / 2
+			case 6:
+				p.Hi[j] = 0
+			}
+		}
+		for i := 0; i < m; i++ {
+			var ents []Entry
+			for j := 0; j < n; j++ {
+				if rng.Intn(n) >= 8 {
+					continue
+				}
+				c := 0.5 + 2.5*rng.Float64()
+				switch rng.Intn(8) {
+				case 0:
+					part := c * rng.Float64()
+					ents = append(ents, Entry{j, part}, Entry{j, c - part})
+				case 1:
+					ents = append(ents, Entry{j, c}, Entry{j, -c})
+				default:
+					ents = append(ents, Entry{j, c})
+				}
+			}
+			if len(ents) == 0 {
+				ents = []Entry{{rng.Intn(n), 1}}
+			}
+			rng.Shuffle(len(ents), func(a, b int) { ents[a], ents[b] = ents[b], ents[a] })
+			rhs := 0.5 * float64(rng.Intn(5))
+			if rhs == 0 && rng.Intn(2) == 0 {
+				rhs = math.Copysign(0, -1)
+			}
+			p.Rows = append(p.Rows, Row{Entries: ents, RHS: rhs})
+		}
+		probs = append(probs, p)
+	}
+	return probs
+}
+
+// zeroRHSCoveringLP is a covering LP with zero and negative-zero right-hand
+// sides, some negative coefficients, unit and half lower bounds and mixed
+// costs.
+func zeroRHSCoveringLP(rng *rand.Rand, n, m int) *Problem {
+	p := &Problem{NumVars: n, Cost: make([]float64, n), Lo: make([]float64, n), Hi: make([]float64, n)}
+	for j := 0; j < n; j++ {
+		p.Cost[j] = float64(rng.Intn(6)) - 1
+		p.Hi[j] = 1
+		switch rng.Intn(6) {
+		case 0:
+			p.Lo[j] = 1
+		case 1:
+			p.Lo[j] = 0.5
+		}
+	}
+	for i := 0; i < m; i++ {
+		var ents []Entry
+		for j := 0; j < n; j++ {
+			if rng.Intn(n) < 6 {
+				c := float64(1 + rng.Intn(3))
+				if rng.Intn(4) == 0 {
+					c = -c
+				}
+				ents = append(ents, Entry{j, c})
+			}
+		}
+		if len(ents) == 0 {
+			ents = []Entry{{rng.Intn(n), 1}}
+		}
+		rhs := float64(rng.Intn(3))
+		switch rng.Intn(3) {
+		case 0:
+			rhs = 0
+		case 1:
+			rhs = math.Copysign(0, -1)
+		}
+		p.Rows = append(p.Rows, Row{Entries: ents, RHS: rhs})
+	}
+	return p
+}
+
+// zeroSignLP is the 313th LP of a zeroRHSCoveringLP stream, the one found
+// among its first 400 whose optimum has an X value (X[0]) at an exact zero
+// whose sign the zero entries of a dense tableau decide: a tableau update
+// that skipped the zero products of the rows outside a column's pattern
+// would return −0 where the dense loops return +0.
+func zeroSignLP() *Problem {
+	rng := rand.New(rand.NewSource(99))
+	var p *Problem
+	for k := 0; k <= 312; k++ {
+		p = zeroRHSCoveringLP(rng, 40+rng.Intn(200), 40+rng.Intn(300))
+	}
+	return p
+}
+
+// TestGoldenBits pins the exact bits every solve returns on six fixed
 // sequences — the LPR node chain solved warm through one Workspace, the
 // same problems solved cold, a chain that appends one y column per step as
-// cut installation does, and primal covering LPs with fixed variables — so
-// that a change to the simplex arithmetic fails here rather than only in
-// end-to-end determinism checks. Optimizations of the tableau must leave
-// every constant unchanged.
+// cut installation does, primal covering LPs with fixed variables,
+// covering LPs with unsorted and duplicate row entries, and one LP whose
+// result holds a zero only the dense zero signs decide — so that a change
+// to the simplex arithmetic fails here rather than only in end-to-end
+// determinism checks. Optimizations of the tableau must leave every
+// constant unchanged.
 func TestGoldenBits(t *testing.T) {
 	warmChain := func(probs []*Problem, vks, rks [][]int64) func(*goldenHasher) error {
 		return func(g *goldenHasher) error {
@@ -115,6 +234,8 @@ func TestGoldenBits(t *testing.T) {
 		{"node-chain-cold", coldChain(nodeProbs), 0xb72395156454c2f4},
 		{"growing-chain-warm", warmChain(growProbs, growVKs, growRKs), 0xeea312e8cd001cff},
 		{"covering-fixed-cold", coldChain(fixedCoveringLPs(3, 40, 60, 25)), 0x6e06fb7f4446095d},
+		{"covering-unsorted-cold", coldChain(unsortedCoveringLPs(17, 24)), 0xebd729c44ea74d38},
+		{"zero-sign-cold", coldChain([]*Problem{zeroSignLP()}), 0x8fd00a6a10914002},
 	}
 	for _, c := range cases {
 		g := newGoldenHasher()

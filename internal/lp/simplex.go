@@ -15,16 +15,20 @@
 // The tableau is stored as full-width rows, each with its nonzero pattern: a
 // duplicate-free list of the columns that may be nonzero (every column the
 // row was built with, plus the fill-in elimination records). Row operations —
-// scaling, elimination, reduced costs, dual extraction and the reset between
-// solves — walk the patterns instead of the full width, and skip only
+// the cold crash, scaling, elimination, reduced costs, dual extraction and
+// the reset between solves — walk the patterns instead of the full width, the
+// ratio test walks the entering column's rows, and all of them skip only
 // products with a zero factor, so every nonzero value comes out bitwise as
-// the dense computation leaves it: sparsity never changes an LP result.
+// the dense computation leaves it; the zeros whose sign can reach a result
+// are replayed as the dense loops left them (see simplex). Sparsity never
+// changes an LP result.
 package lp
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/fault"
@@ -133,11 +137,15 @@ const (
 // problem without reallocating once they have grown to its size.
 //
 // Row i of the tableau is tab[i] with pattern pat[i]. The pattern invariant:
-// over the whole capacity of its buffer, a row is zero outside its pattern
-// and its leading pre[i] columns (the negated structural part of a cold
-// surplus-basic row, which holds −0 where the row has no entry). A row buffer
-// keeps its pattern and prefix while it sits unused beyond m, so reset can
-// clear exactly the entries a solve wrote.
+// over the whole capacity of its buffer, a row is zero outside its pattern,
+// and colMarks lists, for each column, exactly the rows whose pattern holds
+// it. A row buffer keeps its pattern while it sits unused beyond m, so reset
+// can clear exactly the entries a solve wrote.
+//
+// The tableau matches a dense one bitwise, including the sign of its zeros
+// where that can reach a result (see denseZero): neg marks the rows the
+// cold crash negated, and negZero lists the rows whose basic value may be
+// −0, which are the only ones a skipped zero product can change.
 type simplex struct {
 	n, m     int // structural vars, rows
 	nTot     int // n + m surplus + m artificial
@@ -146,7 +154,6 @@ type simplex struct {
 	lo, hi   []float64
 	tab      [][]float64 // m rows, each nTot wide; row buffers are reused
 	pat      [][]int32   // nonzero pattern of each row buffer
-	pre      []int       // densely written leading columns of each row buffer
 	marks    []uint64    // pattern membership, words bits per row
 	words    int
 	colMarks []uint64 // the transpose of marks, colWords bits per column
@@ -156,6 +163,8 @@ type simplex struct {
 	beta     []float64 // current value of basic variable per row
 	basis    []int
 	inBasis  []bool
+	neg      []bool     // row negated by the cold crash
+	negZero  []int      // every row whose beta is −0, and maybe others
 	status   []nbStatus // nonbasic status per variable
 	xval     []float64  // value of nonbasic variables (at a bound)
 	iters    int
@@ -171,6 +180,7 @@ type simplex struct {
 	colRows []int     // rows with a nonzero in the current pivot column
 	nb      []int     // nonbasic columns with a nonzero value
 	dense   []float64 // one structural row (cold crash)
+	rowCols []int32   // its columns in ascending order (cold crash)
 	lo0     []float64 // default bounds for a Problem without Lo
 	hi1     []float64 // default bounds for a Problem without Hi
 }
@@ -279,14 +289,13 @@ func (s *simplex) reset(p *Problem, lo, hi []float64) {
 	// cannot reuse the freed holes of a fragmented heap, and on a run of
 	// many solves of different sizes that raised peak RSS by a fifth.
 	if c := cap(s.tab); c < m {
-		// One capacity for the three, so the row buffers beyond m keep
-		// their patterns and prefixes.
+		// One capacity for the two, so the row buffers beyond m keep
+		// their patterns.
 		nc := grownCap(c, m)
 		s.tab = append(make([][]float64, 0, nc), s.tab[:c]...)
 		s.pat = append(make([][]int32, 0, nc), s.pat[:c]...)
-		s.pre = append(make([]int, 0, nc), s.pre[:c]...)
 	}
-	s.tab, s.pat, s.pre = s.tab[:m], s.pat[:m], s.pre[:m]
+	s.tab, s.pat = s.tab[:m], s.pat[:m]
 	for i := range s.tab {
 		s.clearRow(i)
 	}
@@ -297,6 +306,7 @@ func (s *simplex) reset(p *Problem, lo, hi []float64) {
 	s.rhsB = zeroed(s.rhsB, m)
 	s.beta = zeroed(s.beta, m)
 	s.basis = zeroed(s.basis, m)
+	s.neg = zeroed(s.neg, m)
 	s.inBasis = zeroed(s.inBasis, s.nTot)
 	s.status = zeroed(s.status, s.nTot)
 	s.xval = zeroed(s.xval, s.nTot)
@@ -306,17 +316,16 @@ func (s *simplex) reset(p *Problem, lo, hi []float64) {
 	s.cost = zeroed(s.cost, s.nTot)
 }
 
-// clearRow zeroes row buffer i through its pattern and prefix (the pattern
-// invariant makes that the whole buffer) and sizes it to nTot columns. A
-// new buffer is as wide as the widest problem seen, so rows first used by a
-// small problem do not regrow when the next one is wider.
+// clearRow zeroes row buffer i through its pattern (the pattern invariant
+// makes that the whole buffer) and sizes it to nTot columns. A new buffer is
+// as wide as the widest problem seen, so rows first used by a small problem
+// do not regrow when the next one is wider.
 func (s *simplex) clearRow(i int) {
 	row := s.tab[i]
 	for _, j := range s.pat[i] {
 		row[j] = 0
 	}
-	clear(row[:s.pre[i]])
-	s.pat[i], s.pre[i] = s.pat[i][:0], 0
+	s.pat[i] = s.pat[i][:0]
 	if cap(row) < s.nTot {
 		row = make([]float64, s.nTot, max(s.widest, grownCap(cap(row), s.nTot)))
 	}
@@ -349,27 +358,53 @@ func (s *simplex) solveCold(p *Problem, lo, hi []float64) (sol Solution, ok bool
 	// variable basic and needs no artificial; only rows with positive
 	// residual get a basic artificial. Dual-style LPs (c ≥ 0, rhs ≤ 0)
 	// therefore skip phase 1 entirely.
+	//
+	// The crash costs each row its own entries. Duplicate entries are summed
+	// once per column into dense (cleared through the entries again), and
+	// the row's nonzero columns become its pattern. The residual
+	// b_i − Σ_j A_ij·x_j, which a loop over every column would sum in column
+	// order, walks only the pattern: a column outside it adds +0·x_j, which
+	// leaves any sum as it is when the start value x_j is finite with a clear
+	// sign bit (plain). When every start value is +0 each term is a zero and
+	// the order is free; otherwise the pattern is summed in ascending column
+	// order. Other start values take the loop over every column.
 	s.dense = zeroed(s.dense, n)
 	dense := s.dense
+	plain, allZero := s.startValues()
 	needPhase1 := false
 	for i, r := range p.Rows {
 		for _, e := range r.Entries {
 			dense[e.Var] += e.Coef
 		}
-		// Residual with nonbasic values plugged in.
+		for _, e := range r.Entries {
+			if dense[e.Var] != 0 {
+				s.note(i, e.Var)
+			}
+		}
+		cols := s.pat[i]
 		resid := r.RHS
-		for j := 0; j < n; j++ {
-			resid -= dense[j] * s.xval[j]
+		switch {
+		case !plain:
+			for j := 0; j < n; j++ {
+				resid -= dense[j] * s.xval[j]
+			}
+		case allZero:
+			for _, j := range cols {
+				resid -= dense[j] * s.xval[j]
+			}
+		default:
+			s.rowCols = append(s.rowCols[:0], cols...)
+			slices.Sort(s.rowCols)
+			for _, j := range s.rowCols {
+				resid -= dense[j] * s.xval[j]
+			}
 		}
 		row := s.tab[i]
 		if resid > 0 {
 			// Artificial basic (coefficient +1 keeps the unit-column
 			// invariant); phase 1 must drive it out.
-			for _, e := range r.Entries {
-				if v := dense[e.Var]; v != 0 {
-					row[e.Var] = v
-					s.note(i, e.Var)
-				}
+			for _, j := range cols {
+				row[j] = dense[j]
 			}
 			row[n+i] = -1.0  // surplus
 			row[n+m+i] = 1.0 // artificial
@@ -382,17 +417,9 @@ func (s *simplex) solveCold(p *Problem, lo, hi []float64) (sol Solution, ok bool
 			// Surplus basic: negate the row so its column is +1 (the
 			// Gauss-Jordan invariant requires basic columns to be unit
 			// vectors). The surplus value −resid is non-negative, so the
-			// basis is feasible and no artificial is ever needed. The
-			// negation writes −0 where the row has no entry, so the whole
-			// structural part is the row's dense prefix.
-			for j := 0; j < n; j++ {
+			// basis is feasible and no artificial is ever needed.
+			for _, j := range cols {
 				row[j] = -dense[j]
-			}
-			s.pre[i] = n
-			for _, e := range r.Entries {
-				if dense[e.Var] != 0 {
-					s.note(i, e.Var)
-				}
 			}
 			row[n+i] = 1.0    // surplus (negated from −1)
 			row[n+m+i] = -1.0 // artificial (negated, permanently locked)
@@ -401,6 +428,7 @@ func (s *simplex) solveCold(p *Problem, lo, hi []float64) (sol Solution, ok bool
 			s.inBasis[n+i] = true
 			s.beta[i] = -resid
 			s.hi[n+m+i] = 0
+			s.neg[i] = true
 		}
 		s.note(i, n+i)
 		s.note(i, n+m+i)
@@ -451,6 +479,21 @@ func (s *simplex) solveCold(p *Problem, lo, hi []float64) (sol Solution, ok bool
 		return Solution{Status: st, Iterations: s.iters}, false
 	}
 	return s.extractSolution(p, lo, hi, st), true
+}
+
+// startValues classifies the structural start values: plain when every one
+// is finite with a clear sign bit, allZero when every one is +0.
+func (s *simplex) startValues() (plain, allZero bool) {
+	allZero = true
+	for _, x := range s.xval[:s.n] {
+		if math.Signbit(x) || math.IsInf(x, 0) {
+			return false, false
+		}
+		if x != 0 {
+			allZero = false
+		}
+	}
+	return true, allZero
 }
 
 // extractSolution reads the primal point, objective, slacks and duals out of
@@ -631,6 +674,22 @@ func (s *simplex) recordFill(r int) {
 	}
 }
 
+// gatherCol lists in s.colRows, in row order, the rows with a nonzero entry
+// in column col. It visits only the rows whose pattern holds col (colMarks):
+// every other row is zero there.
+func (s *simplex) gatherCol(col int) []int {
+	rows := s.colRows[:0]
+	for k, b := range s.colMarks[col*s.colWords : (col+1)*s.colWords] {
+		for ; b != 0; b &= b - 1 {
+			if i := k<<6 + bits.TrailingZeros64(b); s.tab[i][col] != 0 {
+				rows = append(rows, i)
+			}
+		}
+	}
+	s.colRows = rows
+	return rows
+}
+
 // eliminate clears column col from every row but the (already scaled) pivot
 // row r: the rows s.colRows, those with a nonzero in col, collected by the
 // column scan that chose the pivot. It walks only the pivot row's nonzero
@@ -665,6 +724,7 @@ func (s *simplex) eliminate(r, col int) {
 func (s *simplex) run(cost []float64) Status {
 	cols := s.activeCols()
 	s.markActive(cols)
+	s.noteNegZeros()
 	s.d = zeroed(s.d, s.nTot)
 	d := s.d
 	s.reducedCosts(cost, d, cols)
@@ -721,16 +781,13 @@ func (s *simplex) run(cost []float64) Status {
 		if s.status[enter] == atUpper {
 			dir = -1.0
 		}
-		// Ratio test, noting the rows a pivot on enter must eliminate.
+		// Ratio test over the rows a pivot on enter must eliminate: every
+		// other row is zero in column enter and cannot block.
 		t := s.hi[enter] - s.lo[enter] // bound-to-bound move
 		blocking := -1
-		colRows := s.colRows[:0]
-		for i := 0; i < s.m; i++ {
-			a := s.tab[i][enter]
-			if a != 0 {
-				colRows = append(colRows, i)
-			}
-			delta := -dir * a
+		colRows := s.gatherCol(enter)
+		for _, i := range colRows {
+			delta := -dir * s.tab[i][enter]
 			bi := s.basis[i]
 			var limit float64
 			switch {
@@ -752,15 +809,16 @@ func (s *simplex) run(cost []float64) Status {
 				blocking = i
 			}
 		}
-		s.colRows = colRows
 		if math.IsInf(t, 1) {
 			return Unbounded
 		}
-		// Apply the move.
+		// Apply the move: it changes the basic values of colRows, and at
+		// most the sign of a −0 one elsewhere.
 		if t != 0 {
-			for i := 0; i < s.m; i++ {
+			for _, i := range colRows {
 				s.beta[i] -= s.tab[i][enter] * dir * t
 			}
+			s.moveNegZeros(enter, dir*t)
 		}
 		if blocking == -1 {
 			// Bound flip: no basis change, reduced costs unchanged.
@@ -788,6 +846,9 @@ func (s *simplex) run(cost []float64) Status {
 		s.inBasis[enter] = true
 		s.basis[r] = enter
 		s.beta[r] = enterVal
+		if isNegZero(enterVal) {
+			s.negZero = append(s.negZero, r)
+		}
 		// Gauss-Jordan elimination on column enter, pivot row r.
 		// fault point "lp.pivot": tests corrupt the pivot (NaN/overflow) to
 		// exercise the Numerical detection and the caller's fallback ladder.
@@ -850,6 +911,64 @@ func (s *simplex) refreshBeta() {
 		for _, j := range nb {
 			v -= row[j] * s.xval[j]
 		}
+		if v == 0 && s.neg[i] {
+			// Only a sum with no nonzero term can end at a zero whose sign
+			// its zero terms set: redo it over the zeros a dense tableau
+			// holds.
+			v = s.rhsB[i]
+			for _, j := range nb {
+				a := row[j]
+				if a == 0 {
+					a = s.denseZero(i, j)
+				}
+				v -= a * s.xval[j]
+			}
+		}
 		s.beta[i] = v
 	}
+	s.noteNegZeros()
+}
+
+// denseZero returns the zero a dense tableau holds where row i is zero at
+// column j. The cold crash negates a surplus-basic row over its whole
+// structural part, which puts −0 at the structural columns outside the
+// row's pattern; every other zero is the stored one. Subtracting a zero
+// product leaves any value but −0 as it is, so these zeros matter only to
+// the basic values at −0 (refreshBeta, moveNegZeros).
+func (s *simplex) denseZero(i, j int) float64 {
+	if s.neg[i] && j < s.n && s.marks[i*s.words+j>>6]&(1<<(j&63)) == 0 {
+		return math.Copysign(0, -1)
+	}
+	return s.tab[i][j]
+}
+
+// isNegZero reports whether v is −0.
+func isNegZero(v float64) bool { return v == 0 && math.Signbit(v) }
+
+// noteNegZeros lists the rows whose basic value is −0.
+func (s *simplex) noteNegZeros() {
+	rows := s.negZero[:0]
+	for i, b := range s.beta[:s.m] {
+		if isNegZero(b) {
+			rows = append(rows, i)
+		}
+	}
+	s.negZero = rows
+}
+
+// moveNegZeros applies the move of the basic values by −a·dt to the rows of
+// negZero whose entry a in column enter is zero, as a dense update over
+// every row would: the product is a zero, so it can only turn −0 into +0.
+// The rows left at −0 stay listed.
+func (s *simplex) moveNegZeros(enter int, dt float64) {
+	rows := s.negZero[:0]
+	for _, i := range s.negZero {
+		if s.tab[i][enter] == 0 {
+			s.beta[i] -= s.denseZero(i, enter) * dt
+		}
+		if isNegZero(s.beta[i]) {
+			rows = append(rows, i)
+		}
+	}
+	s.negZero = rows
 }

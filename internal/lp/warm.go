@@ -3,7 +3,6 @@ package lp
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"time"
 
 	"repro/internal/fault"
@@ -393,25 +392,15 @@ func (w *Workspace) crashBasis(varKeys, rowKeys []int64, prev *Basis) bool {
 	}
 	w.pivoted = zeroed(w.pivoted, m)
 	for _, col := range want {
-		// One column scan finds the pivot row and the rows (pivoted or
-		// not) the elimination must update. It visits, in row order, only
-		// the rows whose pattern holds col: every other row is zero there.
+		// The pivot row is the unpivoted row with the largest entry among
+		// those the elimination must update.
 		best, bestAbs := -1, epsPivot
-		colRows := s.colRows[:0]
-		for k, b := range s.colMarks[col*s.colWords : (col+1)*s.colWords] {
-			for ; b != 0; b &= b - 1 {
-				i := k<<6 + bits.TrailingZeros64(b)
-				v := s.tab[i][col]
-				if v == 0 {
-					continue
-				}
-				colRows = append(colRows, i)
-				if a := math.Abs(v); a > bestAbs && !w.pivoted[i] {
-					best, bestAbs = i, a
-				}
+		colRows := s.gatherCol(col)
+		for _, i := range colRows {
+			if a := math.Abs(s.tab[i][col]); a > bestAbs && !w.pivoted[i] {
+				best, bestAbs = i, a
 			}
 		}
-		s.colRows = colRows
 		if best < 0 {
 			continue // dependent or vanished column: its row falls back below
 		}

@@ -103,6 +103,9 @@ type SolverStats struct {
 	// levels each backjump skipped beyond the chronological single level.
 	NCBSavedLevels int64 `json:"ncb_saved_levels"`
 	Propagations   int64 `json:"propagations"`
+	// LearnedClauses counts the constraints conflict analysis derived (its
+	// clauses and PB-learning cutting planes) and the imported clauses; the
+	// incumbent rows counted by KnapsackCuts and CardCuts are not in it.
 	LearnedClauses int64 `json:"learned_clauses"`
 	// PBLearned counts cutting-plane constraints derived by PB learning.
 	PBLearned int64 `json:"pb_learned"`
