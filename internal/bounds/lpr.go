@@ -62,18 +62,6 @@ func (LPR) Name() string { return "lpr" }
 
 // Estimate implements Estimator.
 func (l LPR) Estimate(e *engine.Engine, red *Reduced, cost []int64, target int64, bud Budget) Result {
-	if l.State == nil {
-		return l.estimate(e, red, cost, bud)
-	}
-	// busy stays set if the estimation panics, so Release will not pool
-	// buffers it may have left half-written.
-	l.State.busy = true
-	res := l.estimate(e, red, cost, bud)
-	l.State.busy = false
-	return res
-}
-
-func (l LPR) estimate(e *engine.Engine, red *Reduced, cost []int64, bud Budget) Result {
 	if red.Infeasible {
 		return Result{Bound: InfBound, Responsible: []int{red.InfeasibleRow}}
 	}

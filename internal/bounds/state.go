@@ -39,9 +39,6 @@ import (
 type LPRState struct {
 	// bufs is nil until the first estimation and again after Release.
 	bufs *lprBuffers
-	// busy is set while an estimation runs: one that panicked leaves it set,
-	// and Release then drops the buffers rather than pool them half-written.
-	busy bool
 
 	// Counters (sampled by Stats): warm solves, cold solves (first node,
 	// invalidations, and fallbacks), and the subset of cold solves where a
@@ -104,18 +101,16 @@ func (st *LPRState) Invalidate() {
 
 // Release invalidates the basis and gives the buffers back to the pool for
 // the next solve; the counters stay. A later estimation through st takes
-// buffers from the pool again. Buffers an interrupted (panicked) estimation
-// may have left half-written are dropped instead. Nil-safe.
+// buffers from the pool again. Buffers an estimation that panicked left
+// behind are pooled too: an estimation rebuilds its scratch and an LP solve
+// resets its Workspace (see lp.Workspace) before reading either, as when
+// the state itself solves again after the panic. Nil-safe.
 func (st *LPRState) Release() {
 	if st == nil || st.bufs == nil {
 		return
 	}
 	b := st.bufs
 	st.bufs = nil
-	if st.busy {
-		st.busy = false
-		return
-	}
 	b.ws.Invalidate()
 	b.scratch.inst.drop()
 	lprPool.Put(b)

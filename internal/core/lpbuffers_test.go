@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/harness"
 )
 
@@ -44,6 +45,35 @@ func TestPooledLPBuffersKeepResults(t *testing.T) {
 	for i := len(insts) - 1; i >= 0; i-- {
 		if got := outcome(core.Solve(insts[i].Prob, opt)); got != forward[i] {
 			t.Errorf("%s: reverse pass %+v, forward pass %+v", insts[i].Name, got, forward[i])
+		}
+	}
+}
+
+// TestLPPanicLeavesLaterSolvesUnchanged stops LP solves mid-pivot: with a
+// panic armed at every 7th simplex pivot, the estimations of a pass over the
+// Table 1 rows fail part-way through, the state solves again in the buffers
+// the panics left behind, and every solve gives them back to the pool. A
+// pass without the fault must then reproduce every row of the pass before
+// it.
+func TestLPPanicLeavesLaterSolvesUnchanged(t *testing.T) {
+	defer fault.Reset()
+	insts, opt := table1Rows(t)
+	want := make([]rowOutcome, len(insts))
+	for i, inst := range insts {
+		want[i] = outcome(core.Solve(inst.Prob, opt))
+	}
+	fault.Arm("lp.pivot", fault.Spec{Kind: fault.KindPanic, Every: 7})
+	var panics int64
+	for _, inst := range insts {
+		panics += core.Solve(inst.Prob, opt).Stats.BoundPanics
+	}
+	fault.Reset()
+	if panics == 0 {
+		t.Fatal("no LP solve panicked: the test exercised nothing")
+	}
+	for i, inst := range insts {
+		if got := outcome(core.Solve(inst.Prob, opt)); got != want[i] {
+			t.Errorf("%s: after the panics %+v, before %+v", inst.Name, got, want[i])
 		}
 	}
 }

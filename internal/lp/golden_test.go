@@ -133,70 +133,54 @@ func unsortedCoveringLPs(seed int64, steps int) []*Problem {
 	return probs
 }
 
-// zeroRHSCoveringLP is a covering LP with zero and negative-zero right-hand
-// sides, some negative coefficients, unit and half lower bounds and mixed
-// costs.
-func zeroRHSCoveringLP(rng *rand.Rand, n, m int) *Problem {
-	p := &Problem{NumVars: n, Cost: make([]float64, n), Lo: make([]float64, n), Hi: make([]float64, n)}
-	for j := 0; j < n; j++ {
-		p.Cost[j] = float64(rng.Intn(6)) - 1
-		p.Hi[j] = 1
-		switch rng.Intn(6) {
-		case 0:
-			p.Lo[j] = 1
-		case 1:
-			p.Lo[j] = 0.5
-		}
-	}
-	for i := 0; i < m; i++ {
-		var ents []Entry
+// boxedLPs is a chain of LPs, solved cold, with negative, −0, fractional
+// and zero lower bounds, upper bounds above 1, coefficients of both signs
+// and negative right-hand sides: start values the slack-basis crash sums in
+// column order over each row's own columns.
+func boxedLPs(seed int64, steps int) []*Problem {
+	rng := rand.New(rand.NewSource(seed))
+	var probs []*Problem
+	for s := 0; s < steps; s++ {
+		n, m := 20+rng.Intn(150), 20+rng.Intn(200)
+		p := &Problem{NumVars: n, Cost: make([]float64, n), Lo: make([]float64, n), Hi: make([]float64, n)}
 		for j := 0; j < n; j++ {
-			if rng.Intn(n) < 6 {
-				c := float64(1 + rng.Intn(3))
-				if rng.Intn(4) == 0 {
-					c = -c
-				}
-				ents = append(ents, Entry{j, c})
+			p.Cost[j] = rng.Float64()*4 - 1
+			switch rng.Intn(5) {
+			case 0:
+				p.Lo[j], p.Hi[j] = -1-rng.Float64(), 1
+			case 1:
+				p.Lo[j], p.Hi[j] = math.Copysign(0, -1), 2
+			case 2:
+				p.Lo[j], p.Hi[j] = 0.5, 3
+			default:
+				p.Hi[j] = 1
 			}
 		}
-		if len(ents) == 0 {
-			ents = []Entry{{rng.Intn(n), 1}}
+		for i := 0; i < m; i++ {
+			var ents []Entry
+			for j := 0; j < n; j++ {
+				if rng.Intn(n) < 6 {
+					ents = append(ents, Entry{j, rng.Float64()*4 - 1.5})
+				}
+			}
+			if len(ents) == 0 {
+				ents = []Entry{{rng.Intn(n), 1}}
+			}
+			p.Rows = append(p.Rows, Row{Entries: ents, RHS: rng.Float64()*2 - 1.5})
 		}
-		rhs := float64(rng.Intn(3))
-		switch rng.Intn(3) {
-		case 0:
-			rhs = 0
-		case 1:
-			rhs = math.Copysign(0, -1)
-		}
-		p.Rows = append(p.Rows, Row{Entries: ents, RHS: rhs})
+		probs = append(probs, p)
 	}
-	return p
-}
-
-// zeroSignLP is the 313th LP of a zeroRHSCoveringLP stream, the one found
-// among its first 400 whose optimum has an X value (X[0]) at an exact zero
-// whose sign the zero entries of a dense tableau decide: a tableau update
-// that skipped the zero products of the rows outside a column's pattern
-// would return −0 where the dense loops return +0.
-func zeroSignLP() *Problem {
-	rng := rand.New(rand.NewSource(99))
-	var p *Problem
-	for k := 0; k <= 312; k++ {
-		p = zeroRHSCoveringLP(rng, 40+rng.Intn(200), 40+rng.Intn(300))
-	}
-	return p
+	return probs
 }
 
 // TestGoldenBits pins the exact bits every solve returns on six fixed
 // sequences — the LPR node chain solved warm through one Workspace, the
 // same problems solved cold, a chain that appends one y column per step as
 // cut installation does, primal covering LPs with fixed variables,
-// covering LPs with unsorted and duplicate row entries, and one LP whose
-// result holds a zero only the dense zero signs decide — so that a change
-// to the simplex arithmetic fails here rather than only in end-to-end
-// determinism checks. Optimizations of the tableau must leave every
-// constant unchanged.
+// covering LPs with unsorted and duplicate row entries, and boxed LPs with
+// negative and −0 lower bounds — so that a change to the simplex arithmetic
+// fails here rather than only in end-to-end determinism checks.
+// Optimizations of the tableau must leave every constant unchanged.
 func TestGoldenBits(t *testing.T) {
 	warmChain := func(probs []*Problem, vks, rks [][]int64) func(*goldenHasher) error {
 		return func(g *goldenHasher) error {
@@ -235,7 +219,7 @@ func TestGoldenBits(t *testing.T) {
 		{"growing-chain-warm", warmChain(growProbs, growVKs, growRKs), 0xeea312e8cd001cff},
 		{"covering-fixed-cold", coldChain(fixedCoveringLPs(3, 40, 60, 25)), 0x6e06fb7f4446095d},
 		{"covering-unsorted-cold", coldChain(unsortedCoveringLPs(17, 24)), 0xebd729c44ea74d38},
-		{"zero-sign-cold", coldChain([]*Problem{zeroSignLP()}), 0x8fd00a6a10914002},
+		{"boxed-cold", coldChain(boxedLPs(5, 12)), 0x71112d17752684e6},
 	}
 	for _, c := range cases {
 		g := newGoldenHasher()

@@ -19,9 +19,8 @@
 // the reset between solves — walk the patterns instead of the full width, the
 // ratio test walks the entering column's rows, and all of them skip only
 // products with a zero factor, so every nonzero value comes out bitwise as
-// the dense computation leaves it; the zeros whose sign can reach a result
-// are replayed as the dense loops left them (see simplex). Sparsity never
-// changes an LP result.
+// the dense computation leaves it: sparsity changes no LP result beyond the
+// sign of a zero.
 package lp
 
 import (
@@ -141,11 +140,6 @@ const (
 // and colMarks lists, for each column, exactly the rows whose pattern holds
 // it. A row buffer keeps its pattern while it sits unused beyond m, so reset
 // can clear exactly the entries a solve wrote.
-//
-// The tableau matches a dense one bitwise, including the sign of its zeros
-// where that can reach a result (see denseZero): neg marks the rows the
-// cold crash negated, and negZero lists the rows whose basic value may be
-// −0, which are the only ones a skipped zero product can change.
 type simplex struct {
 	n, m     int // structural vars, rows
 	nTot     int // n + m surplus + m artificial
@@ -163,8 +157,6 @@ type simplex struct {
 	beta     []float64 // current value of basic variable per row
 	basis    []int
 	inBasis  []bool
-	neg      []bool     // row negated by the cold crash
-	negZero  []int      // every row whose beta is −0, and maybe others
 	status   []nbStatus // nonbasic status per variable
 	xval     []float64  // value of nonbasic variables (at a bound)
 	iters    int
@@ -238,6 +230,10 @@ func (s *simplex) validate(p *Problem) (lo, hi []float64, infeasible bool, err e
 		if math.IsNaN(lo[j]) || math.IsNaN(hi[j]) || math.IsNaN(p.Cost[j]) {
 			return nil, nil, false, fmt.Errorf("lp: NaN in input")
 		}
+		if math.IsInf(lo[j], 0) {
+			// Every structural variable starts at its lower bound.
+			return nil, nil, false, fmt.Errorf("lp: infinite lower bound of var %d", j)
+		}
 	}
 	for i, r := range p.Rows {
 		if math.IsNaN(r.RHS) {
@@ -306,7 +302,6 @@ func (s *simplex) reset(p *Problem, lo, hi []float64) {
 	s.rhsB = zeroed(s.rhsB, m)
 	s.beta = zeroed(s.beta, m)
 	s.basis = zeroed(s.basis, m)
-	s.neg = zeroed(s.neg, m)
 	s.inBasis = zeroed(s.inBasis, s.nTot)
 	s.status = zeroed(s.status, s.nTot)
 	s.xval = zeroed(s.xval, s.nTot)
@@ -363,14 +358,13 @@ func (s *simplex) solveCold(p *Problem, lo, hi []float64) (sol Solution, ok bool
 	// once per column into dense (cleared through the entries again), and
 	// the row's nonzero columns become its pattern. The residual
 	// b_i − Σ_j A_ij·x_j, which a loop over every column would sum in column
-	// order, walks only the pattern: a column outside it adds +0·x_j, which
-	// leaves any sum as it is when the start value x_j is finite with a clear
-	// sign bit (plain). When every start value is +0 each term is a zero and
-	// the order is free; otherwise the pattern is summed in ascending column
-	// order. Other start values take the loop over every column.
+	// order, walks only the pattern: a column outside it adds a zero, which
+	// can change only the sign of a zero sum. When every start value is 0
+	// each term is a zero and the order is free; otherwise the pattern is
+	// summed in ascending column order, as that loop did.
 	s.dense = zeroed(s.dense, n)
 	dense := s.dense
-	plain, allZero := s.startValues()
+	allZero := s.startsAtZero()
 	needPhase1 := false
 	for i, r := range p.Rows {
 		for _, e := range r.Entries {
@@ -382,22 +376,17 @@ func (s *simplex) solveCold(p *Problem, lo, hi []float64) (sol Solution, ok bool
 			}
 		}
 		cols := s.pat[i]
-		resid := r.RHS
-		switch {
-		case !plain:
-			for j := 0; j < n; j++ {
-				resid -= dense[j] * s.xval[j]
-			}
-		case allZero:
-			for _, j := range cols {
-				resid -= dense[j] * s.xval[j]
-			}
-		default:
+		s.note(i, n+i)
+		s.note(i, n+m+i)
+		order := cols
+		if !allZero {
 			s.rowCols = append(s.rowCols[:0], cols...)
 			slices.Sort(s.rowCols)
-			for _, j := range s.rowCols {
-				resid -= dense[j] * s.xval[j]
-			}
+			order = s.rowCols
+		}
+		resid := r.RHS
+		for _, j := range order {
+			resid -= dense[j] * s.xval[j]
 		}
 		row := s.tab[i]
 		if resid > 0 {
@@ -428,10 +417,7 @@ func (s *simplex) solveCold(p *Problem, lo, hi []float64) (sol Solution, ok bool
 			s.inBasis[n+i] = true
 			s.beta[i] = -resid
 			s.hi[n+m+i] = 0
-			s.neg[i] = true
 		}
-		s.note(i, n+i)
-		s.note(i, n+m+i)
 		for _, e := range r.Entries {
 			dense[e.Var] = 0
 		}
@@ -481,19 +467,14 @@ func (s *simplex) solveCold(p *Problem, lo, hi []float64) (sol Solution, ok bool
 	return s.extractSolution(p, lo, hi, st), true
 }
 
-// startValues classifies the structural start values: plain when every one
-// is finite with a clear sign bit, allZero when every one is +0.
-func (s *simplex) startValues() (plain, allZero bool) {
-	allZero = true
+// startsAtZero reports whether every structural variable starts at 0.
+func (s *simplex) startsAtZero() bool {
 	for _, x := range s.xval[:s.n] {
-		if math.Signbit(x) || math.IsInf(x, 0) {
-			return false, false
-		}
 		if x != 0 {
-			allZero = false
+			return false
 		}
 	}
-	return true, allZero
+	return true
 }
 
 // extractSolution reads the primal point, objective, slacks and duals out of
@@ -724,7 +705,6 @@ func (s *simplex) eliminate(r, col int) {
 func (s *simplex) run(cost []float64) Status {
 	cols := s.activeCols()
 	s.markActive(cols)
-	s.noteNegZeros()
 	s.d = zeroed(s.d, s.nTot)
 	d := s.d
 	s.reducedCosts(cost, d, cols)
@@ -812,13 +792,11 @@ func (s *simplex) run(cost []float64) Status {
 		if math.IsInf(t, 1) {
 			return Unbounded
 		}
-		// Apply the move: it changes the basic values of colRows, and at
-		// most the sign of a −0 one elsewhere.
+		// Apply the move: it changes only the basic values of colRows.
 		if t != 0 {
 			for _, i := range colRows {
 				s.beta[i] -= s.tab[i][enter] * dir * t
 			}
-			s.moveNegZeros(enter, dir*t)
 		}
 		if blocking == -1 {
 			// Bound flip: no basis change, reduced costs unchanged.
@@ -846,9 +824,6 @@ func (s *simplex) run(cost []float64) Status {
 		s.inBasis[enter] = true
 		s.basis[r] = enter
 		s.beta[r] = enterVal
-		if isNegZero(enterVal) {
-			s.negZero = append(s.negZero, r)
-		}
 		// Gauss-Jordan elimination on column enter, pivot row r.
 		// fault point "lp.pivot": tests corrupt the pivot (NaN/overflow) to
 		// exercise the Numerical detection and the caller's fallback ladder.
@@ -911,64 +886,6 @@ func (s *simplex) refreshBeta() {
 		for _, j := range nb {
 			v -= row[j] * s.xval[j]
 		}
-		if v == 0 && s.neg[i] {
-			// Only a sum with no nonzero term can end at a zero whose sign
-			// its zero terms set: redo it over the zeros a dense tableau
-			// holds.
-			v = s.rhsB[i]
-			for _, j := range nb {
-				a := row[j]
-				if a == 0 {
-					a = s.denseZero(i, j)
-				}
-				v -= a * s.xval[j]
-			}
-		}
 		s.beta[i] = v
 	}
-	s.noteNegZeros()
-}
-
-// denseZero returns the zero a dense tableau holds where row i is zero at
-// column j. The cold crash negates a surplus-basic row over its whole
-// structural part, which puts −0 at the structural columns outside the
-// row's pattern; every other zero is the stored one. Subtracting a zero
-// product leaves any value but −0 as it is, so these zeros matter only to
-// the basic values at −0 (refreshBeta, moveNegZeros).
-func (s *simplex) denseZero(i, j int) float64 {
-	if s.neg[i] && j < s.n && s.marks[i*s.words+j>>6]&(1<<(j&63)) == 0 {
-		return math.Copysign(0, -1)
-	}
-	return s.tab[i][j]
-}
-
-// isNegZero reports whether v is −0.
-func isNegZero(v float64) bool { return v == 0 && math.Signbit(v) }
-
-// noteNegZeros lists the rows whose basic value is −0.
-func (s *simplex) noteNegZeros() {
-	rows := s.negZero[:0]
-	for i, b := range s.beta[:s.m] {
-		if isNegZero(b) {
-			rows = append(rows, i)
-		}
-	}
-	s.negZero = rows
-}
-
-// moveNegZeros applies the move of the basic values by −a·dt to the rows of
-// negZero whose entry a in column enter is zero, as a dense update over
-// every row would: the product is a zero, so it can only turn −0 into +0.
-// The rows left at −0 stay listed.
-func (s *simplex) moveNegZeros(enter int, dt float64) {
-	rows := s.negZero[:0]
-	for _, i := range s.negZero {
-		if s.tab[i][enter] == 0 {
-			s.beta[i] -= s.denseZero(i, enter) * dt
-		}
-		if isNegZero(s.beta[i]) {
-			rows = append(rows, i)
-		}
-	}
-	s.negZero = rows
 }

@@ -155,6 +155,13 @@ func TestInputValidation(t *testing.T) {
 	if err != nil || sol.Status != Infeasible {
 		t.Fatalf("crossed bounds: %+v %v", sol, err)
 	}
+	// A variable starts at its lower bound, so an infinite one would put
+	// 0·(−Inf) = NaN into every row's residual, even for an unused column.
+	if _, err := Solve(&Problem{NumVars: 2, Cost: []float64{0, 1},
+		Rows: []Row{{Entries: []Entry{{1, 1}}, RHS: 1}},
+		Lo:   []float64{math.Inf(-1), 0}, Hi: []float64{1, 1}}); err == nil {
+		t.Fatal("expected infinite lower bound error")
+	}
 }
 
 // brute-force LP check on 0/1-bounded problems: sample the vertices of the

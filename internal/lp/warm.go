@@ -62,7 +62,9 @@ func (b *Basis) Len() int {
 // one Workspace allocates, once its buffers have grown to the largest
 // problem seen, only the slices of each returned Solution. Reusing a
 // Workspace never changes a result: every solve starts from buffers reset
-// to exactly the state fresh ones would have.
+// to exactly the state fresh ones would have. That holds after a solve that
+// panicked too: a tableau entry is written only once its column is in the
+// row's pattern, so reset clears whatever an interrupted solve wrote.
 //
 // A Workspace also carries the warm-start basis from one SolveWarm call to
 // the next. The zero value is ready to use. Not safe for concurrent use.
@@ -280,13 +282,13 @@ func (s *simplex) buildWarm(p *Problem, lo, hi []float64) {
 	for i, r := range p.Rows {
 		row := s.tab[i]
 		for _, e := range r.Entries {
-			row[e.Var] += e.Coef
 			s.note(i, e.Var)
+			row[e.Var] += e.Coef
 		}
-		row[n+i] = -1.0  // surplus
-		row[n+m+i] = 1.0 // artificial (locked)
 		s.note(i, n+i)
 		s.note(i, n+m+i)
+		row[n+i] = -1.0  // surplus
+		row[n+m+i] = 1.0 // artificial (locked)
 		s.rhsB[i] = r.RHS
 	}
 }

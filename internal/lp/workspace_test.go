@@ -133,6 +133,48 @@ func TestWorkspaceReuseEqualsFresh(t *testing.T) {
 	}
 }
 
+// TestWorkspaceAfterPanicEqualsFresh interrupts solves mid-pivot: each LP
+// of a chain is first solved through one Workspace with a panic armed at
+// its 5th pivot, then, the basis dropped as the callers do after a failure,
+// solved again through the same Workspace. Every second solve must match a
+// solve in fresh buffers bitwise: a panic leaves nothing in the buffers that
+// the next reset does not clear.
+func TestWorkspaceAfterPanicEqualsFresh(t *testing.T) {
+	defer fault.Reset()
+	probs := append(fixedCoveringLPs(7, 40, 60, 8), unsortedCoveringLPs(9, 8)...)
+	var w Workspace
+	panics := 0
+	for k, p := range probs {
+		fault.Arm("lp.pivot", fault.Spec{Kind: fault.KindPanic, Every: 5})
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					if !fault.IsInjected(r) {
+						panic(r)
+					}
+					panics++
+				}
+			}()
+			w.Solve(p)
+		}()
+		fault.Reset()
+		w.Invalidate()
+		got, err := w.Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := Solve(p)
+		if got.Status != want.Status || got.Iterations != want.Iterations ||
+			math.Float64bits(got.Objective) != math.Float64bits(want.Objective) ||
+			!sameBits(got.X, want.X) || !sameBits(got.Dual, want.Dual) || !sameBits(got.Slack, want.Slack) {
+			t.Fatalf("LP %d: after a panicked solve %+v, fresh %+v", k, got, want)
+		}
+	}
+	if panics != len(probs) {
+		t.Fatalf("%d of %d solves panicked, want every one", panics, len(probs))
+	}
+}
+
 // TestWorkspaceWarmResolveAllocs pins the steady state of the warm path:
 // once a Workspace's buffers have grown to the chain's largest problem, a
 // re-solve allocates only the one block its Solution's X, Slack and Dual
