@@ -47,9 +47,9 @@
 // — lost solves, worsened incumbents, slowdowns beyond -compare-tol — with a
 // non-zero exit code, so CI can gate on it.
 //
-// Exit codes: 0 clean, 1 on any setup or output-write failure, 3 when
-// -compare found regressions. A truncated artifact is never reported as a
-// clean run.
+// Exit codes: 0 clean, 1 on any setup failure (an unknown family or solver
+// id among them) or output-write failure, 3 when -compare found
+// regressions. A truncated artifact is never reported as a clean run.
 package main
 
 import (
@@ -135,9 +135,9 @@ func run(stdout, stderr io.Writer, args []string) int {
 
 	cols := harness.Solvers()
 	if *solvers != "" {
-		cols = nil
-		for _, s := range strings.Split(*solvers, ",") {
-			cols = append(cols, harness.SolverID(strings.TrimSpace(s)))
+		var err error
+		if cols, err = harness.ParseSolvers(*solvers); err != nil {
+			return fail(err)
 		}
 	}
 

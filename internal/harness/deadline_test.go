@@ -55,9 +55,7 @@ func TestEveryColumnStopsAtTheCellDeadline(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const limit = 300 * time.Millisecond
 	inst := pigeonholeRow(t, 9)
-	columns := append(Solvers(), SolverPortfolio, SolverPortfolioIso, SolverLS, SolverPortfolioLS,
-		SolverCoreGuided, SolverPortfolioWbo)
-	for _, id := range columns {
+	for _, id := range Columns() {
 		rr := Run(inst, id, Limits{Time: limit})
 		if rr.Err != "" || rr.Solved {
 			t.Errorf("%s: err=%q solved=%t on an instance no column finishes", id, rr.Err, rr.Solved)

@@ -7,6 +7,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -276,6 +277,31 @@ const (
 // Solvers lists the columns in Table 1 order.
 func Solvers() []SolverID {
 	return []SolverID{SolverPBS, SolverGalena, SolverMILP, SolverPlain, SolverMIS, SolverLGR, SolverLPR}
+}
+
+// Columns lists every solver id Run accepts: the Table 1 columns, then the
+// portfolio columns.
+func Columns() []SolverID {
+	return append(Solvers(), SolverPortfolio, SolverPortfolioIso, SolverLS, SolverPortfolioLS,
+		SolverCoreGuided, SolverPortfolioWbo)
+}
+
+// ParseSolvers reads a comma-separated solver list (pbbench -solvers). An
+// empty or unknown id is an error that names it, so a misspelt column fails
+// before any instance is generated instead of running as an empty column.
+func ParseSolvers(list string) ([]SolverID, error) {
+	var ids []SolverID
+	for _, s := range strings.Split(list, ",") {
+		id := SolverID(strings.TrimSpace(s))
+		if id == "" {
+			return nil, fmt.Errorf("harness: empty solver id in %q", list)
+		}
+		if !slices.Contains(Columns(), id) {
+			return nil, fmt.Errorf("harness: unknown solver %q", id)
+		}
+		ids = append(ids, id)
+	}
+	return ids, nil
 }
 
 // Limits bounds each solver run.

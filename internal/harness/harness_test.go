@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -225,6 +226,18 @@ func TestSatFamilyAndLSColumns(t *testing.T) {
 		}
 		if row.Flips != r.Flips {
 			t.Fatalf("%s/%s: BenchRow flips=%d want %d", r.Instance, r.Solver, row.Flips, r.Flips)
+		}
+	}
+}
+
+func TestParseSolvers(t *testing.T) {
+	got, err := ParseSolvers(" lpr , portfolio-wbo,pbs")
+	if want := []SolverID{SolverLPR, SolverPortfolioWbo, SolverPBS}; err != nil || !slices.Equal(got, want) {
+		t.Fatalf("ParseSolvers = %v, %v", got, err)
+	}
+	for _, bad := range []string{"", "foo", "lpr,", ",lpr", "LPR"} {
+		if _, err := ParseSolvers(bad); err == nil {
+			t.Errorf("ParseSolvers(%q) accepted", bad)
 		}
 	}
 }

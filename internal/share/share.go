@@ -102,11 +102,11 @@ type Board struct {
 
 	members atomic.Int32
 	// clauseMembers counts the members participating in clause exchange.
-	// UB-only members (local search, the warm-incumbent seeder) join via
-	// JoinNoClauses and are excluded: they never drain, so including them in
-	// ring cursor/lap accounting would charge every ring overwrite to a
-	// consumer that was never going to consume (the stats would claim massive
-	// clause loss on perfectly healthy boards).
+	// Members that never drain (local search, the core-guided member) join
+	// via JoinNoClauses and are excluded: including them in ring cursor/lap
+	// accounting would charge every ring overwrite to a consumer that was
+	// never going to consume (the stats would claim massive clause loss on
+	// perfectly healthy boards).
 	clauseMembers atomic.Int32
 
 	// filter counters (atomic: the length filter rejects without cmu).
@@ -136,8 +136,8 @@ func (b *Board) Join(name string) *Member {
 // JoinNoClauses registers a member with clause participation opted out:
 // PublishClause rejects, DrainClauses is a no-op, and the member is excluded
 // from clause cursor/lap accounting (Stats.ClauseMembers). Incumbent exchange
-// is unaffected. For UB-only members — local search, the warm-incumbent
-// seeder — that neither learn nor consume clauses.
+// is unaffected. For members that neither publish nor consume clauses: local
+// search and the core-guided member.
 func (b *Board) JoinNoClauses(name string) *Member {
 	id := b.members.Add(1) - 1
 	return &Member{board: b, id: id, name: name, noClauses: true}
