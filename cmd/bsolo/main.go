@@ -58,8 +58,6 @@ func main() {
 		pre          = flag.Bool("preprocess", false, "apply probing/strengthening/subsumption first")
 		presolve     = flag.Bool("presolve", false, "fix variables by probing + roof-duality-style persistency and solve the reduced problem (results are mapped back to the original variables)")
 		pbLearn      = flag.Bool("pb-learning", false, "derive Galena-style cutting-plane constraints at conflicts")
-		incremental  = flag.Bool("incremental", true, "maintain the reduced problem incrementally across nodes (false = rebuild per node)")
-		warmLP       = flag.Bool("warm-lp", true, "warm-start the LPR simplex from the previous node's basis")
 		cutsOn       = flag.Bool("cuts", true, "with -lb lpr: separate knapsack-cover and clique cuts into a managed pool")
 		portfolioRun = flag.Bool("portfolio", false, "race all four lower-bound methods concurrently")
 		shareOn      = flag.Bool("share", true, "with -portfolio: cooperative sharing (incumbents + learned clauses); false = isolated race")
@@ -158,7 +156,7 @@ func main() {
 	origProb := prob
 	var fixing *preprocess.Fixing
 	if *presolve {
-		fixing, err = preprocess.FixVariables(prob, preprocess.DefaultFixOptions)
+		fixing, err = preprocess.FixVariables(prob)
 		if err != nil {
 			fatal(err)
 		}
@@ -182,8 +180,6 @@ func main() {
 			LGRIterations:       *lgrIters,
 			PBLearning:          *pbLearn,
 			FallbackAfter:       *fallbackK,
-			NoIncrementalReduce: !*incremental,
-			NoWarmLP:            !*warmLP,
 			NoCuts:              !*cutsOn,
 		},
 	}

@@ -311,9 +311,8 @@ func TestPBCardNormalizedReachesMetrics(t *testing.T) {
 }
 
 // TestPortfolioHonoursAblationFlags checks that the tuning flags reach
-// every portfolio member, not only single solves: -warm-lp=false and
-// -incremental=false (read from the bound profile), and -no-knapsack and
-// -chrono (no eq. 10 incumbent cuts, no levels saved by non-chronological
+// every portfolio member, not only single solves: -no-knapsack and -chrono
+// (no eq. 10 incumbent cuts, no levels saved by non-chronological
 // backjumps). The members run one after another (-members 1 -share=false),
 // so the counts are deterministic, and a run without the flags shows the
 // counters the flags must zero.
@@ -348,12 +347,9 @@ func TestPortfolioHonoursAblationFlags(t *testing.T) {
 		t.Fatalf("without the flags the members report knapsack_cuts=%d ncb_saved_levels=%d; the check is vacuous",
 			cuts, saved)
 	}
-	ablated, raw := solvers("-warm-lp=false", "-incremental=false", "-no-knapsack", "-chrono")
+	ablated, raw := solvers("-no-knapsack", "-chrono")
 	sawLPR := false
 	for _, m := range ablated {
-		if m.Bounds.Incremental {
-			t.Errorf("member %s ran the incremental reducer under -incremental=false", m.Name)
-		}
 		if m.KnapsackCuts != 0 || m.NCBSavedLevels != 0 {
 			t.Errorf("member %s: knapsack_cuts=%d ncb_saved_levels=%d under -no-knapsack -chrono",
 				m.Name, m.KnapsackCuts, m.NCBSavedLevels)
@@ -362,9 +358,6 @@ func TestPortfolioHonoursAblationFlags(t *testing.T) {
 			sawLPR = true
 			if m.BoundCalls == 0 {
 				t.Errorf("lpr member made no bound calls; the check is vacuous")
-			}
-			if m.Bounds.WarmSolves != 0 {
-				t.Errorf("lpr member made %d warm LP solves under -warm-lp=false", m.Bounds.WarmSolves)
 			}
 		}
 	}

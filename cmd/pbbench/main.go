@@ -90,8 +90,6 @@ func run(stdout, stderr io.Writer, args []string) int {
 		ablations  = fs.Bool("ablations", false, "run the A1-A8 ablations instead of Table 1")
 
 		presolve     = fs.Bool("presolve", false, "fix variables by probing + persistency presolve before every run (fixedVars/propsPerSec land in the CSV and snapshot rows)")
-		incremental  = fs.Bool("incremental", true, "incremental reduced-problem maintenance in the bsolo columns")
-		warmLP       = fs.Bool("warm-lp", true, "LP warm starting in the lpr column")
 		cutsOn       = fs.Bool("cuts", true, "knapsack-cover/clique cut separation in the lpr column")
 		boundProfile = fs.Bool("bound-profile", false, "print per-solver bound-pipeline timing after the table")
 
@@ -170,8 +168,7 @@ func run(stdout, stderr io.Writer, args []string) int {
 		len(insts), len(cols), *timeLimit)
 
 	lim := harness.Limits{Time: *timeLimit, MaxConflicts: *conflicts, MilpNodes: *milpNodes,
-		Presolve: *presolve, Tuning: core.Tuning{NoIncrementalReduce: !*incremental, NoWarmLP: !*warmLP,
-			NoCuts: !*cutsOn}}
+		Presolve: *presolve, Tuning: core.Tuning{NoCuts: !*cutsOn}}
 	var results []harness.RunResult
 	for _, inst := range insts {
 		for _, id := range cols {

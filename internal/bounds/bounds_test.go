@@ -115,12 +115,12 @@ func estimators() []Estimator {
 	return []Estimator{
 		None{},
 		MIS{},
-		LPR{},
+		LPR{State: &LPRState{}},
 		LGR{},
 		LGR{Iterations: 10},
 		LGR{WarmStart: true},
 		LGR{WarmStart: true, Iterations: 1},
-		LPR{MaxIter: 3}, // anytime: iteration-capped partial bound
+		LPR{State: &LPRState{}, maxIter: 3}, // anytime: iteration-capped partial bound
 	}
 }
 
@@ -292,7 +292,7 @@ func TestLPRFractionalExample(t *testing.T) {
 	_ = p.AddConstraint([]pb.Term{{Coef: 1, Lit: pb.PosLit(0)}, {Coef: 2, Lit: pb.PosLit(1)}}, pb.GE, 2)
 	e := engine.New(p)
 	red := Extract(e)
-	res := LPR{}.Estimate(e, red, p.Cost, 100, Budget{})
+	res := LPR{State: &LPRState{}}.Estimate(e, red, p.Cost, 100, Budget{})
 	if res.Bound != 2 {
 		t.Fatalf("bound=%d want 2", res.Bound)
 	}
@@ -320,7 +320,7 @@ func TestLPRTighterThanMIS(t *testing.T) {
 	e := engine.New(p)
 	red := Extract(e)
 	mis := MIS{}.Estimate(e, red, p.Cost, 100, Budget{})
-	lpr := LPR{}.Estimate(e, red, p.Cost, 100, Budget{})
+	lpr := LPR{State: &LPRState{}}.Estimate(e, red, p.Cost, 100, Budget{})
 	if mis.Bound != 1 {
 		t.Fatalf("mis=%d want 1", mis.Bound)
 	}
@@ -359,7 +359,7 @@ func TestLGRBoundAtMostLPR(t *testing.T) {
 		if red.Infeasible {
 			continue
 		}
-		lpr := LPR{}.Estimate(e, red, p.Cost, p.TotalCost()+1, Budget{})
+		lpr := LPR{State: &LPRState{}}.Estimate(e, red, p.Cost, p.TotalCost()+1, Budget{})
 		lgr := LGR{Iterations: 100}.Estimate(e, red, p.Cost, p.TotalCost()+1, Budget{})
 		if lpr.Bound == 0 && lgr.Bound == 0 {
 			continue

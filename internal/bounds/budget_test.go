@@ -98,7 +98,6 @@ func TestBudgetZeroValueNeverExpires(t *testing.T) {
 
 func TestStatsClone(t *testing.T) {
 	var s obs.BoundsStats
-	s.Incremental = true
 	s.Reduces = 3
 	Record(&s, "lpr", Result{Bound: 5}, time.Millisecond, false)
 	cl := s.Clone()
@@ -110,7 +109,7 @@ func TestStatsClone(t *testing.T) {
 	if _, ok := cl.Per["mis"]; ok {
 		t.Fatal("clone shares Per map with original")
 	}
-	if !cl.Incremental || cl.Reduces != 3 {
+	if cl.Reduces != 3 {
 		t.Fatal("scalar fields not copied")
 	}
 }

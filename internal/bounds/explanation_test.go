@@ -23,7 +23,7 @@ func TestExplanationClauseSoundness(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
 	ests := []Estimator{
 		MIS{},
-		LPR{},
+		LPR{State: &LPRState{}},
 		LGR{},
 		LGR{WarmStart: true},
 	}

@@ -38,23 +38,26 @@ import (
 // installed as one more primal row, i.e. one more y column of the dual, so
 // the whole warm-start/anytime machinery applies to cut rows unchanged. New
 // cuts are separated at the LP optimum (to a fixpoint at the root, one round
-// at every Config.Every-th deep estimation) and the LP is re-solved through
+// at every 16th deep estimation) and the LP is re-solved through
 // the warm basis after each round. Cut rows that earn a positive multiplier
 // contribute the cut's false literals to the explanation instead of an
 // engine row index (Result.ResponsibleLits) and bump the cut's pool
 // activity.
+//
+// Each call's simplex is capped at 4·(m+n)+200 iterations, which keeps the
+// per-node cost proportional to the reduced problem's size.
 type LPR struct {
-	// MaxIter bounds simplex iterations per call (0 = 4·(m+n)+200, a cap
-	// that keeps per-node cost proportional to the reduced problem size).
-	MaxIter int
-	// State, when non-nil, enables warm-started LP solves: the basis of each
-	// solve is snapshotted into State and reused by the next call (see
-	// LPRState). nil preserves the cold per-node behaviour.
+	// State is required: it holds the estimation's buffers and the basis
+	// each solve leaves for the next call's warm start (see LPRState).
 	State *LPRState
 	// Cuts, when non-nil, is the managed cut pool: pooled cuts tighten every
 	// node LP, and the estimator separates new ones at LP optima under the
 	// pool's budgets. nil disables cutting planes entirely.
 	Cuts *cuts.Pool
+
+	// maxIter overrides the iteration cap when positive: package tests
+	// lower it to reach the anytime bound of an interrupted simplex.
+	maxIter int
 }
 
 // Name implements Estimator.
@@ -71,7 +74,7 @@ func (l LPR) Estimate(e *engine.Engine, red *Reduced, cost []int64, target int64
 	// fault point "lpr.solve": tests inject panics/delays here to exercise
 	// the search's panic recovery, MIS fallback and circuit breaker.
 	fault.Fire("lpr.solve")
-	sc := l.State.scratchFor()
+	sc := &l.State.buffers().scratch
 	xp := &sc.xp
 	xp.build(red, cost)
 	inst := installCuts(&sc.inst, e, xp, l.Cuts, cost)
@@ -178,11 +181,12 @@ func (l LPR) Estimate(e *engine.Engine, red *Reduced, cost []int64, target int64
 // state's buffers; only the returned solution's slices are fresh.
 func (l LPR) solveDual(xp *xProblem, inst *cutInstall, bud *Budget) (lp.Solution, error) {
 	m, n := len(xp.rows), len(xp.vars)
-	maxIter := l.MaxIter
-	if maxIter == 0 {
-		maxIter = 4*(m+n) + 200
+	maxIter := 4*(m+n) + 200
+	if l.maxIter > 0 {
+		maxIter = l.maxIter
 	}
-	sc := l.State.scratchFor()
+	st := l.State
+	sc := &st.buffers().scratch
 	prob := &sc.prob
 	*prob = lp.Problem{
 		NumVars:  m + n,
@@ -228,13 +232,9 @@ func (l LPR) solveDual(xp *xProblem, inst *cutInstall, bud *Budget) (lp.Solution
 		}
 	}
 
-	st := l.State
-	if st == nil {
-		return lp.Solve(prob)
-	}
-	ws := &st.buffers().ws
-	// Warm path: identify LP columns and rows by search-stable keys so the
-	// previous solve's basis maps onto this (re-numbered) problem.
+	ws := &st.bufs.ws
+	// Identify LP columns and rows by search-stable keys so the previous
+	// solve's basis maps onto this (re-numbered) problem.
 	varKeys := resize(sc.varKeys, m+n)
 	for i, xr := range xp.rows {
 		if xr.engIdx >= 0 {

@@ -45,13 +45,13 @@ func TestLPRCutsCloseRootGap(t *testing.T) {
 	}
 	red := Extract(e)
 
-	plain := LPR{}.Estimate(e, red, p.Cost, p.TotalCost()+1, Budget{})
+	plain := LPR{State: &LPRState{}}.Estimate(e, red, p.Cost, p.TotalCost()+1, Budget{})
 	if plain.Bound != 3 {
 		t.Fatalf("plain LPR bound = %d, want 3", plain.Bound)
 	}
 
 	st := &LPRState{}
-	pool := cuts.NewPool(cuts.Config{})
+	pool := cuts.NewPool()
 	est := LPR{State: st, Cuts: pool}
 	res := est.Estimate(e, red, p.Cost, p.TotalCost()+1, Budget{})
 	if res.Failed || res.Incomplete {
@@ -67,7 +67,7 @@ func TestLPRCutsCloseRootGap(t *testing.T) {
 	if ctr.Applied < 2 || ctr.Rounds < 2 {
 		t.Fatalf("fixpoint bookkeeping off: %+v", ctr)
 	}
-	if !st.HasBasis() {
+	if !st.bufs.ws.HasBasis() {
 		t.Fatalf("clean fixpoint must keep the warm basis")
 	}
 	// The pooled cuts keep tightening subsequent (deeper) estimations.
@@ -103,7 +103,7 @@ func TestLPRCutsInterruptBetweenRounds(t *testing.T) {
 	red := Extract(e)
 
 	st := &LPRState{}
-	pool := cuts.NewPool(cuts.Config{})
+	pool := cuts.NewPool()
 	est := LPR{State: st, Cuts: pool}
 	calls := 0
 	bud := Budget{Interrupt: func() bool {
@@ -117,7 +117,7 @@ func TestLPRCutsInterruptBetweenRounds(t *testing.T) {
 	if pool.Counters().Separated == 0 {
 		t.Fatalf("round 0 separated nothing; the regression scenario did not materialize")
 	}
-	if st.HasBasis() {
+	if st.bufs.ws.HasBasis() {
 		t.Fatalf("interrupted separation left the warm-basis lease pointing at the cut-augmented tableau")
 	}
 	// The interrupted result is still sound and still benefits from the
@@ -167,13 +167,13 @@ func TestLPRCutsInfeasibleResidual(t *testing.T) {
 	if e.SeedUnits() < 0 {
 		t.Fatalf("unexpected unit conflict")
 	}
-	pool := cuts.NewPool(cuts.Config{})
+	pool := cuts.NewPool()
 	if !pool.Add(cuts.Cut{Terms: []pb.Term{
 		{Coef: 1, Lit: pb.PosLit(2)}, {Coef: 1, Lit: pb.PosLit(3)},
 	}, Degree: 2}) {
 		t.Fatalf("cut rejected")
 	}
-	est := LPR{Cuts: pool}
+	est := LPR{State: &LPRState{}, Cuts: pool}
 
 	e.Decide(pb.NegLit(2)) // falsify x2: the cut's residual 1·x3 ≥ 2 is hopeless
 	red := Extract(e)
@@ -189,16 +189,33 @@ func TestLPRCutsInfeasibleResidual(t *testing.T) {
 	}
 }
 
+// separateAtNextDeepNode advances pool's deep-node cadence so that the next
+// estimation below the root runs a separation round: Probe turns true once
+// per period, so probing up to one true, counting the probes to the next,
+// and then probing one period less one leaves the next Probe true.
+func separateAtNextDeepNode(pool *cuts.Pool) {
+	for !pool.Probe(1) {
+	}
+	period := 1
+	for !pool.Probe(1) {
+		period++
+	}
+	for i := 1; i < period; i++ {
+		pool.Probe(1)
+	}
+}
+
 // TestLPRCutsSoundDownRandomPaths is the differential soundness sweep: with
-// a persistent pool and warm state, estimates along random decision paths
-// never exceed the reduced problem's true optimum, and InfBound claims are
-// genuine. The pool accumulates across nodes of the SAME instance (matching
-// real use: one pool per solve).
+// a persistent pool and warm state, estimates along random decision paths —
+// each of which separates, at the root to a fixpoint and below it one
+// round — never exceed the reduced problem's true optimum, and InfBound
+// claims are genuine. The pool accumulates across nodes of the SAME
+// instance (matching real use: one pool per solve).
 func TestLPRCutsSoundDownRandomPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 150; iter++ {
 		p := randomProblem(rng, 4+rng.Intn(5))
-		pool := cuts.NewPool(cuts.Config{Every: 1})
+		pool := cuts.NewPool()
 		est := LPR{State: &LPRState{}, Cuts: pool}
 		e := engine.New(p)
 		if e.SeedUnits() >= 0 && e.Propagate() < 0 {
@@ -206,6 +223,9 @@ func TestLPRCutsSoundDownRandomPaths(t *testing.T) {
 				red := Extract(e)
 				if red.Infeasible {
 					break
+				}
+				if depth > 0 {
+					separateAtNextDeepNode(pool)
 				}
 				res := est.Estimate(e, red, p.Cost, p.TotalCost()+1, Budget{})
 				if res.Failed {

@@ -2,9 +2,12 @@ package bounds
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/opb"
 	"repro/internal/pb"
 )
 
@@ -58,68 +61,93 @@ func checkNode(t *testing.T, step string, e *engine.Engine, r *Reducer) {
 // with clause learning, non-trivial backjumps, full restarts, and learned-DB
 // reduction — and asserts after every transition that Reducer.Reduce() is
 // bit-identical to a fresh Extract and that the tracked active set agrees
-// with the engine's own unsatisfied count.
+// with the engine's own unsatisfied count. The inputs are random problems
+// and the committed fuzz reproducers (testdata/fuzz-corpus/*.opb): the
+// search reduces only through the Reducer, so this is where Extract, the
+// reference, still checks it.
 func TestReducerMatchesExtractDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(9001))
 	for iter := 0; iter < 120; iter++ {
-		n := 8 + rng.Intn(18)
-		p := randomProblem(rng, n)
-		e := engine.New(p)
-		r := NewReducer(e)
-
-		if e.SeedUnits() < 0 {
-			continue // root infeasible before any propagation
+		walkReducer(t, randomProblem(rng, 8+rng.Intn(18)), rng)
+	}
+	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "fuzz-corpus", "*.opb"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no fuzz corpus found: %v", err)
+	}
+	for _, f := range files {
+		text, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ci := e.Propagate(); ci >= 0 {
-			checkNode(t, "root conflict", e, r)
-			continue
+		p, err := opb.ParseString(string(text))
+		if err != nil {
+			continue // a reproducer of a rejected input: nothing to search
 		}
-		checkNode(t, "root", e, r)
+		for walk := 0; walk < 4; walk++ {
+			walkReducer(t, p, rng)
+		}
+	}
+}
 
-		for step := 0; step < 60; step++ {
-			switch op := rng.Intn(10); {
-			case op < 6: // decide + propagate (possibly learning on conflict)
-				v := e.PickBranchVar()
-				if v < 0 {
-					// fully assigned: restart to keep exercising transitions
-					e.BacktrackTo(0)
-					checkNode(t, "restart-after-full", e, r)
-					continue
-				}
-				e.Decide(pb.MkLit(v, rng.Intn(2) == 0))
-				ci := e.Propagate()
-				checkNode(t, "decide", e, r)
-				for ci >= 0 {
-					if e.DecisionLevel() == 0 {
-						break
-					}
-					res := e.AnalyzeConstraint(ci)
-					if res.Unsat {
-						break
-					}
-					if e.LearnAndBackjump(res) < 0 {
-						break
-					}
-					ci = e.Propagate()
-					checkNode(t, "learn+backjump", e, r)
-				}
-				if ci >= 0 && e.DecisionLevel() == 0 {
-					step = 60 // proven infeasible; stop this instance
-				}
-			case op < 8: // random backjump
-				if lvl := e.DecisionLevel(); lvl > 0 {
-					e.BacktrackTo(rng.Intn(lvl))
-					checkNode(t, "backjump", e, r)
-				}
-			case op < 9: // full restart
+// walkReducer runs one simulated search on p, comparing the Reducer with
+// Extract after every transition.
+func walkReducer(t *testing.T, p *pb.Problem, rng *rand.Rand) {
+	t.Helper()
+	e := engine.New(p)
+	r := NewReducer(e)
+	defer r.Detach()
+
+	if e.SeedUnits() < 0 {
+		return // root infeasible before any propagation
+	}
+	if ci := e.Propagate(); ci >= 0 {
+		checkNode(t, "root conflict", e, r)
+		return
+	}
+	checkNode(t, "root", e, r)
+
+	for step := 0; step < 60; step++ {
+		switch op := rng.Intn(10); {
+		case op < 6: // decide + propagate (possibly learning on conflict)
+			v := e.PickBranchVar()
+			if v < 0 {
+				// fully assigned: restart to keep exercising transitions
 				e.BacktrackTo(0)
-				checkNode(t, "restart", e, r)
-			default: // learned-DB reduction
-				e.ReduceDB()
-				checkNode(t, "reducedb", e, r)
+				checkNode(t, "restart-after-full", e, r)
+				continue
 			}
+			e.Decide(pb.MkLit(v, rng.Intn(2) == 0))
+			ci := e.Propagate()
+			checkNode(t, "decide", e, r)
+			for ci >= 0 {
+				if e.DecisionLevel() == 0 {
+					break
+				}
+				res := e.AnalyzeConstraint(ci)
+				if res.Unsat {
+					break
+				}
+				if e.LearnAndBackjump(res) < 0 {
+					break
+				}
+				ci = e.Propagate()
+				checkNode(t, "learn+backjump", e, r)
+			}
+			if ci >= 0 && e.DecisionLevel() == 0 {
+				return // proven infeasible
+			}
+		case op < 8: // random backjump
+			if lvl := e.DecisionLevel(); lvl > 0 {
+				e.BacktrackTo(rng.Intn(lvl))
+				checkNode(t, "backjump", e, r)
+			}
+		case op < 9: // full restart
+			e.BacktrackTo(0)
+			checkNode(t, "restart", e, r)
+		default: // learned-DB reduction
+			e.ReduceDB()
+			checkNode(t, "reducedb", e, r)
 		}
-		r.Detach()
 	}
 }
 

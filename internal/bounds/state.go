@@ -80,15 +80,6 @@ func (st *LPRState) buffers() *lprBuffers {
 	return st.bufs
 }
 
-// scratchFor returns the state's scratch, or a fresh one when there is no
-// state (the cold per-node configuration).
-func (st *LPRState) scratchFor() *lprScratch {
-	if st == nil {
-		return &lprScratch{}
-	}
-	return &st.buffers().scratch
-}
-
 // Invalidate drops the stored basis: the next LPR call solves cold. Called
 // by the search when the node-to-node continuity the basis assumes is broken
 // (restart, ReduceDB, estimator demotion) or after a hard LPR failure. The
@@ -115,9 +106,6 @@ func (st *LPRState) Release() {
 	b.scratch.inst.drop()
 	lprPool.Put(b)
 }
-
-// HasBasis reports whether a basis is currently stored (diagnostics only).
-func (st *LPRState) HasBasis() bool { return st != nil && st.bufs != nil && st.bufs.ws.HasBasis() }
 
 // WarmSolves returns the number of LP solves that reused a previous basis.
 func (st *LPRState) WarmSolves() int64 { return st.warmSolves.Load() }

@@ -224,15 +224,6 @@ type Tuning struct {
 	// regardless of the breaker state.
 	FallbackAfter int
 
-	// NoIncrementalReduce disables the persistent incremental Reducer and
-	// rebuilds the reduced problem from scratch at every node
-	// (bounds.Extract) — the pre-incremental behaviour, kept for ablation
-	// and as a differential-testing oracle.
-	NoIncrementalReduce bool
-	// NoWarmLP disables LP warm starting for LBLPR: every node's LP is
-	// solved cold. Kept for ablation; warm starts never change results
-	// (see bounds.LPRState), only node cost.
-	NoWarmLP bool
 	// NoCuts disables cutting-plane separation for LBLPR: node LPs are
 	// solved over the reduced rows alone, with no pool. Cuts are on by
 	// default for LBLPR (mirroring warm starts); the flag exists for
@@ -315,10 +306,10 @@ type solver struct {
 	consecFails int
 
 	// reducer is the persistent incremental reduced-problem builder (nil
-	// with Options.NoIncrementalReduce or LBNone: Extract per node instead).
+	// with LBNone, which never reduces).
 	reducer *bounds.Reducer
 	// lprState carries the LP warm-start basis between LPR calls (nil
-	// unless LowerBound is LBLPR and warm starts are enabled). Each solve
+	// unless LowerBound is LBLPR, and after a demotion). Each solve
 	// owns a fresh one, so its counters are this solve's own; its LP
 	// buffers are borrowed from a pool and released when the solve ends.
 	lprState *bounds.LPRState
@@ -426,11 +417,9 @@ func Solve(p *pb.Problem, opt Options) Result {
 		s.est = bounds.LGR{Iterations: opt.LGRIterations, WarmStart: !opt.LGRColdStart}
 		s.fallback = bounds.MIS{}
 	case LBLPR:
-		if !opt.NoWarmLP {
-			s.lprState = &bounds.LPRState{}
-		}
+		s.lprState = &bounds.LPRState{}
 		if !opt.NoCuts {
-			s.cutPool = cuts.NewPool(cuts.Config{})
+			s.cutPool = cuts.NewPool()
 			// Every cut accepted into the pool is observable (trace) and
 			// replayable (audit): the pool feeds every subsequent node LP, so
 			// an invalid cut here corrupts the whole run — exactly what the
@@ -455,13 +444,12 @@ func Solve(p *pb.Problem, opt Options) Result {
 		}
 		s.eng.SeedRandom(seed, opt.RandomBranchFreq)
 	}
-	if !opt.NoIncrementalReduce && opt.LowerBound != LBNone {
+	if opt.LowerBound != LBNone {
 		// Persistent incremental reduction: track satisfaction transitions
 		// from the trail instead of re-scanning the constraint store at every
 		// node. Attached after engine.New so the initial resync sees the full
 		// problem.
 		s.reducer = bounds.NewReducer(s.eng)
-		s.bstats.Incremental = true
 	}
 	if !opt.Deadline.IsZero() || opt.Cancel != nil {
 		// Reach propagation-heavy nodes: the engine polls this inside long
@@ -680,17 +668,12 @@ func (s *solver) boundBudget() bounds.Budget {
 	return bud
 }
 
-// reduce builds the reduced problem for the current node: incrementally via
-// the persistent Reducer when attached, from scratch otherwise. Construction
-// cost is folded into the bound-pipeline stats either way.
+// reduce builds the reduced problem for the current node through the
+// persistent Reducer, folding the construction cost into the bound-pipeline
+// stats.
 func (s *solver) reduce() *bounds.Reduced {
 	start := time.Now()
-	var red *bounds.Reduced
-	if s.reducer != nil {
-		red = s.reducer.Reduce()
-	} else {
-		red = bounds.Extract(s.eng)
-	}
+	red := s.reducer.Reduce()
 	s.bstats.Reduces++
 	s.bstats.ReduceTime += obs.Duration(time.Since(start))
 	return red

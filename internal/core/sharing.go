@@ -56,16 +56,8 @@ type Sharer interface {
 // corrupt one — a torn write, a UB-only member with a lifting bug — must be
 // quarantined here rather than laundered into an "optimal"/"unsat" verdict.
 func (s *solver) verifyForeign(cost int64, vals []bool) bool {
-	if len(vals) != s.prob.NumVars || !s.prob.Feasible(vals) {
-		return false
-	}
-	var c int64
-	for v, cv := range s.prob.Cost {
-		if cv != 0 && vals[v] {
-			c += cv
-		}
-	}
-	return c == cost
+	return len(vals) == s.prob.NumVars && s.prob.Feasible(vals) &&
+		s.prob.ObjectiveValue(vals)-s.prob.CostOffset == cost
 }
 
 // publishIncumbent offers the freshly improved local incumbent to the board.

@@ -53,43 +53,22 @@ type Cut struct {
 	Degree int64
 }
 
-// Config tunes the pool and the separators. The zero value selects the
-// defaults noted per field; NewPool applies them.
-type Config struct {
-	// MaxRounds caps separation rounds per root estimation (the root
-	// separates to a fixpoint or this cap, whichever first). Default 8.
-	MaxRounds int
-	// Every is the deep-node separation period: one separation round every
-	// Every-th non-root estimation. Default 16.
-	Every int
-	// MaxPool caps live cuts; beyond it the lowest-activity cut is evicted.
-	// Default 256.
-	MaxPool int
-	// MaxPerRound caps cuts accepted per separation round. Default 32.
-	MaxPerRound int
-	// MinViolation is the minimal LP violation (in the complemented
-	// y-space) for a separated cut to be worth pooling. Default 0.02.
-	MinViolation float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxRounds <= 0 {
-		c.MaxRounds = 8
-	}
-	if c.Every <= 0 {
-		c.Every = 16
-	}
-	if c.MaxPool <= 0 {
-		c.MaxPool = 256
-	}
-	if c.MaxPerRound <= 0 {
-		c.MaxPerRound = 32
-	}
-	if c.MinViolation <= 0 {
-		c.MinViolation = 0.02
-	}
-	return c
-}
+// The pool's and the separators' budgets.
+const (
+	// maxRounds caps separation rounds per root estimation (the root
+	// separates to a fixpoint or this cap, whichever first).
+	maxRounds = 8
+	// every is the deep-node separation period: one separation round at
+	// every every-th non-root estimation.
+	every = 16
+	// maxPool caps live cuts; beyond it the lowest-activity cut is evicted.
+	maxPool = 256
+	// maxPerRound caps cuts accepted per separation round.
+	maxPerRound = 32
+	// minViolation is the minimal LP violation (in the complemented
+	// y-space) for a separated cut to be worth pooling.
+	minViolation = 0.02
+)
 
 // sortTerms puts cut terms into the engine's normal order: descending
 // coefficient, ties by ascending literal.

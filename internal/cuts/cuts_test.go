@@ -243,32 +243,38 @@ func TestDetectCardinality(t *testing.T) {
 }
 
 // TestPoolDedupAgingEviction exercises the pool mechanics: duplicate
-// hashing, the MaxPool eviction of the lowest-activity cut, id stability,
+// hashing, the maxPool eviction of the lowest-activity cut, id stability,
 // and the OnAdd hook.
 func TestPoolDedupAgingEviction(t *testing.T) {
-	p := NewPool(Config{MaxPool: 3, MaxPerRound: 100})
+	p := NewPool()
 	var seen []int64
 	p.OnAdd = func(terms []pb.Term, degree int64) { seen = append(seen, degree) }
 	mk := func(v int) Cut {
 		return Cut{Terms: []pb.Term{{Coef: 1, Lit: pb.PosLit(pb.Var(v))}, {Coef: 1, Lit: pb.PosLit(pb.Var(v + 1))}}, Degree: 1}
 	}
-	if !p.add(mk(0)) || !p.add(mk(2)) || !p.add(mk(4)) {
-		t.Fatalf("fresh cuts rejected")
+	for k := 0; k < maxPool; k++ {
+		if !p.add(mk(2 * k)) {
+			t.Fatalf("fresh cut %d rejected", k)
+		}
 	}
 	if p.add(mk(0)) {
 		t.Fatalf("duplicate accepted")
 	}
-	if c := p.Counters(); c.Separated != 3 || c.Duplicates != 1 || c.Active != 3 {
+	if c := p.Counters(); c.Separated != maxPool || c.Duplicates != 1 || c.Active != maxPool {
 		t.Fatalf("counters: %+v", c)
 	}
-	// Bump 0 and 2; decay happens in Separate, emulate via activities: add a
-	// 4th cut — the eviction victim must be the unbumped third cut (id 2).
-	p.live[0].activity, p.live[1].activity, p.live[2].activity = 1, 1, 0.1
+	// Decay happens in Separate; emulate it via the activities: one cut
+	// left unbumped must be the eviction victim when a cut beyond maxPool
+	// arrives.
+	for i := range p.live {
+		p.live[i].activity = 1
+	}
+	p.live[2].activity = 0.1
 	evictedID := p.live[2].id
-	if !p.add(mk(6)) {
+	if !p.add(mk(2 * maxPool)) {
 		t.Fatalf("add after eviction failed")
 	}
-	if c := p.Counters(); c.Pruned != 1 || c.Active != 3 {
+	if c := p.Counters(); c.Pruned != 1 || c.Active != maxPool {
 		t.Fatalf("eviction counters: %+v", c)
 	}
 	if _, ok := p.byID[evictedID]; ok {
@@ -276,47 +282,48 @@ func TestPoolDedupAgingEviction(t *testing.T) {
 	}
 	ids := map[int64]bool{}
 	p.Each(func(id int64, terms []pb.Term, degree int64) { ids[id] = true })
-	if len(ids) != 3 || ids[evictedID] {
-		t.Fatalf("live ids wrong: %v (evicted %d)", ids, evictedID)
+	if len(ids) != maxPool || ids[evictedID] {
+		t.Fatalf("%d live ids, evicted %d among them: %t", len(ids), evictedID, ids[evictedID])
 	}
-	if len(seen) != 4 {
-		t.Fatalf("OnAdd saw %d cuts, want 4", len(seen))
+	if len(seen) != maxPool+1 {
+		t.Fatalf("OnAdd saw %d cuts, want %d", len(seen), maxPool+1)
 	}
 	p.Bump(evictedID) // must be a no-op, not a panic
 }
 
 // TestProbeCadence pins the fast path: root always separates; deep nodes
-// every cfg.Every-th estimation; nil pool never.
+// every every-th estimation; nil pool never.
 func TestProbeCadence(t *testing.T) {
 	var nilPool *Pool
 	if nilPool.Probe(0) || nilPool.Len() != 0 {
 		t.Fatalf("nil pool must be inert")
 	}
-	p := NewPool(Config{Every: 4})
+	p := NewPool()
 	if !p.Probe(0) || !p.Probe(0) {
 		t.Fatalf("root estimations must always probe true")
 	}
 	hits := 0
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 4*every; i++ {
 		if p.Probe(3) {
 			hits++
 		}
 	}
 	if hits != 4 {
-		t.Fatalf("deep cadence: %d hits over 16 probes with Every=4", hits)
+		t.Fatalf("deep cadence: %d hits over %d probes, period %d", hits, 4*every, every)
 	}
 }
 
 // TestSeparateRoundEndToEnd drives Pool.Separate on a row family where both
-// separators engage, and checks the MaxPerRound budget holds.
+// separators engage and more cuts are violated than one round may accept,
+// and checks the maxPerRound budget holds.
 func TestSeparateRoundEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	p := NewPool(Config{MaxPerRound: 5})
+	p := NewPool()
 	var srcs []Source
-	for i := 0; i < 40; i++ {
-		srcs = append(srcs, randomSource(rng, 10, i))
+	for i := 0; i < 400; i++ {
+		srcs = append(srcs, randomSource(rng, 30, i))
 	}
-	frac := make([]float64, 10)
+	frac := make([]float64, 30)
 	for v := range frac {
 		frac[v] = 0.3 + 0.4*rng.Float64()
 	}
@@ -327,11 +334,8 @@ func TestSeparateRoundEndToEnd(t *testing.T) {
 		return frac[l.Var()]
 	}
 	added := p.Separate(srcs, fracOf)
-	if added == 0 {
-		t.Fatalf("no cuts separated from 40 random rows")
-	}
-	if added > 5 {
-		t.Fatalf("MaxPerRound violated: %d", added)
+	if added != maxPerRound {
+		t.Fatalf("%d cuts accepted from 400 random rows, want the budget of %d", added, maxPerRound)
 	}
 	c := p.Counters()
 	if c.Rounds != 1 || c.Separated != int64(added) || c.SepTime <= 0 {

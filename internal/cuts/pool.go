@@ -18,7 +18,6 @@ const activityDecay = 0.95
 // budget (Probe). It is not safe for concurrent use, matching the
 // single-threaded search loop that owns it.
 type Pool struct {
-	cfg  Config
 	est  int64 // non-root estimation ordinal (Probe cadence)
 	next int64 // next cut id (stable across evictions, never reused)
 
@@ -43,22 +42,16 @@ type poolCut struct {
 	activity float64
 }
 
-// NewPool returns an empty pool with cfg's defaults applied.
-func NewPool(cfg Config) *Pool {
+// NewPool returns an empty pool.
+func NewPool() *Pool {
 	return &Pool{
-		cfg:    cfg.withDefaults(),
 		byHash: make(map[uint64]int),
 		byID:   make(map[int64]int),
 	}
 }
 
-// MaxRounds returns the configured root fixpoint cap.
-func (p *Pool) MaxRounds() int {
-	if p == nil {
-		return 0
-	}
-	return p.cfg.MaxRounds
-}
+// MaxRounds returns the cap on separation rounds per root estimation.
+func (p *Pool) MaxRounds() int { return maxRounds }
 
 // Counters returns a snapshot of the pool's observability block (the
 // metrics schema's cuts block).
@@ -80,18 +73,18 @@ func (p *Pool) Separate(rows []Source, frac func(pb.Lit) float64) int {
 	p.age()
 	added := 0
 	for _, src := range rows {
-		if added >= p.cfg.MaxPerRound {
+		if added >= maxPerRound {
 			break
 		}
-		if cut, ok := separateCover(src, frac, p.cfg.MinViolation); ok {
+		if cut, ok := separateCover(src, frac, minViolation); ok {
 			if p.add(cut) {
 				added++
 			}
 		}
 	}
-	if added < p.cfg.MaxPerRound {
+	if added < maxPerRound {
 		p.graph.absorb(rows)
-		for _, cut := range p.graph.separate(frac, p.cfg.MinViolation, p.cfg.MaxPerRound-added) {
+		for _, cut := range p.graph.separate(frac, minViolation, maxPerRound-added) {
 			if p.add(cut) {
 				added++
 			}
@@ -140,7 +133,7 @@ func (p *Pool) add(c Cut) bool {
 		p.live[i].activity = 1 // still violated somewhere: keep it around
 		return false
 	}
-	for len(p.live) >= p.cfg.MaxPool {
+	for len(p.live) >= maxPool {
 		victim := 0
 		for i := 1; i < len(p.live); i++ {
 			if p.live[i].activity < p.live[victim].activity {

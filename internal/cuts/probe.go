@@ -7,7 +7,7 @@ package cuts
 
 // Probe reports whether this estimation should run a separation round:
 // always at the root (depth 0, where LPR separates to a fixpoint), and at
-// every cfg.Every-th deep estimation otherwise. Nil-safe.
+// every every-th deep estimation otherwise. Nil-safe.
 func (p *Pool) Probe(depth int) bool {
 	if p == nil {
 		return false
@@ -16,7 +16,7 @@ func (p *Pool) Probe(depth int) bool {
 		return true
 	}
 	p.est++
-	return p.est%int64(p.cfg.Every) == 0
+	return p.est%every == 0
 }
 
 // Len returns the number of live cuts. Nil-safe.

@@ -56,7 +56,7 @@ func TestChaosWithInjectedLPRFailures(t *testing.T) {
 			}
 			continue
 		}
-		est := bounds.LPR{}
+		est := bounds.LPR{State: &bounds.LPRState{}}
 		sat, done := false, false
 		for conflicts := 0; conflicts < 20000; {
 			confl := e.Propagate()

@@ -375,9 +375,6 @@ func (e *Engine) LitValue(l pb.Lit) Value {
 // when assigned).
 func (e *Engine) Level(v pb.Var) int { return int(e.level[v]) }
 
-// TrailPos returns the trail position of v's assignment.
-func (e *Engine) TrailPos(v pb.Var) int { return int(e.trailPos[v]) }
-
 // DecisionLevel returns the current decision level (0 = root).
 func (e *Engine) DecisionLevel() int { return len(e.trailLim) }
 
@@ -1270,9 +1267,6 @@ func (e *Engine) PickBranchVar() pb.Var {
 // PreferredPhase returns the saved phase of v (False initially, which is the
 // cheapest polarity for non-negative costs).
 func (e *Engine) PreferredPhase(v pb.Var) Value { return e.phase[v] }
-
-// SetPhase overrides the saved phase (used by LP-guided branching).
-func (e *Engine) SetPhase(v pb.Var, val Value) { e.phase[v] = val }
 
 // --- Solution & reduced-problem access ---
 

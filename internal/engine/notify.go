@@ -71,9 +71,6 @@ func (e *Engine) SetConsWatcher(w ConsWatcher) {
 	}
 }
 
-// ConsWatcherAttached reports whether a watcher is currently registered.
-func (e *Engine) ConsWatcherAttached() bool { return e.consWatcher != nil }
-
 // FlushConsDeltas computes the net satisfaction transitions of all dirty
 // problem constraints and, when any survive coalescing, delivers them to the
 // registered watcher in one ConsWave call. Zero-allocation in steady state:

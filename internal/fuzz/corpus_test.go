@@ -70,7 +70,7 @@ func TestPresolveReproducersFixVariables(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", filepath.Base(f), err)
 		}
-		fx, err := preprocess.FixVariables(p, preprocess.DefaultFixOptions)
+		fx, err := preprocess.FixVariables(p)
 		if err != nil {
 			t.Fatalf("%s: %v", filepath.Base(f), err)
 		}

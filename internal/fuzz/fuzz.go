@@ -71,8 +71,6 @@ func configs(budget int64) []struct {
 		{"lpr", core.Options{LowerBound: core.LBLPR, MaxConflicts: budget}},
 		{"lpr-linear", core.Options{LowerBound: core.LBLPR, Strategy: core.StrategyLinearSearch, MaxConflicts: budget}},
 		{"plain-linear-pb", core.Options{LowerBound: core.LBNone, Strategy: core.StrategyLinearSearch, MaxConflicts: budget, Tuning: core.Tuning{PBLearning: true}}},
-		{"lpr-noincremental", core.Options{LowerBound: core.LBLPR, MaxConflicts: budget, Tuning: core.Tuning{NoIncrementalReduce: true}}},
-		{"lpr-coldlp", core.Options{LowerBound: core.LBLPR, MaxConflicts: budget, Tuning: core.Tuning{NoWarmLP: true}}},
 		{"lpr-nocuts", core.Options{LowerBound: core.LBLPR, MaxConflicts: budget, Tuning: core.Tuning{NoCuts: true}}},
 		{"lgr-chrono", core.Options{LowerBound: core.LBLGR, MaxConflicts: budget, Tuning: core.Tuning{ChronologicalBounds: true}}},
 		{"mis-cuts", core.Options{LowerBound: core.LBMIS, CardinalityInference: true, MaxConflicts: budget, Tuning: core.Tuning{PBLearning: true}}},
@@ -160,7 +158,7 @@ func Check(p *pb.Problem, budget int64) []Mismatch {
 	// problem's oracle and value-line round-trip. Any error in the fixing
 	// rules, the CostOffset bookkeeping, or the Lift mapping shows up as a
 	// presolve-vs-plain disagreement.
-	fx, ferr := preprocess.FixVariables(p, preprocess.DefaultFixOptions)
+	fx, ferr := preprocess.FixVariables(p)
 	if ferr != nil {
 		out = append(out, Mismatch{Config: "presolve", Detail: ferr.Error()})
 	} else {

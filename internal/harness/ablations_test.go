@@ -12,10 +12,6 @@ import (
 var tuningBackedElsewhere = map[string]string{
 	// The Galena column of Table 1 (baseline.Galena) and the fuzz matrix.
 	"PBLearning": "paper column",
-	// Differential oracles in internal/fuzz: the from-scratch reduction and
-	// the cold LP must agree with the incremental and warm-started runs.
-	"NoIncrementalReduce": "fuzz oracle",
-	"NoWarmLP":            "fuzz oracle",
 	// The circuit breaker that internal/core's resilience_test.go drives with
 	// injected bound faults.
 	"FallbackAfter": "robustness control",

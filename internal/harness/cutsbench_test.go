@@ -19,9 +19,9 @@ func rootBound(b *testing.B, p *pb.Problem, withCuts bool) int64 {
 		b.Fatal("unexpected root conflict in a generated instance")
 	}
 	red := bounds.Extract(e)
-	est := bounds.LPR{}
+	est := bounds.LPR{State: &bounds.LPRState{}}
 	if withCuts {
-		est.Cuts = cuts.NewPool(cuts.Config{})
+		est.Cuts = cuts.NewPool()
 	}
 	res := est.Estimate(e, red, p.Cost, p.TotalCost()+1, bounds.Budget{})
 	if res.Failed || res.Incomplete {

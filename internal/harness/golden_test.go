@@ -24,7 +24,7 @@ func goldenCells() []RunResult {
 			Instance: "synth-30-1", Family: FamilySynth, Solver: SolverLPR,
 			Solved: true, HasUB: true, Best: 42, Duration: 61234567,
 			Bounds: obs.BoundsStats{
-				Incremental: true, Reduces: 300, ReduceTime: 1234567,
+				Reduces: 300, ReduceTime: 1234567,
 				WarmSolves: 250, ColdSolves: 50, WarmFallbacks: 3,
 				Cuts: obs.CutStats{Separated: 12, Duplicates: 2, Rounds: 4, Applied: 80, Active: 9, Pruned: 3, SepTime: 2345678},
 				Per: map[string]*obs.ProcStats{

@@ -420,7 +420,7 @@ func Run(inst Instance, id SolverID, lim Limits) RunResult {
 		}()
 		prob := inst.Prob
 		if lim.Presolve {
-			fx, err := preprocess.FixVariables(prob, preprocess.DefaultFixOptions)
+			fx, err := preprocess.FixVariables(prob)
 			if err != nil {
 				rr.Err = "presolve: " + err.Error()
 				return

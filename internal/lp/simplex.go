@@ -253,11 +253,18 @@ func (s *simplex) validate(p *Problem) (lo, hi []float64, infeasible bool, err e
 
 // Solve solves the LP from scratch. It never panics on valid input;
 // malformed input (entries out of range, NaN coefficients, lo > hi) yields
-// an error. For re-solving a sequence of related LPs, see SolveWarm; for a
-// sequence of solves that should not allocate, see Workspace.
+// an error. For re-solving a sequence of related LPs, see
+// Workspace.SolveWarm; for a sequence of solves that should not allocate,
+// see Workspace.
 func Solve(p *Problem) (Solution, error) {
 	var w Workspace
 	return w.Solve(p)
+}
+
+// expired reports whether the solve's deadline has passed (never without
+// one).
+func (s *simplex) expired() bool {
+	return !s.deadline.IsZero() && time.Now().After(s.deadline)
 }
 
 // reset sizes the working state for p — every buffer zeroed, as freshly
@@ -735,7 +742,7 @@ func (s *simplex) run(cost []float64) Status {
 
 	blandAfter := s.maxIter / 2
 	for ; s.iters < s.maxIter; s.iters++ {
-		if s.iters%64 == 63 && !s.deadline.IsZero() && time.Now().After(s.deadline) {
+		if s.iters%64 == 63 && s.expired() {
 			// Wall-clock budget exhausted: stop with the current (still
 			// primal-feasible) basis — the anytime outcome.
 			return IterLimit

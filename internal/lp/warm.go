@@ -3,7 +3,6 @@ package lp
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/fault"
 )
@@ -35,21 +34,18 @@ type basicID struct {
 	key     int64
 }
 
-// Basis is an opaque snapshot of a simplex basis keyed by the caller's
-// stable identities. It is produced by SolveWarm and fed back into the next
-// SolveWarm call; callers never inspect it.
-type Basis struct {
+// basis is a snapshot of a simplex basis keyed by the caller's stable
+// identities. SolveWarm stores it in the Workspace and starts the next call
+// from it.
+type basis struct {
 	// rowKeys[k] is a row's key and ids[k] the identity of its basic
 	// variable.
 	rowKeys []int64
 	ids     []basicID
-	// upper lists the structural variable keys nonbasic at their upper
-	// bound (empty when all upper bounds are infinite, as in the LPR dual).
-	upper []int64
 }
 
-// Len returns the number of snapshotted basis rows (diagnostic only).
-func (b *Basis) Len() int {
+// len returns the number of snapshotted basis rows.
+func (b *basis) len() int {
 	if b == nil {
 		return 0
 	}
@@ -72,20 +68,18 @@ type Workspace struct {
 	s simplex
 
 	// basis is what the next SolveWarm starts from (nil: solve cold). It
-	// points at one of snaps — or, through the package-level SolveWarm, at
-	// a caller's Basis — and the next snapshot goes to the other buffer so
-	// the one being read is never overwritten mid-crash.
-	basis *Basis
-	snaps [2]Basis
+	// points at one of snaps, and the next snapshot goes to the other
+	// buffer so the one being read is never overwritten mid-crash.
+	basis *basis
+	snaps [2]basis
 
 	// Scratch of crashBasis.
-	rowAt    keyIndex // row key → current row
-	prevVar  keyIndex // previous structural basic (k ≥ 0) or upper (−1−u) key
-	colOf    []int    // previous basis index → current column, or −1
-	upperCol []int    // previous upper index → current column, or −1
-	slot     []int    // row → index into the previous basis, or −1
-	want     []int    // mapped basic columns, in row order
-	pivoted  []bool
+	rowAt   keyIndex // row key → current row
+	prevVar keyIndex // previous structural basic key → its basis index
+	colOf   []int    // previous basis index → current column, or −1
+	slot    []int    // row → index into the previous basis, or −1
+	want    []int    // mapped basic columns, in row order
+	pivoted []bool
 }
 
 // keyIndex is an open-addressing hash table from int64 keys to int32
@@ -169,29 +163,22 @@ func (w *Workspace) Solve(p *Problem) (Solution, error) {
 	return sol, nil
 }
 
-// SolveWarm solves p, reusing prev (a Basis returned by an earlier SolveWarm
-// call on a related problem) as the starting basis when possible. varKeys[j]
-// and rowKeys[i] are caller-chosen stable identities for column j and row i —
-// the same logical variable/constraint must receive the same key across
-// calls, and keys must be unique within a call. prev == nil (or an
-// unmappable basis) degrades to the cold Solve path. The returned Basis
-// snapshots the final state for the next call (nil when the solve ended
-// without a usable basis). Solution.Warm reports whether the previous basis
-// was actually reused; a caller that passed prev != nil and observes
-// Warm == false has witnessed a cold fallback.
-//
-// Each call runs in a fresh Workspace; a caller re-solving many problems
-// keeps one Workspace and calls its SolveWarm instead.
-func SolveWarm(p *Problem, varKeys, rowKeys []int64, prev *Basis) (Solution, *Basis, error) {
-	w := Workspace{basis: prev}
-	sol, err := w.SolveWarm(p, varKeys, rowKeys)
-	return sol, w.basis, err
-}
-
 // SolveWarm solves p starting from the basis stored by w's previous
-// SolveWarm call (see the package-level SolveWarm for the key contract and
-// the fallback ladder) and stores the final basis for the next call, or
-// drops it when the solve ended without a usable basis.
+// SolveWarm call on a related problem, and stores the final basis for the
+// next call (or drops it when the solve ended without a usable basis).
+// varKeys[j] and rowKeys[i] are caller-chosen stable identities for column j
+// and row i — the same logical variable/constraint must receive the same key
+// across calls, and keys must be unique within a call. No stored basis (or
+// an unmappable one) degrades to the cold Solve path. Solution.Warm reports
+// whether the previous basis was actually reused; a caller that had a basis
+// stored and observes Warm == false has witnessed a cold fallback.
+//
+// The warm start restores only the basic columns: every nonbasic column
+// starts at its lower bound. The one caller, LPR's dual LP, has no finite
+// upper bound.
+//
+// A warm attempt that fails once p.Deadline has passed starts no cold
+// solve: the call returns IterLimit with no point.
 func (w *Workspace) SolveWarm(p *Problem, varKeys, rowKeys []int64) (Solution, error) {
 	prev := w.basis
 	w.basis = nil
@@ -213,11 +200,14 @@ func (w *Workspace) SolveWarm(p *Problem, varKeys, rowKeys []int64) (Solution, e
 	if next == prev {
 		next = &w.snaps[1]
 	}
-	if prev.Len() > 0 && len(p.Rows) > 0 {
+	if prev.len() > 0 && len(p.Rows) > 0 {
 		if sol, ok := w.warm(p, lo, hi, varKeys, rowKeys, prev); ok {
 			s.snapshot(next, varKeys, rowKeys)
 			w.basis = next
 			return sol, nil
+		}
+		if s.expired() {
+			return Solution{Status: IterLimit, Iterations: s.iters}, nil
 		}
 	}
 	sol, ok := s.solveCold(p, lo, hi)
@@ -230,7 +220,7 @@ func (w *Workspace) SolveWarm(p *Problem, varKeys, rowKeys []int64) (Solution, e
 
 // warm runs the warm-start ladder — build, crash, dual repair, primal polish
 // — and reports false whenever a step fails, sending the caller cold.
-func (w *Workspace) warm(p *Problem, lo, hi []float64, varKeys, rowKeys []int64, prev *Basis) (Solution, bool) {
+func (w *Workspace) warm(p *Problem, lo, hi []float64, varKeys, rowKeys []int64, prev *basis) (Solution, bool) {
 	s := &w.s
 	s.buildWarm(p, lo, hi)
 	if !w.crashBasis(varKeys, rowKeys, prev) {
@@ -313,41 +303,35 @@ func (s *simplex) buildWarm(p *Problem, lo, hi []float64) {
 // −1 and tab[r][n+m+r] exactly +1 when row r's fallback turn comes.
 //
 // The crash declines (cold fallback) when fewer than half the rows map, in
-// which case installing the remnant would cost more pivoting than it saves.
+// which case installing the remnant would cost more pivoting than it saves,
+// and when the deadline has passed, which it polls every 64 mapped columns
+// as the simplex loops poll it every 64 iterations.
 //
 // Keys are mapped through two small tables: the current row keys, and the
-// previous basis's structural and nonbasic-at-upper keys, which the current
-// variable keys are looked up in — so only O(m) keys are inserted per crash,
-// not one per column.
+// previous basis's structural keys, which the current variable keys are
+// looked up in — so only O(m) keys are inserted per crash, not one per
+// column.
 //
 // fault point "lp.warmcrash": tests corrupt mapped pivot values to force the
 // per-column fallback and, en masse, the cold fallback.
-func (w *Workspace) crashBasis(varKeys, rowKeys []int64, prev *Basis) bool {
+func (w *Workspace) crashBasis(varKeys, rowKeys []int64, prev *basis) bool {
 	s := &w.s
 	n, m := s.n, s.m
 	w.rowAt.reset(m)
 	for i, k := range rowKeys {
 		w.rowAt.put(k, int32(i))
 	}
-	// Current column of each previous structural basic and upper variable.
-	w.prevVar.reset(len(prev.ids) + len(prev.upper))
+	// Current column of each previous structural basic variable.
+	w.prevVar.reset(len(prev.ids))
 	for k, id := range prev.ids {
 		if !id.surplus {
 			w.prevVar.put(id.key, int32(k))
 		}
 	}
-	for u, key := range prev.upper {
-		w.prevVar.put(key, int32(-1-u))
-	}
 	w.colOf = filled(w.colOf, len(prev.ids), -1)
-	w.upperCol = filled(w.upperCol, len(prev.upper), -1)
 	for j, key := range varKeys {
-		if v, ok := w.prevVar.get(key); ok {
-			if v >= 0 {
-				w.colOf[v] = j
-			} else {
-				w.upperCol[-1-v] = j
-			}
+		if k, ok := w.prevVar.get(key); ok {
+			w.colOf[k] = j
 		}
 	}
 	// Attach each previous basis row to the current row with its key.
@@ -384,16 +368,11 @@ func (w *Workspace) crashBasis(varKeys, rowKeys []int64, prev *Basis) bool {
 	if 2*len(want) < m {
 		return false // mapping too poor: the crash would mostly build a slack basis anyway
 	}
-	// Restore nonbasic-at-upper statuses (no-op when upper bounds are
-	// infinite, as in the LPR dual LP).
-	for _, j := range w.upperCol {
-		if j >= 0 && !math.IsInf(s.hi[j], 1) {
-			s.status[j] = atUpper
-			s.xval[j] = s.hi[j]
-		}
-	}
 	w.pivoted = zeroed(w.pivoted, m)
-	for _, col := range want {
+	for k, col := range want {
+		if k%64 == 63 && s.expired() {
+			return false
+		}
 		// The pivot row is the unpivoted row with the largest entry among
 		// those the elimination must update.
 		best, bestAbs := -1, epsPivot
@@ -505,7 +484,7 @@ func (s *simplex) runDual(cost []float64) Status {
 	shift()
 
 	for ; s.iters < s.maxIter; s.iters++ {
-		if s.iters%64 == 63 && !s.deadline.IsZero() && time.Now().After(s.deadline) {
+		if s.iters%64 == 63 && s.expired() {
 			return IterLimit
 		}
 		if s.iters%256 == 255 {
@@ -633,8 +612,8 @@ func (s *simplex) runDual(cost []float64) Status {
 // for reuse by the next SolveWarm call. Rows whose basic variable is an
 // artificial (possible only on degenerate cold solves) are simply omitted —
 // the crash treats them as unmapped and installs their surplus.
-func (s *simplex) snapshot(b *Basis, varKeys, rowKeys []int64) {
-	b.rowKeys, b.ids, b.upper = b.rowKeys[:0], b.ids[:0], b.upper[:0]
+func (s *simplex) snapshot(b *basis, varKeys, rowKeys []int64) {
+	b.rowKeys, b.ids = b.rowKeys[:0], b.ids[:0]
 	for i := 0; i < s.m; i++ {
 		bi := s.basis[i]
 		switch {
@@ -644,11 +623,6 @@ func (s *simplex) snapshot(b *Basis, varKeys, rowKeys []int64) {
 		case bi < s.n+s.m:
 			b.rowKeys = append(b.rowKeys, rowKeys[i])
 			b.ids = append(b.ids, basicID{surplus: true, key: rowKeys[bi-s.n]})
-		}
-	}
-	for j := 0; j < s.n; j++ {
-		if !s.inBasis[j] && s.status[j] == atUpper {
-			b.upper = append(b.upper, varKeys[j])
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 )
@@ -21,6 +22,14 @@ func keysFor(p *Problem) (varKeys, rowKeys []int64) {
 	return
 }
 
+// solveWarmFrom solves p in a fresh Workspace that starts from prev and
+// returns the basis the solve leaves for the next call.
+func solveWarmFrom(p *Problem, varKeys, rowKeys []int64, prev *basis) (Solution, *basis, error) {
+	w := Workspace{basis: prev}
+	sol, err := w.SolveWarm(p, varKeys, rowKeys)
+	return sol, w.basis, err
+}
+
 func TestWarmResolveSameProblem(t *testing.T) {
 	p := &Problem{
 		NumVars: 3,
@@ -31,17 +40,17 @@ func TestWarmResolveSameProblem(t *testing.T) {
 		},
 	}
 	vk, rk := keysFor(p)
-	sol1, bas, err := SolveWarm(p, vk, rk, nil)
+	sol1, bas, err := solveWarmFrom(p, vk, rk, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol1.Status != Optimal || sol1.Warm {
 		t.Fatalf("cold solve: %+v", sol1)
 	}
-	if bas.Len() == 0 {
+	if bas.len() == 0 {
 		t.Fatal("no basis snapshot from cold solve")
 	}
-	sol2, bas2, err := SolveWarm(p, vk, rk, bas)
+	sol2, bas2, err := solveWarmFrom(p, vk, rk, bas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +63,7 @@ func TestWarmResolveSameProblem(t *testing.T) {
 	if math.Abs(sol2.Objective-sol1.Objective) > 1e-6 {
 		t.Fatalf("warm objective %v != cold %v", sol2.Objective, sol1.Objective)
 	}
-	if bas2.Len() == 0 {
+	if bas2.len() == 0 {
 		t.Fatal("no basis snapshot from warm solve")
 	}
 	// The warm re-solve of an unchanged problem should need almost no pivots:
@@ -118,7 +127,7 @@ func TestWarmMatchesColdAcrossPerturbations(t *testing.T) {
 		m, n := 4+rng.Intn(3), 5+rng.Intn(4)
 		p := dualLPLike(rng, m, n)
 		vk, rk := keysFor(p)
-		_, bas, err := SolveWarm(p, vk, rk, nil)
+		_, bas, err := solveWarmFrom(p, vk, rk, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +155,7 @@ func TestWarmMatchesColdAcrossPerturbations(t *testing.T) {
 				i := rng.Intn(len(q.Rows))
 				q.Rows[i].RHS -= float64(rng.Intn(2))
 			}
-			warm, bas2, err := SolveWarm(q, qvk, qrk, bas)
+			warm, bas2, err := solveWarmFrom(q, qvk, qrk, bas)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,12 +179,12 @@ func TestWarmDualsStayNonNegative(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p := dualLPLike(rng, 5, 6)
 	vk, rk := keysFor(p)
-	_, bas, err := SolveWarm(p, vk, rk, nil)
+	_, bas, err := solveWarmFrom(p, vk, rk, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Cost[0] += 0.5 // weaken y_0's reward: the instance stays bounded
-	sol, _, err := SolveWarm(p, vk, rk, bas)
+	sol, _, err := solveWarmFrom(p, vk, rk, bas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +207,11 @@ func TestWarmFallbackOnAlienBasis(t *testing.T) {
 	vk, rk := keysFor(p)
 	// A basis snapshotted under keys that do not exist in this problem: the
 	// mapping gate must reject it and fall back cold.
-	alien := &Basis{
+	alien := &basis{
 		rowKeys: []int64{rk[0]},
 		ids:     []basicID{{key: 999}}, // row maps, but its basic variable's key does not
 	}
-	sol, _, err := SolveWarm(p, vk, rk, alien)
+	sol, _, err := solveWarmFrom(p, vk, rk, alien)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,10 +225,10 @@ func TestWarmFallbackOnAlienBasis(t *testing.T) {
 
 func TestWarmKeyLengthValidation(t *testing.T) {
 	p := &Problem{NumVars: 2, Cost: []float64{1, 1}}
-	if _, _, err := SolveWarm(p, []int64{0}, nil, nil); err == nil {
+	if _, _, err := solveWarmFrom(p, []int64{0}, nil, nil); err == nil {
 		t.Fatal("short varKeys accepted")
 	}
-	if _, _, err := SolveWarm(p, []int64{0, 1}, []int64{5}, nil); err == nil {
+	if _, _, err := solveWarmFrom(p, []int64{0, 1}, []int64{5}, nil); err == nil {
 		t.Fatal("short rowKeys accepted")
 	}
 }
@@ -233,7 +242,7 @@ func TestWarmCrashCorruptionFallsBackCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := dualLPLike(rng, 4, 5)
 	vk, rk := keysFor(p)
-	_, bas, err := SolveWarm(p, vk, rk, nil)
+	_, bas, err := solveWarmFrom(p, vk, rk, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +251,7 @@ func TestWarmCrashCorruptionFallsBackCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	fault.Arm("lp.warmcrash", fault.Spec{Kind: fault.KindCorrupt, Every: 1})
-	sol, _, err := SolveWarm(p, vk, rk, bas)
+	sol, _, err := solveWarmFrom(p, vk, rk, bas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +268,7 @@ func TestWarmCrashCorruptionFallsBackCold(t *testing.T) {
 func TestWarmEmptyProblemAndNoRows(t *testing.T) {
 	p := &Problem{NumVars: 1, Cost: []float64{1}}
 	vk, rk := keysFor(p)
-	sol, bas, err := SolveWarm(p, vk, rk, nil)
+	sol, bas, err := solveWarmFrom(p, vk, rk, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,11 +276,52 @@ func TestWarmEmptyProblemAndNoRows(t *testing.T) {
 		t.Fatalf("status %v", sol.Status)
 	}
 	// Feeding any basis into a rowless problem must stay on the cold path.
-	sol2, _, err := SolveWarm(p, vk, rk, bas)
+	sol2, _, err := solveWarmFrom(p, vk, rk, bas)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol2.Warm {
 		t.Fatal("rowless problem took warm path")
+	}
+}
+
+// TestWarmCrashStopsAtTheDeadline: a warm re-solve whose deadline has
+// already passed stops its crash within 64 mapped columns and starts no cold
+// solve — it returns IterLimit with no point and keeps no basis, which LPR
+// reports as an incomplete bound.
+func TestWarmCrashStopsAtTheDeadline(t *testing.T) {
+	defer fault.Reset()
+	p := dualLPLike(rand.New(rand.NewSource(5)), 100, 150)
+	vk, rk := keysFor(p)
+	crashPivots := func(w *Workspace) (Solution, int64) {
+		t.Helper()
+		fault.Arm("lp.warmcrash", fault.Spec{Kind: fault.KindCorrupt}) // counts, never fires
+		defer fault.Disarm("lp.warmcrash")
+		sol, err := w.SolveWarm(p, vk, rk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, _ := fault.Counts("lp.warmcrash")
+		return sol, hits
+	}
+
+	var w Workspace
+	if sol, err := w.SolveWarm(p, vk, rk); err != nil || sol.Status != Optimal {
+		t.Fatalf("cold solve: %v %v", sol.Status, err)
+	}
+	if sol, hits := crashPivots(&w); !sol.Warm || hits <= 64 {
+		t.Fatalf("re-solve without a deadline: warm=%t after %d crash pivots; the case needs a crash of more than 64", sol.Warm, hits)
+	}
+
+	p.Deadline = time.Now().Add(-time.Second)
+	sol, hits := crashPivots(&w)
+	if sol.Status != IterLimit || sol.X != nil || sol.Warm || sol.Iterations != 0 {
+		t.Fatalf("re-solve past the deadline: %+v, want IterLimit with no point", sol)
+	}
+	if hits > 64 {
+		t.Fatalf("crash pivoted %d columns past the deadline, want at most 64", hits)
+	}
+	if w.HasBasis() {
+		t.Fatal("an abandoned re-solve kept a basis")
 	}
 }

@@ -78,7 +78,7 @@ func sameBits(a, b []float64) bool {
 
 // TestWorkspaceReuseEqualsFresh walks the same chain twice — once through
 // one reused Workspace, once through a fresh Workspace per call with the
-// Basis handed along — and requires bitwise-equal results at every call,
+// basis handed along — and requires bitwise-equal results at every call,
 // including after calls that failed (Numerical, cold fallback, IterLimit,
 // Infeasible): nothing a call leaves in the buffers may reach the next.
 func TestWorkspaceReuseEqualsFresh(t *testing.T) {
@@ -97,12 +97,12 @@ func TestWorkspaceReuseEqualsFresh(t *testing.T) {
 		})
 	}
 
-	var bas *Basis
+	var bas *basis
 	seen := map[string]bool{}
 	for k, st := range steps {
 		hadBasis := bas != nil
 		fresh := runStep(st, func() Solution {
-			sol, next, err := SolveWarm(st.p, st.vk, st.rk, bas)
+			sol, next, err := solveWarmFrom(st.p, st.vk, st.rk, bas)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -24,14 +24,6 @@
 // a certificate on objective-free instances) but never exhaustion: Result has
 // no "optimal" or "unsat" verdict at all, and the portfolio layer additionally
 // refuses such claims from UB-only members (see internal/portfolio).
-//
-// With Options.Presolve the worker fixes variables first and searches the
-// reduced space (fewer variables = cheaper flips), but every externally
-// visible artifact — published incumbents, Result.Values, audit claims — is
-// lifted back to the ORIGINAL variable space via preprocess.Lift and
-// re-verified there before anyone can see it: a reduced-space assignment on a
-// shared board whose other members solve the original problem would corrupt
-// the shared certificate (the PR 4 value-line bug class).
 package ls
 
 import (
@@ -43,7 +35,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/pb"
-	"repro/internal/preprocess"
 )
 
 // Pool is the board surface the LS member uses: incumbent exchange only.
@@ -74,18 +65,6 @@ type Options struct {
 	Deadline time.Time
 	// Cancel, when non-nil, stops the search as soon as it is closed.
 	Cancel <-chan struct{}
-	// Noise is the probability of a random (non-greedy) flip inside the
-	// selected row (0 = default 0.12; negative = greedy only).
-	Noise float64
-	// RestartInterval is the number of flips without a new best incumbent
-	// before the solver restarts — from the board's incumbent when one
-	// strictly better than its own exists, otherwise by perturbing its best
-	// known assignment (0 = default 4096; negative disables restarts).
-	RestartInterval int64
-	// Presolve runs preprocess.FixVariables first and searches the reduced
-	// space; incumbents are lifted back to the original variable space
-	// before publication (see the package comment).
-	Presolve bool
 	// Share, when non-nil, connects the worker to a portfolio board.
 	Share Pool
 	// Audit, when non-nil, re-verifies every incumbent and the terminal
@@ -111,16 +90,13 @@ type Result struct {
 	// Best is the external objective (including CostOffset) of the best
 	// solution; meaningful only with HasSolution.
 	Best int64
-	// Values is the best assignment in the ORIGINAL variable space.
+	// Values is the best assignment.
 	Values []bool
 	// Satisfiable is set when the instance has no objective and a verified
 	// feasible assignment was found — a sound SAT certificate.
 	Satisfiable bool
 	// Stats of the run.
 	Stats Stats
-	// Err reports a setup failure (presolve error); the search itself does
-	// not fail.
-	Err error
 }
 
 // Stats counts local-search events.
@@ -135,13 +111,6 @@ type Stats struct {
 	BoardImports   int64
 	BoardPublished int64
 	BoardWon       int64
-	// LiftRejected counts incumbents dropped because the lifted assignment
-	// failed re-verification against the original problem (always 0 unless
-	// a presolve mapping bug is present — the defensive check that keeps a
-	// corrupt assignment off the shared board).
-	LiftRejected int64
-	// PresolveFixed is the number of variables presolve eliminated.
-	PresolveFixed int
 }
 
 // Solver maps the LS counters onto the metrics schema's solver block:
@@ -165,8 +134,14 @@ func (st *Stats) Solver() obs.SolverStats {
 const upperInf = int64(math.MaxInt64 / 2)
 
 const (
-	defaultNoise           = 0.12
-	defaultRestartInterval = 4096
+	// noise is the probability of a random (non-greedy) flip inside the
+	// selected row.
+	noise = 0.12
+	// restartInterval is the number of flips without a new best incumbent
+	// before the solver restarts — from the board's incumbent when one
+	// strictly better than its own exists, otherwise by perturbing its best
+	// known assignment.
+	restartInterval = 4096
 	// checkEvery is the flip cadence of the deadline/cancel/board-UB poll.
 	checkEvery = 256
 	// liveEvery is the flip cadence of Live metric publishes.
@@ -179,31 +154,24 @@ const (
 )
 
 type solver struct {
-	orig *pb.Problem        // original problem: verification + lift target
-	prob *pb.Problem        // searched problem (== orig unless Presolve)
-	fx   *preprocess.Fixing // nil unless Presolve
+	prob *pb.Problem
 	rows *engine.ScoreRows
 	opt  Options
 	rng  *rand.Rand
 
-	values []bool  // current assignment, prob space
+	values []bool  // current assignment
 	lhs    []int64 // per-row true-coef sum
 	weight []int64 // per-row dynamic weight
 	unsat  []int32 // violated rows
 	pos    []int32 // row -> index in unsat (-1 = satisfied)
 
-	cost      int64 // internal objective of prob (excluding CostOffset)
+	cost      int64 // internal objective (excluding CostOffset)
 	objWeight int64
-	offDelta  int64 // prob.CostOffset − orig.CostOffset (absorbed fixed costs)
 
-	best     int64  // best internal cost found locally (prob space)
-	bestVals []bool // prob-space copy of the best assignment
-	// extBest/extVals are the lifted, re-verified certificate of best: the
-	// only form that ever leaves the solver (board, Result, audit).
-	extBest int64
-	extVals []bool
+	best     int64  // best internal cost found locally
+	bestVals []bool // copy of the best assignment, re-verified against prob
 
-	boardUB int64 // last polled board UB, mapped into prob space
+	boardUB int64 // last polled board UB
 
 	// hopeless marks an instance with a row whose coefficient sum falls
 	// short of its degree: no assignment satisfies it (normalization can
@@ -221,46 +189,18 @@ type solver struct {
 
 // Solve runs local search on p under the given options.
 func Solve(p *pb.Problem, opt Options) Result {
-	s, early := newSolver(p, opt)
-	if s == nil {
-		return early
-	}
+	s := newSolver(p, opt)
 	s.trace.Emit(obs.EvSolveStart, "ls", int64(s.prob.NumVars), int64(s.rows.NumRows()), "")
 	s.run()
 	return s.finish()
 }
 
-// newSolver builds a ready-to-run solver, or (nil, result) when the run is
-// already decided (presolve error / presolve-proved-UNSAT). Split from Solve
-// so package tests can drive the flip loop and invariants directly.
-func newSolver(p *pb.Problem, opt Options) (*solver, Result) {
-	s := &solver{orig: p, prob: p, opt: opt, best: upperInf, boardUB: upperInf}
-	if opt.Noise == 0 {
-		s.opt.Noise = defaultNoise
-	} else if opt.Noise < 0 {
-		s.opt.Noise = 0
-	}
-	if opt.RestartInterval == 0 {
-		s.opt.RestartInterval = defaultRestartInterval
-	}
+// newSolver builds a ready-to-run solver. Split from Solve so package tests
+// can drive the flip loop and invariants directly.
+func newSolver(p *pb.Problem, opt Options) *solver {
+	s := &solver{prob: p, opt: opt, best: upperInf, boardUB: upperInf}
 	s.trace = opt.Trace
 	s.rng = rand.New(rand.NewSource(mixSeed(opt.Seed)))
-
-	if opt.Presolve {
-		fx, err := preprocess.FixVariables(p, preprocess.DefaultFixOptions)
-		if err != nil {
-			return nil, Result{Err: err, Stats: s.stats}
-		}
-		s.stats.PresolveFixed = fx.NumFixed()
-		if fx.ProvedUnsat {
-			// A UB-only worker has no UNSAT verdict to report; it simply
-			// finds nothing. The proof belongs to the proof-capable members.
-			return nil, Result{Stats: s.stats}
-		}
-		s.fx = fx
-		s.prob = fx.Problem
-		s.offDelta = fx.Problem.CostOffset - p.CostOffset
-	}
 
 	s.rows = engine.NewScoreRows(s.prob)
 	n := s.prob.NumVars
@@ -284,7 +224,7 @@ func newSolver(p *pb.Problem, opt Options) (*solver, Result) {
 	}
 	s.initAssignment()
 	s.rebuild()
-	return s, Result{}
+	return s
 }
 
 // mixSeed keeps seed 0 usable (a zero rand source is legal but correlates
@@ -365,7 +305,7 @@ func (s *solver) run() {
 			}
 			continue
 		}
-		if s.opt.RestartInterval > 0 && s.sinceImprove >= s.opt.RestartInterval {
+		if s.sinceImprove >= restartInterval {
 			s.restart()
 			continue
 		}
@@ -391,13 +331,7 @@ func (s *solver) stopNow() bool {
 		default:
 		}
 	}
-	if s.opt.Share != nil {
-		if ub, ok := s.opt.Share.BestUB(); ok {
-			if mapped := ub - s.offDelta; mapped < s.boardUB {
-				s.boardUB = mapped
-			}
-		}
-	}
+	s.pollBoardUB()
 	if s.opt.Live != nil && s.stats.Flips%liveEvery == 0 {
 		s.publishLive("")
 	}
@@ -429,53 +363,48 @@ func (s *solver) hardFeasibleStep() bool {
 	return true
 }
 
-// recordIncumbent lifts, re-verifies and publishes the current (hard-
-// feasible) assignment as the new best incumbent.
+// pollBoardUB lowers boardUB to the board's upper bound (no-op without a
+// board).
+func (s *solver) pollBoardUB() {
+	if s.opt.Share == nil {
+		return
+	}
+	if ub, ok := s.opt.Share.BestUB(); ok && ub < s.boardUB {
+		s.boardUB = ub
+	}
+}
+
+// recordIncumbent re-verifies and publishes the current (hard-feasible)
+// assignment as the new best incumbent.
 func (s *solver) recordIncumbent() {
-	ext := s.values
-	if s.fx != nil {
-		ext = s.fx.Lift(s.values)
-	}
-	// Defensive re-verification in the ORIGINAL space before anything
-	// escapes: a Lift/offset bug must quarantine the assignment, not
+	// Defensive re-verification from scratch before anything escapes: a
+	// bug in the incremental scorer must quarantine the assignment, not
 	// poison the board, the auditor, or the caller.
-	var extCost int64
-	for v, c := range s.orig.Cost {
-		if c != 0 && ext[v] {
-			extCost += c
-		}
-	}
-	if !s.orig.Feasible(ext) || extCost != s.cost+s.offDelta {
-		s.stats.LiftRejected++
+	ext := s.prob.ObjectiveValue(s.values)
+	if !s.prob.Feasible(s.values) || ext-s.prob.CostOffset != s.cost {
 		return
 	}
 	s.best = s.cost
 	s.bestVals = append(s.bestVals[:0], s.values...)
-	s.extBest = extCost + s.orig.CostOffset
-	s.extVals = append([]bool(nil), ext...)
 	s.stats.Improvements++
 	s.sinceImprove = 0
-	if !s.orig.HasObjective() {
+	if !s.prob.HasObjective() {
 		s.satisfiable = true
 	}
-	s.trace.Emit(obs.EvIncumbent, "ls", s.extBest, s.stats.Flips, "local")
-	s.opt.Audit.Incumbent(s.extBest, s.extVals)
+	s.trace.Emit(obs.EvIncumbent, "ls", ext, s.stats.Flips, "local")
+	s.opt.Audit.Incumbent(ext, s.bestVals)
 	if s.opt.OnIncumbent != nil {
-		s.opt.OnIncumbent(s.extBest)
+		s.opt.OnIncumbent(ext)
 	}
 	if s.opt.Share != nil {
 		s.stats.BoardPublished++
-		if s.opt.Share.PublishIncumbent(extCost, s.extVals) {
+		if s.opt.Share.PublishIncumbent(s.cost, s.bestVals) {
 			s.stats.BoardWon++
-			s.trace.Emit(obs.EvSharePublish, "incumbent", s.extBest, 0, "won")
+			s.trace.Emit(obs.EvSharePublish, "incumbent", ext, 0, "won")
 		} else {
-			s.trace.Emit(obs.EvSharePublish, "incumbent", s.extBest, 0, "lost")
+			s.trace.Emit(obs.EvSharePublish, "incumbent", ext, 0, "lost")
 		}
-		if ub, ok := s.opt.Share.BestUB(); ok {
-			if mapped := ub - s.offDelta; mapped < s.boardUB {
-				s.boardUB = mapped
-			}
-		}
+		s.pollBoardUB()
 	}
 }
 
@@ -524,7 +453,7 @@ func objViolation(cost, tgt int64) int64 {
 func (s *solver) violatedStep() {
 	ri := s.unsat[s.rng.Intn(len(s.unsat))]
 	lits := s.rows.RowLits(ri)
-	if s.opt.Noise > 0 && s.rng.Float64() < s.opt.Noise {
+	if s.rng.Float64() < noise {
 		s.flip(lits[s.rng.Intn(len(lits))].Var())
 		return
 	}
@@ -585,7 +514,7 @@ func (s *solver) objectiveStep() {
 	}
 	if bestGain <= 0 {
 		s.bumpWeights()
-		if s.opt.Noise > 0 && s.rng.Float64() < s.opt.Noise {
+		if s.rng.Float64() < noise {
 			// Noise escape: a random costed true variable instead.
 			var cands []pb.Var
 			for v := 0; v < s.prob.NumVars; v++ {
@@ -670,7 +599,7 @@ func (s *solver) restart() {
 		// BestIncumbent returns a snapshot copied under the board lock; the
 		// board may improve concurrently, but this copy is immutable and
 		// internally consistent (cost matches values).
-		if c, vals, ok := s.opt.Share.BestIncumbent(s.best + s.offDelta); ok {
+		if c, vals, ok := s.opt.Share.BestIncumbent(s.best); ok {
 			s.adoptBoard(c, vals)
 			detail = "board-import"
 		}
@@ -681,29 +610,21 @@ func (s *solver) restart() {
 	s.trace.Emit(obs.EvRestart, "ls", s.stats.Restarts, s.stats.Flips, detail)
 }
 
-// adoptBoard projects a board incumbent (original variable space) into the
-// search space and restarts from it. With presolve active the projection
-// simply drops the fixed variables: the result need not be feasible or cost
-// what the board claims — it is only a restart point, and nothing is
-// published back without the usual lift-and-verify.
+// adoptBoard restarts from a board incumbent. The assignment need not be
+// feasible or cost what the board claims — it is only a restart point, and
+// nothing is published back without the usual re-verification.
 func (s *solver) adoptBoard(cost int64, vals []bool) {
 	s.stats.BoardImports++
-	if mapped := cost - s.offDelta; mapped < s.boardUB {
-		s.boardUB = mapped
+	if cost < s.boardUB {
+		s.boardUB = cost
 	}
-	if len(vals) != s.orig.NumVars {
+	if len(vals) != s.prob.NumVars {
 		// A malformed board entry (wrong problem?) must not tear the
 		// assignment arrays; keep our own state and perturb instead.
 		s.perturb()
 		return
 	}
-	if s.fx != nil {
-		for nv := 0; nv < s.prob.NumVars; nv++ {
-			s.values[nv] = vals[s.fx.NewToOld[nv]]
-		}
-	} else {
-		copy(s.values, vals)
-	}
+	copy(s.values, vals)
 	s.rebuild()
 }
 
@@ -729,10 +650,10 @@ func (s *solver) perturb() {
 // finish assembles the result and the terminal claims.
 func (s *solver) finish() Result {
 	res := Result{Stats: s.stats}
-	if s.extVals != nil {
+	if s.bestVals != nil {
 		res.HasSolution = true
-		res.Best = s.extBest
-		res.Values = append([]bool(nil), s.extVals...)
+		res.Best = s.best + s.prob.CostOffset
+		res.Values = append([]bool(nil), s.bestVals...)
 		res.Satisfiable = s.satisfiable
 	}
 	switch {
@@ -756,8 +677,8 @@ func (s *solver) publishLive(status string) {
 		return
 	}
 	m := obs.SolverMetrics{Status: status, SolverStats: s.stats.Solver()}
-	if s.extVals != nil {
-		b := s.extBest
+	if s.bestVals != nil {
+		b := s.best + s.prob.CostOffset
 		m.Best = &b
 	}
 	s.opt.Live.Publish(m)

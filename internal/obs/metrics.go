@@ -165,9 +165,6 @@ type SolverStats struct {
 // BoundsStats is the bound-pipeline block: reduced-problem construction cost plus one ProcStats per estimator, and
 // the LP warm-start counters when LPR ran with persistent state.
 type BoundsStats struct {
-	// Incremental reports whether the persistent Reducer produced the
-	// reduced problems (false = from-scratch Extract per node).
-	Incremental bool `json:"incremental"`
 	// Reduces counts reduced-problem constructions; ReduceTime their total
 	// wall-clock cost.
 	Reduces    int64    `json:"reduces"`

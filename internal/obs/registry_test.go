@@ -26,12 +26,11 @@ func sampleSolverMetrics(name string) SolverMetrics {
 		LearnedClauses: 38,
 		BoundTimeouts:  1,
 		Bounds: BoundsStats{
-			Incremental: true,
-			Reduces:     50,
-			ReduceTime:  Duration(1250 * time.Microsecond),
-			WarmSolves:  30,
-			ColdSolves:  20,
-			Cuts:        CutStats{Separated: 4, Rounds: 2, Active: 3, SepTime: Duration(750 * time.Microsecond)},
+			Reduces:    50,
+			ReduceTime: Duration(1250 * time.Microsecond),
+			WarmSolves: 30,
+			ColdSolves: 20,
+			Cuts:       CutStats{Separated: 4, Rounds: 2, Active: 3, SepTime: Duration(750 * time.Microsecond)},
 			Per: map[string]*ProcStats{
 				"lpr": {Calls: 45, Time: Duration(12500 * time.Microsecond), BoundSum: 900, MaxBound: 40, Prunes: 10},
 				"mis": {Calls: 5, Time: Duration(500 * time.Microsecond), BoundSum: 20, MaxBound: 8, Prunes: 1},

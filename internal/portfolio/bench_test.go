@@ -10,7 +10,7 @@ import (
 )
 
 func newHotPathBoard(withUB bool) *share.Board {
-	bd := share.NewBoard(share.Config{})
+	bd := share.NewBoard()
 	if withUB {
 		bd.Join("seed").PublishIncumbent(42, []bool{true})
 	}
@@ -63,7 +63,7 @@ func BenchmarkPortfolioSharedVsIsolated(b *testing.B) {
 				for _, p := range insts {
 					var board *share.Board
 					if !mode.iso {
-						board = share.NewBoard(share.Config{})
+						board = share.NewBoard()
 					}
 					var optimum int64
 					for mi, cfg := range configs {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/share"
 )
 
 // TestPortfolioLiveScrapeDuringSolve races registry scrapes against a full
@@ -67,7 +66,7 @@ func TestPortfolioLiveScrapeDuringSolve(t *testing.T) {
 	}()
 	<-started // at least one concurrent scrape is guaranteed
 
-	res := SolveOpts(p, nil, Options{Registry: reg, Trace: tr, Share: share.Config{}})
+	res := SolveOpts(p, nil, Options{Registry: reg, Trace: tr})
 	close(stopScrape)
 	wg.Wait()
 

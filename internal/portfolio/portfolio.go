@@ -174,9 +174,6 @@ type Options struct {
 	// (the pre-cooperative behaviour). Required for the deterministic mode
 	// and for sharing-ablation benchmarks.
 	NoSharing bool
-	// Share sizes the cooperative board (zero value = share defaults:
-	// capacity 4096, clause length ≤ 8, LBD ≤ 4). Ignored with NoSharing.
-	Share share.Config
 	// MaxConcurrent caps how many members run simultaneously; 0 starts
 	// every member at once and lets the Go scheduler share the CPUs among
 	// them (as ParLS-PBO runs all its workers together), so a member that
@@ -282,7 +279,7 @@ func SolveOpts(p *pb.Problem, configs []Config, opts Options) Result {
 	var board *share.Board
 	var handles []*share.Member
 	if !opts.NoSharing {
-		board = share.NewBoard(opts.Share)
+		board = share.NewBoard()
 		handles = make([]*share.Member, len(configs))
 		for i, cfg := range configs {
 			if cfg.UBOnly() || cfg.CoreGuided != nil {
@@ -491,9 +488,6 @@ func runLS(p *pb.Problem, opt ls.Options, w wiring) core.Result {
 		opt.Share = w.share
 	}
 	lr := ls.Solve(p, opt)
-	if lr.Err != nil {
-		return core.Result{Status: core.StatusError, Err: lr.Err}
-	}
 	res := core.Result{
 		Status:      core.StatusLimit,
 		HasSolution: lr.HasSolution,

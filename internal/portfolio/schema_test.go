@@ -25,7 +25,7 @@ func goldenSnapshot() obs.Snapshot {
 		BoundFailures: 3, BoundPanics: 1, BoundFallbacks: 2, BoundDemotions: 1, BoundTimeouts: 4,
 		ImportedClauses: 33, RandomDecisions: 19,
 		Bounds: obs.BoundsStats{
-			Incremental: true, Reduces: 300, ReduceTime: 1234567,
+			Reduces: 300, ReduceTime: 1234567,
 			WarmSolves: 250, ColdSolves: 50, WarmFallbacks: 3,
 			Cuts: obs.CutStats{Separated: 12, Duplicates: 2, Rounds: 4, Applied: 80, Active: 9, Pruned: 3, SepTime: 2345678},
 			Per: map[string]*obs.ProcStats{

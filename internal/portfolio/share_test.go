@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/pb"
-	"repro/internal/share"
 )
 
 // TestSharingNeverChangesOptimum is the differential acceptance test of the
@@ -63,7 +62,7 @@ func TestSharingPerMethodAgainstBruteForce(t *testing.T) {
 		for iter := 0; iter < 15; iter++ {
 			p := randomPBO(rng, 2+rng.Intn(6), 1+rng.Intn(8))
 			want := pb.BruteForce(p)
-			res := SolveOpts(p, configs, Options{Share: share.Config{MaxLen: 6, MaxLBD: 3}})
+			res := SolveOpts(p, configs, Options{})
 			if want.Feasible {
 				if res.Status != core.StatusOptimal || res.Best != want.Optimum {
 					t.Fatalf("%s iter %d: %v/%d want optimal/%d",

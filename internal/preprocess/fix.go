@@ -35,19 +35,6 @@ import (
 	"repro/internal/pb"
 )
 
-// FixOptions selects presolve fixing steps. The zero value applies only the
-// free root-propagation fixes; DefaultFixOptions enables everything.
-type FixOptions struct {
-	// Probing enables failed-literal probing (necessary assignments).
-	Probing bool
-	// Persistency enables the costed pure-polarity (roof-duality-style)
-	// fixing rule, iterated to fixpoint with row deactivation.
-	Persistency bool
-}
-
-// DefaultFixOptions enables probing and persistency fixing, unbounded.
-var DefaultFixOptions = FixOptions{Probing: true, Persistency: true}
-
 // Fixing is the result of FixVariables: the rewritten problem plus the
 // mapping back to the original variable space.
 type Fixing struct {
@@ -106,8 +93,10 @@ func (f *Fixing) Lift(values []bool) []bool {
 }
 
 // FixVariables runs the presolve fixing pipeline on p (which is not
-// modified) and returns the reduced problem plus the variable mapping.
-func FixVariables(p *pb.Problem, opt FixOptions) (*Fixing, error) {
+// modified) — root propagation, failed-literal probing of every variable,
+// then the costed persistency rule iterated to fixpoint with row
+// deactivation — and returns the reduced problem plus the variable mapping.
+func FixVariables(p *pb.Problem) (*Fixing, error) {
 	f := &Fixing{
 		fixedVal: make([]int8, p.NumVars),
 		origVars: p.NumVars,
@@ -122,27 +111,8 @@ func FixVariables(p *pb.Problem, opt FixOptions) (*Fixing, error) {
 	if e.SeedUnits() < 0 || e.Propagate() >= 0 {
 		return f.provedUnsat(), nil
 	}
-	if opt.Probing {
-		for _, v := range probeOrder(p, 0) {
-			if e.Value(v) != engine.Unassigned {
-				continue
-			}
-			for _, probeLit := range []pb.Lit{pb.PosLit(v), pb.NegLit(v)} {
-				if e.Value(v) != engine.Unassigned {
-					break
-				}
-				e.Decide(probeLit)
-				conflict := e.Propagate() >= 0
-				e.BacktrackTo(0)
-				if !conflict {
-					continue
-				}
-				// Failed literal: ¬probeLit is necessary at the root.
-				if !e.Enqueue(probeLit.Neg(), engine.NoReason) || e.Propagate() >= 0 {
-					return f.provedUnsat(), nil
-				}
-			}
-		}
+	if _, unsat := probeFailed(e, probeOrder(p, 0), true, nil); unsat {
+		return f.provedUnsat(), nil
 	}
 	for i := 0; i < e.TrailSize(); i++ {
 		l := e.TrailLit(i)
@@ -157,55 +127,53 @@ func FixVariables(p *pb.Problem, opt FixOptions) (*Fixing, error) {
 	// Phase 2: costed persistency fixpoint. A row is active while its
 	// residual degree (degree minus fixed-true contributions) is positive;
 	// only active rows pin variables.
-	if opt.Persistency {
-		pos := make([]int, p.NumVars)
-		neg := make([]int, p.NumVars)
-		for {
-			f.Rounds++
-			for v := range pos {
-				pos[v], neg[v] = 0, 0
+	pos := make([]int, p.NumVars)
+	neg := make([]int, p.NumVars)
+	for {
+		f.Rounds++
+		for v := range pos {
+			pos[v], neg[v] = 0, 0
+		}
+		for _, c := range p.Constraints {
+			residual, infeasible := residualDegree(c, f.fixedVal)
+			if infeasible {
+				return f.provedUnsat(), nil
 			}
-			for _, c := range p.Constraints {
-				residual, infeasible := residualDegree(c, f.fixedVal)
-				if infeasible {
-					return f.provedUnsat(), nil
-				}
-				if residual <= 0 {
+			if residual <= 0 {
+				continue
+			}
+			for _, t := range c.Terms {
+				if f.fixedVal[t.Lit.Var()] >= 0 {
 					continue
 				}
-				for _, t := range c.Terms {
-					if f.fixedVal[t.Lit.Var()] >= 0 {
-						continue
-					}
-					if t.Lit.IsNeg() {
-						neg[t.Lit.Var()]++
-					} else {
-						pos[t.Lit.Var()]++
-					}
+				if t.Lit.IsNeg() {
+					neg[t.Lit.Var()]++
+				} else {
+					pos[t.Lit.Var()]++
 				}
 			}
-			changed := false
-			for v := 0; v < p.NumVars; v++ {
-				if f.fixedVal[v] >= 0 {
-					continue
-				}
-				switch {
-				case pos[v] == 0:
-					// Only ¬v remains (or v is unconstrained): v=0 helps
-					// every active row and pays nothing (cost ≥ 0).
-					f.fixedVal[v] = 0
-					f.PersistencyFixed++
-					changed = true
-				case neg[v] == 0 && p.Cost[v] == 0:
-					// Only v remains and raising it is free.
-					f.fixedVal[v] = 1
-					f.PersistencyFixed++
-					changed = true
-				}
+		}
+		changed := false
+		for v := 0; v < p.NumVars; v++ {
+			if f.fixedVal[v] >= 0 {
+				continue
 			}
-			if !changed {
-				break
+			switch {
+			case pos[v] == 0:
+				// Only ¬v remains (or v is unconstrained): v=0 helps
+				// every active row and pays nothing (cost ≥ 0).
+				f.fixedVal[v] = 0
+				f.PersistencyFixed++
+				changed = true
+			case neg[v] == 0 && p.Cost[v] == 0:
+				// Only v remains and raising it is free.
+				f.fixedVal[v] = 1
+				f.PersistencyFixed++
+				changed = true
 			}
+		}
+		if !changed {
+			break
 		}
 	}
 

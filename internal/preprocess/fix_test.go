@@ -33,7 +33,7 @@ func TestFixVariablesPreservesOptimum(t *testing.T) {
 		n := 3 + rng.Intn(5)
 		p := randomFixProblem(rng, n)
 		orig := pb.BruteForce(p)
-		f, err := FixVariables(p, DefaultFixOptions)
+		f, err := FixVariables(p)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
@@ -81,7 +81,7 @@ func TestFixVariablesMapping(t *testing.T) {
 	rng := rand.New(rand.NewSource(789))
 	for iter := 0; iter < 100; iter++ {
 		p := randomFixProblem(rng, 4+rng.Intn(4))
-		f, err := FixVariables(p, DefaultFixOptions)
+		f, err := FixVariables(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,9 +141,13 @@ func TestFixVariablesPersistency(t *testing.T) {
 	_ = p.AddConstraint([]pb.Term{
 		{Coef: 1, Lit: pb.NegLit(0)}, {Coef: 1, Lit: pb.PosLit(2)},
 	}, pb.GE, 1)
-	f, err := FixVariables(p, FixOptions{Persistency: true})
+	f, err := FixVariables(p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// No literal fails its probe here: every fix below is persistency's.
+	if f.ProbeFixed != 0 || f.PersistencyFixed != 3 {
+		t.Fatalf("ProbeFixed=%d PersistencyFixed=%d, want 0 and 3", f.ProbeFixed, f.PersistencyFixed)
 	}
 	if v, ok := f.FixedValue(1); !ok || v {
 		t.Fatalf("v1: fixed=%v val=%v want fixed false", ok, v)
@@ -175,7 +179,7 @@ func TestFixVariablesCostOffset(t *testing.T) {
 	_ = p.AddConstraint([]pb.Term{
 		{Coef: 1, Lit: pb.PosLit(1)}, {Coef: 1, Lit: pb.NegLit(0)},
 	}, pb.GE, 1)
-	f, err := FixVariables(p, DefaultFixOptions)
+	f, err := FixVariables(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +206,7 @@ func TestFixVariablesUnsat(t *testing.T) {
 	_ = p.AddClause(pb.PosLit(0), pb.NegLit(1))
 	_ = p.AddClause(pb.NegLit(0), pb.PosLit(1))
 	_ = p.AddClause(pb.NegLit(0), pb.NegLit(1))
-	f, err := FixVariables(p, DefaultFixOptions)
+	f, err := FixVariables(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,9 +231,14 @@ func TestFixVariablesNamesPreserved(t *testing.T) {
 	_ = p.AddConstraint([]pb.Term{
 		{Coef: 1, Lit: pb.NegLit(1)}, {Coef: 1, Lit: pb.PosLit(2)},
 	}, pb.GE, 1)
-	f, err := FixVariables(p, FixOptions{Probing: true})
+	f, err := FixVariables(p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Root propagation fixes v0; the persistency rule finds no pure
+	// variable, so the names of two survivors are checked.
+	if f.ProbeFixed != 1 || f.PersistencyFixed != 0 {
+		t.Fatalf("ProbeFixed=%d PersistencyFixed=%d, want 1 and 0", f.ProbeFixed, f.PersistencyFixed)
 	}
 	if _, ok := f.FixedValue(0); !ok {
 		t.Fatal("v0 should be fixed")

@@ -182,47 +182,20 @@ func probe(p *pb.Problem, opt Options, info *Info) error {
 
 	type implication struct{ from, to pb.Lit }
 	var impls []implication
-	var fixed []pb.Lit
-
-	for _, v := range order {
-		if e.Value(v) != engine.Unassigned {
-			continue
+	var implied func(probeLit pb.Lit, base int)
+	if opt.Strengthening {
+		implied = func(probeLit pb.Lit, base int) {
+			for i := base + 1; i < e.TrailSize() && len(impls) < maxImpl; i++ {
+				impls = append(impls, implication{probeLit, e.TrailLit(i)})
+			}
 		}
-		for _, probeLit := range []pb.Lit{pb.PosLit(v), pb.NegLit(v)} {
-			if e.Value(v) != engine.Unassigned {
-				break
-			}
-			base := e.TrailSize()
-			e.Decide(probeLit)
-			if e.Propagate() >= 0 {
-				// Failed literal: ¬probeLit is necessary.
-				e.BacktrackTo(0)
-				if opt.Probing {
-					if !e.Enqueue(probeLit.Neg(), engine.NoReason) {
-						info.ProvedUnsat = true
-						markUnsat(p)
-						return nil
-					}
-					if e.Propagate() >= 0 {
-						info.ProvedUnsat = true
-						markUnsat(p)
-						return nil
-					}
-					fixed = append(fixed, probeLit.Neg())
-					info.FixedLiterals++
-				}
-				continue
-			}
-			if opt.Strengthening && len(impls) < maxImpl {
-				for i := base + 1; i < e.TrailSize(); i++ {
-					impls = append(impls, implication{probeLit, e.TrailLit(i)})
-					if len(impls) >= maxImpl {
-						break
-					}
-				}
-			}
-			e.BacktrackTo(0)
-		}
+	}
+	fixed, unsat := probeFailed(e, order, opt.Probing, implied)
+	info.FixedLiterals = len(fixed)
+	if unsat {
+		info.ProvedUnsat = true
+		markUnsat(p)
+		return nil
 	}
 
 	for _, l := range fixed {
@@ -237,6 +210,45 @@ func probe(p *pb.Problem, opt Options, info *Info) error {
 		info.Implications++
 	}
 	return nil
+}
+
+// probeFailed runs failed-literal probing at e's root over the variables of
+// order: each still unassigned variable is decided both ways and
+// propagated. A probe that conflicts is a failed literal; with fix set its
+// negation is necessary, so it is enqueued at the root, propagated and
+// returned in fixed. implied, when non-nil, is called after every probe
+// that propagates without conflict, while the literals it implied are still
+// on the trail past position base. unsat reports that a fixed negation
+// propagated to a conflict: the problem is infeasible.
+func probeFailed(e *engine.Engine, order []pb.Var, fix bool, implied func(probeLit pb.Lit, base int)) (fixed []pb.Lit, unsat bool) {
+	for _, v := range order {
+		if e.Value(v) != engine.Unassigned {
+			continue
+		}
+		for _, probeLit := range []pb.Lit{pb.PosLit(v), pb.NegLit(v)} {
+			if e.Value(v) != engine.Unassigned {
+				break
+			}
+			base := e.TrailSize()
+			e.Decide(probeLit)
+			if e.Propagate() < 0 {
+				if implied != nil {
+					implied(probeLit, base)
+				}
+				e.BacktrackTo(0)
+				continue
+			}
+			e.BacktrackTo(0)
+			if !fix {
+				continue
+			}
+			if !e.Enqueue(probeLit.Neg(), engine.NoReason) || e.Propagate() >= 0 {
+				return fixed, true
+			}
+			fixed = append(fixed, probeLit.Neg())
+		}
+	}
+	return fixed, false
 }
 
 // markUnsat appends an explicit contradiction (empty constraint of positive

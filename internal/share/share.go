@@ -44,33 +44,18 @@ import (
 // noUB is the board's "no incumbent yet" sentinel (internal cost space).
 const noUB = int64(math.MaxInt64 / 2)
 
-// Config sizes the board. The zero value selects the defaults.
-type Config struct {
-	// Capacity is the clause ring size in slots (default 4096). A slow
-	// drainer that falls more than Capacity clauses behind loses the
-	// overwritten ones — sharing is best-effort, never required for
-	// soundness.
-	Capacity int
-	// MaxLen drops published clauses longer than this many literals
-	// (default 8). The length check is lock-free.
-	MaxLen int
-	// MaxLBD drops published clauses whose literal-block distance (number of
-	// distinct decision levels at learn time) exceeds this (default 4).
-	MaxLBD int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Capacity <= 0 {
-		c.Capacity = 4096
-	}
-	if c.MaxLen <= 0 {
-		c.MaxLen = 8
-	}
-	if c.MaxLBD <= 0 {
-		c.MaxLBD = 4
-	}
-	return c
-}
+const (
+	// ringSlots is the clause ring size. A slow drainer that falls more
+	// than ringSlots clauses behind loses the overwritten ones — sharing is
+	// best-effort, never required for soundness.
+	ringSlots = 4096
+	// maxLen drops published clauses longer than this many literals. The
+	// length check is lock-free.
+	maxLen = 8
+	// maxLBD drops published clauses whose literal-block distance (number
+	// of distinct decision levels at learn time) exceeds this.
+	maxLBD = 4
+)
 
 type entry struct {
 	lits  []pb.Lit
@@ -79,8 +64,6 @@ type entry struct {
 
 // Board is the shared state of one cooperative portfolio run.
 type Board struct {
-	cfg Config
-
 	// ub is the global internal upper bound (excluding the problem's
 	// CostOffset), noUB when no incumbent exists. Read lock-free at every
 	// bound-check site of every member.
@@ -117,11 +100,12 @@ type Board struct {
 }
 
 // NewBoard creates a board for one portfolio run.
-func NewBoard(cfg Config) *Board {
-	b := &Board{cfg: cfg.withDefaults()}
+func NewBoard() *Board { return newBoard(ringSlots) }
+
+// newBoard creates a board whose clause ring has the given number of slots.
+func newBoard(slots int) *Board {
+	b := &Board{ring: make([]entry, slots), seen: make(map[uint64]uint64, slots)}
 	b.ub.Store(noUB)
-	b.ring = make([]entry, b.cfg.Capacity)
-	b.seen = make(map[uint64]uint64, b.cfg.Capacity)
 	return b
 }
 
@@ -189,11 +173,11 @@ func (b *Board) publishClause(owner int32, lits []pb.Lit, lbd int) bool {
 	if len(lits) == 0 {
 		return false
 	}
-	if len(lits) > b.cfg.MaxLen {
+	if len(lits) > maxLen {
 		b.tooLong.Add(1)
 		return false
 	}
-	if lbd > b.cfg.MaxLBD {
+	if lbd > maxLBD {
 		b.highLBD.Add(1)
 		return false
 	}
@@ -205,14 +189,14 @@ func (b *Board) publishClause(owner int32, lits []pb.Lit, lbd int) bool {
 	b.cmu.Lock()
 	defer b.cmu.Unlock()
 	next := b.seq.Load()
-	if prev, ok := b.seen[h]; ok && prev+uint64(b.cfg.Capacity) > next {
+	if prev, ok := b.seen[h]; ok && prev+uint64(len(b.ring)) > next {
 		// Same hash published within the live window: duplicate. (Hash
 		// collisions merely drop a shareable clause — harmless.)
 		b.dup.Add(1)
 		return false
 	}
 	b.seen[h] = next
-	if len(b.seen) > 8*b.cfg.Capacity {
+	if len(b.seen) > 8*len(b.ring) {
 		b.pruneSeenLocked(next)
 	}
 	b.ring[next%uint64(len(b.ring))] = entry{lits: cp, owner: owner}
@@ -223,7 +207,7 @@ func (b *Board) publishClause(owner int32, lits []pb.Lit, lbd int) bool {
 // pruneSeenLocked drops dedup entries that fell out of the ring window.
 func (b *Board) pruneSeenLocked(next uint64) {
 	for h, s := range b.seen {
-		if s+uint64(b.cfg.Capacity) <= next {
+		if s+uint64(len(b.ring)) <= next {
 			delete(b.seen, h)
 		}
 	}

@@ -21,7 +21,7 @@ func lits(vs ...int) []pb.Lit {
 }
 
 func TestIncumbentBoard(t *testing.T) {
-	b := NewBoard(Config{})
+	b := NewBoard()
 	a, c := b.Join("a"), b.Join("c")
 	if _, ok := b.BestUB(); ok {
 		t.Fatal("fresh board has an upper bound")
@@ -62,13 +62,20 @@ func TestIncumbentBoard(t *testing.T) {
 }
 
 func TestClauseFiltersAndDedup(t *testing.T) {
-	b := NewBoard(Config{MaxLen: 3, MaxLBD: 2})
+	b := NewBoard()
 	m := b.Join("m")
-	if m.PublishClause(lits(0, 1, 2, 3), 1) {
+	long := make([]int, maxLen+1)
+	for i := range long {
+		long[i] = i
+	}
+	if m.PublishClause(lits(long...), 1) {
 		t.Fatal("over-length clause accepted")
 	}
-	if m.PublishClause(lits(0, 1), 3) {
+	if m.PublishClause(lits(0, 1), maxLBD+1) {
 		t.Fatal("high-LBD clause accepted")
+	}
+	if !m.PublishClause(lits(long[:maxLen]...), maxLBD) {
+		t.Fatal("clause at the length and LBD limits rejected")
 	}
 	if !m.PublishClause(lits(0, 1), 2) {
 		t.Fatal("good clause rejected")
@@ -82,14 +89,14 @@ func TestClauseFiltersAndDedup(t *testing.T) {
 		t.Fatal("distinct clause rejected as duplicate")
 	}
 	st := b.Snapshot()
-	if st.ClausesPublished != 2 || st.ClausesTooLong != 1 ||
+	if st.ClausesPublished != 3 || st.ClausesTooLong != 1 ||
 		st.ClausesHighLBD != 1 || st.ClausesDuplicate != 1 {
 		t.Fatalf("snapshot: %+v", st)
 	}
 }
 
 func TestDrainSkipsOwnAndDeliversForeign(t *testing.T) {
-	b := NewBoard(Config{})
+	b := NewBoard()
 	a, c := b.Join("a"), b.Join("c")
 	a.PublishClause(lits(0, 1), 1)
 	c.PublishClause(lits(2, 3), 1)
@@ -113,7 +120,7 @@ func TestDrainSkipsOwnAndDeliversForeign(t *testing.T) {
 }
 
 func TestRingLapAccounting(t *testing.T) {
-	b := NewBoard(Config{Capacity: 4})
+	b := newBoard(4)
 	pub := b.Join("pub")
 	slow := b.Join("slow")
 	for v := 0; v < 10; v++ {
@@ -132,7 +139,7 @@ func TestRingLapAccounting(t *testing.T) {
 }
 
 func TestDedupWindowReopensAfterLap(t *testing.T) {
-	b := NewBoard(Config{Capacity: 4})
+	b := newBoard(4)
 	m := b.Join("m")
 	if !m.PublishClause(lits(0, 1), 1) {
 		t.Fatal("initial publish rejected")
@@ -146,7 +153,7 @@ func TestDedupWindowReopensAfterLap(t *testing.T) {
 }
 
 func TestConcurrentPublishDrain(t *testing.T) {
-	b := NewBoard(Config{Capacity: 128})
+	b := newBoard(128)
 	const members = 4
 	var wg sync.WaitGroup
 	for id := 0; id < members; id++ {
@@ -180,7 +187,7 @@ func TestConcurrentPublishDrain(t *testing.T) {
 
 func TestChaosCorruptShapes(t *testing.T) {
 	defer fault.Reset()
-	b := NewBoard(Config{})
+	b := NewBoard()
 	pub, sub := b.Join("pub"), b.Join("sub")
 
 	check := func(value float64, wantLen int, desc string) {
@@ -222,7 +229,7 @@ func TestChaosCorruptShapes(t *testing.T) {
 }
 
 func TestNoClausesMemberExcludedFromLapAccounting(t *testing.T) {
-	b := NewBoard(Config{Capacity: 4})
+	b := newBoard(4)
 	pub := b.Join("pub")
 	ub := b.JoinNoClauses("ls")
 	drainer := b.Join("drainer")

@@ -194,15 +194,6 @@ type Options struct {
 	// MaxConflicts bounds the total BCP conflicts across iterations (0 =
 	// none); each sub-solve receives the remaining budget.
 	MaxConflicts int64
-	// MaxIterations bounds relaxation rounds (0 = none); mostly for tests.
-	MaxIterations int
-	// NoCardRewrite disables the semantic-cardinality normalization pass
-	// (cuts.DetectCardinality) on the compiled rows of each iteration.
-	NoCardRewrite bool
-	// OnIterate, when non-nil, observes each extracted core: iteration
-	// number, core size, and the lower bound after accounting it (including
-	// the instance Offset).
-	OnIterate func(iter, coreSize int, lb int64)
 }
 
 // Result is the outcome of a core-guided solve.
@@ -266,10 +257,6 @@ func Solve(in *Instance, opt Options) Result {
 	lb := int64(0) // accumulated core weight, excluding Offset
 
 	for {
-		if opt.MaxIterations > 0 && res.Iterations >= opt.MaxIterations {
-			res.Status = core.StatusLimit
-			return res
-		}
 		if !opt.Deadline.IsZero() && !time.Now().Before(opt.Deadline) {
 			res.Status = core.StatusLimit
 			return res
@@ -307,9 +294,7 @@ func Solve(in *Instance, opt Options) Result {
 		for i := range p.Cost {
 			p.Cost[i] = 0
 		}
-		if !opt.NoCardRewrite {
-			res.CardRewrites += normalizeCardinality(p)
-		}
+		res.CardRewrites += normalizeCardinality(p)
 
 		sub := core.Options{Assumptions: assumptions, Cancel: opt.Cancel, Deadline: opt.Deadline}
 		if opt.MaxConflicts > 0 {
@@ -419,9 +404,6 @@ func Solve(in *Instance, opt Options) Result {
 				}
 				work = append(kept, clones...)
 				hards = append(hards, HardCons{Terms: amo, Cmp: pb.LE, Rhs: 1})
-			}
-			if opt.OnIterate != nil {
-				opt.OnIterate(res.Iterations, len(coreIdx), lb+in.Offset)
 			}
 
 		case core.StatusLimit:

@@ -46,7 +46,7 @@ func FuzzWCNFParse(f *testing.F) {
 			// Compilation may legitimately refuse (e.g. big-M overflow on
 			// near-MaxInt64 weights); it must do so with an error, not a
 			// panic, and the core-guided path must refuse identically.
-			res := wbo.Solve(in, wbo.Options{MaxIterations: 4})
+			res := wbo.Solve(in, wbo.Options{MaxConflicts: 1000})
 			if res.Status != core.StatusError {
 				t.Fatalf("Builder rejected (%v) but core-guided returned %v\ninput: %q",
 					err, res.Status, input)
