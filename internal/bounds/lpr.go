@@ -307,6 +307,7 @@ func integral(x []float64) bool {
 // next estimation would warm-start from a phantom problem (the
 // TestLPRCutsInterrupt* regressions pin this).
 func (l LPR) separationRounds(e *engine.Engine, red *Reduced, xp *xProblem, inst *cutInstall, cost []int64, sol lp.Solution, bud *Budget, rounds int) lp.Solution {
+	sc := &l.State.buffers().scratch
 	for round := 0; round < rounds; round++ {
 		if bud.Expired() {
 			l.State.Invalidate()
@@ -318,11 +319,13 @@ func (l LPR) separationRounds(e *engine.Engine, red *Reduced, xp *xProblem, inst
 			// other rows are satisfied by the assignment. Every valid cut
 			// holds there, so none is violated: count the round, skip the
 			// separators.
-			l.Cuts.SkipRound(cutSources(e, red))
+			sc.srcs = cutSources(sc.srcs, e, red)
+			l.Cuts.SkipRound(sc.srcs)
 			return sol
 		}
 		frac := fracPoint(e, xp, sol.Dual)
-		if l.Cuts.Separate(cutSources(e, red), frac) == 0 {
+		sc.srcs = cutSources(sc.srcs, e, red)
+		if l.Cuts.Separate(sc.srcs, frac, engineRows{e}) == 0 {
 			return sol // fixpoint: nothing violated remains separable
 		}
 		snap := inst.snapshot(xp)

@@ -173,27 +173,31 @@ func (inst *cutInstall) rollback(xp *xProblem, snap cutSnapshot) {
 }
 
 // cutSources exposes the reduced problem's originating rows — full
-// coefficients, full degree — to the separators. Only original (non-learned)
-// constraints qualify: learned constraints are valid merely under the
-// current upper bound, and a cut derived from one would poison the pool's
-// global-validity invariant (and fail the audit replay).
-func cutSources(e *engine.Engine, red *Reduced) []cuts.Source {
-	n := len(red.Rows)
-	if n > maxCutSourceRows {
-		n = maxCutSourceRows
-	}
-	srcs := make([]cuts.Source, 0, n)
+// coefficients, full degree — to the separators, in dst's buffer. Only
+// original (non-learned) constraints qualify: learned constraints are valid
+// merely under the current upper bound, and a cut derived from one would
+// poison the pool's global-validity invariant (and fail the audit replay).
+func cutSources(dst []cuts.Source, e *engine.Engine, red *Reduced) []cuts.Source {
+	n := min(len(red.Rows), maxCutSourceRows)
+	srcs := dst[:0]
 	for _, row := range red.Rows {
 		if len(srcs) >= n {
 			break
 		}
-		c := e.Cons(row.EngIdx)
-		if c.Learned {
+		if e.Cons(row.EngIdx).Learned {
 			continue
 		}
-		srcs = append(srcs, cuts.Source{EngIdx: row.EngIdx, Lits: c.Lits, Coefs: c.Coefs, Degree: c.Degree})
+		srcs = append(srcs, engineRows{e}.Row(row.EngIdx))
 	}
 	return srcs
+}
+
+// engineRows reads cut sources through the engine (cuts.RowReader).
+type engineRows struct{ e *engine.Engine }
+
+func (r engineRows) Row(i int) cuts.Source {
+	c := r.e.Cons(i)
+	return cuts.Source{EngIdx: i, Lits: c.Lits, Coefs: c.Coefs, Degree: c.Degree}
 }
 
 // fracPoint adapts the LP solution to the literal-space fractional point the

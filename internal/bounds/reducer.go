@@ -2,6 +2,7 @@ package bounds
 
 import (
 	"slices"
+	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/pb"
@@ -44,10 +45,13 @@ type Reducer struct {
 	pos    []int32
 	sorted bool
 
-	// Reusable output buffers.
-	red       Reduced
-	termArena []pb.Term
-	rowSpans  []rowSpan
+	// Reusable output buffers, and the rows and terms of the active set at
+	// attach time, to which the first Reduce sizes them.
+	red                 Reduced
+	termArena           []pb.Term
+	rowSpans            []rowSpan
+	fullRows, fullTerms int
+	bufs                *reducerBufs // the record the buffers came in, if pooled
 
 	// Stats.
 	reduces   int64
@@ -63,16 +67,25 @@ type rowSpan struct{ start, end int32 }
 // old one explicitly if both must coexist — they cannot).
 func NewReducer(e *engine.Engine) *Reducer {
 	r := &Reducer{eng: e}
+	if b, _ := reducerPool.Get().(*reducerBufs); b != nil {
+		r.active, r.pos, r.termArena, r.rowSpans, r.red.Rows = b.active, b.pos, b.termArena, b.rowSpans, b.rows
+		r.bufs = b
+	}
 	r.resync()
 	e.SetConsWatcher(r)
 	return r
 }
 
 // resync rebuilds the active set from a full scan (used at attach time; the
-// trail deltas keep it current afterwards).
+// trail deltas keep it current afterwards). The scan also counts what the
+// active rows hold in full, the size the first Reduce — the root's — gives
+// its output buffers, so it fills them without growing them.
 func (r *Reducer) resync() {
-	r.active = r.active[:0]
 	n := r.eng.NumCons()
+	if cap(r.active) < n {
+		r.active = make([]int32, 0, n)
+	}
+	r.active = r.active[:0]
 	if cap(r.pos) < n {
 		r.pos = make([]int32, n)
 	}
@@ -80,6 +93,7 @@ func (r *Reducer) resync() {
 	for i := range r.pos {
 		r.pos[i] = -1
 	}
+	terms := 0
 	for i := 0; i < n; i++ {
 		c := r.eng.Cons(i)
 		if c.Learned || c.Removed() || c.Satisfied() {
@@ -87,13 +101,39 @@ func (r *Reducer) resync() {
 		}
 		r.pos[i] = int32(len(r.active))
 		r.active = append(r.active, int32(i))
+		terms += len(c.Lits)
 	}
 	r.sorted = true
+	r.fullRows, r.fullTerms = len(r.active), terms
 }
 
 // Detach unregisters the Reducer from the engine. Reduce may still be called
 // afterwards but will no longer track assignments.
 func (r *Reducer) Detach() { r.eng.SetConsWatcher(nil) }
+
+// reducerBufs holds a released Reducer's buffers until a later NewReducer
+// reuses them; every one is refilled before it is read.
+type reducerBufs struct {
+	active, pos []int32
+	termArena   []pb.Term
+	rowSpans    []rowSpan
+	rows        []Row
+}
+
+var reducerPool sync.Pool
+
+// Release detaches the Reducer and hands its buffers to a later NewReducer.
+// The Reducer, and every Reduced it returned, must not be used afterwards.
+func (r *Reducer) Release() {
+	r.Detach()
+	b := r.bufs
+	if b == nil {
+		b = new(reducerBufs)
+	}
+	*b = reducerBufs{r.active, r.pos, r.termArena, r.rowSpans, r.red.Rows}
+	reducerPool.Put(b)
+	*r = Reducer{}
+}
 
 // ConsWave implements engine.ConsWatcher: one coalesced delta per
 // propagation wave. The slices alias engine scratch and are consumed
@@ -172,6 +212,11 @@ func (r *Reducer) Reduce() *Reduced {
 		}
 		r.sorted = true
 	}
+	if r.reduces == 1 {
+		r.termArena = withCap(r.termArena, r.fullTerms)
+		r.rowSpans = withCap(r.rowSpans, r.fullRows)
+		r.red.Rows = withCap(r.red.Rows, r.fullRows)
+	}
 	red := &r.red
 	red.Rows = red.Rows[:0]
 	red.Infeasible = false
@@ -222,4 +267,12 @@ func (r *Reducer) Reduce() *Reduced {
 		r.peakTerms = len(arena)
 	}
 	return red
+}
+
+// withCap returns buf emptied, with room for n elements.
+func withCap[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, n)
+	}
+	return buf[:0]
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cuts"
 	"repro/internal/lp"
 )
 
@@ -61,10 +62,11 @@ type lprBuffers struct {
 var lprPool = sync.Pool{New: func() any { return new(lprBuffers) }}
 
 // lprScratch holds the buffers one LPR estimation builds its x-space
-// problem, cut record and dual LP into.
+// problem, cut record, separator rows and dual LP into.
 type lprScratch struct {
 	xp               xProblem
 	inst             cutInstall
+	srcs             []cuts.Source
 	prob             lp.Problem
 	ents             []lp.Entry
 	cnt              []int
@@ -104,6 +106,7 @@ func (st *LPRState) Release() {
 	st.bufs = nil
 	b.ws.Invalidate()
 	b.scratch.inst.drop()
+	clear(b.scratch.srcs) // they view the solve's engine store
 	lprPool.Put(b)
 }
 

@@ -458,11 +458,11 @@ func Solve(p *pb.Problem, opt Options) Result {
 		s.eng.Interrupt = s.timeUp
 	}
 	res := s.search()
+	// The reducer's and the LP's buffers go back to their pools for the next
+	// solve; the warm/cold counters stay with the state for the stats below.
 	if s.reducer != nil {
-		s.reducer.Detach()
+		s.reducer.Release()
 	}
-	// The LP buffers go back to the pool for the next solve; the warm/cold
-	// counters stay with the state for the stats below.
 	s.lprState.Release()
 	// Single-point stats assembly: every terminal path (optimal, unsat,
 	// deadline, SIGINT/Cancel) and every live publish goes through the one
@@ -476,6 +476,9 @@ func Solve(p *pb.Problem, opt Options) Result {
 	}
 	s.trace.Emit(obs.EvSolveEnd, s.opt.LowerBound.String(), traceBest, 0, res.Status.String())
 	s.auditTermination(res)
+	// Last: the engine's arrays go back to its pool, and the engine keeps
+	// only its counters.
+	s.eng.Release()
 	return res
 }
 

@@ -162,20 +162,26 @@ func TestIncumbentRowsMatchReference(t *testing.T) {
 }
 
 // BenchmarkRootClose runs default bsolo-LPR over the 40 Table 1 rows under
-// table1-lpr's 300-conflict cap. Most optimization rows close at the root,
-// so ns/op and allocs/op are dominated by what a root node costs: the root
-// LP, the LP-point incumbent and the set-up around it.
+// table1-lpr's 300-conflict cap, one sub-benchmark per family. Most grout,
+// synth and mcnc rows close at the root, so their ns/op and allocs/op are
+// dominated by what a root node costs: the root LP, the LP-point incumbent
+// and the set-up around it. The acc rows are satisfaction rows with no LP.
 func BenchmarkRootClose(b *testing.B) {
 	insts, err := harness.Instances(harness.Families(), harness.DefaultScale())
 	if err != nil {
 		b.Fatal(err)
 	}
 	opt := core.Options{LowerBound: core.LBLPR, CardinalityInference: true, MaxConflicts: 300}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, inst := range insts {
-			core.Solve(inst.Prob, opt)
-		}
+	for _, fam := range harness.Families() {
+		b.Run(string(fam), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, inst := range insts {
+					if inst.Family == fam {
+						core.Solve(inst.Prob, opt)
+					}
+				}
+			}
+		})
 	}
 }

@@ -29,20 +29,30 @@ const (
 // Rows are absorbed at most once (by engine index); the graph grows
 // lazily as the search's reduced problems surface rows to the separator.
 type conflictGraph struct {
-	seen map[int]bool
+	seen []uint64 // engine indices of the rows claimed so far, as a bitset
 	adj  map[pb.Lit]map[pb.Lit]bool
 }
 
-func (g *conflictGraph) init() {
-	if g.seen == nil {
-		g.seen = make(map[int]bool)
-		g.adj = make(map[pb.Lit]map[pb.Lit]bool)
+// claim marks row idx as absorbed, reporting whether it was not already.
+func (g *conflictGraph) claim(idx int) bool {
+	w := idx >> 6
+	if w >= len(g.seen) {
+		g.seen = append(g.seen, make([]uint64, w+1-len(g.seen))...)
 	}
+	bit := uint64(1) << (idx & 63)
+	if g.seen[w]&bit != 0 {
+		return false
+	}
+	g.seen[w] |= bit
+	return true
 }
 
 func (g *conflictGraph) addEdge(u, v pb.Lit) {
 	if u == v || u.Var() == v.Var() {
 		return
+	}
+	if g.adj == nil {
+		g.adj = make(map[pb.Lit]map[pb.Lit]bool)
 	}
 	if len(g.adj) >= maxGraphVerts {
 		if _, ok := g.adj[u]; !ok {
@@ -64,41 +74,43 @@ func (g *conflictGraph) addEdge(u, v pb.Lit) {
 
 // absorb folds unseen rows' incompatibilities into the graph.
 func (g *conflictGraph) absorb(rows []Source) {
-	g.init()
 	for _, src := range rows {
-		if g.seen[src.EngIdx] {
-			continue
+		if g.claim(src.EngIdx) {
+			g.add(src)
 		}
-		g.seen[src.EngIdx] = true
-		n := len(src.Lits)
-		if n < 2 {
-			continue
-		}
-		if need, ok := cardNeed(src.Coefs, src.Degree); ok {
-			// Semantic cardinality Σ l ≥ need: at most n−need literals may be
-			// false, so complements are pairwise incompatible iff need ≥ n−1.
-			if need >= n-1 && n <= maxCardCliqueN {
-				for i := 0; i < n; i++ {
-					for j := i + 1; j < n; j++ {
-						g.addEdge(src.Lits[i].Neg(), src.Lits[j].Neg())
-					}
+	}
+}
+
+// add folds one row's incompatibilities into the graph.
+func (g *conflictGraph) add(src Source) {
+	n := len(src.Lits)
+	if n < 2 {
+		return
+	}
+	if need, ok := cardNeed(src.Coefs, src.Degree); ok {
+		// Semantic cardinality Σ l ≥ need: at most n−need literals may be
+		// false, so complements are pairwise incompatible iff need ≥ n−1.
+		if need >= n-1 && n <= maxCardCliqueN {
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					g.addEdge(src.Lits[i].Neg(), src.Lits[j].Neg())
 				}
 			}
-			continue
 		}
-		// General row: coefficients are stored descending, so for each j the
-		// incompatible partners form a prefix i < p_j with a_i + a_j > b.
-		b := src.slack()
-		pairs := 0
-		for j := 1; j < n && pairs < maxRowPairs; j++ {
-			for i := 0; i < j; i++ {
-				if src.Coefs[i]+src.Coefs[j] <= b {
-					break // prefix exhausted (coefs descending)
-				}
-				g.addEdge(src.Lits[i].Neg(), src.Lits[j].Neg())
-				if pairs++; pairs >= maxRowPairs {
-					break
-				}
+		return
+	}
+	// General row: coefficients are stored descending, so for each j the
+	// incompatible partners form a prefix i < p_j with a_i + a_j > b.
+	b := src.slack()
+	pairs := 0
+	for j := 1; j < n && pairs < maxRowPairs; j++ {
+		for i := 0; i < j; i++ {
+			if src.Coefs[i]+src.Coefs[j] <= b {
+				break // prefix exhausted (coefs descending)
+			}
+			g.addEdge(src.Lits[i].Neg(), src.Lits[j].Neg())
+			if pairs++; pairs >= maxRowPairs {
+				break
 			}
 		}
 	}

@@ -36,6 +36,13 @@ type Source struct {
 	Degree int64
 }
 
+// RowReader reads an original constraint by its engine index, as a Source
+// viewing the store as it is at the call: the store moves its rows, so the
+// pool keeps the indices of pending rows and re-reads them when it absorbs.
+type RowReader interface {
+	Row(engIdx int) Source
+}
+
 // slack returns Σ Coefs − Degree: the capacity of the complemented knapsack
 // Σ a_j·¬l_j ≤ slack, the quantity both separators reason over.
 func (s Source) slack() int64 {

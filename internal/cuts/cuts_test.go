@@ -2,6 +2,7 @@ package cuts
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/pb"
@@ -333,12 +334,104 @@ func TestSeparateRoundEndToEnd(t *testing.T) {
 		}
 		return frac[l.Var()]
 	}
-	added := p.Separate(srcs, fracOf)
+	added := p.Separate(srcs, fracOf, nil)
 	if added != maxPerRound {
 		t.Fatalf("%d cuts accepted from 400 random rows, want the budget of %d", added, maxPerRound)
 	}
 	c := p.Counters()
 	if c.Rounds != 1 || c.Separated != int64(added) || c.SepTime <= 0 {
 		t.Fatalf("counters: %+v", c)
+	}
+}
+
+// tableRows is a RowReader over a fixed row table, indexed by engine index.
+// Each read returns fresh copies of the slices, as a store that has moved
+// its rows since the pool saw them would.
+type tableRows []Source
+
+func (t tableRows) Row(i int) Source {
+	s := t[i]
+	s.Lits = append([]pb.Lit(nil), s.Lits...)
+	s.Coefs = append([]int64(nil), s.Coefs...)
+	return s
+}
+
+// TestSkippedRoundsSeparateAsEagerAbsorption replays random sequences of
+// skipped and separating rounds on two pools: one under SkipRound, which
+// leaves its rows pending, and a reference that absorbs a skipped round's
+// rows into the graph at once. Every round must accept the same cuts in the
+// same order, and both graphs must end equal.
+func TestSkippedRoundsSeparateAsEagerAbsorption(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	const n = 24
+	for iter := 0; iter < 60; iter++ {
+		table := make(tableRows, 80)
+		for i := range table {
+			table[i] = randomSource(rng, n, i)
+		}
+		lazy, eager := NewPool(), NewPool()
+		var gotLazy, gotEager []Cut
+		lazy.OnAdd = func(terms []pb.Term, degree int64) { gotLazy = append(gotLazy, Cut{terms, degree}) }
+		eager.OnAdd = func(terms []pb.Term, degree int64) { gotEager = append(gotEager, Cut{terms, degree}) }
+		for round := 0; round < 6; round++ {
+			var rows []Source
+			for _, i := range rng.Perm(len(table))[:5+rng.Intn(40)] {
+				rows = append(rows, table[i])
+			}
+			if rng.Intn(2) == 0 {
+				lazy.SkipRound(rows)
+				eager.ctr.Rounds++
+				eager.age()
+				eager.graph.absorb(rows)
+				continue
+			}
+			frac := make([]float64, n)
+			for v := range frac {
+				frac[v] = rng.Float64()
+			}
+			fracOf := func(l pb.Lit) float64 {
+				if l.IsNeg() {
+					return 1 - frac[l.Var()]
+				}
+				return frac[l.Var()]
+			}
+			a, b := lazy.Separate(rows, fracOf, table), eager.Separate(rows, fracOf, table)
+			if a != b {
+				t.Fatalf("iter %d round %d: %d cuts after skipped rounds, %d with eager absorption", iter, round, a, b)
+			}
+		}
+		if len(gotLazy) != len(gotEager) {
+			t.Fatalf("iter %d: %d cuts vs %d", iter, len(gotLazy), len(gotEager))
+		}
+		for k := range gotLazy {
+			if hashCut(gotLazy[k].Terms, gotLazy[k].Degree) != hashCut(gotEager[k].Terms, gotEager[k].Degree) {
+				t.Fatalf("iter %d: cut %d differs: %+v vs %+v", iter, k, gotLazy[k], gotEager[k])
+			}
+		}
+		if len(lazy.pending) == 0 && !reflect.DeepEqual(lazy.graph.adj, eager.graph.adj) {
+			t.Fatalf("iter %d: graphs differ with nothing pending", iter)
+		}
+		if lc, ec := lazy.Counters(), eager.Counters(); lc.Rounds != ec.Rounds || lc.Separated != ec.Separated {
+			t.Fatalf("iter %d: counters %+v vs %+v", iter, lc, ec)
+		}
+	}
+}
+
+// TestSkipOnlyPoolBuildsNoGraph pins what a root that closes costs the pool:
+// skipped rounds count and age, record each row once, and build no graph.
+func TestSkipOnlyPoolBuildsNoGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var rows []Source
+	for i := 0; i < 40; i++ {
+		rows = append(rows, randomSource(rng, 12, i))
+	}
+	p := NewPool()
+	p.SkipRound(rows)
+	p.SkipRound(rows[10:30])
+	if p.graph.adj != nil {
+		t.Fatalf("skipped rounds built a graph of %d vertices", len(p.graph.adj))
+	}
+	if len(p.pending) != len(rows) || p.Counters().Rounds != 2 {
+		t.Fatalf("%d rows pending after two skips over %d rows, %d rounds", len(p.pending), len(rows), p.Counters().Rounds)
 	}
 }

@@ -26,7 +26,11 @@ type Pool struct {
 	byID   map[int64]int  // id → index in live
 
 	graph conflictGraph
-	ctr   obs.CutStats
+	// pending lists, in recorded order, the engine indices of rows a
+	// skipped round claimed for the graph; the next round that reaches the
+	// clique separator absorbs them before its own rows.
+	pending []int
+	ctr     obs.CutStats
 
 	// OnAdd, when non-nil, observes every cut accepted into the pool (the
 	// solver wires the audit hook and the trace emitter here). Called before
@@ -66,8 +70,11 @@ func (p *Pool) Counters() obs.CutStats {
 
 // Separate runs one separation round against the LP point frac: lifted
 // covers from each source row, then clique cuts from the (lazily grown)
-// conflict graph. Returns the number of cuts newly accepted into the pool.
-func (p *Pool) Separate(rows []Source, frac func(pb.Lit) float64) int {
+// conflict graph. Rows that skipped rounds left pending are re-read through
+// read and absorbed first, so the graph grows in the order SkipRound and
+// Separate saw the rows. Returns the number of cuts newly accepted into the
+// pool.
+func (p *Pool) Separate(rows []Source, frac func(pb.Lit) float64, read RowReader) int {
 	start := time.Now()
 	p.ctr.Rounds++
 	p.age()
@@ -83,6 +90,10 @@ func (p *Pool) Separate(rows []Source, frac func(pb.Lit) float64) int {
 		}
 	}
 	if added < maxPerRound {
+		for _, idx := range p.pending {
+			p.graph.add(read.Row(idx))
+		}
+		p.pending = p.pending[:0]
 		p.graph.absorb(rows)
 		for _, cut := range p.graph.separate(frac, minViolation, maxPerRound-added) {
 			if p.add(cut) {
@@ -96,12 +107,18 @@ func (p *Pool) Separate(rows []Source, frac func(pb.Lit) float64) int {
 
 // SkipRound counts a separation round at an LP point no valid cut can be
 // violated at — an integral one — without running the separators. The pool
-// ages and the conflict graph absorbs rows exactly as in Separate, so later
-// rounds separate from the same pool either way.
+// ages as in Separate, and rows the graph has not seen are recorded as
+// pending rather than absorbed: a search whose root closes never builds the
+// graph, while a later Separate absorbs them before its own rows and so
+// separates from the graph that absorbing them here would have built.
 func (p *Pool) SkipRound(rows []Source) {
 	p.ctr.Rounds++
 	p.age()
-	p.graph.absorb(rows)
+	for _, src := range rows {
+		if p.graph.claim(src.EngIdx) {
+			p.pending = append(p.pending, src.EngIdx)
+		}
+	}
 }
 
 // age decays every live cut's activity by one round.

@@ -296,7 +296,7 @@ func newAoS(p *pb.Problem) *aosEngine {
 		a.phase[i] = False
 		a.reason[i] = NoReason
 	}
-	a.heap = newVarHeap(a.act)
+	a.heap = newVarHeap(a.act, nil, nil)
 	for v := 0; v < n; v++ {
 		a.heap.push(pb.Var(v))
 	}

@@ -41,6 +41,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"repro/internal/pb"
 )
@@ -253,32 +254,41 @@ type Engine struct {
 	Interrupt func() bool
 
 	Stats Stats
+
+	// arr is the record New borrowed the arrays in (see Release).
+	arr *arrays
 }
 
 // New builds an engine for the given normalized problem. Constraints that
 // are unsatisfiable on their own (degree exceeding coefficient sum) make the
 // root level conflicting; detect that with an initial Propagate.
 func New(p *pb.Problem) *Engine {
+	a, _ := arrayPool.Get().(*arrays)
+	if a == nil {
+		a = new(arrays)
+	}
+	n := p.NumVars
 	e := &Engine{
-		nVars:     p.NumVars,
-		value:     make([]Value, p.NumVars),
-		level:     make([]int32, p.NumVars),
-		reason:    make([]int32, p.NumVars),
-		trailPos:  make([]int32, p.NumVars),
-		activity:  make([]float64, p.NumVars),
-		phase:     make([]Value, p.NumVars),
-		seen:      make([]bool, p.NumVars),
-		occDyn:    make([][]occRef, 2*p.NumVars),
-		watchList: make([][]int32, 2*p.NumVars),
+		nVars:     n,
+		value:     cleared(a.value, n),
+		level:     cleared(a.level, n),
+		reason:    cleared(a.reason, n),
+		trailPos:  cleared(a.trailPos, n),
+		activity:  cleared(a.activity, n),
+		phase:     cleared(a.phase, n),
+		seen:      cleared(a.seen, n),
+		occDyn:    cleared(a.occDyn, 2*n),
+		watchList: cleared(a.watchList, 2*n),
 		varInc:    1,
 		consInc:   1,
+		arr:       a,
 	}
 	for v := range e.value {
 		e.value[v] = Unassigned
 		e.reason[v] = NoReason
 	}
-	e.heap = newVarHeap(e.activity)
-	for v := 0; v < p.NumVars; v++ {
+	e.heap = newVarHeap(e.activity, a.heap, a.heapIdx)
+	for v := 0; v < n; v++ {
 		e.heap.push(pb.Var(v))
 	}
 
@@ -290,10 +300,10 @@ func New(p *pb.Problem) *Engine {
 	for _, c := range p.Constraints {
 		total += len(c.Terms)
 	}
-	e.lits = make([]pb.Lit, 0, total)
-	e.coefs = make([]int64, 0, total)
-	e.hdrs = make([]consHdr, 0, len(p.Constraints))
-	e.occOff = make([]int32, 2*p.NumVars+1)
+	e.lits = cleared(a.lits, total)[:0]
+	e.coefs = cleared(a.coefs, total)[:0]
+	e.hdrs = cleared(a.hdrs, len(p.Constraints))[:0]
+	e.occOff = cleared(a.occOff, 2*n+1)
 	for _, c := range p.Constraints {
 		for _, t := range c.Terms {
 			e.occOff[t.Lit+1]++
@@ -302,9 +312,10 @@ func New(p *pb.Problem) *Engine {
 	for l := 1; l < len(e.occOff); l++ {
 		e.occOff[l] += e.occOff[l-1]
 	}
-	e.occCSR = make([]occRef, total)
-	cursor := make([]int32, 2*p.NumVars)
-	copy(cursor, e.occOff[:2*p.NumVars])
+	e.occCSR = cleared(a.occCSR, total)
+	a.cursor = cleared(a.cursor, 2*n)
+	cursor := a.cursor
+	copy(cursor, e.occOff[:2*n])
 	for ci, c := range p.Constraints {
 		h := consHdr{off: int32(len(e.lits)), n: int32(len(c.Terms)), degree: c.Degree}
 		for _, t := range c.Terms {
@@ -322,8 +333,62 @@ func New(p *pb.Problem) *Engine {
 		}
 		e.hdrs = append(e.hdrs, h)
 	}
-	e.satState = make([]uint8, len(e.hdrs))
+	e.satState = cleared(a.satState, len(e.hdrs))
 	return e
+}
+
+// arrays holds the slices New sizes from its problem. A solver that builds
+// one engine per solve hands them back with Release, and a later New — of
+// any problem and size — takes them from arrayPool instead of allocating.
+// New clears each to its fresh value first, so an engine on reused arrays
+// searches exactly as one on new arrays.
+type arrays struct {
+	value, phase                                     []Value
+	level, reason, trailPos, occOff, cursor, heapIdx []int32
+	activity                                         []float64
+	seen                                             []bool
+	occDyn                                           [][]occRef
+	watchList                                        [][]int32
+	lits                                             []pb.Lit
+	coefs                                            []int64
+	hdrs                                             []consHdr
+	occCSR                                           []occRef
+	satState                                         []uint8
+	heap                                             []pb.Var
+}
+
+var arrayPool sync.Pool
+
+// cleared returns buf resized to n zero elements, reallocating only when
+// its capacity is short.
+func cleared[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// Release hands the engine's arrays back for a later New to reuse. The
+// engine keeps only its Stats: any other use after Release panics. Nil-safe,
+// and a second call does nothing.
+func (e *Engine) Release() {
+	if e == nil || e.arr == nil {
+		return
+	}
+	a := e.arr
+	*a = arrays{
+		value: e.value, phase: e.phase,
+		level: e.level, reason: e.reason, trailPos: e.trailPos, occOff: e.occOff,
+		cursor: a.cursor, heapIdx: e.heap.indices,
+		activity: e.activity, seen: e.seen,
+		occDyn: e.occDyn, watchList: e.watchList,
+		lits: e.lits, coefs: e.coefs, hdrs: e.hdrs, occCSR: e.occCSR,
+		satState: e.satState, heap: e.heap.heap,
+	}
+	arrayPool.Put(a)
+	*e = Engine{Stats: e.Stats}
 }
 
 // csr returns the immutable CSR occurrence row of literal l.
@@ -1346,8 +1411,10 @@ type varHeap struct {
 	indices []int32 // position in heap, -1 if absent
 }
 
-func newVarHeap(act []float64) *varHeap {
-	h := &varHeap{act: act, indices: make([]int32, len(act))}
+// newVarHeap returns an empty heap over the variables of act, reusing the
+// heap and indices buffers when they are large enough (nil for new ones).
+func newVarHeap(act []float64, heap []pb.Var, indices []int32) *varHeap {
+	h := &varHeap{act: act, heap: cleared(heap, len(act))[:0], indices: cleared(indices, len(act))}
 	for i := range h.indices {
 		h.indices[i] = -1
 	}

@@ -16,7 +16,7 @@ func TestVarHeapProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(20)
 		act := make([]float64, n)
-		h := newVarHeap(act)
+		h := newVarHeap(act, nil, nil)
 		inHeap := map[pb.Var]bool{}
 		for v := 0; v < n; v++ {
 			h.push(pb.Var(v))

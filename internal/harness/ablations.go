@@ -101,10 +101,16 @@ func ablationVariants(id AblationID) []ablationVariant {
 		off := core.Options{LowerBound: core.LBMIS}
 		return []ablationVariant{{"inference", on, nil}, {"off", off, nil}}
 	case AblationLGRIterations:
+		// The cold short-iteration variants do not close the grout rows. A
+		// decision cap ends those cells the same way on every run, long
+		// before the per-instance deadline, which would otherwise decide
+		// where they stop; the rows they solve take at most ~700 decisions.
+		const maxDecisions = 2000
 		mk := func(iters int, cold bool) core.Options {
 			return core.Options{
 				LowerBound:           core.LBLGR,
 				CardinalityInference: true,
+				MaxDecisions:         maxDecisions,
 				Tuning:               core.Tuning{LGRIterations: iters, LGRColdStart: cold},
 			}
 		}

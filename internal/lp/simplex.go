@@ -167,6 +167,7 @@ type simplex struct {
 	cols    []int     // active columns of the current phase
 	act     []bool    // column is in cols
 	d       []float64 // reduced costs
+	dir     []float64 // run's pricing direction: +1 at lower, −1 at upper, 0 basic or fixed
 	wcost   []float64 // phase-1 or shifted working costs
 	nz      []int     // nonzero pattern of the current pivot row
 	colRows []int     // rows with a nonzero in the current pivot column
@@ -716,20 +717,21 @@ func (s *simplex) run(cost []float64) Status {
 	d := s.d
 	s.reducedCosts(cost, d, cols)
 
+	// Pricing reads one array: dir[j] is the direction column j may move
+	// in (+1 up from its lower bound, −1 down from its upper bound) and 0
+	// for a basic or fixed column, whose product −0·d[j] never beats best.
+	// Set here once, it changes only where the loop below changes a
+	// column's status.
+	s.dir = zeroed(s.dir, s.nTot)
+	dir := s.dir
+	for _, j := range cols {
+		dir[j] = s.direction(j)
+	}
 	price := func(bland bool) int {
 		enter := -1
 		best := epsCost
 		for _, j := range cols {
-			if s.inBasis[j] || s.hi[j]-s.lo[j] < epsBound {
-				continue
-			}
-			var viol float64
-			if s.status[j] == atLower {
-				viol = -d[j]
-			} else {
-				viol = d[j]
-			}
-			if viol > best {
+			if viol := -dir[j] * d[j]; viol > best {
 				enter = j
 				if bland {
 					return j
@@ -764,17 +766,14 @@ func (s *simplex) run(cost []float64) Status {
 				return Optimal
 			}
 		}
-		dir := 1.0
-		if s.status[enter] == atUpper {
-			dir = -1.0
-		}
+		dirE := dir[enter]
 		// Ratio test over the rows a pivot on enter must eliminate: every
 		// other row is zero in column enter and cannot block.
 		t := s.hi[enter] - s.lo[enter] // bound-to-bound move
 		blocking := -1
 		colRows := s.gatherCol(enter)
 		for _, i := range colRows {
-			delta := -dir * s.tab[i][enter]
+			delta := -dirE * s.tab[i][enter]
 			bi := s.basis[i]
 			var limit float64
 			switch {
@@ -802,7 +801,7 @@ func (s *simplex) run(cost []float64) Status {
 		// Apply the move: it changes only the basic values of colRows.
 		if t != 0 {
 			for _, i := range colRows {
-				s.beta[i] -= s.tab[i][enter] * dir * t
+				s.beta[i] -= s.tab[i][enter] * dirE * t
 			}
 		}
 		if blocking == -1 {
@@ -814,12 +813,13 @@ func (s *simplex) run(cost []float64) Status {
 				s.status[enter] = atLower
 				s.xval[enter] = s.lo[enter]
 			}
+			dir[enter] = -dirE
 			continue
 		}
 		r := blocking
 		leave := s.basis[r]
 		// Which bound did the leaving variable hit?
-		if -dir*s.tab[r][enter] > 0 {
+		if -dirE*s.tab[r][enter] > 0 {
 			s.status[leave] = atUpper
 			s.xval[leave] = s.hi[leave]
 		} else {
@@ -827,8 +827,9 @@ func (s *simplex) run(cost []float64) Status {
 			s.xval[leave] = s.lo[leave]
 		}
 		s.inBasis[leave] = false
-		enterVal := s.xval[enter] + dir*t
+		enterVal := s.xval[enter] + dirE*t
 		s.inBasis[enter] = true
+		dir[enter], dir[leave] = 0, s.direction(leave)
 		s.basis[r] = enter
 		s.beta[r] = enterVal
 		// Gauss-Jordan elimination on column enter, pivot row r.
@@ -859,6 +860,19 @@ func (s *simplex) run(cost []float64) Status {
 		d[enter] = 0
 	}
 	return IterLimit
+}
+
+// direction is run's pricing direction of column j: 0 when it is basic or
+// fixed, +1 when it sits at its lower bound, −1 at its upper bound.
+func (s *simplex) direction(j int) float64 {
+	switch {
+	case s.inBasis[j] || s.hi[j]-s.lo[j] < epsBound:
+		return 0
+	case s.status[j] == atLower:
+		return 1
+	default:
+		return -1
+	}
 }
 
 // corrupted reports whether floating-point corruption (NaN/Inf) has reached

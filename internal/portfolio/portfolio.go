@@ -361,7 +361,18 @@ func SolveOpts(p *pb.Problem, configs []Config, opts Options) Result {
 				if lives != nil {
 					w.live = lives[i]
 				}
-				results <- outcome{i, cfg.name(), runMember(p, cfg, w)}
+				select {
+				case <-cancel:
+					// The race is decided (or stopped): a member that has
+					// not started builds nothing and reports a not-run limit.
+					res := core.Result{Status: core.StatusLimit}
+					if w.live != nil {
+						w.live.Publish(res.Metrics(cfg.name()))
+					}
+					results <- outcome{i, cfg.name(), res}
+				default:
+					results <- outcome{i, cfg.name(), runMember(p, cfg, w)}
+				}
 				if consumed != nil {
 					<-consumed
 				}

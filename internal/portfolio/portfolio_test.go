@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/pb"
 )
 
@@ -283,6 +284,33 @@ func TestVerifyClaimBranchAndBound(t *testing.T) {
 		got := verifyClaim(p, false, tc.in)
 		if got.Status != tc.want || got.HasSolution != tc.witness || (!got.HasSolution && got.Values != nil) {
 			t.Errorf("%s: status=%v witness=%v want %v/%v", tc.name, got.Status, got.HasSolution, tc.want, tc.witness)
+		}
+	}
+}
+
+// TestDecidedRaceStartsNoMember runs the default roster one member at a
+// time on a problem the first member (plain) proves at once: every later
+// member must report a not-run limit without building anything — no solve
+// start in the trace, no propagation, no decision.
+func TestDecidedRaceStartsNoMember(t *testing.T) {
+	p := pb.NewProblem(3)
+	for v := 0; v < 3; v++ {
+		p.SetCost(pb.Var(v), int64(v+1))
+	}
+	_ = p.AddConstraint([]pb.Term{{Coef: 1, Lit: pb.PosLit(0)}, {Coef: 1, Lit: pb.PosLit(2)}}, pb.GE, 1)
+	tr := obs.NewTracer(1 << 10)
+	res := SolveOpts(p, nil, Options{MaxConcurrent: 1, Trace: tr})
+	if res.Status != core.StatusOptimal || res.Best != 1 || res.Winner != "plain" {
+		t.Fatalf("status %v best %d winner %q, want optimal 1 by plain", res.Status, res.Best, res.Winner)
+	}
+	for _, m := range res.Members[1:] {
+		if m.Status != core.StatusLimit || m.HasSolution || m.Stats.Propagations != 0 || m.Stats.Decisions != 0 {
+			t.Errorf("member %s ran after the race was decided: %v, %+v", m.Name, m.Status, m.Stats)
+		}
+	}
+	for _, ev := range tr.Snapshot() {
+		if ev.Member != "plain" {
+			t.Errorf("member %s emitted %v after the race was decided", ev.Member, ev.Kind)
 		}
 	}
 }

@@ -78,10 +78,13 @@ type Board struct {
 	bestOwner  string
 	incumbents int64 // accepted global-best improvements
 
-	// cmu guards the clause ring and the dedup set.
-	cmu  sync.Mutex
-	ring []entry
-	seen map[uint64]uint64 // clause hash -> publish seq (dedup window)
+	// cmu guards the clause ring and the dedup set. The ring grows by
+	// append up to slots entries, then wraps; the lap and dedup windows are
+	// keyed to slots, not to the ring's current length.
+	cmu   sync.Mutex
+	slots uint64
+	ring  []entry
+	seen  map[uint64]uint64 // clause hash -> publish seq (dedup window)
 
 	members atomic.Int32
 	// clauseMembers counts the members participating in clause exchange.
@@ -103,8 +106,10 @@ type Board struct {
 func NewBoard() *Board { return newBoard(ringSlots) }
 
 // newBoard creates a board whose clause ring has the given number of slots.
+// The ring and the dedup set start empty and grow with the clauses
+// published, so a race that shares few clauses allocates little.
 func newBoard(slots int) *Board {
-	b := &Board{ring: make([]entry, slots), seen: make(map[uint64]uint64, slots)}
+	b := &Board{slots: uint64(slots), seen: make(map[uint64]uint64)}
 	b.ub.Store(noUB)
 	return b
 }
@@ -189,17 +194,21 @@ func (b *Board) publishClause(owner int32, lits []pb.Lit, lbd int) bool {
 	b.cmu.Lock()
 	defer b.cmu.Unlock()
 	next := b.seq.Load()
-	if prev, ok := b.seen[h]; ok && prev+uint64(len(b.ring)) > next {
+	if prev, ok := b.seen[h]; ok && prev+b.slots > next {
 		// Same hash published within the live window: duplicate. (Hash
 		// collisions merely drop a shareable clause — harmless.)
 		b.dup.Add(1)
 		return false
 	}
 	b.seen[h] = next
-	if len(b.seen) > 8*len(b.ring) {
+	if uint64(len(b.seen)) > 8*b.slots {
 		b.pruneSeenLocked(next)
 	}
-	b.ring[next%uint64(len(b.ring))] = entry{lits: cp, owner: owner}
+	if e := (entry{lits: cp, owner: owner}); next < b.slots {
+		b.ring = append(b.ring, e) // next == len(b.ring) until the ring is full
+	} else {
+		b.ring[next%b.slots] = e
+	}
 	b.seq.Store(next + 1)
 	return true
 }
@@ -207,7 +216,7 @@ func (b *Board) publishClause(owner int32, lits []pb.Lit, lbd int) bool {
 // pruneSeenLocked drops dedup entries that fell out of the ring window.
 func (b *Board) pruneSeenLocked(next uint64) {
 	for h, s := range b.seen {
-		if s+uint64(len(b.ring)) <= next {
+		if s+b.slots <= next {
 			delete(b.seen, h)
 		}
 	}
@@ -221,7 +230,7 @@ func (b *Board) drainSince(cursor *uint64, selfID int32) [][]pb.Lit {
 	defer b.cmu.Unlock()
 	next := b.seq.Load()
 	start := *cursor
-	cap64 := uint64(len(b.ring))
+	cap64 := b.slots
 	if next > cap64 && start < next-cap64 {
 		b.lapped.Add(int64(next - cap64 - start))
 		start = next - cap64

@@ -138,6 +138,29 @@ func TestRingLapAccounting(t *testing.T) {
 	}
 }
 
+// TestRingGrowsToItsSlots pins the on-demand ring: a new board holds no
+// slot, the ring grows one entry per accepted clause and stops at its slot
+// count, and a drainer that kept up sees every clause across the wrap.
+func TestRingGrowsToItsSlots(t *testing.T) {
+	if b := NewBoard(); len(b.ring) != 0 || cap(b.ring) != 0 {
+		t.Fatalf("new board holds %d/%d ring slots, want none", len(b.ring), cap(b.ring))
+	}
+	b := newBoard(4)
+	pub := b.Join("pub")
+	drainer := b.Join("drainer")
+	n := 0
+	for v := 0; v < 10; v++ {
+		pub.PublishClause(lits(v, v+20), 1)
+		if want := min(v+1, 4); len(b.ring) != want {
+			t.Fatalf("after %d clauses the ring holds %d entries, want %d", v+1, len(b.ring), want)
+		}
+		drainer.DrainClauses(func([]pb.Lit) { n++ })
+	}
+	if st := b.Snapshot(); n != 10 || st.ClausesLapped != 0 {
+		t.Fatalf("drained %d of 10 clauses, lapped %d", n, st.ClausesLapped)
+	}
+}
+
 func TestDedupWindowReopensAfterLap(t *testing.T) {
 	b := newBoard(4)
 	m := b.Join("m")
