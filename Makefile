@@ -12,15 +12,16 @@ vet:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
 
 # What CI runs (.github/workflows/ci.yml runs the same steps, fuzzing
-# longer): vet and the gofmt gate + build + full test suite, the tests of
-# the tablebench module (its own go.mod, so the root suite never reaches
-# them), the race detector on the concurrency-sensitive packages
+# longer): vet and the gofmt gate + build + full test suite, the non-test
+# line count (loc, which the ROADMAP's simplicity criteria are checked
+# against), the tests of the tablebench module (its own go.mod, so the root
+# suite never reaches them), the race detector on the concurrency-sensitive packages
 # (race-pkgs), the escape-analysis guard, the bench-regression gate against
 # the committed baseline, then a single-iteration smoke pass over the
 # bound-pipeline, engine, portfolio-sharing, cut-separation and reader
 # benchmarks, one pass of the ablations, small bench snapshots and the
 # differential fuzzing matrix.
-ci: vet build test
+ci: vet build test loc
 	cd tablebench && $(GO) test ./...
 	$(MAKE) race-pkgs
 	$(MAKE) escape-check

@@ -15,6 +15,9 @@
 // -portfolio, adds it to the race). Weighted runs report the penalty optimum
 // in instance space and exit 30 (optimum), 20 (the hard constraints alone
 // are contradictory) or 0 (unknown), per the MaxSAT-evaluation convention.
+//
+// Every mode runs as a portfolio race (one member unless -portfolio), and
+// every printed answer is re-checked in the input's own variables first.
 package main
 
 import (
@@ -24,6 +27,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -54,7 +58,6 @@ func main() {
 		noKnapsack   = flag.Bool("no-knapsack", false, "disable the eq. 10 incumbent constraint")
 		cardInf      = flag.Bool("card-inference", true, "enable eq. 11-13 cardinality inference")
 		lgrIters     = flag.Int("lgr-iters", 50, "Lagrangian subgradient iterations per bound")
-		fallbackK    = flag.Int("fallback-after", 0, "consecutive bound failures before demoting to MIS (0 = default 8; <0 = never)")
 		pre          = flag.Bool("preprocess", false, "apply probing/strengthening/subsumption first")
 		presolve     = flag.Bool("presolve", false, "fix variables by probing + roof-duality-style persistency and solve the reduced problem (results are mapped back to the original variables)")
 		pbLearn      = flag.Bool("pb-learning", false, "derive Galena-style cutting-plane constraints at conflicts")
@@ -137,12 +140,7 @@ func main() {
 
 	if *pre {
 		var info preprocess.Info
-		prob, info, err = preprocess.Apply(prob, preprocess.Options{
-			Probing:           true,
-			Strengthening:     true,
-			Subsumption:       true,
-			CardinalityDetect: true,
-		})
+		prob, info, err = preprocess.Apply(prob, preprocess.Options{CardinalityDetect: true})
 		if err != nil {
 			fatal(err)
 		}
@@ -179,16 +177,14 @@ func main() {
 			NoKnapsackCuts:      *noKnapsack,
 			LGRIterations:       *lgrIters,
 			PBLearning:          *pbLearn,
-			FallbackAfter:       *fallbackK,
 			NoCuts:              !*cutsOn,
 		},
 	}
 
-	// SIGINT/SIGTERM close the Cancel channel so the search unwinds
+	// SIGINT/SIGTERM close the race's Stop channel so the search unwinds
 	// gracefully and prints the best incumbent with an "s UNKNOWN" status
 	// line; a second signal exits immediately.
 	cancel := make(chan struct{})
-	opt.Cancel = cancel
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
@@ -265,54 +261,22 @@ func main() {
 		fatal(fmt.Errorf("-ls %d with %d member slots would never finish: unbudgeted LS members hold every slot; set -time or -ls-flips, or raise -members", *lsMembers, *maxMembers))
 	}
 
-	start := time.Now()
-	var res core.Result
-	var pres *portfolio.Result
-	var wres *wbo.Result
-	if *portfolioRun {
+	// Every mode is a race through portfolio.SolveOpts, so every answer
+	// passes the race's one member runner and claim check: the default mode
+	// races the one configuration the flags describe (named after -lb, so
+	// trace, registry and metrics names are the method's), -core-guided
+	// races the core-guided member alone, and -portfolio races the roster.
+	var configs []portfolio.Config
+	switch {
+	case *portfolioRun:
 		var cg *wbo.Instance
 		if *coreGuided {
 			cg = wi
 		}
-		p := portfolio.SolveOpts(prob, portfolio.Roster(opt, *lsMembers, *lsFlips, cg), portfolio.Options{
-			NoSharing:     !*shareOn,
-			MaxConcurrent: *maxMembers,
-			Stop:          cancel,
-			Audit:         auditor,
-			Trace:         tracer,
-			Registry:      registry,
-		})
-		pres = &p
-		res = p.Result
-		fmt.Printf("c portfolio winner: %s (members=%d concurrency=%d sharing=%t)\n",
-			p.Winner, len(p.Members), p.Concurrency, p.Sharing)
-		for name, err := range p.Errors {
-			fmt.Printf("c portfolio member %s crashed: %v\n", name, firstLine(err))
-		}
-	} else if *coreGuided {
-		r := wbo.Solve(wi, wbo.Options{
-			Deadline:     deadline,
-			MaxConflicts: opt.MaxConflicts,
-			Cancel:       cancel,
-		})
-		wres = &r
-		if auditor != nil {
-			// The auditor is scoped to the compiled problem: replay the
-			// witness there (selectors set on exactly the violated softs) and
-			// state the verdict in compiled-objective terms (minus Offset).
-			if r.HasSolution {
-				auditor.Incumbent(r.Best-wi.Offset, wi.ExtendedWitness(r.Values))
-			}
-			switch {
-			case r.Status == core.StatusOptimal:
-				auditor.Termination(audit.Claim{Optimal: true, Best: r.Best - wi.Offset})
-			case r.HardUnsat:
-				auditor.Termination(audit.Claim{Unsat: true})
-			case r.HasSolution:
-				auditor.Termination(audit.Claim{UpperBound: true, Best: r.Best - wi.Offset})
-			}
-		}
-	} else {
+		configs = portfolio.Roster(opt, *lsMembers, *lsFlips, cg)
+	case *coreGuided:
+		configs = portfolio.Roster(opt, 0, 0, wi)[:1]
+	default:
 		// Each improving incumbent is printed as an o line the moment it is
 		// found (the PB competition convention), so a run stopped by a
 		// signal has already reported its progress.
@@ -321,15 +285,22 @@ func main() {
 			offset = wi.Offset
 		}
 		opt.OnIncumbent = func(best int64) { fmt.Printf("o %d\n", best+offset) }
-		opt.Trace = tracer.Named(strings.ToLower(*lbFlag))
-		if registry != nil {
-			live := &obs.Live{}
-			registry.RegisterSolver(strings.ToLower(*lbFlag), live)
-			opt.Live = live
-		}
-		res = core.SafeSolve(prob, opt)
+		configs = []portfolio.Config{{Name: strings.ToLower(*lbFlag), Options: opt}}
 	}
+	start := time.Now()
+	res := portfolio.SolveOpts(prob, configs, portfolio.Options{
+		NoSharing:     !*portfolioRun || !*shareOn,
+		MaxConcurrent: *maxMembers,
+		Stop:          cancel,
+		Audit:         auditor,
+		Trace:         tracer,
+		Registry:      registry,
+	})
 	elapsed := time.Since(start)
+	if *portfolioRun {
+		fmt.Printf("c portfolio winner: %s (members=%d concurrency=%d sharing=%t)\n",
+			res.Winner, len(res.Members), res.Concurrency, res.Sharing)
+	}
 	fmt.Printf("c solved in %v\n", elapsed)
 
 	auditOK := true
@@ -340,161 +311,15 @@ func main() {
 			fmt.Printf("c audit: %s\n", strings.TrimSpace(line))
 		}
 	}
-
-	// Weighted (-wcnf/-wbo) runs report in instance space, with the
-	// hard-UNSAT vs penalty-optimum distinction explicit: "s UNSATISFIABLE"
-	// means the hard constraints alone are contradictory (exit 20), while an
-	// optimum that merely pays soft penalties prints the penalty on the o
-	// line under "s OPTIMUM FOUND" (exit 30). Witnesses are re-verified
-	// against both the original soft penalties and the compiled hard rows
-	// before printing; any disagreement is a soundness bug (exit 2).
-	if wi != nil {
-		var (
-			status    core.Status
-			hardUnsat bool
-			hasSol    bool
-			best      int64 // instance-space penalty, Offset included
-			values    []bool
-		)
-		if wres != nil {
-			status, hardUnsat, hasSol, best = wres.Status, wres.HardUnsat, wres.HasSolution, wres.Best
-			values = wres.Values
-			fmt.Printf("c core-guided: iterations=%d cores=%d cardRewrites=%d conflicts=%d\n",
-				wres.Iterations, wres.Cores, wres.CardRewrites, wres.Conflicts)
-			if status == core.StatusLimit {
-				fmt.Printf("c proved penalty lower bound %d\n", wres.LowerBound)
-			}
-			if status == core.StatusError {
-				fmt.Printf("c solver error: %v\n", firstLine(wres.Err))
-			}
-		} else {
-			status, hasSol = res.Status, res.HasSolution
-			// The compiled soft rows are always satisfiable through their
-			// selectors, so compiled-UNSAT can only mean the hard skeleton is.
-			hardUnsat = res.Status == core.StatusUnsat
-			if res.Status == core.StatusSatisfiable {
-				// No soft constraints survived compilation (objective-free
-				// problem): a feasible model is the penalty-free optimum.
-				status = core.StatusOptimal
-			}
-			if res.Status == core.StatusError {
-				fmt.Printf("c solver error: %v\n", firstLine(res.Err))
-			}
-			if hasSol {
-				values = res.Values[:wi.NumVars]
-				best = res.Best + wi.Offset
-			}
-		}
-		sound := true
-		if hasSol {
-			if pen, _ := wi.Penalty(values); pen+wi.Offset != best {
-				fmt.Printf("c weighted: SOUNDNESS BUG — witness pays penalty %d, solver claimed %d\n",
-					pen+wi.Offset, best)
-				sound = false
-			}
-			if rep := verify.Check(prob, wi.ExtendedWitness(values)); !rep.Feasible {
-				fmt.Printf("c weighted: SOUNDNESS BUG — witness violates compiled constraint %d\n",
-					rep.ViolatedIdx)
-				sound = false
-			}
-		}
-		code := 0
-		switch {
-		case status == core.StatusOptimal && hasSol:
-			fmt.Printf("o %d\n", best)
-			fmt.Println("s OPTIMUM FOUND")
-			code = 30
-		case status == core.StatusUnsat && hardUnsat:
-			fmt.Println("c the hard constraints alone are contradictory (not a penalty optimum)")
-			fmt.Println("s UNSATISFIABLE")
-			code = 20
-		default:
-			if hasSol {
-				fmt.Printf("c best penalty upper bound %d\n", best)
-				fmt.Printf("o %d\n", best)
-			}
-			fmt.Println("s UNKNOWN")
-		}
-		if hasSol && *showModel {
-			fmt.Println(weightedValueLine(wi, values))
-		}
-		if *showStats && wres == nil {
-			if err := printStats(&res, pres); err != nil {
-				fatal(err)
-			}
-		}
-		if err := writeObsOutputs(tracer, registry, *tracePath, *tracePretty, *metricsPath); err != nil {
-			fatal(err)
-		}
-		if !auditOK || !sound {
-			os.Exit(2)
-		}
-		os.Exit(code)
-	}
-
-	// When presolve fixes every costed variable, the reduced problem has no
-	// objective left and a proved solve reports StatusSatisfiable — but in
-	// the original space that is a proved optimum (Best carries the absorbed
-	// CostOffset).
-	if res.Status == core.StatusSatisfiable && fixing != nil && origProb.HasObjective() {
-		res.Status = core.StatusOptimal
-	}
-	switch res.Status {
-	case core.StatusOptimal:
-		fmt.Printf("o %d\n", res.Best)
-		fmt.Println("s OPTIMUM FOUND")
-	case core.StatusSatisfiable:
-		fmt.Println("s SATISFIABLE")
-	case core.StatusUnsat:
-		fmt.Println("s UNSATISFIABLE")
-	case core.StatusError:
-		fmt.Printf("c solver error: %v\n", firstLine(res.Err))
-		if res.HasSolution {
-			fmt.Printf("o %d\n", res.Best)
-		}
-		fmt.Println("s UNKNOWN")
-	case core.StatusLimit:
-		if res.HasSolution {
-			fmt.Printf("c best upper bound %d\n", res.Best)
-			fmt.Printf("o %d\n", res.Best)
-		}
-		fmt.Println("s UNKNOWN")
-	}
-	presolveOK := true
-	if res.HasSolution {
-		values := res.Values
-		if fixing != nil {
-			// Map the reduced-space model back to the original variables and
-			// re-verify there: a Lift or CostOffset bug must fail loudly, not
-			// emit a value line that checkers reject.
-			values = fixing.Lift(values)
-			rep := verify.Check(origProb, values)
-			switch {
-			case !rep.Feasible:
-				fmt.Printf("c presolve: SOUNDNESS BUG — lifted model violates original constraint %d\n", rep.ViolatedIdx)
-				presolveOK = false
-			case rep.Objective != res.Best:
-				fmt.Printf("c presolve: SOUNDNESS BUG — lifted model costs %d in original space, solver claimed %d\n",
-					rep.Objective, res.Best)
-				presolveOK = false
-			}
-		}
-		if *showModel {
-			fmt.Println(verify.FormatValueLine(origProb, values))
-		}
-	}
+	code := report(res, input{prob: origProb, fixing: fixing, wi: wi}, *showModel)
 	if *showStats {
-		if err := printStats(&res, pres); err != nil {
+		if err := printStats(&res, *portfolioRun); err != nil {
 			fatal(err)
 		}
 		// A race's rate counts every member's propagations over its wall
 		// time, not the winner's alone.
-		props := res.Stats.Propagations
-		if pres != nil {
-			props = pres.TotalPropagations()
-		}
-		if secs := elapsed.Seconds(); secs > 0 {
-			fmt.Printf("c props_per_sec=%.0f\n", float64(props)/secs)
+		if secs := elapsed.Seconds(); secs > 0 && wi == nil {
+			fmt.Printf("c props_per_sec=%.0f\n", float64(res.TotalPropagations())/secs)
 		}
 		if fixing != nil {
 			fmt.Printf("c presolveFixed=%d\n", fixing.NumFixed())
@@ -503,9 +328,123 @@ func main() {
 	if err := writeObsOutputs(tracer, registry, *tracePath, *tracePretty, *metricsPath); err != nil {
 		fatal(err)
 	}
-	if !auditOK || !presolveOK {
-		os.Exit(2) // audit/lift violations are a soundness bug, not a solver answer
+	if !auditOK {
+		code = 2 // audit violations are a soundness bug, not a solver answer
 	}
+	if code != 0 {
+		os.Exit(code)
+	}
+}
+
+// input is the problem as the user stated it. The race solves a compiled
+// (weighted input) or presolved (-presolve) form of it; the answer is
+// mapped back into the input's own variables, re-checked and printed there.
+type input struct {
+	prob   *pb.Problem        // the problem before presolve (the compilation, for weighted input)
+	fixing *preprocess.Fixing // -presolve's variable map, or nil
+	wi     *wbo.Instance      // the weighted instance, or nil for OPB input
+}
+
+// recheck verifies an answer in the input's own space: values must satisfy
+// every constraint and cost exactly best there (the penalty plus the
+// offset, for weighted input). It returns what is wrong, or "".
+func (in input) recheck(values []bool, best int64) string {
+	if in.wi != nil {
+		// The compiled hard rows are the instance's hard constraints; the
+		// soft rows hold through the selectors ExtendedWitness sets.
+		if rep := verify.Check(in.prob, in.wi.ExtendedWitness(values)); !rep.Feasible {
+			return fmt.Sprintf("witness violates compiled constraint %d", rep.ViolatedIdx)
+		}
+		if pen, _ := in.wi.Penalty(values); pen+in.wi.Offset != best {
+			return fmt.Sprintf("witness pays penalty %d, solver claimed %d", pen+in.wi.Offset, best)
+		}
+		return ""
+	}
+	rep := verify.Check(in.prob, values)
+	switch {
+	case !rep.Feasible:
+		return fmt.Sprintf("model violates input constraint %d", rep.ViolatedIdx)
+	case rep.Objective != best:
+		return fmt.Sprintf("model costs %d in the input's space, solver claimed %d", rep.Objective, best)
+	}
+	return ""
+}
+
+// report prints the race's answer in the input's own space: a c solver
+// error line per crashed member, then the o, s and v lines. It returns the
+// exit code: weighted input follows the MaxSAT-evaluation convention (30
+// optimum, 20 hard-UNSAT, 0 unknown), OPB input exits 0, and an answer that
+// fails its re-check exits 2 and is not printed (s UNKNOWN).
+//
+// For weighted input, "s UNSATISFIABLE" means the hard constraints alone
+// are contradictory, while an optimum that merely pays soft penalties
+// prints the penalty on the o line under "s OPTIMUM FOUND": the compiled
+// soft rows are always satisfiable through their selectors, so the compiled
+// problem is infeasible exactly when the hard skeleton is.
+func report(res portfolio.Result, in input, showModel bool) (code int) {
+	names := make([]string, 0, len(res.Errors))
+	for name := range res.Errors {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Printf("c solver error: %v\n", firstLine(res.Errors[name]))
+	}
+
+	status, hasSol, best, values := res.Status, res.HasSolution, res.Best, res.Values
+	if status == core.StatusSatisfiable && (in.wi != nil || in.prob.HasObjective()) {
+		// The solved problem has no objective left but the input has one
+		// (presolve fixed every costed variable, or no soft constraint
+		// survived compilation): a feasible model is the input's optimum.
+		status = core.StatusOptimal
+	}
+	if hasSol {
+		switch {
+		case in.wi != nil:
+			values, best = values[:in.wi.NumVars], best+in.wi.Offset
+		case in.fixing != nil:
+			values = in.fixing.Lift(values)
+		}
+		if bug := in.recheck(values, best); bug != "" {
+			fmt.Printf("c SOUNDNESS BUG — %s\n", bug)
+			hasSol, status, code = false, core.StatusLimit, 2
+		}
+	}
+
+	upper := "c best upper bound %d\n"
+	if in.wi != nil {
+		upper = "c best penalty upper bound %d\n"
+	}
+	switch status {
+	case core.StatusOptimal:
+		fmt.Printf("o %d\n", best)
+		fmt.Println("s OPTIMUM FOUND")
+		if in.wi != nil {
+			code = 30
+		}
+	case core.StatusSatisfiable:
+		fmt.Println("s SATISFIABLE")
+	case core.StatusUnsat:
+		if in.wi != nil {
+			fmt.Println("c the hard constraints alone are contradictory (not a penalty optimum)")
+			code = 20
+		}
+		fmt.Println("s UNSATISFIABLE")
+	default:
+		if hasSol {
+			fmt.Printf(upper, best)
+			fmt.Printf("o %d\n", best)
+		}
+		fmt.Println("s UNKNOWN")
+	}
+	if hasSol && showModel {
+		if in.wi != nil {
+			fmt.Println(weightedValueLine(in.wi, values))
+		} else {
+			fmt.Println(verify.FormatValueLine(in.prob, values))
+		}
+	}
+	return code
 }
 
 // writeObsOutputs flushes the end-of-run observability artifacts: the JSONL
@@ -557,18 +496,18 @@ func writeObsOutputs(tracer *obs.Tracer, registry *obs.Registry, tracePath strin
 }
 
 // printStats prints every non-zero counter of the run as one
-// "c <path>=<value>" line: the single solve's counter block, or the board's
-// block ("board.") and each member's ("member.<name>.").
-func printStats(res *core.Result, pres *portfolio.Result) error {
-	if pres == nil {
-		return obs.PrintCounters(os.Stdout, "", res.Stats)
+// "c <path>=<value>" line: a single-member run's counter block, or a race's
+// board block ("board.") and each member's ("member.<name>.").
+func printStats(res *portfolio.Result, race bool) error {
+	if !race {
+		return obs.PrintCounters(os.Stdout, "", res.Members[0].Stats)
 	}
-	if pres.Sharing {
-		if err := obs.PrintCounters(os.Stdout, "board.", pres.Board); err != nil {
+	if res.Sharing {
+		if err := obs.PrintCounters(os.Stdout, "board.", res.Board); err != nil {
 			return err
 		}
 	}
-	for _, m := range pres.Members {
+	for _, m := range res.Members {
 		if err := obs.PrintCounters(os.Stdout, "member."+m.Name+".", m.Result.Metrics("")); err != nil {
 			return err
 		}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/opb"
 	"repro/internal/verify"
@@ -496,5 +497,108 @@ func TestPortfolioPropsPerSecCountsEveryMember(t *testing.T) {
 	if want := total / elapsed.Seconds(); math.Abs(rate-want) > 1 {
 		t.Fatalf("props_per_sec=%.0f, want %.0f (%.0f propagations over %v, the winner %s ran %.0f):\n%s",
 			rate, want, total, elapsed, winner, props[winner], out)
+	}
+}
+
+// verdict is what a run reports: its s line, its last o line ("" when it
+// prints none) and its exit code.
+type verdict struct {
+	s, o string
+	code int
+}
+
+func verdictOf(out string, code int) verdict {
+	v := verdict{code: code}
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case strings.HasPrefix(line, "s "):
+			v.s = line
+		case strings.HasPrefix(line, "o "):
+			v.o = line
+		}
+	}
+	return v
+}
+
+// tableRow renders the first row of a Table 1 family, at a scale every
+// member solves in milliseconds, as OPB text.
+func tableRow(t *testing.T, fam harness.Family, sc harness.Scale) string {
+	t.Helper()
+	sc.PerFamily = 1
+	insts, err := harness.Instances([]harness.Family{fam}, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return opb.WriteString(insts[0].Prob)
+}
+
+// TestEveryModeReportsTheSameAnswer feeds the same inputs to every run mode.
+// Each mode is a race through the same member runner and claim check, and
+// one report step prints its answer, so every mode must print the same s
+// line, the same final o line and the same exit code.
+func TestEveryModeReportsTheSameAnswer(t *testing.T) {
+	weightedModes := [][]string{{"-lb", "lpr"}, {"-portfolio", "-members", "1", "-share=false"},
+		{"-core-guided"}, {"-core-guided", "-portfolio"}}
+	opbModes := weightedModes[:2]
+	for _, tc := range []struct {
+		name  string
+		in    string
+		flags []string
+		modes [][]string
+		s     string
+		code  int
+	}{
+		{"synth", tableRow(t, harness.FamilySynth, harness.Scale{SynthNodes: 20}), nil, opbModes, "s OPTIMUM FOUND", 0},
+		{"acc (objective-free)", tableRow(t, harness.FamilyAcc, harness.Scale{AccTeams: 6}), nil, opbModes, "s SATISFIABLE", 0},
+		{"wcnfSplit", wcnfSplit, []string{"-wcnf"}, weightedModes, "s OPTIMUM FOUND", 30},
+		{"hard-UNSAT wcnf", "p wcnf 1 2 9\n9 0\n5 1 0\n", []string{"-wcnf"}, weightedModes, "s UNSATISFIABLE", 20},
+	} {
+		var first verdict
+		for i, mode := range tc.modes {
+			out, code := runBsolo(t, tc.in, append(append([]string{"-model=false"}, tc.flags...), mode...)...)
+			got := verdictOf(out, code)
+			if i == 0 {
+				if got.s != tc.s || got.code != tc.code {
+					t.Fatalf("%s %v: %q exit %d, want %q exit %d:\n%s", tc.name, mode, got.s, got.code, tc.s, tc.code, out)
+				}
+				first = got
+				continue
+			}
+			if got != first {
+				t.Errorf("%s %v: %+v, but %v reports %+v:\n%s", tc.name, mode, got, tc.modes[0], first, out)
+			}
+		}
+	}
+}
+
+// TestCoreGuidedCounters checks that the core-guided member alone reports
+// its loop's counters, its proved lower bound included, in -stats and as
+// the one solver block of -metrics.
+func TestCoreGuidedCounters(t *testing.T) {
+	metrics := filepath.Join(t.TempDir(), "m.json")
+	out, code := runBsolo(t, wcnfSplit, "-wcnf", "-core-guided", "-stats", "-metrics", metrics)
+	if code != 30 {
+		t.Fatalf("exit %d, want 30:\n%s", code, out)
+	}
+	for _, line := range []string{"c core_guided.iterations=3", "c core_guided.cores=2", "c core_guided.lower_bound=5"} {
+		if !strings.Contains(out, line+"\n") {
+			t.Errorf("-stats lacks %q:\n%s", line, out)
+		}
+	}
+	raw, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Solvers) != 1 || snap.Solvers[0].Name != "core-guided" {
+		t.Fatalf("want one core-guided solver block: %s", raw)
+	}
+	m := snap.Solvers[0]
+	if m.Status != "optimal" || m.CoreGuided == nil || m.CoreGuided.LowerBound != 5 || m.CoreGuided.Cores != 2 {
+		t.Fatalf("core-guided block: status %q counters %+v, want optimal with 2 cores and lower bound 5: %s",
+			m.Status, m.CoreGuided, raw)
 	}
 }

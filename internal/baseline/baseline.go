@@ -49,10 +49,7 @@ func PBS(p *pb.Problem, lim Limits) core.Result {
 // Galena runs the Galena-style linear-search solver with preprocessing.
 func Galena(p *pb.Problem, lim Limits) core.Result {
 	pre, info, err := preprocess.Apply(p, preprocess.Options{
-		Probing:       true,
-		Strengthening: true,
-		Subsumption:   true,
-		MaxProbeVars:  2000,
+		MaxProbeVars: 2000,
 	})
 	if err != nil {
 		// Preprocessing failure falls back to the raw instance.

@@ -53,10 +53,8 @@ type Reducer struct {
 	fullRows, fullTerms int
 	bufs                *reducerBufs // the record the buffers came in, if pooled
 
-	// Stats.
-	reduces   int64
-	peakRows  int
-	peakTerms int
+	// reduces counts Reduce calls; the first sizes the buffers.
+	reduces int64
 }
 
 type rowSpan struct{ start, end int32 }
@@ -194,9 +192,6 @@ func (r *Reducer) ActiveCount() int {
 	return len(r.active)
 }
 
-// Reduces returns how many reductions this Reducer has produced.
-func (r *Reducer) Reduces() int64 { return r.reduces }
-
 // Reduce builds the reduced problem for the engine's current assignment into
 // the Reducer's reusable buffers and returns it. The result aliases those
 // buffers and is invalidated by the next Reduce call.
@@ -260,12 +255,6 @@ func (r *Reducer) Reduce() *Reduced {
 	}
 	r.termArena = arena
 	r.rowSpans = spans
-	if len(red.Rows) > r.peakRows {
-		r.peakRows = len(red.Rows)
-	}
-	if len(arena) > r.peakTerms {
-		r.peakTerms = len(arena)
-	}
 	return red
 }
 

@@ -216,14 +216,6 @@ type Tuning struct {
 	// (maxPBLearned); beyond that only clauses are learned.
 	PBLearning bool
 
-	// FallbackAfter is the circuit-breaker threshold: after this many
-	// consecutive *failed* primary bound calls (panics or numerical
-	// failures) the solver demotes LowerBound to MIS for the remainder of
-	// the run. Zero selects the default (8); negative disables demotion.
-	// Individual failed calls always fall back to MIS for that node
-	// regardless of the breaker state.
-	FallbackAfter int
-
 	// NoCuts disables cutting-plane separation for LBLPR: node LPs are
 	// solved over the reduced rows alone, with no pool. Cuts are on by
 	// default for LBLPR (mirroring warm starts); the flag exists for
@@ -294,6 +286,13 @@ const upperInf = int64(math.MaxInt64 / 2)
 // A variable, not a constant, so a test can lower it.
 var maxPBLearned int64 = 20000
 
+// fallbackAfter is the circuit-breaker threshold: after this many
+// consecutive *failed* primary bound calls (panics or numerical failures)
+// the solver demotes LowerBound to MIS for the remainder of the run.
+// Individual failed calls always fall back to MIS for that node regardless
+// of the breaker state. A variable, not a constant, so a test can lower it.
+var fallbackAfter = 8
+
 type solver struct {
 	prob *pb.Problem
 	opt  Options
@@ -301,7 +300,7 @@ type solver struct {
 	est  bounds.Estimator
 	// fallback is the cheaper rung of the lower-bound ladder (MIS when the
 	// primary is LPR/LGR; nil otherwise). consecFails counts consecutive
-	// failed primary calls toward the FallbackAfter circuit breaker.
+	// failed primary calls toward the fallbackAfter circuit breaker.
 	fallback    bounds.Estimator
 	consecFails int
 
@@ -707,7 +706,7 @@ func (s *solver) estimate(red *bounds.Reduced, target int64) bounds.Result {
 // procedure behind a panic barrier, then — if the primary failed (panic,
 // numerical corruption, solver error) or produced no usable bound within its
 // budget — the MIS fallback, so the node still prunes with eq. 8/eq. 9 bound
-// conflicts where possible. After FallbackAfter consecutive hard failures
+// conflicts where possible. After fallbackAfter consecutive hard failures
 // the circuit breaker demotes the primary to MIS for the rest of the run.
 func (s *solver) estimateInner(red *bounds.Reduced, target int64) bounds.Result {
 	bud := s.boundBudget()
@@ -751,11 +750,7 @@ func (s *solver) estimateInner(red *bounds.Reduced, target int64) bounds.Result 
 			res = fres
 		}
 	}
-	threshold := s.opt.FallbackAfter
-	if threshold == 0 {
-		threshold = 8
-	}
-	if threshold > 0 && s.consecFails >= threshold && s.fallback != nil {
+	if s.consecFails >= fallbackAfter && s.fallback != nil {
 		// Demote: the primary procedure is persistently failing; stop
 		// paying for it (and for its panics) at every node. The warm-start
 		// state dies with the demoted estimator — but its warm/cold solve

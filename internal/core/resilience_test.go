@@ -98,11 +98,13 @@ func TestLPRFaultFallbackMatchesUnfaulted(t *testing.T) {
 }
 
 // TestCircuitBreakerDemotesToMIS arms the LPR path to panic on every call:
-// after FallbackAfter consecutive failures the solver must demote to MIS
+// after fallbackAfter consecutive failures the solver must demote to MIS
 // outright (BoundDemotions=1), stop paying for the panicking procedure, and
 // still prove the same optimum.
 func TestCircuitBreakerDemotesToMIS(t *testing.T) {
 	defer fault.Reset()
+	defer func(old int) { fallbackAfter = old }(fallbackAfter)
+	fallbackAfter = 4
 	rng := rand.New(rand.NewSource(777))
 	demoted := false
 	for iter := 0; iter < 30 && !demoted; iter++ {
@@ -111,7 +113,7 @@ func TestCircuitBreakerDemotesToMIS(t *testing.T) {
 
 		fault.Reset()
 		fault.Arm("lpr.solve", fault.Spec{Kind: fault.KindPanic, Every: 1})
-		res := Solve(p, Options{LowerBound: LBLPR, Tuning: Tuning{FallbackAfter: 4}})
+		res := Solve(p, Options{LowerBound: LBLPR})
 		fault.Reset()
 
 		if want.Feasible {

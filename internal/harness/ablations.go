@@ -58,9 +58,7 @@ type ablationVariant struct {
 // preprocessed applies the §6 probing/strengthening/subsumption pipeline
 // (ablation A6).
 func preprocessed(p *pb.Problem) (*pb.Problem, error) {
-	out, info, err := preprocess.Apply(p, preprocess.Options{
-		Probing: true, Strengthening: true, Subsumption: true,
-	})
+	out, info, err := preprocess.Apply(p, preprocess.Options{})
 	if err != nil || info.ProvedUnsat {
 		return p, err
 	}

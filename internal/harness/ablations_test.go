@@ -12,9 +12,6 @@ import (
 var tuningBackedElsewhere = map[string]string{
 	// The Galena column of Table 1 (baseline.Galena) and the fuzz matrix.
 	"PBLearning": "paper column",
-	// The circuit breaker that internal/core's resilience_test.go drives with
-	// injected bound faults.
-	"FallbackAfter": "robustness control",
 }
 
 // TestEveryTuningFieldIsBacked: a core.Tuning switch stays only if some

@@ -14,7 +14,8 @@ import (
 // The unified metrics snapshot schema. The counter blocks below ARE the
 // solver stack's native counters: core counts into SolverStats, the bound
 // pipeline into BoundsStats and ProcStats, the cut pool into CutStats, a
-// portfolio member into SharingStats and the sharing board into BoardStats.
+// portfolio member into SharingStats, the core-guided member into
+// CoreGuidedStats and the sharing board into BoardStats.
 // Each counter is declared once, with its repro.metrics/v1 key as its JSON
 // tag, and no converter sits between the solver and the document. The same
 // document is served live by the registry (`bsolo -debug-addr`), written at
@@ -28,9 +29,11 @@ import (
 //   - a solver block's "sharing" is omitted unless SharingStats.Active
 //     (SolverMetrics.MarshalJSON);
 //   - a bounds block's "cuts" is omitted when nothing was separated
-//     (BoundsStats.MarshalJSON).
+//     (BoundsStats.MarshalJSON);
+//   - a solver block's "core_guided" is present only for the core-guided
+//     member (a nil pointer, omitempty).
 //
-// Neither rule is a MarshalJSON on SolverStats: that method would be
+// Neither of the first two rules is a MarshalJSON on SolverStats: that method would be
 // promoted through the embedding in SolverMetrics and drop the envelope's
 // name, status and best. Changing field meaning (not merely adding fields)
 // requires bumping SchemaVersion.
@@ -130,7 +133,7 @@ type SolverStats struct {
 	// fallback after the primary procedure failed or returned no usable
 	// bound within its budget.
 	BoundFallbacks int64 `json:"bound_fallbacks"`
-	// BoundDemotions counts circuit-breaker trips: after FallbackAfter
+	// BoundDemotions counts circuit-breaker trips: after 8 (core's fallbackAfter)
 	// consecutive failures the primary method is demoted to MIS for the
 	// rest of the run (at most 1 per run today; kept a counter for the
 	// portfolio's aggregated stats).
@@ -151,6 +154,10 @@ type SolverStats struct {
 	// into this shape.
 	Flips int64 `json:"flips,omitempty"`
 
+	// CoreGuided is the core-guided member's block; nil, and absent from
+	// the document, for every other solver.
+	CoreGuided *CoreGuidedStats `json:"core_guided,omitempty"`
+
 	// Bounds is the bound-pipeline block: reduction mode and cost,
 	// per-estimator call/time/strength aggregates, and the LP warm-start
 	// counters.
@@ -160,6 +167,20 @@ type SolverStats struct {
 	// board): incumbents published/adopted, clauses exchanged, pruning
 	// attributable to foreign upper bounds.
 	Sharing SharingStats `json:"sharing"`
+}
+
+// CoreGuidedStats counts one core-guided (WPM1) solve.
+type CoreGuidedStats struct {
+	// Iterations counts engine sub-solves; Cores counts extracted unsat
+	// cores (Iterations = Cores + 1 on a clean optimal run).
+	Iterations int64 `json:"iterations"`
+	Cores      int64 `json:"cores"`
+	// CardRewrites counts compiled rows normalized to cardinality form.
+	CardRewrites int64 `json:"card_rewrites"`
+	// LowerBound is the proved lower bound on the compiled objective (the
+	// penalty minus the instance offset; 0 after a crash); at an optimum it
+	// equals best.
+	LowerBound int64 `json:"lower_bound"`
 }
 
 // BoundsStats is the bound-pipeline block: reduced-problem construction cost plus one ProcStats per estimator, and

@@ -46,6 +46,9 @@ func fillCounters(t *testing.T, v reflect.Value, path string, next *int64, want 
 			want[p] = fmt.Sprint("s", *next)
 		case f.Kind() == reflect.Struct:
 			fillCounters(t, f, p+".", next, want)
+		case f.Kind() == reflect.Pointer && sf.Type.Elem().Kind() == reflect.Struct:
+			f.Set(reflect.New(sf.Type.Elem()))
+			fillCounters(t, f.Elem(), p+".", next, want)
 		case sf.Type == reflect.TypeOf(map[string]*ProcStats(nil)):
 			proc := &ProcStats{}
 			fillCounters(t, reflect.ValueOf(proc).Elem(), p+".lpr.", next, want)
@@ -94,7 +97,7 @@ func printed(t *testing.T, prefix string, v any) map[string]string {
 }
 
 // TestEveryCounterDeclaredOnce fills every counter of the solver, bounds,
-// per-estimator, cuts, sharing and board blocks with a distinct value and
+// per-estimator, cuts, sharing, core-guided and board blocks with a distinct value and
 // checks that each one appears exactly once, under its snake_case key, in
 // the registry's document and in the -stats printout, and that the document
 // round-trips. A counter added without a json tag fails here.
@@ -165,9 +168,10 @@ func TestEveryCounterDeclaredOnce(t *testing.T) {
 	}
 }
 
-// TestOptionalBlocksOmitted pins the two omission rules: a solver block
-// without sharing events has no "sharing" key, and a bounds block without
-// separation rounds has no "cuts" key; the envelope keeps its fields.
+// TestOptionalBlocksOmitted pins the omission rules: a solver block without
+// sharing events has no "sharing" key, a bounds block without separation
+// rounds has no "cuts" key, and a solver that is not core-guided has no
+// "core_guided" key; the envelope keeps its fields.
 func TestOptionalBlocksOmitted(t *testing.T) {
 	best := int64(7)
 	m := SolverMetrics{Name: "mis", Status: "optimal", Best: &best}
@@ -185,6 +189,9 @@ func TestOptionalBlocksOmitted(t *testing.T) {
 	}
 	if _, ok := doc["bounds"].(map[string]any)["cuts"]; ok {
 		t.Errorf("cuts block encoded without a separation round: %s", data)
+	}
+	if _, ok := doc["core_guided"]; ok {
+		t.Errorf("core-guided block encoded for a branch-and-bound solver: %s", data)
 	}
 	if doc["name"] != "mis" || doc["status"] != "optimal" || doc["best"] != 7.0 || doc["decisions"] != 3.0 {
 		t.Errorf("envelope or counters lost: %s", data)

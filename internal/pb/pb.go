@@ -598,39 +598,6 @@ func normalize(terms []Term, rhs int64, negate bool) (*Constraint, error) {
 	return &Constraint{Terms: append(make([]Term, 0, len(s.out)), s.out...), Degree: rhs}, nil
 }
 
-// Reduce returns the residual of c under a partial assignment. assigned[v]
-// reports whether x_v is assigned and value[v] its value (only meaningful
-// when assigned). The residual drops satisfied-or-false literals:
-//
-//	Σ_{unassigned} a·l ≥ Degree − Σ_{true assigned lits} a
-//
-// It returns (nil, true) when the residual is trivially satisfied, and
-// (residual, false) otherwise; a residual whose degree exceeds its
-// coefficient sum is unsatisfiable under the partial assignment.
-func (c *Constraint) Reduce(assigned, value []bool) (res *Constraint, satisfied bool) {
-	deg := c.Degree
-	var terms []Term
-	for _, t := range c.Terms {
-		v := t.Lit.Var()
-		if assigned[v] {
-			if t.Lit.Eval(value[v]) {
-				deg -= t.Coef
-			}
-			continue
-		}
-		terms = append(terms, t)
-	}
-	if deg <= 0 {
-		return nil, true
-	}
-	for i := range terms {
-		if terms[i].Coef > deg {
-			terms[i].Coef = deg
-		}
-	}
-	return &Constraint{Terms: terms, Degree: deg, Learned: c.Learned}, false
-}
-
 // BruteForceResult is the outcome of the exhaustive reference solver.
 type BruteForceResult struct {
 	Feasible bool

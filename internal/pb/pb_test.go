@@ -274,47 +274,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestReduce(t *testing.T) {
-	// 3x0 + 2x1 + 1¬x2 >= 4.
-	c := mustNormalize([]Term{{3, PosLit(0)}, {2, PosLit(1)}, {1, NegLit(2)}}, 4)
-	assigned := []bool{true, false, false}
-	value := []bool{true, false, false}
-	res, sat := c.Reduce(assigned, value)
-	if sat {
-		t.Fatal("should not be satisfied yet")
-	}
-	// x0=1 contributes 3 ⇒ residual 2x1 + 1¬x2 >= 1.
-	if res.Degree != 1 || len(res.Terms) != 2 {
-		t.Fatalf("residual %v", res)
-	}
-	// Coefs clipped to degree 1.
-	for _, tm := range res.Terms {
-		if tm.Coef != 1 {
-			t.Fatalf("residual not clipped: %v", res)
-		}
-	}
-
-	// Satisfying assignment of enough weight.
-	assigned = []bool{true, true, false}
-	value = []bool{true, true, false}
-	if _, sat := c.Reduce(assigned, value); !sat {
-		t.Fatal("should be satisfied (3+2 >= 4)")
-	}
-}
-
-func TestReduceInfeasibleResidual(t *testing.T) {
-	// x0 + x1 >= 2 with x0=0: residual x1 >= 2... after clip x1>=2 ⇒ coef
-	// clipped to 2? Degree 2 > coefsum 1 ⇒ unsatisfiable residual.
-	c := mustNormalize([]Term{{1, PosLit(0)}, {1, PosLit(1)}}, 2)
-	res, sat := c.Reduce([]bool{true, false}, []bool{false, false})
-	if sat {
-		t.Fatal("not satisfied")
-	}
-	if res.CoefSum() >= res.Degree {
-		t.Fatalf("expected infeasible residual, got %v", res)
-	}
-}
-
 func TestBruteForceSimple(t *testing.T) {
 	// min x0 + 2x1 s.t. x0 + x1 >= 1 ⇒ optimum 1 at x0=1.
 	p := NewProblem(2)

@@ -548,10 +548,20 @@ func runCoreGuided(p *pb.Problem, cg *CoreGuided, w wiring) core.Result {
 // claimed only for a hard-UNSAT verdict: the compiled soft rows are always
 // satisfiable through their selectors, so the compiled problem is
 // infeasible exactly when the hard skeleton is, while an
-// assumption-relative refusal says nothing about it.
+// assumption-relative refusal says nothing about it. The loop's own counters
+// and its proved lower bound (none after a crash), in the same compiled
+// terms, fill the core-guided counter block.
 func coreGuidedClaim(in *wbo.Instance, r wbo.Result) core.Result {
 	res := core.Result{Status: r.Status, Err: r.Err}
 	res.Stats.Conflicts = r.Conflicts
+	res.Stats.CoreGuided = &obs.CoreGuidedStats{
+		Iterations:   int64(r.Iterations),
+		Cores:        int64(r.Cores),
+		CardRewrites: r.CardRewrites,
+	}
+	if r.Status != core.StatusError {
+		res.Stats.CoreGuided.LowerBound = r.LowerBound - in.Offset
+	}
 	if r.Status == core.StatusUnsat && !r.HardUnsat {
 		res.Status = core.StatusLimit
 	}

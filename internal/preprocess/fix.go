@@ -111,7 +111,7 @@ func FixVariables(p *pb.Problem) (*Fixing, error) {
 	if e.SeedUnits() < 0 || e.Propagate() >= 0 {
 		return f.provedUnsat(), nil
 	}
-	if _, unsat := probeFailed(e, probeOrder(p, 0), true, nil); unsat {
+	if _, unsat := probeFailed(e, probeOrder(p, 0), nil); unsat {
 		return f.provedUnsat(), nil
 	}
 	for i := 0; i < e.TrailSize(); i++ {

@@ -26,14 +26,9 @@ import (
 	"repro/internal/pb"
 )
 
-// Options selects preprocessing steps. The zero value applies nothing.
+// Options tunes preprocessing. Probing, strengthening and subsumption always
+// run; the zero value probes every variable and detects no cardinalities.
 type Options struct {
-	// Probing enables failed-literal detection (necessary assignments).
-	Probing bool
-	// Strengthening adds binary implication clauses discovered by probing.
-	Strengthening bool
-	// Subsumption removes clauses subsumed by shorter ones.
-	Subsumption bool
 	// MaxProbeVars caps how many variables are probed (0 = all). Variables
 	// are probed in order of descending occurrence count.
 	MaxProbeVars int
@@ -70,14 +65,9 @@ func Apply(p *pb.Problem, opt Options) (*pb.Problem, Info, error) {
 		info.CardinalityNormalized = normalizeCardinalities(out)
 	}
 
-	if opt.Subsumption {
-		info.SubsumedRemoved = subsume(out)
-	}
-
-	if opt.Probing || opt.Strengthening {
-		if err := probe(out, opt, &info); err != nil {
-			return nil, info, err
-		}
+	info.SubsumedRemoved = subsume(out)
+	if err := probe(out, opt.MaxProbeVars, &info); err != nil {
+		return nil, info, err
 	}
 	return out, info, nil
 }
@@ -167,11 +157,12 @@ func subsume(p *pb.Problem) int {
 	return len(removed)
 }
 
-// probe runs failed-literal probing and implication strengthening.
-func probe(p *pb.Problem, opt Options, info *Info) error {
+// probe runs failed-literal probing and implication strengthening over at
+// most maxVars variables (0 = all).
+func probe(p *pb.Problem, maxVars int, info *Info) error {
 	// At most 4× the constraint count implication clauses are added.
 	maxImpl := 4 * len(p.Constraints)
-	order := probeOrder(p, opt.MaxProbeVars)
+	order := probeOrder(p, maxVars)
 
 	e := engine.New(p)
 	if e.SeedUnits() < 0 || e.Propagate() >= 0 {
@@ -182,15 +173,11 @@ func probe(p *pb.Problem, opt Options, info *Info) error {
 
 	type implication struct{ from, to pb.Lit }
 	var impls []implication
-	var implied func(probeLit pb.Lit, base int)
-	if opt.Strengthening {
-		implied = func(probeLit pb.Lit, base int) {
-			for i := base + 1; i < e.TrailSize() && len(impls) < maxImpl; i++ {
-				impls = append(impls, implication{probeLit, e.TrailLit(i)})
-			}
+	fixed, unsat := probeFailed(e, order, func(probeLit pb.Lit, base int) {
+		for i := base + 1; i < e.TrailSize() && len(impls) < maxImpl; i++ {
+			impls = append(impls, implication{probeLit, e.TrailLit(i)})
 		}
-	}
-	fixed, unsat := probeFailed(e, order, opt.Probing, implied)
+	})
 	info.FixedLiterals = len(fixed)
 	if unsat {
 		info.ProvedUnsat = true
@@ -214,13 +201,13 @@ func probe(p *pb.Problem, opt Options, info *Info) error {
 
 // probeFailed runs failed-literal probing at e's root over the variables of
 // order: each still unassigned variable is decided both ways and
-// propagated. A probe that conflicts is a failed literal; with fix set its
-// negation is necessary, so it is enqueued at the root, propagated and
-// returned in fixed. implied, when non-nil, is called after every probe
+// propagated. A probe that conflicts is a failed literal: its negation is
+// necessary, so it is enqueued at the root, propagated and returned in
+// fixed. implied, when non-nil, is called after every probe
 // that propagates without conflict, while the literals it implied are still
 // on the trail past position base. unsat reports that a fixed negation
 // propagated to a conflict: the problem is infeasible.
-func probeFailed(e *engine.Engine, order []pb.Var, fix bool, implied func(probeLit pb.Lit, base int)) (fixed []pb.Lit, unsat bool) {
+func probeFailed(e *engine.Engine, order []pb.Var, implied func(probeLit pb.Lit, base int)) (fixed []pb.Lit, unsat bool) {
 	for _, v := range order {
 		if e.Value(v) != engine.Unassigned {
 			continue
@@ -239,9 +226,6 @@ func probeFailed(e *engine.Engine, order []pb.Var, fix bool, implied func(probeL
 				continue
 			}
 			e.BacktrackTo(0)
-			if !fix {
-				continue
-			}
 			if !e.Enqueue(probeLit.Neg(), engine.NoReason) || e.Propagate() >= 0 {
 				return fixed, true
 			}
