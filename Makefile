@@ -41,9 +41,10 @@ ci: vet build test loc
 # interrupt hook, solver cancellation, portfolio racing + clause sharing,
 # local search, fault injection, the incremental Reducer's watcher protocol,
 # the warm-start LP state, cut pools, the fuzz harness, the live metrics
-# registry, presolve, and the core-guided and wcnf paths. The one list both
+# registry, presolve, the core-guided and wcnf paths, and bsolo's own runs
+# (signal handling, the live endpoint, every mode's race). The one list both
 # `make ci` and CI use.
-RACE_PKGS := ./internal/engine ./internal/core ./internal/portfolio ./internal/share ./internal/ls ./internal/fault ./internal/bounds ./internal/lp ./internal/cuts ./internal/fuzz ./internal/obs ./internal/preprocess ./internal/wbo ./internal/wcnf
+RACE_PKGS := ./cmd/bsolo ./internal/engine ./internal/core ./internal/portfolio ./internal/share ./internal/ls ./internal/fault ./internal/bounds ./internal/lp ./internal/cuts ./internal/fuzz ./internal/obs ./internal/preprocess ./internal/wbo ./internal/wcnf
 race-pkgs:
 	$(GO) test -race $(RACE_PKGS)
 

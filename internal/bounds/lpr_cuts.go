@@ -173,20 +173,13 @@ func (inst *cutInstall) rollback(xp *xProblem, snap cutSnapshot) {
 }
 
 // cutSources exposes the reduced problem's originating rows — full
-// coefficients, full degree — to the separators, in dst's buffer. Only
-// original (non-learned) constraints qualify: learned constraints are valid
-// merely under the current upper bound, and a cut derived from one would
-// poison the pool's global-validity invariant (and fail the audit replay).
+// coefficients, full degree — to the separators, in dst's buffer. Those are
+// problem rows only, as they must be: learned constraints are valid merely
+// under the current upper bound, and a cut derived from one would poison
+// the pool's global-validity invariant (and fail the audit replay).
 func cutSources(dst []cuts.Source, e *engine.Engine, red *Reduced) []cuts.Source {
-	n := min(len(red.Rows), maxCutSourceRows)
 	srcs := dst[:0]
-	for _, row := range red.Rows {
-		if len(srcs) >= n {
-			break
-		}
-		if e.Cons(row.EngIdx).Learned {
-			continue
-		}
+	for _, row := range red.Rows[:min(len(red.Rows), maxCutSourceRows)] {
 		srcs = append(srcs, engineRows{e}.Row(row.EngIdx))
 	}
 	return srcs

@@ -92,15 +92,11 @@ func (r *Reducer) resync() {
 		r.pos[i] = -1
 	}
 	terms := 0
-	for i := 0; i < n; i++ {
-		c := r.eng.Cons(i)
-		if c.Learned || c.Removed() || c.Satisfied() {
-			continue
-		}
+	r.eng.UnsatisfiedCons(func(i int, c engine.Cons, _ int64) {
 		r.pos[i] = int32(len(r.active))
 		r.active = append(r.active, int32(i))
 		terms += len(c.Lits)
-	}
+	})
 	r.sorted = true
 	r.fullRows, r.fullTerms = len(r.active), terms
 }
@@ -145,22 +141,9 @@ func (r *Reducer) ConsWave(satisfied, unsatisfied []int32) {
 	}
 }
 
-// ConsAdded implements engine.ConsWatcher.
-func (r *Reducer) ConsAdded(idx int, satisfied bool) {
-	for len(r.pos) <= idx {
-		r.pos = append(r.pos, -1)
-	}
-	if !satisfied {
-		r.add(int32(idx))
-	}
-}
-
 func (r *Reducer) add(idx int32) {
-	if int(idx) < len(r.pos) && r.pos[idx] >= 0 {
+	if r.pos[idx] >= 0 {
 		return
-	}
-	for len(r.pos) <= int(idx) {
-		r.pos = append(r.pos, -1)
 	}
 	r.pos[idx] = int32(len(r.active))
 	r.active = append(r.active, idx)

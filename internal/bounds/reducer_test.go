@@ -151,10 +151,9 @@ func walkReducer(t *testing.T, p *pb.Problem, rng *rand.Rand) {
 	}
 }
 
-// TestReducerSurvivesDirectLearnedAdds checks the ConsAdded notification path
-// for constraints appended outside conflict analysis (the incumbent-cut /
-// cardinality-cut route in core): learned constraints must never enter the
-// reduced problem, while late problem constraints must.
+// TestReducerSurvivesDirectLearnedAdds checks constraints appended outside
+// conflict analysis (the incumbent-cut / cardinality-cut route in core):
+// learned constraints must never enter the reduced problem.
 func TestReducerSurvivesDirectLearnedAdds(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	for iter := 0; iter < 40; iter++ {
@@ -170,20 +169,13 @@ func TestReducerSurvivesDirectLearnedAdds(t *testing.T) {
 			{Coef: 1, Lit: pb.MkLit(pb.Var(rng.Intn(n)), false)},
 			{Coef: 1, Lit: pb.MkLit(pb.Var(rng.Intn(n)), true)},
 		}
-		learnedIdx := e.AddCons(terms, 1, true)
+		learnedIdx := e.AddCons(terms, 1)
 		checkNode(t, "learned add", e, r)
 		for _, row := range r.Reduce().Rows {
 			if row.EngIdx == learnedIdx {
 				t.Fatalf("iter %d: learned constraint %d leaked into reduction", iter, learnedIdx)
 			}
 		}
-		// Problem add: must be tracked like any original constraint.
-		e.AddCons(terms, 1, false)
-		if e.Propagate() >= 0 {
-			checkNode(t, "problem add conflict", e, r)
-			continue
-		}
-		checkNode(t, "problem add", e, r)
 		e.BacktrackTo(0)
 		checkNode(t, "post-add restart", e, r)
 		r.Detach()

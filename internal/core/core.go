@@ -352,7 +352,9 @@ type solver struct {
 
 	// knapCut is the engine index of the eq. 10 incumbent constraint
 	// (created at the first incumbent, tightened in place afterwards;
-	// -1 until created). cardCutIdx likewise for the eq. 13 cuts.
+	// -1 until created). cardCutIdx likewise for the eq. 13 cuts. These are
+	// the only learned-row indices held outside the engine, so maybeRestart
+	// maps them through each ReduceDB's renumbering.
 	knapCut    int
 	cardCutIdx []int
 
@@ -1109,7 +1111,7 @@ func (s *solver) resolveConstraintConflict(confl int) bool {
 		// strict strengthening of the clause) and schedule it for an
 		// immediate propagation check.
 		if cpTerms != nil && !dominatedByClause(cpTerms, cpDegree, res.Learnt) {
-			ci := s.eng.AddCons(cpTerms, cpDegree, true)
+			ci := s.eng.AddCons(cpTerms, cpDegree)
 			s.eng.ScheduleCheck(ci)
 			s.stats.PBLearned++
 		}
@@ -1558,6 +1560,12 @@ func (s *solver) maybeRestart() {
 		// past the threshold since the last collection.
 		if s.learnedRows()-s.lastReduceAt > 4000 {
 			s.eng.ReduceDB()
+			// The incumbent rows are protected, so they survive; ReduceDB
+			// renumbers them with the other learned rows.
+			s.knapCut = s.eng.Moved(s.knapCut)
+			for i, ci := range s.cardCutIdx {
+				s.cardCutIdx[i] = s.eng.Moved(ci)
+			}
 			s.lastReduceAt = s.learnedRows()
 			s.trace.Emit(obs.EvReduceDB, "", s.lastReduceAt, 0, "")
 			s.lprState.Invalidate()

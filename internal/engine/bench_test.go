@@ -202,7 +202,6 @@ func (w *waveWatcher) ConsWave(satisfied, unsatisfied []int32) {
 	w.sat += len(satisfied)
 	w.unsat += len(unsatisfied)
 }
-func (w *waveWatcher) ConsAdded(idx int, satisfied bool) {}
 
 // BenchmarkPropagateWaveSoA measures one full propagation wave through the
 // struct-of-arrays engine — decide, CSR counter propagation, one batched

@@ -68,7 +68,7 @@ func TestChaosAllFeaturesInterleaved(t *testing.T) {
 				conflicts++
 				if rng.Intn(2) == 0 {
 					if terms, deg := e.AnalyzeCuttingPlane(confl); terms != nil {
-						ci := e.AddCons(terms, deg, true)
+						ci := e.AddCons(terms, deg)
 						e.ScheduleCheck(ci)
 					}
 				}

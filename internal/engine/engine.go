@@ -28,9 +28,11 @@
 // Storage is struct-of-arrays: constraint metadata lives in a flat header
 // slice (consHdr) and the terms of all constraints share two flat arenas —
 // one for literals, one for coefficients — addressed by per-constraint
-// offset/length. The per-literal occurrence index is a CSR (compressed
-// sparse row) built once over the initial problem constraints, plus small
-// dynamic per-literal lists for constraints added during search. Occurrence
+// offset/length. The problem rows are the constraints New builds; they come
+// first and never move. Learned rows follow them, and ReduceDB deletes and
+// renumbers those. The per-literal occurrence index is a CSR (compressed
+// sparse row) built once over the problem rows, plus small dynamic
+// per-literal lists for the counter-based learned rows. Occurrence
 // entries carry the term's coefficient inline, so the two hottest loops
 // (Propagate's fused wave and BacktrackTo's counter restore) touch only the
 // occurrence stream and the header — never the arenas. See DESIGN.md §13.
@@ -40,6 +42,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -62,22 +65,18 @@ const (
 // slice.
 const NoReason int32 = -1
 
-// Constraint header flags.
+// Constraint header flags. A row is learned iff its index is at least the
+// problem-row count, so no flag records that.
 const (
-	// flagLearned marks learned constraints (clauses, cuts).
-	flagLearned uint8 = 1 << iota
 	// flagProtected learned constraints (incumbent cuts) survive ReduceDB.
-	flagProtected
-	// flagRemoved marks a garbage-collected constraint; its arena span is
-	// reclaimed by compaction and all engine loops skip it.
-	flagRemoved
+	flagProtected uint8 = 1 << iota
 	// flagWatched marks learned clauses propagated by the two-watched-literal
 	// scheme (see watched.go); they have no occurrence entries and no
 	// satisfaction counters.
 	flagWatched
 )
 
-// Per-constraint watcher-notification state, packed one byte per constraint
+// Per-row watcher-notification state, packed one byte per problem row
 // in Engine.satState. Keeping it out of consHdr means FlushConsDeltas scans
 // a dense byte array (L1-resident even for large stores) instead of
 // re-touching one 56-byte header cache line per dirty constraint.
@@ -109,8 +108,6 @@ type consHdr struct {
 	activity float64
 }
 
-func (h *consHdr) learned() bool   { return h.flags&flagLearned != 0 }
-func (h *consHdr) removed() bool   { return h.flags&flagRemoved != 0 }
 func (h *consHdr) watched() bool   { return h.flags&flagWatched != 0 }
 func (h *consHdr) satisfied() bool { return h.trueSum >= h.degree }
 
@@ -119,21 +116,16 @@ func (h *consHdr) satisfied() bool { return h.trueSum >= h.degree }
 // call that grows or compacts the store (AddCons, LearnAndBackjump,
 // ImportClause, ReduceDB). Copy what you keep.
 type Cons struct {
-	Lits    []pb.Lit
-	Coefs   []int64
-	Degree  int64
-	Learned bool
+	Lits   []pb.Lit
+	Coefs  []int64
+	Degree int64
 
 	watchSum int64
 	trueSum  int64
-	removed  bool
 }
 
 // Len returns the number of terms.
 func (c Cons) Len() int { return len(c.Lits) }
-
-// Removed reports whether the constraint was garbage-collected.
-func (c Cons) Removed() bool { return c.removed }
 
 // Slack returns watchSum − degree under the assignment at view time.
 func (c Cons) Slack() int64 { return c.watchSum - c.Degree }
@@ -174,21 +166,20 @@ type Stats struct {
 type Engine struct {
 	nVars int
 
-	// Struct-of-arrays constraint store (see package comment).
-	hdrs  []consHdr
-	lits  []pb.Lit
-	coefs []int64
+	// Struct-of-arrays constraint store (see package comment). The first
+	// problem headers are the problem rows.
+	hdrs    []consHdr
+	lits    []pb.Lit
+	coefs   []int64
+	problem int
 
 	// occCSR/occOff form the immutable CSR occurrence index over the
-	// constraints present at New: the constraints containing literal l are
-	// occCSR[occOff[l]:occOff[l+1]]. Those constraints are problem
-	// constraints and are never removed, so the CSR needs no purging —
-	// the hot loops over it skip the removed check entirely.
+	// problem rows: the rows containing literal l are
+	// occCSR[occOff[l]:occOff[l+1]].
 	occCSR []occRef
 	occOff []int32
-	// occDyn holds occurrence entries for counter-based constraints added
-	// after New (late problem rows, learned PB cuts, imported units); these
-	// can be removed by ReduceDB, so entries are validated and purged.
+	// occDyn holds occurrence entries for the counter-based learned rows
+	// (learned PB cuts, units, protected rows); ReduceDB renumbers them.
 	occDyn [][]occRef
 
 	value    []Value
@@ -199,8 +190,8 @@ type Engine struct {
 	trailLim []int
 	propHead int
 
-	// numUnsatisfied counts problem (non-learned) constraints that are not
-	// yet satisfied by true literals.
+	// numUnsatisfied counts problem rows that are not yet satisfied by true
+	// literals.
 	numUnsatisfied int
 
 	activity []float64
@@ -222,20 +213,25 @@ type Engine struct {
 	watchList [][]int32
 
 	// consWatcher, when non-nil, observes satisfaction transitions of
-	// problem constraints (see notify.go). Registered via SetConsWatcher.
+	// problem rows (see notify.go). Registered via SetConsWatcher.
 	// Transitions are coalesced per propagation wave: assign/backtrack only
 	// mark constraints dirty, and FlushConsDeltas delivers the net
 	// transitions in one ConsWave call.
 	consWatcher ConsWatcher
 	dirty       []int32
-	satState    []uint8 // state* bits per constraint (see const block)
+	satState    []uint8 // state* bits per problem row (see const block)
 	satBuf      []int32
 	unsatBuf    []int32
 
-	// numDyn counts constraints added after New (the only ones with occDyn
-	// entries). While zero — the common case until PB cuts are learned or
-	// rows imported — the hot loops skip the occDyn indexing entirely.
+	// numDyn counts the live counter-based learned rows (the only ones with
+	// occDyn entries). While zero — the common case until PB cuts are
+	// learned or units imported — the hot loops skip the occDyn indexing
+	// entirely.
 	numDyn int
+
+	// moved maps learned row problem+i before the last ReduceDB to its index
+	// after it (-1: deleted); cands is ReduceDB's candidate scratch.
+	moved, cands []int32
 
 	// rng, when non-nil, injects seeded random branching: with probability
 	// randFreq a decision picks a random unassigned variable instead of the
@@ -333,7 +329,8 @@ func New(p *pb.Problem) *Engine {
 		}
 		e.hdrs = append(e.hdrs, h)
 	}
-	e.satState = cleared(a.satState, len(e.hdrs))
+	e.problem = len(e.hdrs)
+	e.satState = cleared(a.satState, e.problem)
 	return e
 }
 
@@ -400,6 +397,8 @@ func (e *Engine) csr(l pb.Lit) []occRef {
 func (e *Engine) NumVars() int { return e.nVars }
 
 // NumCons returns the number of stored constraints (problem + learned).
+// Indices below the problem-row count never change; ReduceDB renumbers the
+// learned rows above it (see Moved).
 func (e *Engine) NumCons() int { return len(e.hdrs) }
 
 // Cons returns a read-only view of the i-th stored constraint. The view's
@@ -413,10 +412,8 @@ func (e *Engine) Cons(i int) Cons {
 		Lits:     e.lits[h.off:end:end],
 		Coefs:    e.coefs[h.off:end:end],
 		Degree:   h.degree,
-		Learned:  h.learned(),
 		watchSum: h.watchSum,
 		trueSum:  h.trueSum,
-		removed:  h.removed(),
 	}
 }
 
@@ -453,35 +450,23 @@ func (e *Engine) TrailLit(i int) pb.Lit { return e.trail[i] }
 // be in [1, DecisionLevel()]).
 func (e *Engine) DecisionLit(lvl int) pb.Lit { return e.trail[e.trailLim[lvl-1]] }
 
-// NumUnsatisfied returns the count of problem constraints not yet satisfied
-// by true literals.
+// NumUnsatisfied returns the count of problem rows not yet satisfied by
+// true literals.
 func (e *Engine) NumUnsatisfied() int { return e.numUnsatisfied }
 
-// appendHdr appends a header and grows the notification-state table in
-// step.
-func (e *Engine) appendHdr(h consHdr) int32 {
-	idx := int32(len(e.hdrs))
-	e.hdrs = append(e.hdrs, h)
-	e.satState = append(e.satState, 0)
-	return idx
-}
-
-// AddCons appends the normalized constraint Σ terms ≥ degree to the store,
-// initializing its propagation counters from the current assignment. It
-// returns the constraint index. The caller must ensure terms are normalized
-// (positive clipped coefficients sorted by descending coefficient, one term
-// per variable) — constraints from pb.AddConstraint or derived clauses satisfy
-// this. A clause of literals can be added with coefficient 1 each and
-// degree 1. The terms are interned into the engine arenas; the input slice
-// is neither retained nor mutated. A learned constraint (derived from a
-// conflict, or imported) may be removed by ReduceDB and counts in
-// Stats.Learned.
-func (e *Engine) AddCons(terms []pb.Term, degree int64, learned bool) int {
-	if !learned {
-		return e.addCons(terms, degree, 0)
-	}
+// AddCons appends the normalized learned constraint Σ terms ≥ degree to the
+// store, initializing its propagation counters from the current assignment.
+// It returns the constraint index. The caller must ensure terms are
+// normalized (positive clipped coefficients sorted by descending
+// coefficient, one term per variable) — constraints from pb.AddConstraint or
+// derived clauses satisfy this. A clause of literals can be added with
+// coefficient 1 each and degree 1. The terms are interned into the engine
+// arenas; the input slice is neither retained nor mutated. The constraint
+// (derived from a conflict, or imported) may be deleted by ReduceDB and
+// counts in Stats.Learned.
+func (e *Engine) AddCons(terms []pb.Term, degree int64) int {
 	e.Stats.Learned++
-	return e.addCons(terms, degree, flagLearned)
+	return e.addCons(terms, degree, 0)
 }
 
 // AddProtected adds a learned constraint that ReduceDB never removes and
@@ -489,12 +474,11 @@ func (e *Engine) AddCons(terms []pb.Term, degree int64, learned bool) int {
 // (the incumbent cuts, semantically irreplaceable), which no conflict
 // learned.
 func (e *Engine) AddProtected(terms []pb.Term, degree int64) int {
-	return e.addCons(terms, degree, flagLearned|flagProtected)
+	return e.addCons(terms, degree, flagProtected)
 }
 
 func (e *Engine) addCons(terms []pb.Term, degree int64, flags uint8) int {
 	h := consHdr{off: int32(len(e.lits)), n: int32(len(terms)), degree: degree, flags: flags}
-	learned := h.learned()
 	idx := int32(len(e.hdrs))
 	for _, t := range terms {
 		e.lits = append(e.lits, t.Lit)
@@ -522,28 +506,16 @@ func (e *Engine) addCons(terms []pb.Term, degree int64, flags uint8) int {
 			}
 		}
 	}
-	sat := h.satisfied()
-	if !learned {
-		if !sat {
-			e.numUnsatisfied++
-		}
-	}
 	e.numDyn++
-	e.appendHdr(h)
-	if !learned && e.consWatcher != nil {
-		if sat {
-			e.satState[idx] = stateCur | stateLast
-		}
-		e.consWatcher.ConsAdded(int(idx), sat)
-	}
+	e.hdrs = append(e.hdrs, h)
 	return int(idx)
 }
 
-// noteTransition records a satisfaction transition of problem constraint ci
-// (to satisfied when sat, to unsatisfied otherwise) for the next
-// FlushConsDeltas, queueing ci at most once. Call sites guard on non-learned
-// constraints and an attached watcher only. The state byte carries the
-// current satisfaction, so the flush never has to re-read the header.
+// noteTransition records a satisfaction transition of problem row ci (to
+// satisfied when sat, to unsatisfied otherwise) for the next
+// FlushConsDeltas, queueing ci at most once. Call sites guard on an attached
+// watcher only. The state byte carries the current satisfaction, so the
+// flush never has to re-read the header.
 func (e *Engine) noteTransition(ci int32, sat bool) {
 	s := e.satState[ci]
 	ns := (s &^ stateCur) | stateDirty
@@ -576,9 +548,9 @@ func (e *Engine) assign(l pb.Lit, reason int32) {
 	if len(e.trail) > e.Stats.MaxTrail {
 		e.Stats.MaxTrail = len(e.trail)
 	}
-	// Update trueSum eagerly: l is now true. The CSR rows cover only
-	// problem constraints (never removed, never watched); the dynamic rows
-	// may contain removed learned cuts. The watchSum decrement for ¬l is
+	// Update trueSum eagerly: l is now true. The CSR rows are the problem
+	// rows, whose satisfaction the watcher tracks; the dynamic rows are
+	// learned, and nobody tracks theirs. The watchSum decrement for ¬l is
 	// deferred to Propagate's queue-consumption loop, where it fuses with
 	// the conflict/implication check — one occurrence-list pass per
 	// falsified literal instead of two. Until l is consumed, watchSum of
@@ -600,18 +572,7 @@ func (e *Engine) assign(l pb.Lit, reason int32) {
 	}
 	if e.numDyn != 0 {
 		for _, ref := range e.occDyn[l] {
-			h := &e.hdrs[ref.cons]
-			if h.flags&flagRemoved != 0 {
-				continue
-			}
-			wasSat := h.trueSum >= h.degree
-			h.trueSum += ref.coef
-			if !wasSat && h.trueSum >= h.degree && h.flags&flagLearned == 0 {
-				e.numUnsatisfied--
-				if watching {
-					e.noteTransition(ref.cons, true)
-				}
-			}
+			hdrs[ref.cons].trueSum += ref.coef
 		}
 	}
 }
@@ -651,105 +612,126 @@ func (e *Engine) bumpCons(idx int32) {
 	}
 }
 
-// ReduceDB garbage-collects roughly half of the unprotected learned
-// constraints, keeping the most active. It must be called at decision level
-// 0 (after a restart): at the root no learned constraint above level 0 is a
-// reason, and the reasons of root-level assignments are kept. Occurrence
-// and watch entries are purged, and the term arenas are compacted in place
-// (constraint indices stay stable; only arena offsets move), so the hot
-// propagation loops shrink accordingly and freed spans are reclaimed.
-// It returns the number of constraints removed.
+// ReduceDB deletes roughly half of the unprotected learned constraints,
+// keeping the most active. It must be called at decision level 0 (after a
+// restart): at the root no learned constraint above level 0 is a reason, and
+// the reasons of root-level assignments are kept. One pass slides the
+// survivors' headers and term spans down in their current order and
+// renumbers every index the engine holds (root reasons, occurrence and watch
+// lists, pending checks); Moved maps a caller's learned-row index through
+// the same renumbering. Problem rows never move. Outstanding Cons views are
+// invalidated, which is why ReduceDB sits on the between-nodes path only.
+// It returns the number of constraints deleted.
 func (e *Engine) ReduceDB() int {
+	e.moved = e.moved[:0]
 	if e.DecisionLevel() != 0 {
 		return 0
 	}
-	isRootReason := make(map[int32]bool)
+	// Until the pass below, fate[i] is the fate of learned row problem+i:
+	// 1 keeps a root reason, -1 deletes, 0 is a candidate or kept.
+	fate := cleared(e.moved, len(e.hdrs)-e.problem)
 	for _, l := range e.trail {
-		if r := e.reason[l.Var()]; r != NoReason {
-			isRootReason[r] = true
+		if r := int(e.reason[l.Var()]); r >= e.problem {
+			fate[r-e.problem] = 1
 		}
 	}
-	var cands []int32
-	for i := range e.hdrs {
-		h := &e.hdrs[i]
-		if h.learned() && !h.removed() && h.flags&flagProtected == 0 && !isRootReason[int32(i)] {
+	cands := e.cands[:0]
+	for i := e.problem; i < len(e.hdrs); i++ {
+		if e.hdrs[i].flags&flagProtected == 0 && fate[i-e.problem] == 0 {
 			cands = append(cands, int32(i))
 		}
 	}
+	e.cands = cands
 	if len(cands) < 2 {
+		e.moved = fate[:0]
 		return 0
 	}
 	sort.Slice(cands, func(a, b int) bool {
 		return e.hdrs[cands[a]].activity < e.hdrs[cands[b]].activity
 	})
-	removed := 0
-	for _, ci := range cands[:len(cands)/2] {
-		e.hdrs[ci].flags |= flagRemoved
-		removed++
+	deleted := len(cands) / 2
+	for _, ci := range cands[:deleted] {
+		fate[int(ci)-e.problem] = -1
 	}
-	// Purge dynamic occurrence and watch lists, then reclaim the arena
-	// spans of the removed constraints.
-	for li := range e.occDyn {
-		lst := e.occDyn[li][:0]
-		for _, ref := range e.occDyn[li] {
-			if !e.hdrs[ref.cons].removed() {
-				lst = append(lst, ref)
-			}
-		}
-		e.occDyn[li] = lst
-	}
-	e.purgeWatchLists()
-	e.compactArena()
-	return removed
-}
-
-// compactArena slides the live constraint spans down over the holes left by
-// removed constraints and truncates the arenas. Constraint indices are
-// stable — only hdr.off moves — so reasons, occurrence entries and watch
-// lists stay valid. Outstanding Cons views are invalidated (they alias the
-// arenas), which is why ReduceDB sits on the between-nodes path only.
-func (e *Engine) compactArena() {
-	var w int32
-	for i := range e.hdrs {
-		h := &e.hdrs[i]
-		if h.removed() {
-			h.off, h.n = w, 0
+	// Slide the survivors down; fate becomes the renumbering. Problem spans
+	// precede every learned span, so the arena write starts at the first
+	// learned span.
+	w, at := e.problem, e.hdrs[e.problem].off
+	e.numDyn = 0
+	for i := e.problem; i < len(e.hdrs); i++ {
+		if fate[i-e.problem] < 0 {
 			continue
 		}
-		if h.off != w {
-			copy(e.lits[w:w+h.n], e.lits[h.off:h.off+h.n])
-			copy(e.coefs[w:w+h.n], e.coefs[h.off:h.off+h.n])
-			h.off = w
+		fate[i-e.problem] = int32(w)
+		h := e.hdrs[i]
+		copy(e.lits[at:], e.lits[h.off:h.off+h.n])
+		copy(e.coefs[at:], e.coefs[h.off:h.off+h.n])
+		h.off = at
+		at += h.n
+		e.hdrs[w] = h
+		w++
+		if !h.watched() {
+			e.numDyn++
 		}
-		w += h.n
 	}
-	e.lits = e.lits[:w]
-	e.coefs = e.coefs[:w]
+	e.hdrs, e.lits, e.coefs = e.hdrs[:w], e.lits[:at], e.coefs[:at]
+	e.moved = fate
+	for _, l := range e.trail {
+		e.reason[l.Var()] = e.renumber(e.reason[l.Var()])
+	}
+	for l, refs := range e.occDyn {
+		kept := refs[:0]
+		for _, ref := range refs {
+			if ref.cons = e.renumber(ref.cons); ref.cons >= 0 {
+				kept = append(kept, ref)
+			}
+		}
+		e.occDyn[l] = kept
+	}
+	for l, list := range e.watchList {
+		e.watchList[l] = e.renumberAll(list)
+	}
+	e.pending = e.renumberAll(e.pending)
+	return deleted
+}
+
+// Moved maps the index a constraint had before the last ReduceDB to its
+// index now, or to -1 when that ReduceDB deleted it. Problem rows, -1, and
+// every index when that call deleted nothing map to themselves. Call it
+// before the store grows again.
+func (e *Engine) Moved(old int) int { return int(e.renumber(int32(old))) }
+
+func (e *Engine) renumber(ci int32) int32 {
+	if i := int(ci) - e.problem; i >= 0 && i < len(e.moved) {
+		return e.moved[i]
+	}
+	return ci
+}
+
+// renumberAll renumbers list in place, dropping deleted constraints.
+func (e *Engine) renumberAll(list []int32) []int32 {
+	kept := list[:0]
+	for _, ci := range list {
+		if ci = e.renumber(ci); ci >= 0 {
+			kept = append(kept, ci)
+		}
+	}
+	return kept
 }
 
 // UpdateDegree tightens constraint idx to a strictly larger degree in place
 // (used for the eq. 10/13 incumbent cuts, which dominate their predecessors
 // whenever the upper bound improves — replacing beats accumulating, since
 // every accumulated dense cut slows all future occurrence-list traversals).
-// The constraint's terms must NOT have been coefficient-clipped against the
-// old degree. The constraint is scheduled for re-examination on the next
-// Propagate call.
+// idx must be a learned row (no problem-row bookkeeping follows it), and its
+// terms must NOT have been coefficient-clipped against the old degree. The
+// constraint is scheduled for re-examination on the next Propagate call.
 func (e *Engine) UpdateDegree(idx int, degree int64) {
 	h := &e.hdrs[idx]
 	if degree <= h.degree {
 		return
 	}
-	wasSat := h.satisfied()
 	h.degree = degree
-	// Tightening can un-satisfy a constraint in place. Only the incumbent
-	// cuts (learned) are tightened today, but keep the problem-constraint
-	// bookkeeping (and the watcher) honest should that ever change.
-	if !h.learned() && wasSat && !h.satisfied() {
-		e.numUnsatisfied++
-		if e.consWatcher != nil {
-			e.noteTransition(int32(idx), false)
-		}
-	}
 	e.pending = append(e.pending, int32(idx))
 }
 
@@ -762,7 +744,7 @@ func (e *Engine) SeedUnits() int {
 	count := 0
 	for ci := range e.hdrs {
 		h := &e.hdrs[ci]
-		if h.flags&(flagRemoved|flagWatched) != 0 || h.satisfied() {
+		if h.watched() || h.satisfied() {
 			continue
 		}
 		slack := h.watchSum - h.degree
@@ -823,7 +805,7 @@ func (e *Engine) Propagate() int {
 	for len(e.pending) > 0 {
 		ci := e.pending[len(e.pending)-1]
 		h := &e.hdrs[ci]
-		if h.removed() || h.satisfied() {
+		if h.satisfied() {
 			e.pending = e.pending[:len(e.pending)-1]
 			continue
 		}
@@ -867,10 +849,7 @@ func (e *Engine) Propagate() int {
 				}
 				if e.numDyn != 0 {
 					for _, ref := range e.occDyn[nl] {
-						h := &e.hdrs[ref.cons]
-						if h.flags&flagRemoved == 0 {
-							h.watchSum -= ref.coef
-						}
+						e.hdrs[ref.cons].watchSum -= ref.coef
 					}
 				}
 				return confl
@@ -908,9 +887,6 @@ func (e *Engine) Propagate() int {
 		if e.numDyn != 0 {
 			for _, ref := range e.occDyn[nl] {
 				h := &e.hdrs[ref.cons]
-				if h.flags&flagRemoved != 0 {
-					continue
-				}
 				h.watchSum -= ref.coef
 				if conflict >= 0 || h.trueSum >= h.degree {
 					continue
@@ -973,18 +949,7 @@ func (e *Engine) BacktrackTo(lvl int) {
 		}
 		if e.numDyn != 0 {
 			for _, ref := range e.occDyn[l] {
-				h := &e.hdrs[ref.cons]
-				if h.flags&flagRemoved != 0 {
-					continue
-				}
-				wasSat := h.trueSum >= h.degree
-				h.trueSum -= ref.coef
-				if wasSat && h.trueSum < h.degree && h.flags&flagLearned == 0 {
-					e.numUnsatisfied++
-					if watching {
-						e.noteTransition(ref.cons, false)
-					}
-				}
+				hdrs[ref.cons].trueSum -= ref.coef
 			}
 		}
 		if i < ph {
@@ -994,11 +959,7 @@ func (e *Engine) BacktrackTo(lvl int) {
 			}
 			if e.numDyn != 0 {
 				for _, ref := range e.occDyn[nl] {
-					h := &e.hdrs[ref.cons]
-					if h.flags&flagRemoved != 0 {
-						continue
-					}
-					h.watchSum += ref.coef
+					hdrs[ref.cons].watchSum += ref.coef
 				}
 			}
 		}
@@ -1246,7 +1207,7 @@ func (e *Engine) LearnAndBackjump(res AnalyzeResult) int {
 	if len(res.Learnt) >= 2 {
 		idx = e.addWatchedClause(res.Learnt)
 	} else {
-		idx = e.AddCons([]pb.Term{{Coef: 1, Lit: res.Learnt[0]}}, 1, true)
+		idx = e.AddCons([]pb.Term{{Coef: 1, Lit: res.Learnt[0]}}, 1)
 	}
 	// Assert the UIP literal with the new clause as reason.
 	if e.LitValue(res.Learnt[0]) == Unassigned {
@@ -1346,29 +1307,34 @@ func (e *Engine) Values() []bool {
 	return out
 }
 
-// UnsatisfiedCons calls fn for every problem constraint not yet satisfied by
-// true literals, passing the constraint index, a transient view and the
-// residual degree (Degree − trueSum > 0). Learned constraints are skipped:
-// lower bounds must be estimated on the problem itself (learned bound
-// clauses depend on the incumbent and would make explanations circular).
+// UnsatisfiedCons calls fn for every problem row not yet satisfied by true
+// literals, passing the constraint index, a transient view and the residual
+// degree (Degree − trueSum > 0). Learned constraints are skipped: lower
+// bounds must be estimated on the problem itself (learned bound clauses
+// depend on the incumbent and would make explanations circular).
 func (e *Engine) UnsatisfiedCons(fn func(idx int, c Cons, residual int64)) {
-	for i := range e.hdrs {
+	for i := range e.problem {
 		h := &e.hdrs[i]
-		if h.flags&(flagRemoved|flagLearned) != 0 || h.satisfied() {
+		if h.satisfied() {
 			continue
 		}
 		fn(i, e.Cons(i), h.degree-h.trueSum)
 	}
 }
 
-// CheckInvariants verifies counter consistency (test hook); it recomputes
-// watchSum/trueSum from scratch and compares.
+// CheckInvariants verifies counter consistency and the store's shape (test
+// hook): it recomputes watchSum/trueSum from scratch and compares, and checks
+// that every reason, occurrence entry, watch entry and pending check names a
+// stored constraint that holds its literal.
 func (e *Engine) CheckInvariants() error {
-	unsat := 0
+	unsat, dyn := 0, 0
 	for i := range e.hdrs {
 		h := &e.hdrs[i]
-		if h.removed() || h.watched() {
+		if h.watched() {
 			continue
+		}
+		if i >= e.problem {
+			dyn++
 		}
 		var ws, ts int64
 		ls := e.lits[h.off : h.off+h.n]
@@ -1393,12 +1359,49 @@ func (e *Engine) CheckInvariants() error {
 			return fmt.Errorf("cons %d: watchSum=%d(want %d) trueSum=%d(want %d)",
 				i, h.watchSum, ws, h.trueSum, ts)
 		}
-		if !h.learned() && ts < h.degree {
+		if i < e.problem && ts < h.degree {
 			unsat++
 		}
 	}
-	if unsat != e.numUnsatisfied {
-		return fmt.Errorf("numUnsatisfied=%d want %d", e.numUnsatisfied, unsat)
+	if unsat != e.numUnsatisfied || dyn != e.numDyn {
+		return fmt.Errorf("numUnsatisfied=%d want %d, numDyn=%d want %d", e.numUnsatisfied, unsat, e.numDyn, dyn)
+	}
+	return e.checkIndices()
+}
+
+// checkIndices is CheckInvariants' check of the indices the engine holds.
+func (e *Engine) checkIndices() error {
+	span := func(ci int32) []pb.Lit {
+		if ci < 0 || int(ci) >= len(e.hdrs) {
+			return nil
+		}
+		h := &e.hdrs[ci]
+		return e.lits[h.off : h.off+h.n]
+	}
+	for _, l := range e.trail {
+		if r := e.reason[l.Var()]; r != NoReason && !slices.Contains(span(r), l) {
+			return fmt.Errorf("reason %d of %v does not hold it", r, l)
+		}
+	}
+	for l := range e.occDyn {
+		for _, ref := range e.occDyn[l] {
+			k := slices.Index(span(ref.cons), pb.Lit(l))
+			if int(ref.cons) < e.problem || k < 0 || e.hdrs[ref.cons].watched() || e.coefs[int(e.hdrs[ref.cons].off)+k] != ref.coef {
+				return fmt.Errorf("occurrence %v of %v: no such counter term", ref, pb.Lit(l))
+			}
+		}
+	}
+	for l, list := range e.watchList {
+		for _, ci := range list {
+			if ls := span(ci); len(ls) < 2 || !e.hdrs[ci].watched() || (ls[0] != pb.Lit(l) && ls[1] != pb.Lit(l)) {
+				return fmt.Errorf("watch entry %d of %v: not a clause watching it", ci, pb.Lit(l))
+			}
+		}
+	}
+	for _, ci := range e.pending {
+		if ci < 0 || int(ci) >= len(e.hdrs) {
+			return fmt.Errorf("pending check %d: no such constraint", ci)
+		}
 	}
 	return nil
 }

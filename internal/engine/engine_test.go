@@ -414,7 +414,7 @@ func TestAddConsDuringSearch(t *testing.T) {
 	_ = e.Propagate()
 	// Add clause ¬x0 ∨ x1 mid-search: watch counters must reflect the
 	// current assignment (x0 true ⇒ ¬x0 false).
-	idx := e.AddCons([]pb.Term{{Coef: 1, Lit: pb.NegLit(0)}, {Coef: 1, Lit: pb.PosLit(1)}}, 1, true)
+	idx := e.AddCons([]pb.Term{{Coef: 1, Lit: pb.NegLit(0)}, {Coef: 1, Lit: pb.PosLit(1)}}, 1)
 	c := e.Cons(idx)
 	if c.Slack() != 0 {
 		t.Fatalf("slack=%d want 0", c.Slack())

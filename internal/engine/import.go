@@ -109,7 +109,7 @@ func (e *Engine) ImportClause(lits []pb.Lit) ImportStatus {
 	case 0:
 		return ImportConflict
 	case 1:
-		idx := e.AddCons([]pb.Term{{Coef: 1, Lit: out[0]}}, 1, true)
+		idx := e.AddCons([]pb.Term{{Coef: 1, Lit: out[0]}}, 1)
 		e.assign(out[0], int32(idx))
 		e.Stats.Imported++
 		return ImportUnit

@@ -9,11 +9,13 @@
 //
 // Design notes:
 //
-//   - Notifications fire only for problem (non-learned) constraints: learned
-//     clauses and incumbent cuts never participate in lower-bound reduction
-//     (their presence would make bound explanations circular), and skipping
-//     them keeps the hook entirely off the clause-learning hot path.
-//   - Transitions are *coalesced*: assign/BacktrackTo/UpdateDegree only mark
+//   - Notifications fire only for problem rows, the constraints New builds:
+//     learned clauses and incumbent cuts never participate in lower-bound
+//     reduction (their presence would make bound explanations circular), and
+//     skipping them keeps the hook entirely off the clause-learning hot path.
+//     No row joins the problem after New, so the watcher's index set is
+//     fixed at attach time.
+//   - Transitions are *coalesced*: assign and BacktrackTo only mark
 //     the constraint dirty (one branch + one append per first transition,
 //     nothing per repeat), and FlushConsDeltas delivers the net changes in a
 //     single ConsWave call. A constraint that flips satisfied→unsatisfied→
@@ -26,25 +28,20 @@
 //     the dirty set is deduplicated, so the lag is bounded by the constraint
 //     count, not the assignment count.
 //   - Backtracking, restarts and ReduceDB need no special casing: BacktrackTo
-//     marks the inverse transitions, and ReduceDB only ever removes learned
-//     constraints (arena compaction moves term spans, never indices).
+//     marks the inverse transitions, and ReduceDB deletes and renumbers
+//     learned rows only; problem rows never move.
 package engine
 
-// ConsWatcher observes satisfaction transitions of problem (non-learned)
-// constraints as coalesced per-wave deltas.
+// ConsWatcher observes satisfaction transitions of problem rows as
+// coalesced per-wave deltas.
 type ConsWatcher interface {
 	// ConsWave delivers the net satisfaction transitions since the previous
-	// flush: satisfied lists problem constraints that became satisfied by
-	// true literals alone, unsatisfied those that stopped being satisfied
-	// (a true literal was unassigned during backtracking, or the degree was
-	// tightened in place past the current trueSum). The slices alias engine
+	// flush: satisfied lists problem rows that became satisfied by true
+	// literals alone, unsatisfied those that stopped being satisfied (a true
+	// literal was unassigned during backtracking). The slices alias engine
 	// scratch buffers: they are valid only for the duration of the call and
 	// are disjoint (a constraint nets out at most one way per wave).
 	ConsWave(satisfied, unsatisfied []int32)
-	// ConsAdded fires immediately when a new problem constraint enters the
-	// store; satisfied reports its initial satisfaction state. (Adds are not
-	// batched: the watcher must know the store grew before the next wave.)
-	ConsAdded(idx int, satisfied bool)
 }
 
 // SetConsWatcher registers w as the engine's constraint watcher (nil
@@ -61,9 +58,8 @@ func (e *Engine) SetConsWatcher(w ConsWatcher) {
 	}
 	// Baseline the per-constraint notification state so the first flush
 	// reports transitions relative to "now".
-	for i := range e.hdrs {
-		h := &e.hdrs[i]
-		if !h.learned() && h.satisfied() {
+	for i := range e.satState {
+		if e.hdrs[i].satisfied() {
 			e.satState[i] = stateCur | stateLast
 		} else {
 			e.satState[i] = 0

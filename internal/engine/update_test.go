@@ -21,7 +21,7 @@ func addCostCut(e *Engine, coefs []int64, degree int64) int {
 			terms[j], terms[j-1] = terms[j-1], terms[j]
 		}
 	}
-	return e.AddCons(terms, degree, true)
+	return e.AddCons(terms, degree)
 }
 
 func TestUpdateDegreePropagates(t *testing.T) {

@@ -24,14 +24,15 @@ func (e *Engine) internClause(lits []pb.Lit) int32 {
 	h := consHdr{
 		off:    int32(len(e.lits)),
 		n:      int32(len(lits)),
-		flags:  flagLearned | flagWatched,
+		flags:  flagWatched,
 		degree: 1, maxCoef: 1,
 	}
 	e.lits = append(e.lits, lits...)
 	for range lits {
 		e.coefs = append(e.coefs, 1)
 	}
-	idx := e.appendHdr(h)
+	idx := int32(len(e.hdrs))
+	e.hdrs = append(e.hdrs, h)
 	e.Stats.Learned++
 	return idx
 }
@@ -75,9 +76,6 @@ func (e *Engine) propagateWatches(q pb.Lit) int {
 	for li := 0; li < len(list); li++ {
 		ci := list[li]
 		h := &e.hdrs[ci]
-		if h.flags&flagRemoved != 0 {
-			continue // drop the entry
-		}
 		ls := e.lits[h.off : h.off+h.n]
 		// Normalize: ls[1] is the falsified watch.
 		if ls[0] == q {
@@ -114,17 +112,4 @@ func (e *Engine) propagateWatches(q pb.Lit) int {
 	}
 	e.watchList[q] = kept
 	return -1
-}
-
-// purgeWatchLists drops entries of removed clauses (called by ReduceDB).
-func (e *Engine) purgeWatchLists() {
-	for li := range e.watchList {
-		lst := e.watchList[li][:0]
-		for _, ci := range e.watchList[li] {
-			if e.hdrs[ci].flags&flagRemoved == 0 {
-				lst = append(lst, ci)
-			}
-		}
-		e.watchList[li] = lst
-	}
 }

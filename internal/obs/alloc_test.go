@@ -54,7 +54,6 @@ func (w *countWatcher) ConsWave(satisfied, unsatisfied []int32) {
 	w.sat += len(satisfied)
 	w.unsat += len(unsatisfied)
 }
-func (w *countWatcher) ConsAdded(idx int, satisfied bool) {}
 
 // TestPropagationWaveAllocFree pins 0 allocs/op on the full wave path with a
 // watcher attached: Decide → Propagate → FlushConsDeltas → BacktrackTo →
